@@ -80,41 +80,47 @@ class Config:
     fast_retransmit: bool = False
 
     def validate(self) -> None:
-        for h in self.hops:
-            if h < 2:
-                raise ConfigError(f"hops must be >= 2, got {h}")
-        for p in self.loss:
-            if not 0.0 <= p < 1.0:
-                raise ConfigError(f"loss must be in [0, 1), got {p}")
+        """Check the front-end knobs, then build every cell's Scenario.
+
+        Scenario validates the simulation knobs itself; building the cells
+        here rejects a bad value before any run starts.
+        """
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if self.segments < 1:
-            raise ConfigError(f"segments must be >= 1, got {self.segments}")
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
-        if self.hop_latency_ms <= 0:
-            raise ConfigError(f"hop_latency_ms must be > 0, got {self.hop_latency_ms}")
         if self.mode not in ("dtc", "baseline", "both"):
             raise ConfigError(f"mode must be dtc, baseline or both, got {self.mode!r}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        self.cells()
 
     def scenario(self, hops: int, p_data: float, dtc: bool) -> Scenario:
-        return Scenario(
-            hops=hops,
-            p_data=p_data,
-            dtc_enabled=dtc,
-            total_segments=self.segments,
-            window=self.window,
-            hop_latency=int(self.hop_latency_ms * US_PER_MS),
-            max_local_retries=self.max_local_retries,
-            ll_wait_multiplier=self.ll_wait_multiplier,
-            send_spacing=self.send_spacing_us,
-            rto_min=self.rto_min_us,
-            rto_max=self.rto_max_us,
-            rto_initial=self.rto_initial_us,
-            fast_retransmit=self.fast_retransmit,
-        )
+        try:
+            return Scenario(
+                hops=hops,
+                p_data=p_data,
+                dtc_enabled=dtc,
+                total_segments=self.segments,
+                window=self.window,
+                hop_latency=int(self.hop_latency_ms * US_PER_MS),
+                max_local_retries=self.max_local_retries,
+                ll_wait_multiplier=self.ll_wait_multiplier,
+                send_spacing=self.send_spacing_us,
+                rto_min=self.rto_min_us,
+                rto_max=self.rto_max_us,
+                rto_initial=self.rto_initial_us,
+                fast_retransmit=self.fast_retransmit,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"bad scenario knob: {exc}") from exc
+
+    def cells(self) -> list:
+        """One Scenario per (hops, loss, mode), in sweep order."""
+        return [
+            self.scenario(h, p, dtc)
+            for h in self.hops
+            for p in self.loss
+            for dtc in self.modes()
+        ]
 
     def modes(self) -> list:
         if self.mode == "dtc":
@@ -193,10 +199,7 @@ def load_config(path: Optional[str], overrides: dict) -> Config:
     for attr, value in overrides.items():
         if value is not None:
             setattr(config, attr, value)
-    try:
-        config.validate()
-    except ConfigError:
-        raise
+    config.validate()
     return config
 
 
@@ -258,15 +261,6 @@ def _write_nodes_csv(path: Path, aggregates) -> None:
                 ])
 
 
-def _sweep_cells(config: Config) -> list:
-    return [
-        config.scenario(h, p, dtc)
-        for h in config.hops
-        for p in config.loss
-        for dtc in config.modes()
-    ]
-
-
 def _grouped_records(records, per_cell: int):
     return [records[i:i + per_cell] for i in range(0, len(records), per_cell)]
 
@@ -298,7 +292,7 @@ def cmd_run(config: Config) -> int:
 
 
 def cmd_sweep(config: Config) -> int:
-    cells = _sweep_cells(config)
+    cells = config.cells()
     records = sweep(cells, config.runs, config.seed, jobs=config.jobs)
     aggregates = [aggregate(group) for group in _grouped_records(records, config.runs)]
     out = Path(config.out)
@@ -318,8 +312,7 @@ def cmd_fig4(config: Config) -> int:
     # fixed load-profile cell: longest chain at the midpoint loss rate
     profile = dataclasses.replace(config)
     profile.hops, profile.loss, profile.mode = [11], [0.10], "both"
-    profile.runs = DEFAULT_RUNS
-    cells = _sweep_cells(profile)
+    cells = profile.cells()
     records = sweep(cells, profile.runs, profile.seed, jobs=profile.jobs)
     aggregates = [aggregate(group) for group in _grouped_records(records, profile.runs)]
     out = Path(config.out)

@@ -2,7 +2,16 @@
 
 Node ids: the sender is -1, the intermediate nodes are 0 .. hops-2 (node 0
 nearest the sender), and the receiver is hops-1.  Every frame moves one
-hop: data and local retransmissions to id+1, acks to id-1.
+hop over a link of the scenario's hop latency: data and local
+retransmissions to id+1, acks to id-1.  So the transmitter of an arriving
+frame follows from its direction, and link-layer acks go back to it.
+
+The run loop pops ``(fire_at, seq, target, kind, arg)`` tuples (see
+``events``) and branches on the int ``kind``, frame arrivals first.  The
+protocol state machines in ``node`` and ``endpoints`` answer with action
+tuples, which ``_apply`` carries out in order: transmissions draw from the
+random source and push arrivals, timer actions push timer events.  That
+order of draws and pushes is part of the result; keep it when editing.
 """
 
 from __future__ import annotations
@@ -10,15 +19,14 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .events import (
+    FRAME_ARRIVAL,
+    LL_ACK_ARRIVAL,
+    LL_TIMEOUT,
+    LOCAL_RTO,
+    SEND_SLOT,
+    SENDER_RTO,
     EventQueue,
-    FrameArrival,
-    LlAckArrival,
-    LlAckTimeout,
-    LocalRtoExpiry,
     RandomSource,
-    SenderRtoExpiry,
-    SenderSendSlot,
-    StartTransfer,
 )
 from .endpoints import TcpReceiver, TcpSender
 from .harness import RunMetrics, build_chain
@@ -52,8 +60,6 @@ class Simulation:
         self.drop_override = drop_override
         topology = build_chain(scenario)
         self.receiver_id = topology.receiver_id
-        self._down = topology.links_down
-        self._up = topology.links_up
         self.sender = TcpSender(
             scenario.total_segments,
             scenario.window,
@@ -76,7 +82,6 @@ class Simulation:
             )
             for node_id in topology.node_ids
         ]
-        self.queue.schedule(0, SENDER, StartTransfer())
 
     # -- trace helpers -------------------------------------------------------
 
@@ -98,19 +103,19 @@ class Simulation:
     # -- transmission helpers --------------------------------------------------
 
     def _tx_data(self, src: int, segment: DataSegment, frame_id: Optional[int]) -> None:
-        link = self._down[src + 1]
-        fid = frame_id if frame_id is not None else self.frame_ids.next()
-        frame = LinkFrame(fid, segment, src, link.dst)
-        delivered = transmit(self.queue, link, frame, self.loss, self.rng, self.drop_override)
+        if frame_id is None:
+            frame_id = self.frame_ids.next()
+        delivered = transmit(self.queue, src, src + 1, frame_id, segment, self.loss.p_data,
+                             self.latency, self.rng, self.drop_override)
         if self.trace is not None:
-            self._trace_hop(frame, "data", delivered)
+            self._trace_hop(LinkFrame(frame_id, segment, src, src + 1), "data", delivered)
 
     def _tx_ack(self, src: int, ack: AckSegment) -> None:
-        link = self._up[src]
-        frame = LinkFrame(self.frame_ids.next(), ack, src, link.dst)
-        delivered = transmit(self.queue, link, frame, self.loss, self.rng, self.drop_override)
+        frame_id = self.frame_ids.next()
+        delivered = transmit(self.queue, src, src - 1, frame_id, ack, self.loss.p_tcp_ack,
+                             self.latency, self.rng, self.drop_override)
         if self.trace is not None:
-            self._trace_hop(frame, "ack", delivered)
+            self._trace_hop(LinkFrame(frame_id, ack, src, src - 1), "ack", delivered)
 
     # -- action interpreter ------------------------------------------------------
 
@@ -118,28 +123,28 @@ class Simulation:
         queue = self.queue
         for action in actions:
             tag = action[0]
-            if tag == "tx_data":
-                self._tx_data(SENDER, DataSegment(action[1], ORIGIN_E2E), None)
-            elif tag == "fwd_data":
+            if tag == "fwd_data":
                 self._tx_data(source, action[1], action[2])
-            elif tag == "local_tx":
-                self._tx_data(source, action[1], None)
             elif tag == "tx_ack_up":
                 self._tx_ack(source, action[1])
-            elif tag == "arm_ll_timeout":
-                queue.schedule(action[1], source, LlAckTimeout(action[2]))
-            elif tag == "arm_local_rto":
-                queue.schedule(action[1], source, LocalRtoExpiry(action[2]))
+            elif tag == "tx_data":
+                self._tx_data(SENDER, DataSegment(action[1], ORIGIN_E2E), None)
             elif tag == "arm_rto":
-                queue.schedule(action[1], SENDER, SenderRtoExpiry(action[2]))
+                queue.schedule(action[1], SENDER, SENDER_RTO, arg=action[2])
             elif tag == "arm_send_slot":
-                queue.schedule(action[1], SENDER, SenderSendSlot())
+                queue.schedule(action[1], SENDER, SEND_SLOT)
             elif tag == "note":
                 if self.trace is not None:
                     self.trace(
                         f"DTC node={source} action={action[1]} seq={action[2]} "
                         f"t={queue.now}"
                     )
+            elif tag == "arm_ll_timeout":
+                queue.schedule(action[1], source, LL_TIMEOUT, arg=action[2])
+            elif tag == "arm_local_rto":
+                queue.schedule(action[1], source, LOCAL_RTO, arg=action[2])
+            elif tag == "local_tx":
+                self._tx_data(source, action[1], None)
             elif tag == "completed":
                 pass                    # the run loop watches sender.completed_at
             else:
@@ -149,12 +154,17 @@ class Simulation:
 
     def run(self):
         queue = self.queue
+        rng = self.rng
+        trace = self.trace
         sender = self.sender
         receiver = self.receiver
         nodes = self.nodes
         receiver_id = self.receiver_id
+        latency = self.latency
+        p_ll_ack = self.loss.p_ll_ack
         budget = self.scenario.max_events
         processed = 0
+        self._apply(SENDER, sender.start(queue.now))
         while True:
             event = queue.pop_next()
             if event is None:
@@ -168,46 +178,39 @@ class Simulation:
                     f"run exceeded the {budget} event budget at t={queue.now}us "
                     f"({receiver.delivered_in_order}/{receiver.total} delivered)"
                 )
-            payload = event.payload
-            kind = type(payload)
-            target = event.target
-            if kind is FrameArrival:
-                frame = payload.frame
-                acked = ll_acknowledge(queue, frame, self.latency, self.loss, self.rng)
-                if self.trace is not None:
-                    self._trace_hop(
-                        LinkFrame(frame.frame_id, frame.payload, target, frame.src),
-                        "llack",
-                        acked,
-                    )
-                inner = frame.payload
-                if type(inner) is DataSegment:
+            now, _, target, kind, arg = event
+            if kind == FRAME_ARRIVAL:
+                frame_id, segment = arg
+                is_data = type(segment) is DataSegment
+                transmitter = target - 1 if is_data else target + 1
+                acked = ll_acknowledge(queue, transmitter, frame_id, p_ll_ack, latency, rng)
+                if trace is not None:
+                    self._trace_hop(LinkFrame(frame_id, segment, target, transmitter),
+                                    "llack", acked)
+                if is_data:
                     if target == receiver_id:
-                        self._tx_ack(receiver_id, receiver.on_data(inner))
+                        self._tx_ack(receiver_id, receiver.on_data(segment))
                     else:
-                        self._apply(target, nodes[target].on_data(inner, queue.now))
+                        self._apply(target, nodes[target].on_data(segment, now))
+                elif target == SENDER:
+                    self._apply(SENDER, sender.on_ack(segment, now))
+                    if sender.completed_at is not None:
+                        break
                 else:
-                    if target == SENDER:
-                        self._apply(SENDER, sender.on_ack(inner, queue.now))
-                        if sender.completed_at is not None:
-                            break
-                    else:
-                        self._apply(target, nodes[target].on_ack(inner, queue.now))
-            elif kind is LlAckArrival:
+                    self._apply(target, nodes[target].on_ack(segment, now))
+            elif kind == LL_ACK_ARRIVAL:
                 if 0 <= target < receiver_id:
-                    nodes[target].on_ll_ack(payload.frame_id)
-            elif kind is LlAckTimeout:
-                self._apply(target, nodes[target].on_ll_timeout(payload.generation, queue.now))
-            elif kind is LocalRtoExpiry:
-                self._apply(target, nodes[target].on_local_rto(payload.generation, queue.now))
-            elif kind is SenderRtoExpiry:
-                self._apply(SENDER, sender.on_rto(payload.generation, queue.now))
-            elif kind is SenderSendSlot:
-                self._apply(SENDER, sender.on_send_slot(queue.now))
-            elif kind is StartTransfer:
-                self._apply(SENDER, sender.start(queue.now))
+                    nodes[target].on_ll_ack(arg)
+            elif kind == LL_TIMEOUT:
+                self._apply(target, nodes[target].on_ll_timeout(arg, now))
+            elif kind == LOCAL_RTO:
+                self._apply(target, nodes[target].on_local_rto(arg, now))
+            elif kind == SENDER_RTO:
+                self._apply(SENDER, sender.on_rto(arg, now))
+            elif kind == SEND_SLOT:
+                self._apply(SENDER, sender.on_send_slot(now))
             else:
-                raise AssertionError(f"unknown event payload {payload!r}")
+                raise AssertionError(f"unknown event kind {kind!r}")
         return self._collect()
 
     def _collect(self) -> RunMetrics:

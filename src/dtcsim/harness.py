@@ -14,7 +14,6 @@ from multiprocessing import Pool
 from typing import NamedTuple, Optional, Sequence
 
 from .events import US_PER_MS, US_PER_S
-from .linklayer import Link
 
 DEFAULT_SEGMENTS = 500
 DEFAULT_WINDOW = 3
@@ -43,16 +42,32 @@ class Scenario:
     max_events: int = 100_000_000
 
     def __post_init__(self) -> None:
+        """Reject knob values no run can use; each message names the knob."""
         if self.hops < 2:
-            raise ValueError(f"chain needs at least 2 hops, got {self.hops}")
+            raise ValueError(f"hops: a chain needs at least 2, got {self.hops}")
         if not 0.0 <= self.p_data < 1.0:
-            raise ValueError(f"p_data must be in [0, 1), got {self.p_data!r}")
+            raise ValueError(f"p_data (per-hop data loss) must be in [0, 1), got {self.p_data!r}")
         if self.total_segments < 1:
-            raise ValueError("total_segments must be positive")
+            raise ValueError(f"total_segments must be >= 1, got {self.total_segments}")
         if self.window < 1:
-            raise ValueError("window must be positive")
-        if self.hop_latency <= 0:
-            raise ValueError("hop_latency must be positive")
+            raise ValueError(f"window must be >= 1, got {self.window}")
+        if self.hop_latency < 1:
+            raise ValueError(f"hop_latency must be >= 1 us, got {self.hop_latency}")
+        if self.max_local_retries < 0:
+            raise ValueError(f"max_local_retries must be >= 0, got {self.max_local_retries}")
+        if self.ll_wait_multiplier < 1:
+            raise ValueError(f"ll_wait_multiplier must be >= 1, got {self.ll_wait_multiplier}")
+        if self.send_spacing is not None and self.send_spacing < 0:
+            raise ValueError(f"send_spacing must be >= 0 us, got {self.send_spacing}")
+        for knob in ("rto_min", "rto_initial"):
+            value = getattr(self, knob)
+            if value is not None and value < 1:
+                raise ValueError(f"{knob} must be >= 1 us, got {value}")
+        if self.rto_max < self.effective_rto_min():
+            raise ValueError(f"rto_max must be >= the effective rto_min "
+                             f"({self.effective_rto_min()} us), got {self.rto_max}")
+        if self.max_events < 1:
+            raise ValueError(f"max_events must be >= 1, got {self.max_events}")
 
     def path_delay(self) -> int:
         """One-way sender-to-receiver delay over the whole chain."""
@@ -101,8 +116,6 @@ class ChainTopology(NamedTuple):
     receiver_id: int
     node_ids: tuple                     # intermediate nodes, 0 nearest the sender
     hops_to_receiver: tuple             # per intermediate node
-    links_down: tuple                   # indexed by source id + 1
-    links_up: tuple                     # indexed by source id
 
 
 def build_chain(scenario: Scenario) -> ChainTopology:
@@ -114,12 +127,6 @@ def build_chain(scenario: Scenario) -> ChainTopology:
         receiver_id=receiver,
         node_ids=node_ids,
         hops_to_receiver=tuple(scenario.hops - 1 - i for i in node_ids),
-        links_down=tuple(
-            Link(i, i + 1, scenario.hop_latency) for i in range(-1, receiver)
-        ),
-        links_up=tuple(
-            Link(i, i - 1, scenario.hop_latency) for i in range(0, receiver + 1)
-        ),
     )
 
 

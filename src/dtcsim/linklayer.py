@@ -3,7 +3,8 @@
 Loss is memoryless: one uniform draw per transmission against a
 per-kind threshold.  Data segments are the largest frames and lose most
 often; TCP acks lose at half that rate and link-layer acks at a quarter.
-The link layer never retransmits -- a lost frame is simply gone, and
+The caller picks the threshold that matches the frame it sends.  The
+link layer never retransmits -- a lost frame is simply gone, and
 recovery is someone else's job.
 """
 
@@ -12,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .events import EventQueue, FrameArrival, LlAckArrival, RandomSource
-from .packets import DataSegment, LinkFrame
+from .events import FRAME_ARRIVAL, LL_ACK_ARRIVAL, EventQueue, RandomSource
+from .packets import LinkFrame
 
 
 @dataclass(frozen=True)
@@ -30,17 +31,6 @@ def derive_loss_model(p_data: float) -> LossModel:
     return LossModel(p_data, p_data / 2.0, p_data / 4.0)
 
 
-@dataclass(frozen=True)
-class Link:
-    src: int
-    dst: int
-    latency: int            # one-way microseconds, > 0
-
-    def __post_init__(self) -> None:
-        if self.latency <= 0:
-            raise ValueError("link latency must be positive")
-
-
 # A drop override lets tests script exact losses: return True to force a
 # loss, False to force delivery, None to fall through to the random draw.
 DropOverride = Callable[[LinkFrame], Optional[bool]]
@@ -48,45 +38,47 @@ DropOverride = Callable[[LinkFrame], Optional[bool]]
 
 def transmit(
     queue: EventQueue,
-    link: Link,
-    frame: LinkFrame,
-    model: LossModel,
+    src: int,
+    dst: int,
+    frame_id: int,
+    segment: object,
+    threshold: float,
+    latency: int,
     rng: RandomSource,
     drop_override: Optional[DropOverride] = None,
 ) -> bool:
-    """One delivery attempt; returns True when the frame will arrive.
+    """One delivery attempt of segment from src to dst; True when it will arrive.
 
     Exactly one uniform draw per call (unless a script override decides),
-    against p_data for data frames and p_tcp_ack for ack frames.  On
-    survival the frame arrives at the far end after the link latency;
-    otherwise it silently vanishes.
+    lost when the draw falls below threshold.  On survival a FRAME_ARRIVAL
+    with arg (frame_id, segment) reaches dst after latency microseconds;
+    otherwise the frame silently vanishes.
     """
-    assert frame.src == link.src and frame.dst == link.dst, "frame does not match link"
-    forced = drop_override(frame) if drop_override is not None else None
-    if forced is None:
-        threshold = model.p_data if type(frame.payload) is DataSegment else model.p_tcp_ack
-        lost = rng.uniform_draw() < threshold
-    else:
-        lost = forced
+    forced = None
+    if drop_override is not None:
+        forced = drop_override(LinkFrame(frame_id, segment, src, dst))
+    lost = rng.uniform_draw() < threshold if forced is None else forced
     if not lost:
-        queue.schedule(queue.now + link.latency, link.dst, FrameArrival(frame))
+        queue.schedule(queue.now + latency, dst, FRAME_ARRIVAL, arg=(frame_id, segment))
     return not lost
 
 
 def ll_acknowledge(
     queue: EventQueue,
-    frame: LinkFrame,
+    dst: int,
+    frame_id: int,
+    threshold: float,
     latency: int,
-    model: LossModel,
     rng: RandomSource,
 ) -> bool:
     """Send the positive link-layer ack for a frame that just arrived.
 
-    One draw against p_ll_ack; on survival the original transmitter sees
-    an LlAckArrival after the link latency.  Emitted only for delivered
+    dst is the frame's transmitter.  One draw against threshold (the loss
+    model's p_ll_ack); on survival dst sees an LL_ACK_ARRIVAL with arg
+    frame_id after latency microseconds.  Emitted only for delivered
     frames, so a missing ll ack is evidence the frame (or its ack) died.
     """
-    lost = rng.uniform_draw() < model.p_ll_ack
+    lost = rng.uniform_draw() < threshold
     if not lost:
-        queue.schedule(queue.now + latency, frame.src, LlAckArrival(frame.frame_id))
+        queue.schedule(queue.now + latency, dst, LL_ACK_ARRIVAL, arg=frame_id)
     return not lost

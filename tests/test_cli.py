@@ -77,6 +77,49 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "loss" in capsys.readouterr().err
 
 
+@pytest.fixture()
+def no_simulation(monkeypatch):
+    """Fail the test if a command gets as far as starting a run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simulation started despite a bad knob")
+
+    monkeypatch.setattr("dtcsim.cli.run_scenario", refuse)
+    monkeypatch.setattr("dtcsim.cli.sweep", refuse)
+
+
+RUN_ARGS = ["run", "--loss", "0.1", "--dtc", "on", "--segments", "5"]
+
+
+@pytest.mark.parametrize("argv, knob", [
+    (RUN_ARGS + ["--hops", "3", "--hop-latency-ms", "0.0001"], "hop_latency"),
+    (RUN_ARGS + ["--hops", "3", "--hop-latency-ms", "-1"], "hop_latency"),
+    (RUN_ARGS + ["--hops", "1"], "hops"),
+    (RUN_ARGS + ["--hops", "3", "--segments", "0"], "segments"),
+    (RUN_ARGS + ["--hops", "3", "--window", "0"], "window"),
+    (["sweep", "--hops", "3", "--loss", "0.1,1.0", "--dtc", "both", "--runs", "1"], "loss"),
+])
+def test_bad_flag_exits_2_naming_the_knob(argv, knob, tmp_path, capsys, no_simulation):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert knob in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, knob", [
+    ("rto_max_us = 1", "rto_max"),
+    ("rto_min_us = 0", "rto_min"),
+    ("rto_initial_us = 0", "rto_initial"),
+    ("send_spacing_us = -1", "send_spacing"),
+    ("ll_wait_multiplier = 0", "ll_wait_multiplier"),
+    ("max_local_retries = -1", "max_local_retries"),
+])
+@pytest.mark.parametrize("command", ["run", "sweep", "fig4"])
+def test_bad_advanced_knob_exits_2_naming_it(line, knob, command, tmp_path, capsys,
+                                             no_simulation):
+    path = write(tmp_path / "c.conf", line + "\n")
+    argv = RUN_ARGS + ["--hops", "3"] if command == "run" else [command, "--runs", "1"]
+    assert main(argv + ["--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert knob in capsys.readouterr().err
+
+
 # -- run command ---------------------------------------------------------------------
 
 def test_run_prints_metrics(capsys):
@@ -186,6 +229,23 @@ def test_fig4_writes_twenty_node_rows(tmp_path):
     assert len(lines) - 1 == 2 * 10
     node_indices = [int(line.split(",")[1]) for line in lines[1:]]
     assert node_indices == list(range(10)) * 2
+
+
+def test_fig4_honours_runs(tmp_path, monkeypatch):
+    import dtcsim.cli
+
+    used = []
+    real_sweep = dtcsim.cli.sweep
+
+    def spy(cells, runs, base_seed, jobs=1):
+        used.append((len(cells), runs))
+        return real_sweep(cells, runs, base_seed, jobs=jobs)
+
+    monkeypatch.setattr(dtcsim.cli, "sweep", spy)
+    out = tmp_path / "fig4"
+    assert main(["fig4", "--runs", "2", "--segments", "5", "--out", str(out)]) == 0
+    assert used == [(2, 2)]                         # both modes, two runs each
+    assert len((out / "nodes.csv").read_text().splitlines()) - 1 == 2 * 10
 
 
 # -- report command ----------------------------------------------------------------------

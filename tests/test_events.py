@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dtcsim.events import EventQueue, RandomSource, SchedulingError
+from dtcsim.events import (
+    FRAME_ARRIVAL,
+    LL_TIMEOUT,
+    SEND_SLOT,
+    EventQueue,
+    RandomSource,
+    SchedulingError,
+)
 
 
 def drain(queue):
@@ -11,31 +18,49 @@ def drain(queue):
     return out
 
 
+def args(events):
+    return [arg for _, _, _, _, arg in events]
+
+
 def test_single_event_pops():
     q = EventQueue()
-    q.schedule(5, 0, "a")
-    events = drain(q)
-    assert [(e.fire_at, e.payload) for e in events] == [(5, "a")]
+    q.schedule(5, 3, SEND_SLOT, arg="a")
+    assert drain(q) == [(5, 0, 3, SEND_SLOT, "a")]
+
+
+def test_event_tuple_layout():
+    q = EventQueue()
+    q.schedule(4, 2, LL_TIMEOUT, arg=7)
+    q.schedule(4, -1, SEND_SLOT)
+    assert drain(q) == [(4, 0, 2, LL_TIMEOUT, 7), (4, 1, -1, SEND_SLOT, None)]
 
 
 def test_pop_orders_by_fire_time():
     q = EventQueue()
-    q.schedule(5, 0, "late")
-    q.schedule(3, 0, "early")
-    assert [e.payload for e in drain(q)] == ["early", "late"]
+    q.schedule(5, 0, SEND_SLOT, arg="late")
+    q.schedule(3, 0, SEND_SLOT, arg="early")
+    assert args(drain(q)) == ["early", "late"]
 
 
 def test_equal_time_events_stay_fifo():
     q = EventQueue()
-    q.schedule(7, 0, "A")
-    q.schedule(7, 0, "B")
-    assert [e.payload for e in drain(q)] == ["A", "B"]
+    q.schedule(7, 0, SEND_SLOT, arg="A")
+    q.schedule(7, 0, SEND_SLOT, arg="B")
+    assert args(drain(q)) == ["A", "B"]
+
+
+def test_equal_time_ties_never_compare_kind_or_arg():
+    # a later kind code or an unorderable arg must not reorder equal times
+    q = EventQueue()
+    q.schedule(7, 0, SEND_SLOT, arg=object())
+    q.schedule(7, 0, FRAME_ARRIVAL, arg=object())
+    assert [kind for _, _, _, kind, _ in drain(q)] == [SEND_SLOT, FRAME_ARRIVAL]
 
 
 def test_pop_advances_clock():
     q = EventQueue()
-    q.schedule(1, 0, "x")
-    q.schedule(9, 0, "y")
+    q.schedule(1, 0, SEND_SLOT, arg="x")
+    q.schedule(9, 0, SEND_SLOT, arg="y")
     q.pop_next()
     assert q.now == 1
     q.pop_next()
@@ -49,26 +74,27 @@ def test_empty_queue_returns_none():
 
 def test_scheduling_at_current_time_is_legal():
     q = EventQueue()
-    q.schedule(9, 0, "x")
+    q.schedule(9, 0, SEND_SLOT, arg="x")
     q.pop_next()
-    q.schedule(9, 0, "same-instant")
-    assert q.pop_next().payload == "same-instant"
+    q.schedule(9, 0, SEND_SLOT, arg="same-instant")
+    assert q.pop_next()[4] == "same-instant"
 
 
 def test_scheduling_in_the_past_aborts():
     q = EventQueue()
-    q.schedule(10, 0, "x")
+    q.schedule(10, 0, SEND_SLOT, arg="x")
     q.pop_next()
     with pytest.raises(SchedulingError):
-        q.schedule(9, 0, "too-late")
+        q.schedule(9, 0, SEND_SLOT, arg="too-late")
+    assert len(q) == 0
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=50))
 def test_pop_times_never_decrease(times):
     q = EventQueue()
     for t in times:
-        q.schedule(t, 0, None)
-    popped = [e.fire_at for e in drain(q)]
+        q.schedule(t, 0, SEND_SLOT)
+    popped = [fire_at for fire_at, _, _, _, _ in drain(q)]
     assert popped == sorted(popped)
 
 
@@ -76,11 +102,11 @@ def test_pop_times_never_decrease(times):
 def test_tiebreaks_unique_and_insertion_ordered(times):
     q = EventQueue()
     for i, t in enumerate(times):
-        q.schedule(t, 0, i)
+        q.schedule(t, 0, SEND_SLOT, arg=i)
     events = drain(q)
-    assert len({e.tiebreak for e in events}) == len(events)
+    assert len({seq for _, seq, _, _, _ in events}) == len(events)
     for t in set(times):
-        same_time = [e.payload for e in events if e.fire_at == t]
+        same_time = [arg for fire_at, _, _, _, arg in events if fire_at == t]
         assert same_time == sorted(same_time)
 
 

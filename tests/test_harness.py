@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -13,6 +14,9 @@ from dtcsim.harness import (
     run,
     sweep,
 )
+
+
+HOP_LINE = re.compile(r"HOP from=(\S+) to=(\S+) kind=(\S+) result=delivered t=(\d+)")
 
 
 def scenario(**overrides):
@@ -30,10 +34,25 @@ def scenario(**overrides):
     dict(total_segments=0),
     dict(window=0),
     dict(hop_latency=0),
+    dict(max_local_retries=-1),
+    dict(ll_wait_multiplier=0),
+    dict(send_spacing=-1),
+    dict(rto_min=0),
+    dict(rto_initial=0),
+    dict(rto_max=1),
+    dict(max_events=0),
 ])
 def test_invalid_scenarios_rejected(bad):
-    with pytest.raises(ValueError):
+    knob = next(iter(bad))
+    with pytest.raises(ValueError, match=knob):
         scenario(**bad)
+
+
+def test_boundary_knob_values_accepted():
+    s = scenario(max_local_retries=0, ll_wait_multiplier=1, send_spacing=0,
+                 rto_min=1, rto_initial=1, rto_max=1, max_events=1)
+    assert s.effective_rto_min() == s.rto_max == 1
+    assert scenario(hops=11, rto_max=440_000).rto_max == 440_000    # the derived rto_min
 
 
 def test_derived_timing_defaults():
@@ -69,9 +88,19 @@ def test_minimal_chain():
 def test_hops_to_receiver_arithmetic():
     topo = build_chain(scenario(hops=6))
     assert topo.hops_to_receiver[0] == 5
-    assert [link.src for link in topo.links_down] == [-1, 0, 1, 2, 3, 4]
-    assert [link.dst for link in topo.links_down] == [0, 1, 2, 3, 4, 5]
-    assert all(link.latency == 10_000 for link in topo.links_down)
+    # lossless 3-hop run of one segment: every frame moves one node per hop
+    # latency, and each link-layer ack goes back to the frame's transmitter
+    lines = []
+    run(scenario(hops=3, total_segments=1, dtc_enabled=False), trace=lines.append)
+    hops = [HOP_LINE.match(line).groups() for line in lines if line.startswith("HOP ")]
+    hops = [(src, dst, kind, int(t)) for src, dst, kind, t in hops]
+    frames = [hop for hop in hops if hop[2] != "llack"]
+    assert frames == [
+        ("S", "0", "data", 0), ("0", "1", "data", 10_000), ("1", "R", "data", 20_000),
+        ("R", "1", "ack", 30_000), ("1", "0", "ack", 40_000), ("0", "S", "ack", 50_000),
+    ]
+    llacks = [(src, dst, t) for src, dst, kind, t in hops if kind == "llack"]
+    assert llacks == [(dst, src, t + 10_000) for src, dst, _, t in frames]
 
 
 # -- single runs ------------------------------------------------------------------------
