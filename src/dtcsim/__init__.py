@@ -2,12 +2,10 @@
 
 from .harness import (
     Aggregate,
-    ChainTopology,
     RunMetrics,
     RunRecord,
     Scenario,
     aggregate,
-    build_chain,
     reduction_factor,
     run,
     sweep,
@@ -17,12 +15,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Aggregate",
-    "ChainTopology",
     "RunMetrics",
     "RunRecord",
     "Scenario",
     "aggregate",
-    "build_chain",
     "reduction_factor",
     "run",
     "sweep",

@@ -19,7 +19,7 @@ import statistics
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .events import US_PER_MS
 from .harness import (
@@ -57,79 +57,6 @@ class ReportError(Exception):
     pass
 
 
-@dataclass
-class Config:
-    hops: list = field(default_factory=lambda: list(DEFAULT_SWEEP_HOPS))
-    loss: list = field(default_factory=lambda: list(DEFAULT_SWEEP_LOSS))
-    mode: str = "both"                  # dtc | baseline | both
-    runs: int = DEFAULT_RUNS
-    seed: int = 1
-    segments: int = 500
-    window: int = 3
-    hop_latency_ms: float = 10.0
-    out: str = "results"
-    jobs: int = 1
-    trace: bool = False
-    # advanced knobs, normally left at their scenario defaults
-    max_local_retries: int = 3
-    ll_wait_multiplier: int = 3
-    send_spacing_us: Optional[int] = None
-    rto_min_us: Optional[int] = None
-    rto_max_us: int = 60_000_000
-    rto_initial_us: Optional[int] = None
-    fast_retransmit: bool = False
-
-    def validate(self) -> None:
-        """Check the front-end knobs, then build every cell's Scenario.
-
-        Scenario validates the simulation knobs itself; building the cells
-        here rejects a bad value before any run starts.
-        """
-        if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if self.mode not in ("dtc", "baseline", "both"):
-            raise ConfigError(f"mode must be dtc, baseline or both, got {self.mode!r}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        self.cells()
-
-    def scenario(self, hops: int, p_data: float, dtc: bool) -> Scenario:
-        try:
-            return Scenario(
-                hops=hops,
-                p_data=p_data,
-                dtc_enabled=dtc,
-                total_segments=self.segments,
-                window=self.window,
-                hop_latency=int(self.hop_latency_ms * US_PER_MS),
-                max_local_retries=self.max_local_retries,
-                ll_wait_multiplier=self.ll_wait_multiplier,
-                send_spacing=self.send_spacing_us,
-                rto_min=self.rto_min_us,
-                rto_max=self.rto_max_us,
-                rto_initial=self.rto_initial_us,
-                fast_retransmit=self.fast_retransmit,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad scenario knob: {exc}") from exc
-
-    def cells(self) -> list:
-        """One Scenario per (hops, loss, mode), in sweep order."""
-        return [
-            self.scenario(h, p, dtc)
-            for h in self.hops
-            for p in self.loss
-            for dtc in self.modes()
-        ]
-
-    def modes(self) -> list:
-        if self.mode == "dtc":
-            return [True]
-        if self.mode == "baseline":
-            return [False]
-        return [False, True]
-
-
 def _parse_int_list(text: str) -> list:
     return [int(part) for part in text.split(",") if part.strip()]
 
@@ -152,30 +79,103 @@ def _parse_optional_int(text: str) -> Optional[int]:
     return None if value in ("", "none", "auto") else int(text)
 
 
-# config-file key -> (attribute, parser)
+def _parse_ms_as_us(text: str) -> int:
+    """Milliseconds to whole microseconds, truncated toward zero."""
+    try:
+        return int(float(text) * US_PER_MS)
+    except OverflowError as exc:
+        raise ValueError(f"not a finite time: {text!r}") from exc
+
+
+class Key(NamedTuple):
+    """One config key; its flag is --key with underscores as dashes."""
+
+    parse: Callable[[str], object]      # text -> value, for the file and the flag
+    field: Optional[str]                # Scenario field; None for front-end keys
+    metavar: Optional[str] = None
+    help: Optional[str] = None
+
+
+# config key -> how to read it and where it goes; Scenario holds the defaults
 CONFIG_KEYS = {
-    "hops": ("hops", _parse_int_list),
-    "loss": ("loss", _parse_float_list),
-    "mode": ("mode", str.strip),
-    "runs": ("runs", int),
-    "seed": ("seed", int),
-    "segments": ("segments", int),
-    "window": ("window", int),
-    "hop_latency_ms": ("hop_latency_ms", float),
-    "out": ("out", str.strip),
-    "jobs": ("jobs", int),
-    "max_local_retries": ("max_local_retries", int),
-    "ll_wait_multiplier": ("ll_wait_multiplier", int),
-    "send_spacing_us": ("send_spacing_us", _parse_optional_int),
-    "rto_min_us": ("rto_min_us", _parse_optional_int),
-    "rto_max_us": ("rto_max_us", int),
-    "rto_initial_us": ("rto_initial_us", _parse_optional_int),
-    "fast_retransmit": ("fast_retransmit", _parse_bool),
+    "hops": Key(_parse_int_list, None, "N[,N...]"),
+    "loss": Key(_parse_float_list, None, "P[,P...]"),
+    "mode": Key(str, None),             # its flag is --dtc on|off|both
+    "segments": Key(int, "total_segments"),
+    "window": Key(int, "window"),
+    "runs": Key(int, None),
+    "seed": Key(int, None),
+    "hop_latency_ms": Key(_parse_ms_as_us, "hop_latency"),
+    "out": Key(str, None, "DIR"),
+    "jobs": Key(int, None, help="parallel runs for sweeps"),
+    "max_local_retries": Key(int, "max_local_retries"),
+    "ll_wait_multiplier": Key(int, "ll_wait_multiplier"),
+    "send_spacing_us": Key(_parse_optional_int, "send_spacing"),
+    "rto_min_us": Key(_parse_optional_int, "rto_min"),
+    "rto_max_us": Key(int, "rto_max"),
+    "rto_initial_us": Key(_parse_optional_int, "rto_initial"),
+    "fast_retransmit": Key(_parse_bool, "fast_retransmit"),
 }
 
 
+_DTC_BY_MODE = {"dtc": [True], "baseline": [False], "both": [False, True]}
+
+
+@dataclass
+class Config:
+    hops: list = field(default_factory=lambda: list(DEFAULT_SWEEP_HOPS))
+    loss: list = field(default_factory=lambda: list(DEFAULT_SWEEP_LOSS))
+    mode: str = "both"                  # dtc | baseline | both
+    runs: int = DEFAULT_RUNS
+    seed: int = 1
+    out: str = "results"
+    jobs: int = 1
+    trace: bool = False
+    knobs: dict = field(default_factory=dict)   # Scenario field -> value, as given
+
+    def set(self, key: str, value) -> None:
+        knob = CONFIG_KEYS.get(key)
+        if knob is not None and knob.field is not None:
+            self.knobs[knob.field] = value
+        else:
+            setattr(self, key, value)
+
+    def validate(self) -> None:
+        """Check the front-end knobs, then build every cell's Scenario.
+
+        Scenario validates the simulation knobs itself; building the cells
+        here rejects a bad value before any run starts.
+        """
+        if self.runs < 1:
+            raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        if self.mode not in _DTC_BY_MODE:
+            raise ConfigError(f"mode must be dtc, baseline or both, got {self.mode!r}")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        self.cells()
+
+    def scenario(self, hops: int, p_data: float, dtc: bool) -> Scenario:
+        try:
+            return Scenario(hops=hops, p_data=p_data, dtc_enabled=dtc, **self.knobs)
+        except ValueError as exc:
+            raise ConfigError(f"bad scenario knob: {exc}") from exc
+
+    def cells(self) -> list:
+        """One Scenario per (hops, loss, mode), in sweep order."""
+        return [
+            self.scenario(h, p, dtc)
+            for h in self.hops
+            for p in self.loss
+            for dtc in _DTC_BY_MODE[self.mode]
+        ]
+
+
 def load_config(path: Optional[str], overrides: dict) -> Config:
-    """Defaults, then `key = value` lines from the file, then flag overrides."""
+    """Defaults, then `key = value` lines from the file, then flag overrides.
+
+    `overrides` maps config keys to values as their parsers return them
+    (so `hop_latency_ms` arrives in microseconds); None means not given.
+    """
     config = Config()
     if path is not None:
         try:
@@ -191,14 +191,13 @@ def load_config(path: Optional[str], overrides: dict) -> Config:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in: {raw}")
-            attr, parse = CONFIG_KEYS[key]
             try:
-                setattr(config, attr, parse(value))
+                config.set(key, CONFIG_KEYS[key].parse(value))
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {raw} ({exc})") from exc
-    for attr, value in overrides.items():
+    for key, value in overrides.items():
         if value is not None:
-            setattr(config, attr, value)
+            config.set(key, value)
     config.validate()
     return config
 
@@ -261,10 +260,6 @@ def _write_nodes_csv(path: Path, aggregates) -> None:
                 ])
 
 
-def _grouped_records(records, per_cell: int):
-    return [records[i:i + per_cell] for i in range(0, len(records), per_cell)]
-
-
 # -- commands -----------------------------------------------------------------
 
 
@@ -276,11 +271,7 @@ def cmd_run(config: Config) -> int:
         config.scenario(config.hops[0], config.loss[0], config.mode == "dtc"),
         seed=config.seed,
     )
-    trace_lines = [] if config.trace else None
-    metrics = run_scenario(scenario, trace=trace_lines.append if config.trace else None)
-    if trace_lines:
-        for line in trace_lines:
-            print(line)
+    metrics = run_scenario(scenario, trace=print if config.trace else None)
     print(f"scenario: {_scenario_id(scenario)} seed={scenario.seed}")
     print(f"e2e_retransmissions: {metrics.e2e_retransmissions}")
     print(f"sender_data_tx: {metrics.sender_data_tx}")
@@ -291,46 +282,53 @@ def cmd_run(config: Config) -> int:
     return 0
 
 
-def cmd_sweep(config: Config) -> int:
-    cells = config.cells()
+def _sweep_and_write(config: Config, cells: list, write) -> int:
+    """Run each cell config.runs times, aggregate per cell, write the results.
+
+    `write(out, records, aggregates)` writes the files into the output
+    directory and returns the lines to print; an OSError exits 3.
+    """
     records = sweep(cells, config.runs, config.seed, jobs=config.jobs)
-    aggregates = [aggregate(group) for group in _grouped_records(records, config.runs)]
+    aggregates = [aggregate(records[i:i + config.runs])
+                  for i in range(0, len(records), config.runs)]
     out = Path(config.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _write_runs_csv(out / "runs.csv", records)
-        _write_summary_csv(out / "summary.csv", aggregates)
+        lines = write(out, records, aggregates)
     except OSError as exc:
         print(f"error: cannot write results to {out}: {exc}", file=sys.stderr)
         return 3
-    print(f"wrote {len(records)} runs to {out / 'runs.csv'}")
-    print(f"wrote {len(aggregates)} cells to {out / 'summary.csv'}")
+    for line in lines:
+        print(line)
     return 0
+
+
+def cmd_sweep(config: Config) -> int:
+    def write(out, records, aggregates):
+        _write_runs_csv(out / "runs.csv", records)
+        _write_summary_csv(out / "summary.csv", aggregates)
+        return [f"wrote {len(records)} runs to {out / 'runs.csv'}",
+                f"wrote {len(aggregates)} cells to {out / 'summary.csv'}"]
+
+    return _sweep_and_write(config, config.cells(), write)
 
 
 def cmd_fig4(config: Config) -> int:
-    # fixed load-profile cell: longest chain at the midpoint loss rate
-    profile = dataclasses.replace(config)
-    profile.hops, profile.loss, profile.mode = [11], [0.10], "both"
-    cells = profile.cells()
-    records = sweep(cells, profile.runs, profile.seed, jobs=profile.jobs)
-    aggregates = [aggregate(group) for group in _grouped_records(records, profile.runs)]
-    out = Path(config.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
+    def write(out, records, aggregates):
         _write_nodes_csv(out / "nodes.csv", aggregates)
-    except OSError as exc:
-        print(f"error: cannot write results to {out}: {exc}", file=sys.stderr)
-        return 3
-    rows = sum(len(a.mean_per_node_tx) for a in aggregates)
-    print(f"wrote {rows} node rows to {out / 'nodes.csv'}")
-    return 0
+        rows = sum(len(a.mean_per_node_tx) for a in aggregates)
+        return [f"wrote {rows} node rows to {out / 'nodes.csv'}"]
+
+    # fixed load-profile cell: longest chain at the midpoint loss rate
+    cells = [config.scenario(11, 0.10, dtc) for dtc in (False, True)]
+    return _sweep_and_write(config, cells, write)
 
 
 # -- report -------------------------------------------------------------------
 
 
 def _read_csv(path: Path, expected_header) -> list:
+    """The rows under the expected header, each a dict keyed by column name."""
     if not path.is_file():
         raise ReportError(f"missing {path.name} in {path.parent}")
     try:
@@ -340,18 +338,22 @@ def _read_csv(path: Path, expected_header) -> list:
         raise ReportError(f"cannot read {path}: {exc}") from exc
     if not rows or rows[0] != expected_header:
         raise ReportError(f"{path.name}: unexpected header {rows[0] if rows else '(empty)'}")
-    return rows[1:]
+    return [dict(zip(expected_header, row)) for row in rows[1:]]
 
 
 def _render_report(directory: Path) -> str:
     summary = _read_csv(directory / "summary.csv", SUMMARY_CSV_HEADER)
     _read_csv(directory / "runs.csv", RUNS_CSV_HEADER)
     try:
-        cells = {}
+        cells = {}                      # (hops, loss) -> dtc label -> parsed columns
         for row in summary:
-            key = (int(row[0]), float(row[1]))
-            cells.setdefault(key, {})[row[2]] = row
-    except (ValueError, IndexError) as exc:
+            factor = row["reduction_factor"]
+            cells.setdefault((int(row["hops"]), float(row["p_data"])), {})[row["dtc"]] = {
+                "e2e": float(row["mean_e2e_retx"]),
+                "time": float(row["mean_completion_time_us"]),
+                "factor": float(factor) if factor else None,
+            }
+    except (ValueError, KeyError) as exc:
         raise ReportError(f"summary.csv: malformed row ({exc})") from exc
 
     lines = []
@@ -359,10 +361,8 @@ def _render_report(directory: Path) -> str:
     lines.append(f"{'hops':>5} {'loss':>6} {'baseline':>12} {'caching':>12} {'factor':>8}")
     for (hops, loss) in sorted(cells):
         modes = cells[(hops, loss)]
-        base = modes.get("off")
-        dtc = modes.get("on")
-        base_mean = float(base[4]) if base else None
-        dtc_mean = float(dtc[4]) if dtc else None
+        base_mean = modes["off"]["e2e"] if "off" in modes else None
+        dtc_mean = modes["on"]["e2e"] if "on" in modes else None
         cols = [
             f"{base_mean:>12.1f}" if base_mean is not None else f"{'-':>12}",
             f"{dtc_mean:>12.1f}" if dtc_mean is not None else f"{'-':>12}",
@@ -370,8 +370,8 @@ def _render_report(directory: Path) -> str:
         if base_mean == 0.0 and (dtc_mean is None or dtc_mean == 0.0):
             factor_text = "no retransmissions"
         else:
-            factor = dtc[13] if dtc and dtc[13] else ""
-            factor_text = f"{float(factor):>8.2f}" if factor else f"{'-':>8}"
+            factor = modes["on"]["factor"] if "on" in modes else None
+            factor_text = f"{factor:>8.2f}" if factor is not None else f"{'-':>8}"
         lines.append(f"{hops:>5} {loss:>6.2f} {cols[0]} {cols[1]} {factor_text}")
 
     lines.append("")
@@ -380,8 +380,8 @@ def _render_report(directory: Path) -> str:
     for (hops, loss) in sorted(cells):
         modes = cells[(hops, loss)]
         if "off" in modes and "on" in modes:
-            base_t = float(modes["off"][10])
-            dtc_t = float(modes["on"][10])
+            base_t = modes["off"]["time"]
+            dtc_t = modes["on"]["time"]
             speedup = base_t / dtc_t if dtc_t > 0 else float("inf")
             lines.append(f"{hops:>5} {loss:>6.2f} {speedup:>8.2f}")
 
@@ -393,8 +393,9 @@ def _render_report(directory: Path) -> str:
         by_mode = {}
         try:
             for row in node_rows:
-                by_mode.setdefault(row[0], []).append((int(row[1]), float(row[2])))
-        except (ValueError, IndexError) as exc:
+                by_mode.setdefault(row["dtc"], []).append(
+                    (int(row["node_index"]), float(row["mean_data_tx"])))
+        except (ValueError, KeyError) as exc:
             raise ReportError(f"nodes.csv: malformed row ({exc})") from exc
         for mode in ("off", "on"):
             if mode not in by_mode:
@@ -420,6 +421,9 @@ def cmd_report(directory: str) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
+_MODE_BY_FLAG = {"on": "dtc", "off": "baseline", "both": "both"}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dtcsim",
@@ -430,22 +434,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", metavar="FILE", help="key = value config file")
-        p.add_argument("--hops", type=_parse_int_list, metavar="N[,N...]")
-        p.add_argument("--loss", type=_parse_float_list, metavar="P[,P...]")
-        p.add_argument("--dtc", choices=["on", "off", "both"],
-                       help="caching on, off, or both modes")
-        p.add_argument("--segments", type=int)
-        p.add_argument("--window", type=int)
-        p.add_argument("--runs", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--hop-latency-ms", type=float, dest="hop_latency_ms")
-        p.add_argument("--out", metavar="DIR")
-        p.add_argument("--jobs", type=int, help="parallel runs for sweeps")
+        for key, spec in CONFIG_KEYS.items():
+            if key == "mode":
+                p.add_argument("--dtc", dest="mode", choices=list(_MODE_BY_FLAG),
+                               help="caching on, off, or both modes")
+            else:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=spec.parse,
+                               metavar=spec.metavar, help=spec.help)
 
     p_run = sub.add_parser("run", help="execute a single run")
     add_common(p_run)
     p_run.add_argument("--trace", action="store_true",
-                       help="print the per-event trace log")
+                       help="stream the per-event trace log")
 
     p_sweep = sub.add_parser("sweep", help="grid of cells -> runs.csv, summary.csv")
     add_common(p_sweep)
@@ -458,26 +458,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_MODE_BY_FLAG = {"on": "dtc", "off": "baseline", "both": "both"}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "report":
         return cmd_report(args.directory)
-    overrides = {
-        "hops": args.hops,
-        "loss": args.loss,
-        "mode": _MODE_BY_FLAG[args.dtc] if args.dtc else None,
-        "segments": args.segments,
-        "window": args.window,
-        "runs": args.runs,
-        "seed": args.seed,
-        "hop_latency_ms": args.hop_latency_ms,
-        "out": args.out,
-        "jobs": args.jobs,
-    }
+    overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
+    if args.mode is not None:
+        overrides["mode"] = _MODE_BY_FLAG[args.mode]
     if getattr(args, "trace", False):
         overrides["trace"] = True
     try:

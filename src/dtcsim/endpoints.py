@@ -12,7 +12,6 @@ out, which keeps every branch directly unit-testable:
     ("tx_data", seq)             transmit segment seq toward the chain
     ("arm_rto", at, generation)  (re)arm the retransmission timer
     ("arm_send_slot", at)        wake the pacing gate at time `at`
-    ("completed",)               the whole transfer is acknowledged
 """
 
 from __future__ import annotations
@@ -168,7 +167,6 @@ class TcpSender:
             if self.cumulative == self.total + 1:
                 self.completed_at = now
                 self.rto_generation += 1    # pending timer goes stale
-                actions.append(("completed",))
             else:
                 actions.append(self._arm_rto(now))
             return actions

@@ -29,7 +29,7 @@ from .events import (
     RandomSource,
 )
 from .endpoints import TcpReceiver, TcpSender
-from .harness import RunMetrics, build_chain
+from .harness import RunMetrics
 from .linklayer import DropOverride, derive_loss_model, ll_acknowledge, transmit
 from .node import CachingNode, FrameIdSource
 from .packets import ORIGIN_E2E, AckSegment, DataSegment, LinkFrame, render_payload
@@ -58,8 +58,7 @@ class Simulation:
         self.frame_ids = FrameIdSource()
         self.trace = trace
         self.drop_override = drop_override
-        topology = build_chain(scenario)
-        self.receiver_id = topology.receiver_id
+        self.receiver_id = scenario.hops - 1
         self.sender = TcpSender(
             scenario.total_segments,
             scenario.window,
@@ -73,14 +72,14 @@ class Simulation:
         self.nodes = [
             CachingNode(
                 node_id,
-                topology.hops_to_receiver[node_id],
+                self.receiver_id - node_id,     # hops to the receiver
                 scenario.hop_latency,
                 self.frame_ids,
                 enabled=scenario.dtc_enabled,
                 ll_wait=scenario.ll_wait(),
                 max_local_retries=scenario.max_local_retries,
             )
-            for node_id in topology.node_ids
+            for node_id in range(self.receiver_id)
         ]
 
     # -- trace helpers -------------------------------------------------------
@@ -145,8 +144,6 @@ class Simulation:
                 queue.schedule(action[1], source, LOCAL_RTO, arg=action[2])
             elif tag == "local_tx":
                 self._tx_data(source, action[1], None)
-            elif tag == "completed":
-                pass                    # the run loop watches sender.completed_at
             else:
                 raise AssertionError(f"unknown action {tag!r}")
 

@@ -1,4 +1,4 @@
-"""Scenario definition, chain topology, runs, sweeps, and aggregation.
+"""Scenario definition, runs, sweeps, and aggregation.
 
 A Scenario pins every knob of one run, including the seed, so a run is a
 pure function of its Scenario.  Sweeps execute independent runs (seeds
@@ -111,28 +111,9 @@ class RunRecord(NamedTuple):
     metrics: RunMetrics
 
 
-class ChainTopology(NamedTuple):
-    sender_id: int
-    receiver_id: int
-    node_ids: tuple                     # intermediate nodes, 0 nearest the sender
-    hops_to_receiver: tuple             # per intermediate node
-
-
-def build_chain(scenario: Scenario) -> ChainTopology:
-    """Sender -- node 0 -- ... -- node hops-2 -- receiver, uniform latency."""
-    receiver = scenario.hops - 1
-    node_ids = tuple(range(scenario.hops - 1))
-    return ChainTopology(
-        sender_id=-1,
-        receiver_id=receiver,
-        node_ids=node_ids,
-        hops_to_receiver=tuple(scenario.hops - 1 - i for i in node_ids),
-    )
-
-
 def run(scenario: Scenario, trace=None, drop_override=None) -> RunMetrics:
     """Execute one run to completion; deterministic in the scenario."""
-    from .engine import Simulation
+    from .engine import Simulation      # engine imports this module; lazy keeps startup lean
 
     return Simulation(scenario, trace=trace, drop_override=drop_override).run()
 

@@ -5,10 +5,12 @@ import pytest
 from dtcsim.cli import (
     NODES_CSV_HEADER,
     RUNS_CSV_HEADER,
+    SUMMARY_CSV_HEADER,
     ConfigError,
     load_config,
     main,
 )
+from dtcsim.harness import Scenario, run
 
 
 def write(path: Path, text: str) -> str:
@@ -20,9 +22,7 @@ def write(path: Path, text: str) -> str:
 
 def test_defaults_without_file_or_flags():
     config = load_config(None, {})
-    assert config.segments == 500
-    assert config.window == 3
-    assert config.hop_latency_ms == 10.0
+    assert config.scenario(6, 0.05, True) == Scenario(6, 0.05, True)
     assert config.runs == 30
     assert config.hops == [6, 7, 8, 9, 10, 11]
     assert config.loss == [0.05, 0.10, 0.15]
@@ -103,21 +103,57 @@ def test_bad_flag_exits_2_naming_the_knob(argv, knob, tmp_path, capsys, no_simul
     assert knob in capsys.readouterr().err
 
 
+def test_infinite_hop_latency_exits_2(tmp_path, capsys, no_simulation):
+    path = write(tmp_path / "c.conf", "hop_latency_ms = inf\n")
+    assert main(RUN_ARGS + ["--hops", "3", "--config", path]) == 2
+    assert "hop_latency_ms" in capsys.readouterr().err
+
+
+BAD_ADVANCED_KNOBS = [
+    ("rto_max_us", "1", "rto_max"),
+    ("rto_min_us", "0", "rto_min"),
+    ("rto_initial_us", "0", "rto_initial"),
+    ("send_spacing_us", "-1", "send_spacing"),
+    ("ll_wait_multiplier", "0", "ll_wait_multiplier"),
+    ("max_local_retries", "-1", "max_local_retries"),
+]
+
+
+# each bad value twice: as a config-file line and as the generated flag
 @pytest.mark.parametrize("line, knob", [
-    ("rto_max_us = 1", "rto_max"),
-    ("rto_min_us = 0", "rto_min"),
-    ("rto_initial_us = 0", "rto_initial"),
-    ("send_spacing_us = -1", "send_spacing"),
-    ("ll_wait_multiplier = 0", "ll_wait_multiplier"),
-    ("max_local_retries = -1", "max_local_retries"),
+    (f"{key} = {value}", knob) for key, value, knob in BAD_ADVANCED_KNOBS
+] + [
+    (f"--{key.replace('_', '-')} {value}", knob) for key, value, knob in BAD_ADVANCED_KNOBS
 ])
 @pytest.mark.parametrize("command", ["run", "sweep", "fig4"])
 def test_bad_advanced_knob_exits_2_naming_it(line, knob, command, tmp_path, capsys,
                                              no_simulation):
-    path = write(tmp_path / "c.conf", line + "\n")
     argv = RUN_ARGS + ["--hops", "3"] if command == "run" else [command, "--runs", "1"]
-    assert main(argv + ["--config", path, "--out", str(tmp_path / "o")]) == 2
+    if line.startswith("--"):
+        argv += line.split()
+    else:
+        argv += ["--config", write(tmp_path / "c.conf", line + "\n")]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert knob in capsys.readouterr().err
+
+
+def test_every_advanced_flag_reaches_the_scenario(tmp_path, capsys, monkeypatch):
+    import dtcsim.cli
+
+    seen = []
+    monkeypatch.setattr(dtcsim.cli, "run_scenario",
+                        lambda scenario, trace=None: seen.append(scenario) or run(scenario))
+    flags = ["--max-local-retries", "1", "--ll-wait-multiplier", "4",
+             "--send-spacing-us", "auto", "--rto-min-us", "500000",
+             "--rto-max-us", "9000000", "--rto-initial-us", "700000",
+             "--fast-retransmit", "on", "--hop-latency-ms", "2.5999"]
+    assert main(RUN_ARGS + ["--hops", "3"] + flags) == 0
+    assert seen == [Scenario(
+        hops=3, p_data=0.1, dtc_enabled=True, total_segments=5, seed=1,
+        max_local_retries=1, ll_wait_multiplier=4, send_spacing=None, rto_min=500_000,
+        rto_max=9_000_000, rto_initial=700_000, fast_retransmit=True,
+        hop_latency=2599,               # ms -> us, truncated
+    )]
 
 
 # -- run command ---------------------------------------------------------------------
@@ -270,7 +306,20 @@ def test_report_missing_csv_exits_4(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
-def test_report_malformed_csv_exits_4(tmp_path):
-    (tmp_path / "runs.csv").write_text("not,the,header\n")
-    (tmp_path / "summary.csv").write_text("bogus\n")
+GOOD_OFF_ROW = "6,0.1,off,30,12.0,1,530,1,0,0,2000000,1,250,"
+
+
+@pytest.mark.parametrize("summary", [
+    pytest.param("bogus\n", id="bad-header"),
+    pytest.param("6,0.1,off,30,abc,1,530,1,0,0,2000000,1,250,\n", id="non-numeric-mean"),
+    pytest.param("6,0.1,off\n", id="short-row"),
+    pytest.param(GOOD_OFF_ROW + "\n6,0.1,on,30,2.0,1,510,1,9,1,1000000,1,500,x\n",
+                 id="non-numeric-factor"),
+])
+def test_report_malformed_csv_exits_4(summary, tmp_path, capsys):
+    (tmp_path / "runs.csv").write_text(",".join(RUNS_CSV_HEADER) + "\n")
+    if summary != "bogus\n":
+        summary = ",".join(SUMMARY_CSV_HEADER) + "\n" + summary
+    (tmp_path / "summary.csv").write_text(summary)
     assert main(["report", str(tmp_path)]) == 4
+    assert "summary.csv" in capsys.readouterr().err

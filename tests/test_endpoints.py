@@ -105,8 +105,8 @@ def test_completion_recorded_on_final_ack():
     sender = make_sender(total=3)
     sender.start(0)
     actions = sender.on_ack(AckSegment(4), 500_000)
-    assert ("completed",) in actions
     assert sender.completed_at == 500_000
+    assert rto_arms(actions) == []              # the final ack arms no timer
     assert sender.in_flight == {}
 
 

@@ -4,12 +4,12 @@ import re
 
 import pytest
 
+from dtcsim.engine import Simulation
 from dtcsim.harness import (
     RunMetrics,
     RunRecord,
     Scenario,
     aggregate,
-    build_chain,
     reduction_factor,
     run,
     sweep,
@@ -73,21 +73,21 @@ def test_explicit_rto_overrides_derivation():
 # -- topology ------------------------------------------------------------------------
 
 def test_eleven_hop_chain_has_ten_nodes():
-    topo = build_chain(scenario(hops=11))
-    assert topo.node_ids == tuple(range(10))
-    assert topo.receiver_id == 10
-    assert topo.hops_to_receiver[9] == 1          # node 9 borders the receiver
+    sim = Simulation(scenario(hops=11))
+    assert [node.node_id for node in sim.nodes] == list(range(10))
+    assert sim.receiver_id == 10
+    assert sim.nodes[9].hops_to_receiver == 1     # node 9 borders the receiver
 
 
 def test_minimal_chain():
-    topo = build_chain(scenario(hops=2))
-    assert topo.node_ids == (0,)
-    assert topo.hops_to_receiver == (1,)
+    sim = Simulation(scenario(hops=2))
+    assert [node.node_id for node in sim.nodes] == [0]
+    assert [node.hops_to_receiver for node in sim.nodes] == [1]
 
 
 def test_hops_to_receiver_arithmetic():
-    topo = build_chain(scenario(hops=6))
-    assert topo.hops_to_receiver[0] == 5
+    sim = Simulation(scenario(hops=6))
+    assert [node.hops_to_receiver for node in sim.nodes] == [5, 4, 3, 2, 1]
     # lossless 3-hop run of one segment: every frame moves one node per hop
     # latency, and each link-layer ack goes back to the frame's transmitter
     lines = []
