@@ -120,6 +120,10 @@ CONFIG_KEYS = {
 
 _DTC_BY_MODE = {"dtc": [True], "baseline": [False], "both": [False, True]}
 
+# fig4's fixed load-profile cells, the longest chain at the midpoint loss
+# rate; they replace the grid flags, so only these cells are validated
+FIG4_GRID = {"hops": [11], "loss": [0.10], "mode": "both"}
+
 
 @dataclass
 class Config:
@@ -319,9 +323,7 @@ def cmd_fig4(config: Config) -> int:
         rows = sum(len(a.mean_per_node_tx) for a in aggregates)
         return [f"wrote {rows} node rows to {out / 'nodes.csv'}"]
 
-    # fixed load-profile cell: longest chain at the midpoint loss rate
-    cells = [config.scenario(11, 0.10, dtc) for dtc in (False, True)]
-    return _sweep_and_write(config, cells, write)
+    return _sweep_and_write(config, config.cells(), write)
 
 
 # -- report -------------------------------------------------------------------
@@ -459,13 +461,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:           # argparse has printed usage and the error
+        return exc.code
     if args.command == "report":
         return cmd_report(args.directory)
     overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
     if args.mode is not None:
         overrides["mode"] = _MODE_BY_FLAG[args.mode]
+    if args.command == "fig4":
+        overrides.update(FIG4_GRID)
     if getattr(args, "trace", False):
         overrides["trace"] = True
     try:

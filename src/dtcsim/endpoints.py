@@ -6,12 +6,14 @@ exponential backoff, and timeout-driven recovery (fast retransmit exists
 behind a flag, default off).  Neither endpoint knows anything about the
 in-network caches between them.
 
-State transitions return small action tuples for the run engine to carry
-out, which keeps every branch directly unit-testable:
-
-    ("tx_data", seq)             transmit segment seq toward the chain
-    ("arm_rto", at, generation)  (re)arm the retransmission timer
-    ("arm_send_slot", at)        wake the pacing gate at time `at`
+The sender's handlers return nothing; they emit into the sink ``out``
+given at construction (the run's ``Simulation``, or a recorder in unit
+tests): ``out.send_data(SENDER, segment)`` transmits a segment toward the
+chain, and ``out.schedule(at, SENDER, kind, ...)`` (re)arms the
+retransmission timer (``SENDER_RTO``, with its generation) or wakes the
+pacing gate (``SEND_SLOT``).  Each transmission draws from the run's
+random source, so the order of these calls is part of every result.  The
+receiver just answers each segment with its ack, which the engine sends.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .packets import AckSegment, DataSegment
+from .events import SEND_SLOT, SENDER, SENDER_RTO
+from .packets import ORIGIN_E2E, AckSegment, DataSegment
 
 
 def update_rto(srtt: Optional[int], rttvar: int, sample: int, rto_min: int = 0):
@@ -52,6 +55,7 @@ class TcpSender:
         self,
         total_segments: int,
         window: int,
+        out,
         *,
         rto_min: int,
         rto_max: int,
@@ -61,6 +65,7 @@ class TcpSender:
     ) -> None:
         self.total = total_segments
         self.window = window
+        self.out = out
         self.next_new = 1               # lowest never-sent segment
         self.cumulative = 1             # receiver's next expected segment
         self.in_flight = {}             # seq -> [first_sent_at | None, transmissions]
@@ -89,8 +94,7 @@ class TcpSender:
             return
         self._tx_queue.append((seq, is_retx))
 
-    def _drain(self, now: int) -> list:
-        actions = []
+    def _drain(self, now: int) -> None:
         while self._tx_queue and now >= self._next_free_at:
             seq, is_retx = self._tx_queue.popleft()
             if seq < self.cumulative:
@@ -104,44 +108,41 @@ class TcpSender:
             self.total_data_tx += 1
             if is_retx:
                 self.e2e_retransmissions += 1
-            actions.append(("tx_data", seq))
+            self.out.send_data(SENDER, DataSegment(seq, ORIGIN_E2E))
             self._next_free_at = now + self.spacing
         if self._tx_queue and not self._slot_armed:
             self._slot_armed = True
-            actions.append(("arm_send_slot", self._next_free_at))
-        return actions
+            self.out.schedule(self._next_free_at, SENDER, SEND_SLOT)
 
-    def on_send_slot(self, now: int) -> list:
+    def on_send_slot(self, now: int) -> None:
         self._slot_armed = False
-        return self._drain(now)
+        self._drain(now)
 
     # -- timer --------------------------------------------------------------
 
     def effective_rto(self) -> int:
         return min(self.rto << self.backoff, self.rto_max)
 
-    def _arm_rto(self, now: int):
+    def _arm_rto(self, now: int) -> None:
         self.rto_generation += 1
-        return ("arm_rto", now + self.effective_rto(), self.rto_generation)
+        self.out.schedule(now + self.effective_rto(), SENDER, SENDER_RTO, arg=self.rto_generation)
 
     # -- transfer -----------------------------------------------------------
 
-    def start(self, now: int) -> list:
+    def start(self, now: int) -> None:
         """Queue the initial window (segments 1..w) and arm the timer."""
         for seq in range(1, min(self.window, self.total) + 1):
             self.in_flight[seq] = [None, 0]
             self._queue_tx(seq, False)
             self.next_new = seq + 1
-        actions = self._drain(now)
-        actions.append(self._arm_rto(now))
-        return actions
+        self._drain(now)
+        self._arm_rto(now)
 
-    def on_ack(self, ack: AckSegment, now: int) -> list:
+    def on_ack(self, ack: AckSegment, now: int) -> None:
         if self.completed_at is not None:
-            return []
+            return
         if ack.ack_no < self.cumulative:
-            return []                   # stale duplicate
-        actions = []
+            return                      # stale duplicate
         if ack.ack_no > self.cumulative:
             for seq in range(self.cumulative, ack.ack_no):
                 entry = self.in_flight.pop(seq, None)
@@ -163,13 +164,13 @@ class TcpSender:
                 self.in_flight[self.next_new] = [None, 0]
                 self._queue_tx(self.next_new, False)
                 self.next_new += 1
-            actions += self._drain(now)
+            self._drain(now)
             if self.cumulative == self.total + 1:
                 self.completed_at = now
                 self.rto_generation += 1    # pending timer goes stale
             else:
-                actions.append(self._arm_rto(now))
-            return actions
+                self._arm_rto(now)
+            return
         # duplicate at the current cumulative point: absorb sack information,
         # recover by timeout unless fast retransmit is switched on
         for seq in ack.sack:
@@ -178,20 +179,18 @@ class TcpSender:
         self.dup_acks += 1
         if self.fast_retransmit and self.dup_acks == 3 and self.in_flight:
             self._queue_tx(min(self.in_flight), True)
-            actions += self._drain(now)
-        return actions
+            self._drain(now)
 
-    def on_rto(self, generation: int, now: int) -> list:
+    def on_rto(self, generation: int, now: int) -> None:
         if generation != self.rto_generation or self.completed_at is not None:
-            return []
+            return
         if self.in_flight:
             oldest = min(self.in_flight)
             if self.in_flight[oldest][0] is not None:
                 self._queue_tx(oldest, True)
         self.backoff += 1
-        actions = self._drain(now)
-        actions.append(self._arm_rto(now))
-        return actions
+        self._drain(now)
+        self._arm_rto(now)
 
 
 class TcpReceiver:

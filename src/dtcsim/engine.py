@@ -7,11 +7,19 @@ retransmissions to id+1, acks to id-1.  So the transmitter of an arriving
 frame follows from its direction, and link-layer acks go back to it.
 
 The run loop pops ``(fire_at, seq, target, kind, arg)`` tuples (see
-``events``) and branches on the int ``kind``, frame arrivals first.  The
-protocol state machines in ``node`` and ``endpoints`` answer with action
-tuples, which ``_apply`` carries out in order: transmissions draw from the
-random source and push arrivals, timer actions push timer events.  That
-order of draws and pushes is part of the result; keep it when editing.
+``events``) and branches on the int ``kind``, frame arrivals first.  It
+calls the protocol state machines in ``node`` and ``endpoints``, which
+emit straight back into the ``Simulation`` as their sink:
+
+    send_data(src, segment) -> frame_id   toward the receiver
+    send_ack(src, ack)                    toward the sender
+    schedule(at, target, kind, arg=...)   the queue's own method: a timer
+    note(node_id, action, seq)            a cache transition, trace only
+
+Each send takes the next frame id, draws once from the random source and,
+if the frame survives, pushes its arrival.  So the order in which a
+handler emits is the order of frame ids, draws and pushes, and it is part
+of every result; keep it when editing a handler.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .events import (
     LL_TIMEOUT,
     LOCAL_RTO,
     SEND_SLOT,
+    SENDER,
     SENDER_RTO,
     EventQueue,
     RandomSource,
@@ -31,10 +40,8 @@ from .events import (
 from .endpoints import TcpReceiver, TcpSender
 from .harness import RunMetrics
 from .linklayer import DropOverride, derive_loss_model, ll_acknowledge, transmit
-from .node import CachingNode, FrameIdSource
-from .packets import ORIGIN_E2E, AckSegment, DataSegment, LinkFrame, render_payload
-
-SENDER = -1
+from .node import CachingNode
+from .packets import AckSegment, DataSegment, LinkFrame, render_payload
 
 
 class LivenessError(RuntimeError):
@@ -52,16 +59,18 @@ class Simulation:
     ) -> None:
         self.scenario = scenario
         self.queue = EventQueue()
+        self.schedule = self.queue.schedule
         self.rng = RandomSource(scenario.seed)
         self.loss = derive_loss_model(scenario.p_data)
         self.latency = scenario.hop_latency
-        self.frame_ids = FrameIdSource()
+        self._next_frame_id = 0
         self.trace = trace
         self.drop_override = drop_override
         self.receiver_id = scenario.hops - 1
         self.sender = TcpSender(
             scenario.total_segments,
             scenario.window,
+            self,
             rto_min=scenario.effective_rto_min(),
             rto_max=scenario.rto_max,
             rto_initial=scenario.effective_rto_initial(),
@@ -74,7 +83,7 @@ class Simulation:
                 node_id,
                 self.receiver_id - node_id,     # hops to the receiver
                 scenario.hop_latency,
-                self.frame_ids,
+                self,
                 enabled=scenario.dtc_enabled,
                 ll_wait=scenario.ll_wait(),
                 max_local_retries=scenario.max_local_retries,
@@ -99,53 +108,31 @@ class Simulation:
             f"kind={kind} result={result} t={self.queue.now}{suffix}"
         )
 
-    # -- transmission helpers --------------------------------------------------
+    # -- the sink the state machines emit into ----------------------------------
 
-    def _tx_data(self, src: int, segment: DataSegment, frame_id: Optional[int]) -> None:
-        if frame_id is None:
-            frame_id = self.frame_ids.next()
+    def send_data(self, src: int, segment: DataSegment) -> int:
+        """Transmit a data segment from src toward the receiver; its frame id."""
+        frame_id = self._next_frame_id
+        self._next_frame_id = frame_id + 1
         delivered = transmit(self.queue, src, src + 1, frame_id, segment, self.loss.p_data,
                              self.latency, self.rng, self.drop_override)
         if self.trace is not None:
             self._trace_hop(LinkFrame(frame_id, segment, src, src + 1), "data", delivered)
+        return frame_id
 
-    def _tx_ack(self, src: int, ack: AckSegment) -> None:
-        frame_id = self.frame_ids.next()
+    def send_ack(self, src: int, ack: AckSegment) -> None:
+        """Transmit a TCP ack from src toward the sender."""
+        frame_id = self._next_frame_id
+        self._next_frame_id = frame_id + 1
         delivered = transmit(self.queue, src, src - 1, frame_id, ack, self.loss.p_tcp_ack,
                              self.latency, self.rng, self.drop_override)
         if self.trace is not None:
             self._trace_hop(LinkFrame(frame_id, ack, src, src - 1), "ack", delivered)
 
-    # -- action interpreter ------------------------------------------------------
-
-    def _apply(self, source: int, actions: list) -> None:
-        queue = self.queue
-        for action in actions:
-            tag = action[0]
-            if tag == "fwd_data":
-                self._tx_data(source, action[1], action[2])
-            elif tag == "tx_ack_up":
-                self._tx_ack(source, action[1])
-            elif tag == "tx_data":
-                self._tx_data(SENDER, DataSegment(action[1], ORIGIN_E2E), None)
-            elif tag == "arm_rto":
-                queue.schedule(action[1], SENDER, SENDER_RTO, arg=action[2])
-            elif tag == "arm_send_slot":
-                queue.schedule(action[1], SENDER, SEND_SLOT)
-            elif tag == "note":
-                if self.trace is not None:
-                    self.trace(
-                        f"DTC node={source} action={action[1]} seq={action[2]} "
-                        f"t={queue.now}"
-                    )
-            elif tag == "arm_ll_timeout":
-                queue.schedule(action[1], source, LL_TIMEOUT, arg=action[2])
-            elif tag == "arm_local_rto":
-                queue.schedule(action[1], source, LOCAL_RTO, arg=action[2])
-            elif tag == "local_tx":
-                self._tx_data(source, action[1], None)
-            else:
-                raise AssertionError(f"unknown action {tag!r}")
+    def note(self, node_id: int, action: str, seq: int) -> None:
+        """Trace a cache transition; nothing else sees it."""
+        if self.trace is not None:
+            self.trace(f"DTC node={node_id} action={action} seq={seq} t={self.queue.now}")
 
     # -- event loop -----------------------------------------------------------------
 
@@ -161,7 +148,7 @@ class Simulation:
         p_ll_ack = self.loss.p_ll_ack
         budget = self.scenario.max_events
         processed = 0
-        self._apply(SENDER, sender.start(queue.now))
+        sender.start(queue.now)
         while True:
             event = queue.pop_next()
             if event is None:
@@ -186,28 +173,34 @@ class Simulation:
                                     "llack", acked)
                 if is_data:
                     if target == receiver_id:
-                        self._tx_ack(receiver_id, receiver.on_data(segment))
+                        self.send_ack(receiver_id, receiver.on_data(segment))
                     else:
-                        self._apply(target, nodes[target].on_data(segment, now))
+                        nodes[target].on_data(segment, now)
                 elif target == SENDER:
-                    self._apply(SENDER, sender.on_ack(segment, now))
+                    sender.on_ack(segment, now)
                     if sender.completed_at is not None:
                         break
                 else:
-                    self._apply(target, nodes[target].on_ack(segment, now))
+                    nodes[target].on_ack(segment, now)
             elif kind == LL_ACK_ARRIVAL:
                 if 0 <= target < receiver_id:
                     nodes[target].on_ll_ack(arg)
             elif kind == LL_TIMEOUT:
-                self._apply(target, nodes[target].on_ll_timeout(arg, now))
+                nodes[target].on_ll_timeout(arg, now)
             elif kind == LOCAL_RTO:
-                self._apply(target, nodes[target].on_local_rto(arg, now))
+                nodes[target].on_local_rto(arg, now)
             elif kind == SENDER_RTO:
-                self._apply(SENDER, sender.on_rto(arg, now))
+                sender.on_rto(arg, now)
             elif kind == SEND_SLOT:
-                self._apply(SENDER, sender.on_send_slot(now))
+                sender.on_send_slot(now)
             else:
                 raise AssertionError(f"unknown event kind {kind!r}")
+        # the state machines hold this simulation as their sink; cut that
+        # cycle so a finished run is freed at once, not at the next full
+        # garbage collection (a sweep's peak memory would show the wait)
+        sender.out = None
+        for node in nodes:
+            node.out = None
         return self._collect()
 
     def _collect(self) -> RunMetrics:

@@ -35,6 +35,8 @@ SimTime = int
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
 
+SENDER = -1             # node id of the TCP sender; see ``engine`` for the rest
+
 # event kinds
 FRAME_ARRIVAL = 0       # a link frame reached the target node
 LL_ACK_ARRIVAL = 1      # a link-layer ack reached the frame's transmitter

@@ -20,20 +20,21 @@ cached:
 Timers carry a generation stamp; any cache mutation bumps the node's
 counter so stale expiries fall through harmlessly.
 
-Action tuples returned to the engine:
-
-    ("fwd_data", segment, frame_id_or_None)   relay toward the receiver
-    ("local_tx", segment)                     cache retransmission, same direction
-    ("tx_ack_up", ack)                        relay/regenerate toward the sender
-    ("arm_ll_timeout", at, generation)
-    ("arm_local_rto", at, generation)
-    ("note", action, seq)                     trace-only cache transitions
+Handlers return nothing; they emit into the sink ``out`` given at
+construction (the run's ``Simulation``, or a recorder in unit tests):
+``out.send_data(src, segment)`` transmits toward the receiver and returns
+the frame's id, ``out.send_ack(src, ack)`` transmits toward the sender,
+``out.schedule(at, node_id, kind, arg=generation)`` arms a timer, and
+``out.note(node_id, action, seq)`` marks a cache transition in the trace.
+Each transmission draws from the run's random source and takes the next
+frame id, so the order of these calls is part of every result.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from .events import LL_TIMEOUT, LOCAL_RTO
 from .packets import (
     ORIGIN_LOCAL,
     AckSegment,
@@ -54,20 +55,6 @@ def initial_rtt(hops_to_receiver: int, hop_latency: int) -> int:
     return 2 * hops_to_receiver * hop_latency
 
 
-class FrameIdSource:
-    """Run-wide counter handing out unique link-frame ids."""
-
-    __slots__ = ("_next",)
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def next(self) -> int:
-        fid = self._next
-        self._next += 1
-        return fid
-
-
 class CacheEntry:
     __slots__ = ("segment", "state", "frame_id", "awaiting_ll_ack", "local_retries")
 
@@ -85,7 +72,7 @@ class CachingNode:
         node_id: int,
         hops_to_receiver: int,
         hop_latency: int,
-        frame_ids: FrameIdSource,
+        out,
         *,
         enabled: bool = True,
         ll_wait: int,
@@ -104,58 +91,67 @@ class CachingNode:
         self.ll_wait = ll_wait
         self.max_local_retries = max_local_retries
         self.timer_generation = 0
-        self._frame_ids = frame_ids
+        self.out = out
 
     # -- helpers --------------------------------------------------------------
 
     def _local_timer_interval(self) -> int:
         return (3 * self.rtt_est) // 2
 
-    def _retransmit_cached(self, now: int) -> list:
-        """Emit the cached segment again and restart its timer tier."""
-        entry = self.cache
-        seq = entry.segment.seq
+    def _resend_cached(self, seq: int) -> None:
+        """Transmit the cached segment again: one local retransmission."""
         self.data_tx_count += 1
         self.local_retx_count += 1
         # Karn hygiene: a seq we retransmit ourselves yields no rtt sample
         self.pending_rtt.pop(seq, None)
+        self.out.note(self.node_id, "local_retx", seq)
+        self.out.send_data(self.node_id, DataSegment(seq, ORIGIN_LOCAL))
+
+    def _retransmit_cached(self, now: int) -> None:
+        """Resend the cached segment and restart its timer tier."""
+        entry = self.cache
+        self._resend_cached(entry.segment.seq)
         self.timer_generation += 1
         deadline = now + self._local_timer_interval() * (1 << entry.local_retries)
-        return [
-            ("note", "local_retx", seq),
-            ("local_tx", DataSegment(seq, ORIGIN_LOCAL)),
-            ("arm_local_rto", deadline, self.timer_generation),
-        ]
+        self.out.schedule(deadline, self.node_id, LOCAL_RTO, arg=self.timer_generation)
+
+    def _lock(self, entry: CacheEntry, now: int) -> None:
+        """Pin the entry until an ack covers it; arm the first timer tier."""
+        entry.state = LOCKED
+        entry.awaiting_ll_ack = False
+        entry.local_retries = 0
+        self.timer_generation += 1
+        self.out.note(self.node_id, "lock", entry.segment.seq)
+        self.out.schedule(now + self._local_timer_interval(), self.node_id, LOCAL_RTO,
+                          arg=self.timer_generation)
 
     # -- data path ------------------------------------------------------------
 
-    def on_data(self, segment: DataSegment, now: int) -> list:
+    def on_data(self, segment: DataSegment, now: int) -> None:
+        out = self.out
         if not self.enabled:
             self.data_tx_count += 1
-            return [("fwd_data", segment, None)]
+            out.send_data(self.node_id, segment)
+            return
         seq = segment.seq
         if seq < self.last_ack_forwarded:
             # we already forwarded an ack covering this segment; that ack
             # evidently died upstream, so regenerate it instead of relaying
-            return [
-                ("note", "regen_ack", self.last_ack_forwarded),
-                ("tx_ack_up", AckSegment(self.last_ack_forwarded)),
-            ]
+            out.note(self.node_id, "regen_ack", self.last_ack_forwarded)
+            out.send_ack(self.node_id, AckSegment(self.last_ack_forwarded))
+            return
         self.data_tx_count += 1
-        actions = []
         entry = self.cache
         if entry is None or (entry.state == TENTATIVE and not entry.awaiting_ll_ack):
             # free slot, or the previous tenant was link-acknowledged and is
             # presumably received downstream; a tentative entry still waiting
             # on its ll ack keeps the slot (it may be the one that needs us)
-            fid = self._frame_ids.next()
-            self.cache = CacheEntry(segment, fid)
             self.timer_generation += 1
-            actions.append(("note", "cache", seq))
-            actions.append(("fwd_data", segment, fid))
-            actions.append(("arm_ll_timeout", now + self.ll_wait, self.timer_generation))
+            out.note(self.node_id, "cache", seq)
+            self.cache = CacheEntry(segment, out.send_data(self.node_id, segment))
+            out.schedule(now + self.ll_wait, self.node_id, LL_TIMEOUT, arg=self.timer_generation)
         else:
-            actions.append(("fwd_data", segment, None))
+            out.send_data(self.node_id, segment)
         if seq not in self._seen:
             self._seen.add(seq)
             self.pending_rtt[seq] = now
@@ -163,7 +159,6 @@ class CachingNode:
             # a repeat pass means someone retransmitted this segment, so the
             # eventual ack coverage is ambiguous; never sample it (Karn)
             self.pending_rtt.pop(seq, None)
-        return actions
 
     def on_ll_ack(self, frame_id: int) -> None:
         entry = self.cache
@@ -177,56 +172,42 @@ class CachingNode:
             entry.awaiting_ll_ack = False
             self.timer_generation += 1      # pending ll timeout is now stale
 
-    def on_ll_timeout(self, generation: int, now: int) -> list:
+    def on_ll_timeout(self, generation: int, now: int) -> None:
         if generation != self.timer_generation:
-            return []
+            return
         entry = self.cache
         assert entry is not None and entry.state == TENTATIVE
-        entry.state = LOCKED
-        entry.awaiting_ll_ack = False
-        entry.local_retries = 0
-        self.timer_generation += 1
-        deadline = now + self._local_timer_interval()
-        return [
-            ("note", "lock", entry.segment.seq),
-            ("arm_local_rto", deadline, self.timer_generation),
-        ]
+        self._lock(entry, now)
 
-    def on_local_rto(self, generation: int, now: int) -> list:
+    def on_local_rto(self, generation: int, now: int) -> None:
         if generation != self.timer_generation:
-            return []
+            return
         entry = self.cache
         assert entry is not None and entry.state == LOCKED
         entry.local_retries += 1
         if entry.local_retries <= self.max_local_retries:
-            actions = self._retransmit_cached(now)
+            self._retransmit_cached(now)
         else:
             # final try: retransmit once more, then yield to end-to-end recovery
             seq = entry.segment.seq
-            self.data_tx_count += 1
-            self.local_retx_count += 1
-            self.pending_rtt.pop(seq, None)
+            self._resend_cached(seq)
             self.cache = None
             self.timer_generation += 1
-            actions = [
-                ("note", "local_retx", seq),
-                ("local_tx", DataSegment(seq, ORIGIN_LOCAL)),
-                ("note", "clear", seq),
-            ]
-        return actions
+            self.out.note(self.node_id, "clear", seq)
 
     # -- ack path ---------------------------------------------------------------
 
-    def on_ack(self, ack: AckSegment, now: int) -> list:
+    def on_ack(self, ack: AckSegment, now: int) -> None:
+        out = self.out
         if not self.enabled:
-            return [("tx_ack_up", ack)]
+            out.send_ack(self.node_id, ack)
+            return
         # round-trip samples for every pending segment this ack vouches for
         if self.pending_rtt:
             for seq in sorted(self.pending_rtt):
                 if sack_covers(ack, seq):
                     sample = now - self.pending_rtt.pop(seq)
                     self.rtt_est = (7 * self.rtt_est + sample) // 8
-        actions = []
         forward = ack
         entry = self.cache
         if entry is not None:
@@ -235,15 +216,15 @@ class CachingNode:
                 # the receiver has it, or a node closer to the receiver does
                 self.cache = None
                 self.timer_generation += 1
-                actions.append(("note", "clear", cached))
+                out.note(self.node_id, "clear", cached)
             elif entry.state == LOCKED and ack.ack_no <= cached:
-                actions += self._retransmit_cached(now)
+                self._retransmit_cached(now)
                 if gaps_filled_with(ack, cached):
                     # with our segment back in flight nothing above the
                     # cumulative point is missing; the sender needs no ack
                     # (and must not get a synthesized cumulative one)
-                    actions.append(("note", "drop_ack", cached))
-                    return actions
+                    out.note(self.node_id, "drop_ack", cached)
+                    return
                 forward = sack_add(ack, cached)
             elif (
                 entry.state == TENTATIVE
@@ -253,14 +234,8 @@ class CachingNode:
                 # the next hop link-acked this segment, yet the ack stream
                 # says it is still missing downstream: lock it and vouch for
                 # it; the timer (or the next uncovering ack) retransmits
-                entry.state = LOCKED
-                entry.local_retries = 0
-                self.timer_generation += 1
-                deadline = now + self._local_timer_interval()
-                actions.append(("note", "lock", cached))
-                actions.append(("arm_local_rto", deadline, self.timer_generation))
+                self._lock(entry, now)
                 forward = sack_add(ack, cached)
         if forward.ack_no > self.last_ack_forwarded:
             self.last_ack_forwarded = forward.ack_no
-        actions.append(("tx_ack_up", forward))
-        return actions
+        out.send_ack(self.node_id, forward)

@@ -17,3 +17,43 @@ class ScriptedDrops:
                 self.remaining[key] -= 1
                 return True
         return None
+
+
+class Recorder:
+    """A sink for a node or a sender that records what they emit, in order.
+
+    Stands in for the engine: ``send_data`` hands out frame ids 0, 1, 2, ...
+    Each call is recorded as a tuple:
+
+        ("send_data", src, segment, frame_id)
+        ("send_ack", src, ack)
+        ("schedule", fire_at, target, kind, arg)
+        ("note", node_id, action, seq)
+    """
+
+    def __init__(self) -> None:
+        self.calls = []
+        self.next_frame_id = 0
+
+    def send_data(self, src, segment):
+        frame_id = self.next_frame_id
+        self.next_frame_id += 1
+        self.calls.append(("send_data", src, segment, frame_id))
+        return frame_id
+
+    def send_ack(self, src, ack):
+        self.calls.append(("send_ack", src, ack))
+
+    def schedule(self, fire_at, target, kind, *, arg=None):
+        self.calls.append(("schedule", fire_at, target, kind, arg))
+
+    def note(self, node_id, action, seq):
+        self.calls.append(("note", node_id, action, seq))
+
+
+def emitted(handler, *args):
+    """Call one handler of a node or sender; the calls it made on its sink."""
+    out = handler.__self__.out
+    out.calls.clear()
+    assert handler(*args) is None
+    return list(out.calls)

@@ -97,6 +97,9 @@ RUN_ARGS = ["run", "--loss", "0.1", "--dtc", "on", "--segments", "5"]
     (RUN_ARGS + ["--hops", "3", "--segments", "0"], "segments"),
     (RUN_ARGS + ["--hops", "3", "--window", "0"], "window"),
     (["sweep", "--hops", "3", "--loss", "0.1,1.0", "--dtc", "both", "--runs", "1"], "loss"),
+    # values argparse itself rejects: main returns its exit code, never raises
+    (RUN_ARGS + ["--hops", "x"], "--hops"),
+    (RUN_ARGS + ["--hops", "3", "--hop-latency-ms", "inf"], "--hop-latency-ms"),
 ])
 def test_bad_flag_exits_2_naming_the_knob(argv, knob, tmp_path, capsys, no_simulation):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -281,6 +284,14 @@ def test_fig4_honours_runs(tmp_path, monkeypatch):
     out = tmp_path / "fig4"
     assert main(["fig4", "--runs", "2", "--segments", "5", "--out", str(out)]) == 0
     assert used == [(2, 2)]                         # both modes, two runs each
+    assert len((out / "nodes.csv").read_text().splitlines()) - 1 == 2 * 10
+
+
+def test_fig4_ignores_the_sweep_grid(tmp_path):
+    # fig4 runs its own fixed cells, so a sweep-only --hops is not checked
+    out = tmp_path / "fig4"
+    assert main(["fig4", "--hops", "1", "--runs", "1", "--segments", "5",
+                 "--out", str(out)]) == 0
     assert len((out / "nodes.csv").read_text().splitlines()) - 1 == 2 * 10
 
 

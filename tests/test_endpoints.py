@@ -1,5 +1,6 @@
+from conftest import Recorder, emitted
 from dtcsim.endpoints import TcpReceiver, TcpSender, update_rto
-from dtcsim.events import US_PER_MS
+from dtcsim.events import SEND_SLOT, SENDER, SENDER_RTO, US_PER_MS
 from dtcsim.packets import AckSegment, DataSegment
 
 
@@ -12,15 +13,15 @@ def make_sender(total=500, window=3, spacing=0, **overrides):
         fast_retransmit=False,
     )
     kwargs.update(overrides)
-    return TcpSender(total, window, **kwargs)
+    return TcpSender(total, window, Recorder(), **kwargs)
 
 
-def sent_seqs(actions):
-    return [a[1] for a in actions if a[0] == "tx_data"]
+def sent_seqs(calls):
+    return [c[2].seq for c in calls if c[0] == "send_data"]
 
 
-def rto_arms(actions):
-    return [a for a in actions if a[0] == "arm_rto"]
+def rto_arms(calls):
+    return [c for c in calls if c[0] == "schedule" and c[3] == SENDER_RTO]
 
 
 # -- update_rto ------------------------------------------------------------------
@@ -50,33 +51,35 @@ def test_blended_sample():
 
 def test_start_emits_initial_window():
     sender = make_sender(total=500, window=3)
-    actions = sender.start(0)
-    assert sent_seqs(actions) == [1, 2, 3]
-    assert len(rto_arms(actions)) == 1
+    assert emitted(sender.start, 0) == [     # the window first, then the timer
+        ("send_data", SENDER, DataSegment(1), 0),
+        ("send_data", SENDER, DataSegment(2), 1),
+        ("send_data", SENDER, DataSegment(3), 2),
+        ("schedule", 300_000, SENDER, SENDER_RTO, sender.rto_generation),
+    ]
     assert sender.total_data_tx == 3
 
 
 def test_start_stop_and_wait():
     sender = make_sender(window=1)
-    assert sent_seqs(sender.start(0)) == [1]
+    assert sent_seqs(emitted(sender.start, 0)) == [1]
 
 
 def test_start_clamped_by_total():
     sender = make_sender(total=2, window=3)
-    assert sent_seqs(sender.start(0)) == [1, 2]
+    assert sent_seqs(emitted(sender.start, 0)) == [1, 2]
 
 
 def test_paced_start_spreads_transmissions():
     sender = make_sender(window=3, spacing=21_000)
-    actions = sender.start(0)
-    assert sent_seqs(actions) == [1]
-    slots = [a for a in actions if a[0] == "arm_send_slot"]
-    assert slots == [("arm_send_slot", 21_000)]
-    actions = sender.on_send_slot(21_000)
-    assert sent_seqs(actions) == [2]
-    actions = sender.on_send_slot(42_000)
-    assert sent_seqs(actions) == [3]
-    assert not any(a[0] == "arm_send_slot" for a in actions)
+    calls = emitted(sender.start, 0)
+    assert sent_seqs(calls) == [1]
+    slots = [c for c in calls if c[0] == "schedule" and c[3] == SEND_SLOT]
+    assert slots == [("schedule", 21_000, SENDER, SEND_SLOT, None)]
+    calls = emitted(sender.on_send_slot, 21_000)
+    assert sent_seqs(calls) == [2]
+    calls = emitted(sender.on_send_slot, 42_000)
+    assert calls == [("send_data", SENDER, DataSegment(3), 2)]     # no slot re-armed
 
 
 # -- sender ack handling ---------------------------------------------------------------
@@ -84,18 +87,18 @@ def test_paced_start_spreads_transmissions():
 def test_cumulative_ack_clears_window_and_refills():
     sender = make_sender()
     sender.start(0)
-    actions = sender.on_ack(AckSegment(4), 200_000)
-    assert sent_seqs(actions) == [4, 5, 6]
+    calls = emitted(sender.on_ack, AckSegment(4), 200_000)
+    assert sent_seqs(calls) == [4, 5, 6]
     assert sorted(sender.in_flight) == [4, 5, 6]
     assert sender.cumulative == 4
-    assert len(rto_arms(actions)) == 1
+    assert rto_arms(calls) == [calls[-1]]           # armed after the new data
 
 
 def test_duplicate_ack_with_sack_changes_nothing_visible():
     sender = make_sender()
     sender.start(0)
-    actions = sender.on_ack(AckSegment(1, {3}), 150_000)
-    assert actions == []                        # no data, no retransmission
+    calls = emitted(sender.on_ack, AckSegment(1, {3}), 150_000)
+    assert calls == []                          # no data, no retransmission
     assert sorted(sender.in_flight) == [1, 2, 3]
     assert sender.sack_marked == {3}
     assert sender.e2e_retransmissions == 0
@@ -104,9 +107,9 @@ def test_duplicate_ack_with_sack_changes_nothing_visible():
 def test_completion_recorded_on_final_ack():
     sender = make_sender(total=3)
     sender.start(0)
-    actions = sender.on_ack(AckSegment(4), 500_000)
+    calls = emitted(sender.on_ack, AckSegment(4), 500_000)
     assert sender.completed_at == 500_000
-    assert rto_arms(actions) == []              # the final ack arms no timer
+    assert calls == []                          # the final ack arms no timer
     assert sender.in_flight == {}
 
 
@@ -115,7 +118,7 @@ def test_stale_ack_below_cumulative_ignored():
     sender.start(0)
     sender.on_ack(AckSegment(3), 100_000)
     before = sender.cumulative
-    assert sender.on_ack(AckSegment(2), 120_000) == []
+    assert emitted(sender.on_ack, AckSegment(2), 120_000) == []
     assert sender.cumulative == before
 
 
@@ -148,15 +151,16 @@ def test_rto_retransmits_oldest_and_backs_off():
     sender = make_sender()
     sender.start(0)
     gen = sender.rto_generation
-    actions = sender.on_rto(gen, 300_000)
-    assert sent_seqs(actions) == [1]
+    calls = emitted(sender.on_rto, gen, 300_000)
+    assert sent_seqs(calls) == [1]
     assert sender.e2e_retransmissions == 1
     assert sender.in_flight[1][1] == 2
-    (arm,) = rto_arms(actions)
+    (arm,) = rto_arms(calls)
     assert arm[1] - 300_000 == 2 * sender.rto           # doubled timeout
+    assert arm[4] == sender.rto_generation == gen + 1
 
-    actions = sender.on_rto(sender.rto_generation, 900_000)
-    (arm,) = rto_arms(actions)
+    calls = emitted(sender.on_rto, sender.rto_generation, 900_000)
+    (arm,) = rto_arms(calls)
     assert arm[1] - 900_000 == 4 * sender.rto
 
 
@@ -174,7 +178,7 @@ def test_stale_rto_generation_ignored():
     sender.start(0)
     stale = sender.rto_generation
     sender.on_ack(AckSegment(2), 100_000)               # re-arms, bumps generation
-    assert sender.on_rto(stale, 300_000) == []
+    assert emitted(sender.on_rto, stale, 300_000) == []
     assert sender.e2e_retransmissions == 0
 
 
@@ -182,9 +186,9 @@ def test_fast_retransmit_behind_flag():
     sender = make_sender(fast_retransmit=True)
     sender.start(0)
     for k in range(2):
-        assert sent_seqs(sender.on_ack(AckSegment(1, {3}), 100_000 + k)) == []
-    actions = sender.on_ack(AckSegment(1, {3}), 100_002)
-    assert sent_seqs(actions) == [1]                    # third duplicate triggers
+        assert sent_seqs(emitted(sender.on_ack, AckSegment(1, {3}), 100_000 + k)) == []
+    calls = emitted(sender.on_ack, AckSegment(1, {3}), 100_002)
+    assert sent_seqs(calls) == [1]                      # third duplicate triggers
     assert sender.e2e_retransmissions == 1
 
 

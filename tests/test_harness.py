@@ -3,6 +3,7 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtcsim.engine import Simulation
 from dtcsim.harness import (
@@ -264,3 +265,27 @@ def test_reduction_factor_rejects_mismatched_cells():
 def test_reduction_factor_rejects_swapped_modes():
     with pytest.raises(ValueError):
         reduction_factor(agg_with_mean(1, True), agg_with_mean(1, False))
+
+
+# -- whole-run properties -----------------------------------------------------------
+
+small_runs = st.fixed_dictionaries({
+    "hops": st.integers(2, 6),
+    "total_segments": st.integers(1, 40),
+    "window": st.integers(1, 5),
+    "p_data": st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+    "seed": st.integers(0, 2**63 - 1),
+})
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_runs, st.booleans())
+def test_whole_runs_conserve_segments_and_transmissions(knobs, dtc):
+    total = knobs["total_segments"]
+    metrics = run(Scenario(dtc_enabled=dtc, **knobs))
+    assert metrics.delivered_segments == total
+    assert metrics.sender_data_tx == total + metrics.e2e_retransmissions
+    assert all(tx >= total for tx in metrics.per_node_data_tx)     # every node relays all
+    if knobs["p_data"] == 0.0:
+        # with nothing lost a cache never acts: both modes run alike
+        assert metrics == run(Scenario(dtc_enabled=not dtc, **knobs))

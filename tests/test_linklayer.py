@@ -84,14 +84,13 @@ def test_ack_frames_use_the_halved_threshold():
     # the engine sends data against p_data and TCP acks against p_tcp_ack
     sim = Simulation(Scenario(hops=3, p_data=0.8, dtc_enabled=False))
     sim.rng = Fixed(0.5)                            # p_data 0.8 > 0.5 >= p_tcp_ack 0.4
-    sim._tx_ack(1, AckSegment(1))
-    sim._tx_data(0, DataSegment(1), None)
+    sim.send_ack(1, AckSegment(1))
+    assert sim.send_data(0, DataSegment(1)) == 1    # frame ids count every send
     assert sim.rng.draws == 2
-    _, _, target, kind, (_, segment) = sim.queue.pop_next()
-    assert (target, kind, segment) == (0, FRAME_ARRIVAL, AckSegment(1))     # ack survived
+    assert sim.queue.pop_next() == (10_000, 0, 0, FRAME_ARRIVAL, (0, AckSegment(1)))  # ack survived
     assert sim.queue.pop_next() is None                                    # data lost
     sim.rng = Fixed(0.3)
-    sim._tx_ack(1, AckSegment(1))
+    sim.send_ack(1, AckSegment(1))
     assert len(sim.queue) == 0
 
 

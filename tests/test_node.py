@@ -1,6 +1,8 @@
 import pytest
 
-from dtcsim.node import LOCKED, TENTATIVE, CachingNode, FrameIdSource, initial_rtt
+from conftest import Recorder, emitted
+from dtcsim.events import LL_TIMEOUT, LOCAL_RTO
+from dtcsim.node import LOCKED, TENTATIVE, CachingNode, initial_rtt
 from dtcsim.packets import ORIGIN_LOCAL, AckSegment, DataSegment
 
 MS = 1000
@@ -11,27 +13,35 @@ def make_node(node_id=5, hops_to_receiver=5, *, enabled=True):
         node_id,
         hops_to_receiver,
         10 * MS,
-        FrameIdSource(),
+        Recorder(),
         enabled=enabled,
         ll_wait=30 * MS,
         max_local_retries=3,
     )
 
 
-def forwarded(actions):
-    return [a for a in actions if a[0] == "fwd_data"]
+# each helper picks one kind of emission out of a handler's recorded calls
+
+def data_sent(calls):
+    """(segment, frame_id) of each data transmission."""
+    return [(c[2], c[3]) for c in calls if c[0] == "send_data"]
 
 
-def local_tx(actions):
-    return [a[1] for a in actions if a[0] == "local_tx"]
+def local_tx(calls):
+    return [segment for segment, _ in data_sent(calls)]
 
 
-def acks_up(actions):
-    return [a[1] for a in actions if a[0] == "tx_ack_up"]
+def acks_up(calls):
+    return [c[2] for c in calls if c[0] == "send_ack"]
 
 
-def notes(actions):
-    return [(a[1], a[2]) for a in actions if a[0] == "note"]
+def notes(calls):
+    return [(c[2], c[3]) for c in calls if c[0] == "note"]
+
+
+def timers(calls, kind):
+    """Fire times of the timers of one kind."""
+    return [c[1] for c in calls if c[0] == "schedule" and c[3] == kind]
 
 
 def lock_cached(node, seq, now=0):
@@ -64,22 +74,24 @@ def test_initial_rtt_rejects_nonpositive_distance():
 
 def test_first_segment_cached_tentative_and_forwarded():
     node = make_node()
-    actions = node.on_data(DataSegment(1), 0)
-    ((_, seg, fid),) = forwarded(actions)
-    assert seg.seq == 1 and fid is not None
+    calls = emitted(node.on_data, DataSegment(1), 0)
+    # note, transmit, then arm the wait: the order the engine draws and pushes in
+    assert calls == [
+        ("note", 5, "cache", 1),
+        ("send_data", 5, DataSegment(1), 0),
+        ("schedule", 30 * MS, 5, LL_TIMEOUT, node.timer_generation),
+    ]
+    assert node.cache.frame_id == 0                 # the id send_data returned
     assert node.cache.state == TENTATIVE and node.cache.awaiting_ll_ack
-    assert ("cache", 1) in notes(actions)
-    assert any(a[0] == "arm_ll_timeout" and a[1] == 30 * MS for a in actions)
     assert node.data_tx_count == 1
 
 
 def test_awaiting_entry_not_displaced():
     node = make_node()
     node.on_data(DataSegment(1), 0)
-    actions = node.on_data(DataSegment(2), 0)
-    ((_, seg, fid),) = forwarded(actions)
-    assert seg.seq == 2 and fid is None          # forwarded but not cached
-    assert node.cache.segment.seq == 1
+    calls = emitted(node.on_data, DataSegment(2), 0)
+    assert calls == [("send_data", 5, DataSegment(2), 1)]   # forwarded but not cached
+    assert node.cache.segment.seq == 1 and node.cache.frame_id == 0
 
 
 def test_ll_acked_entry_replaceable_by_newer_segment():
@@ -87,40 +99,37 @@ def test_ll_acked_entry_replaceable_by_newer_segment():
     node.on_data(DataSegment(2), 0)
     node.on_ll_ack(node.cache.frame_id)
     assert not node.cache.awaiting_ll_ack
-    actions = node.on_data(DataSegment(3), 21 * MS)
+    calls = emitted(node.on_data, DataSegment(3), 21 * MS)
     assert node.cache.segment.seq == 3
-    assert ("cache", 3) in notes(actions)
+    assert ("cache", 3) in notes(calls)
+    assert data_sent(calls) == [(DataSegment(3), node.cache.frame_id)]
 
 
 def test_locked_entry_never_displaced():
     node = make_node()
     lock_cached(node, 1)
-    actions = node.on_data(DataSegment(3), 50 * MS)
-    assert node.cache.segment.seq == 1
+    calls = emitted(node.on_data, DataSegment(3), 50 * MS)
+    assert node.cache.segment.seq == 1 and node.cache.frame_id == 0
     assert node.cache.state == LOCKED
-    ((_, seg, fid),) = forwarded(actions)
-    assert seg.seq == 3 and fid is None
+    assert calls == [("send_data", 5, DataSegment(3), 1)]
 
 
 def test_data_below_forwarded_ack_regenerates_ack():
     node = make_node()
     node.last_ack_forwarded = 4
-    actions = node.on_data(DataSegment(2), 0)
-    assert forwarded(actions) == []              # data swallowed
-    assert acks_up(actions) == [AckSegment(4)]
-    assert ("regen_ack", 4) in notes(actions)
+    calls = emitted(node.on_data, DataSegment(2), 0)
+    assert data_sent(calls) == []                # data swallowed
+    assert calls == [("note", 5, "regen_ack", 4), ("send_ack", 5, AckSegment(4))]
     assert node.data_tx_count == 0
 
 
 def test_disabled_node_is_a_pure_relay():
     node = make_node(enabled=False)
     node.last_ack_forwarded = 9
-    actions = node.on_data(DataSegment(2), 0)
-    ((_, seg, fid),) = forwarded(actions)
-    assert seg == DataSegment(2) and fid is None
+    assert emitted(node.on_data, DataSegment(2), 0) == [("send_data", 5, DataSegment(2), 0)]
     assert node.cache is None
     ack = AckSegment(1, {3})
-    assert node.on_ack(ack, 0) == [("tx_ack_up", ack)]
+    assert emitted(node.on_ack, ack, 0) == [("send_ack", 5, ack)]
 
 
 # -- link-layer ack handling ---------------------------------------------------------
@@ -131,7 +140,7 @@ def test_matching_ll_ack_makes_entry_replaceable_and_stales_timer():
     gen = node.timer_generation
     node.on_ll_ack(node.cache.frame_id)
     assert not node.cache.awaiting_ll_ack
-    assert node.on_ll_timeout(gen, 30 * MS) == []    # timer went stale
+    assert emitted(node.on_ll_timeout, gen, 30 * MS) == []  # timer went stale
 
 
 def test_ll_ack_for_unknown_frame_is_noop():
@@ -154,21 +163,21 @@ def test_missing_ll_ack_locks_and_arms_local_timer():
     node = make_node(hops_to_receiver=5)
     node.on_data(DataSegment(1), 0)
     gen = node.timer_generation
-    actions = node.on_ll_timeout(gen, 30 * MS)
+    calls = emitted(node.on_ll_timeout, gen, 30 * MS)
     assert node.cache.state == LOCKED
-    assert ("lock", 1) in notes(actions)
     # 1.5x the topology-seeded 100 ms round trip
-    ((_, deadline, _gen),) = [a for a in actions if a[0] == "arm_local_rto"]
-    assert deadline == 30 * MS + 150 * MS
+    assert calls == [
+        ("note", 5, "lock", 1),
+        ("schedule", 30 * MS + 150 * MS, 5, LOCAL_RTO, node.timer_generation),
+    ]
 
 
 def test_timer_scale_follows_rtt_estimate():
     node = make_node(hops_to_receiver=2)
     node.rtt_est = 40 * MS
     node.on_data(DataSegment(1), 0)
-    actions = node.on_ll_timeout(node.timer_generation, 30 * MS)
-    ((_, deadline, _gen),) = [a for a in actions if a[0] == "arm_local_rto"]
-    assert deadline == 30 * MS + 60 * MS
+    calls = emitted(node.on_ll_timeout, node.timer_generation, 30 * MS)
+    assert timers(calls, LOCAL_RTO) == [30 * MS + 60 * MS]
 
 
 # -- local retransmission timer ----------------------------------------------------------
@@ -177,23 +186,28 @@ def test_local_timer_retransmits_with_backoff():
     node = make_node()
     node.rtt_est = 100 * MS
     lock_cached(node, 2)
-    actions = node.on_local_rto(node.timer_generation, 180 * MS)
-    assert local_tx(actions) == [DataSegment(2, ORIGIN_LOCAL)]
+    calls = emitted(node.on_local_rto, node.timer_generation, 180 * MS)
+    assert calls == [
+        ("note", 5, "local_retx", 2),
+        ("send_data", 5, DataSegment(2, ORIGIN_LOCAL), 1),
+        # 1.5 * rtt doubled once
+        ("schedule", 180 * MS + 300 * MS, 5, LOCAL_RTO, node.timer_generation),
+    ]
     assert node.cache.local_retries == 1
     assert node.local_retx_count == 1
-    ((_, deadline, _gen),) = [a for a in actions if a[0] == "arm_local_rto"]
-    assert deadline == 180 * MS + 300 * MS       # 1.5 * rtt doubled once
 
 
 def test_exhausted_retries_clear_the_cache():
     node = make_node()
     lock_cached(node, 2)
     node.cache.local_retries = 3
-    actions = node.on_local_rto(node.timer_generation, 10_000 * MS)
-    assert local_tx(actions) == [DataSegment(2, ORIGIN_LOCAL)]
-    assert ("clear", 2) in notes(actions)
+    calls = emitted(node.on_local_rto, node.timer_generation, 10_000 * MS)
+    assert calls == [                            # no timer armed
+        ("note", 5, "local_retx", 2),
+        ("send_data", 5, DataSegment(2, ORIGIN_LOCAL), 1),
+        ("note", 5, "clear", 2),
+    ]
     assert node.cache is None
-    assert not any(a[0] == "arm_local_rto" for a in actions)
 
 
 def test_stale_local_timer_ignored():
@@ -202,7 +216,7 @@ def test_stale_local_timer_ignored():
     stale = node.timer_generation
     node.on_ack(AckSegment(4), 200 * MS)         # covers 2, clears the cache
     assert node.cache is None
-    assert node.on_local_rto(stale, 400 * MS) == []
+    assert emitted(node.on_local_rto, stale, 400 * MS) == []
 
 
 # -- ack processing -----------------------------------------------------------------------
@@ -212,37 +226,40 @@ def test_uncovered_locked_segment_retransmitted_and_vouched():
     # to the selective set, and forward the augmented ack
     node = make_node(node_id=7, hops_to_receiver=3)
     lock_cached(node, 2)
-    actions = node.on_ack(AckSegment(1, {3}), 200 * MS)
-    assert local_tx(actions) == [DataSegment(2, ORIGIN_LOCAL)]
-    assert acks_up(actions) == [AckSegment(1, {2, 3})]
+    calls = emitted(node.on_ack, AckSegment(1, {3}), 200 * MS)
+    assert calls == [
+        ("note", 7, "local_retx", 2),
+        ("send_data", 7, DataSegment(2, ORIGIN_LOCAL), 1),
+        ("schedule", 200 * MS + 90 * MS, 7, LOCAL_RTO, node.timer_generation),
+        ("send_ack", 7, AckSegment(1, {2, 3})),
+    ]
     assert node.cache.state == LOCKED            # kept until covered
 
 
 def test_gap_filling_retransmission_drops_the_ack():
     node = make_node(node_id=5, hops_to_receiver=5)
     lock_cached(node, 1)
-    actions = node.on_ack(AckSegment(1, {2, 3}), 200 * MS)
-    assert local_tx(actions) == [DataSegment(1, ORIGIN_LOCAL)]
-    assert acks_up(actions) == []                # ack swallowed
-    assert ("drop_ack", 1) in notes(actions)
+    calls = emitted(node.on_ack, AckSegment(1, {2, 3}), 200 * MS)
+    assert local_tx(calls) == [DataSegment(1, ORIGIN_LOCAL)]
+    assert acks_up(calls) == []                  # ack swallowed
+    assert notes(calls) == [("local_retx", 1), ("drop_ack", 1)]
 
 
 def test_covering_ack_clears_cache_and_forwards_unchanged():
     node = make_node()
     lock_cached(node, 3)
-    actions = node.on_ack(AckSegment(4), 200 * MS)
+    calls = emitted(node.on_ack, AckSegment(4), 200 * MS)
     assert node.cache is None
-    assert ("clear", 3) in notes(actions)
-    assert acks_up(actions) == [AckSegment(4)]
+    assert calls == [("note", 5, "clear", 3), ("send_ack", 5, AckSegment(4))]
     assert node.last_ack_forwarded == 4
 
 
 def test_selectively_covered_cache_clears_too():
     node = make_node()
     lock_cached(node, 3)
-    actions = node.on_ack(AckSegment(1, {3}), 200 * MS)
+    calls = emitted(node.on_ack, AckSegment(1, {3}), 200 * MS)
     assert node.cache is None
-    assert acks_up(actions) == [AckSegment(1, {3})]
+    assert acks_up(calls) == [AckSegment(1, {3})]
 
 
 def test_replaceable_entry_locks_on_uncovering_ack_without_retransmitting():
@@ -252,28 +269,30 @@ def test_replaceable_entry_locks_on_uncovering_ack_without_retransmitting():
     node = make_node()
     node.on_data(DataSegment(2), 0)
     node.on_ll_ack(node.cache.frame_id)
-    actions = node.on_ack(AckSegment(1, {3}), 100 * MS)
+    calls = emitted(node.on_ack, AckSegment(1, {3}), 100 * MS)
     assert node.cache.state == LOCKED
-    assert local_tx(actions) == []
-    assert acks_up(actions) == [AckSegment(1, {2, 3})]
-    assert any(a[0] == "arm_local_rto" for a in actions)
+    assert calls == [                            # nothing retransmitted
+        ("note", 5, "lock", 2),
+        ("schedule", 100 * MS + 150 * MS, 5, LOCAL_RTO, node.timer_generation),
+        ("send_ack", 5, AckSegment(1, {2, 3})),
+    ]
 
 
 def test_awaiting_entry_left_alone_by_uncovering_ack():
     node = make_node()
     node.on_data(DataSegment(2), 0)
-    actions = node.on_ack(AckSegment(1, {3}), 5 * MS)
+    calls = emitted(node.on_ack, AckSegment(1, {3}), 5 * MS)
     assert node.cache.state == TENTATIVE and node.cache.awaiting_ll_ack
-    assert acks_up(actions) == [AckSegment(1, {3})]
+    assert calls == [("send_ack", 5, AckSegment(1, {3}))]
 
 
 def test_tentative_cache_does_not_eat_acks_when_uncovered():
     # zero-loss smoke: uncovering acks pass tentative entries untouched
     node = make_node()
     node.on_data(DataSegment(3), 0)
-    actions = node.on_ack(AckSegment(3), 10 * MS)
-    assert local_tx(actions) == []
-    assert acks_up(actions) == [AckSegment(3)]
+    calls = emitted(node.on_ack, AckSegment(3), 10 * MS)
+    assert local_tx(calls) == []
+    assert acks_up(calls) == [AckSegment(3)]
     assert node.data_tx_count == 1               # the original forward only
 
 
@@ -281,10 +300,9 @@ def test_ack_triggered_retransmit_rearms_timer():
     node = make_node()
     lock_cached(node, 2)
     before_gen = node.timer_generation
-    actions = node.on_ack(AckSegment(1, {3}), 200 * MS)
+    calls = emitted(node.on_ack, AckSegment(1, {3}), 200 * MS)
     assert node.timer_generation > before_gen
-    ((_, deadline, _gen),) = [a for a in actions if a[0] == "arm_local_rto"]
-    assert deadline == 200 * MS + (3 * node.rtt_est) // 2
+    assert timers(calls, LOCAL_RTO) == [200 * MS + (3 * node.rtt_est) // 2]
 
 
 def test_local_retransmission_discards_pending_rtt_sample():
@@ -321,7 +339,7 @@ def test_forwarded_ack_never_loses_information():
     node = make_node()
     lock_cached(node, 2)
     ack = AckSegment(1, {3, 5})
-    (forwarded_ack,) = acks_up(node.on_ack(ack, 200 * MS))
+    (forwarded_ack,) = acks_up(emitted(node.on_ack, ack, 200 * MS))
     assert forwarded_ack.ack_no == ack.ack_no
     assert ack.sack <= forwarded_ack.sack
 
