@@ -105,16 +105,16 @@ CONFIG_KEYS = {
     "window": Key(int, "window"),
     "runs": Key(int, None),
     "seed": Key(int, None),
-    "hop_latency_ms": Key(_parse_ms_as_us, "hop_latency"),
+    "hop_latency_ms": Key(_parse_ms_as_us, "hop_latency", "MS"),
     "out": Key(str, None, "DIR"),
     "jobs": Key(int, None, help="parallel runs for sweeps"),
     "max_local_retries": Key(int, "max_local_retries"),
     "ll_wait_multiplier": Key(int, "ll_wait_multiplier"),
-    "send_spacing_us": Key(_parse_optional_int, "send_spacing"),
-    "rto_min_us": Key(_parse_optional_int, "rto_min"),
+    "send_spacing_us": Key(_parse_optional_int, "send_spacing", "US|auto"),
+    "rto_min_us": Key(_parse_optional_int, "rto_min", "US|auto"),
     "rto_max_us": Key(int, "rto_max"),
-    "rto_initial_us": Key(_parse_optional_int, "rto_initial"),
-    "fast_retransmit": Key(_parse_bool, "fast_retransmit"),
+    "rto_initial_us": Key(_parse_optional_int, "rto_initial", "US|auto"),
+    "fast_retransmit": Key(_parse_bool, "fast_retransmit", "on|off"),
 }
 
 
@@ -434,6 +434,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def flag_type(spec):
+        # argparse would name the parser function; report the expected form
+        def parse(text):
+            try:
+                return spec.parse(text)
+            except ValueError as exc:
+                reason = f"expected {spec.metavar}, got {text!r}" if spec.metavar else str(exc)
+                raise argparse.ArgumentTypeError(reason) from exc
+        return parse
+
     def add_common(p):
         p.add_argument("--config", metavar="FILE", help="key = value config file")
         for key, spec in CONFIG_KEYS.items():
@@ -441,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--dtc", dest="mode", choices=list(_MODE_BY_FLAG),
                                help="caching on, off, or both modes")
             else:
-                p.add_argument("--" + key.replace("_", "-"), dest=key, type=spec.parse,
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=flag_type(spec),
                                metavar=spec.metavar, help=spec.help)
 
     p_run = sub.add_parser("run", help="execute a single run")

@@ -69,7 +69,6 @@ class TcpSender:
         self.next_new = 1               # lowest never-sent segment
         self.cumulative = 1             # receiver's next expected segment
         self.in_flight = {}             # seq -> [first_sent_at | None, transmissions]
-        self.sack_marked = set()        # selectively acked, kept until cumulative
         self.srtt: Optional[int] = None
         self.rttvar = 0
         self.rto = rto_initial
@@ -146,7 +145,6 @@ class TcpSender:
         if ack.ack_no > self.cumulative:
             for seq in range(self.cumulative, ack.ack_no):
                 entry = self.in_flight.pop(seq, None)
-                self.sack_marked.discard(seq)
                 # round-trip sample from each newly covered segment that was
                 # never retransmitted (Karn's rule); acks delayed behind a
                 # recovery legitimately stretch the estimate
@@ -157,9 +155,6 @@ class TcpSender:
             self.cumulative = ack.ack_no
             self.backoff = 0
             self.dup_acks = 0
-            for seq in ack.sack:
-                if seq in self.in_flight:
-                    self.sack_marked.add(seq)
             while self.next_new <= self.total and len(self.in_flight) < self.window:
                 self.in_flight[self.next_new] = [None, 0]
                 self._queue_tx(self.next_new, False)
@@ -171,11 +166,8 @@ class TcpSender:
             else:
                 self._arm_rto(now)
             return
-        # duplicate at the current cumulative point: absorb sack information,
-        # recover by timeout unless fast retransmit is switched on
-        for seq in ack.sack:
-            if seq in self.in_flight:
-                self.sack_marked.add(seq)
+        # duplicate at the current cumulative point: recover by timeout
+        # unless fast retransmit is switched on
         self.dup_acks += 1
         if self.fast_retransmit and self.dup_acks == 3 and self.in_flight:
             self._queue_tx(min(self.in_flight), True)

@@ -24,7 +24,7 @@ of every result; keep it when editing a handler.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .events import (
     FRAME_ARRIVAL,
@@ -38,14 +38,25 @@ from .events import (
     RandomSource,
 )
 from .endpoints import TcpReceiver, TcpSender
-from .harness import RunMetrics
 from .linklayer import DropOverride, derive_loss_model, ll_acknowledge, transmit
 from .node import CachingNode
-from .packets import AckSegment, DataSegment, LinkFrame, render_payload
+from .packets import AckSegment, DataSegment, render_payload
 
 
 class LivenessError(RuntimeError):
     """The run exceeded its event budget without completing."""
+
+
+class RunMetrics(NamedTuple):
+    """Counters collected from one completed run."""
+
+    e2e_retransmissions: int
+    per_node_data_tx: tuple             # indexed by intermediate node 0..hops-2
+    sender_data_tx: int
+    completion_time: int                # microseconds from transfer start
+    delivered_segments: int
+    local_retransmissions_total: int
+    rng_draws: int                      # replay check: must match per (scenario, seed)
 
 
 class Simulation:
@@ -100,11 +111,11 @@ class Simulation:
             return "R"
         return str(node_id)
 
-    def _trace_hop(self, frame: LinkFrame, kind: str, delivered: bool) -> None:
+    def _trace_hop(self, src: int, dst: int, payload, kind: str, delivered: bool) -> None:
         result = "delivered" if delivered else "lost"
-        suffix = "" if kind == "llack" else " " + render_payload(frame.payload)
+        suffix = "" if kind == "llack" else " " + render_payload(payload)
         self.trace(
-            f"HOP from={self._name(frame.src)} to={self._name(frame.dst)} "
+            f"HOP from={self._name(src)} to={self._name(dst)} "
             f"kind={kind} result={result} t={self.queue.now}{suffix}"
         )
 
@@ -117,7 +128,7 @@ class Simulation:
         delivered = transmit(self.queue, src, src + 1, frame_id, segment, self.loss.p_data,
                              self.latency, self.rng, self.drop_override)
         if self.trace is not None:
-            self._trace_hop(LinkFrame(frame_id, segment, src, src + 1), "data", delivered)
+            self._trace_hop(src, src + 1, segment, "data", delivered)
         return frame_id
 
     def send_ack(self, src: int, ack: AckSegment) -> None:
@@ -127,7 +138,7 @@ class Simulation:
         delivered = transmit(self.queue, src, src - 1, frame_id, ack, self.loss.p_tcp_ack,
                              self.latency, self.rng, self.drop_override)
         if self.trace is not None:
-            self._trace_hop(LinkFrame(frame_id, ack, src, src - 1), "ack", delivered)
+            self._trace_hop(src, src - 1, ack, "ack", delivered)
 
     def note(self, node_id: int, action: str, seq: int) -> None:
         """Trace a cache transition; nothing else sees it."""
@@ -136,7 +147,7 @@ class Simulation:
 
     # -- event loop -----------------------------------------------------------------
 
-    def run(self):
+    def run(self) -> RunMetrics:
         queue = self.queue
         rng = self.rng
         trace = self.trace
@@ -169,8 +180,7 @@ class Simulation:
                 transmitter = target - 1 if is_data else target + 1
                 acked = ll_acknowledge(queue, transmitter, frame_id, p_ll_ack, latency, rng)
                 if trace is not None:
-                    self._trace_hop(LinkFrame(frame_id, segment, target, transmitter),
-                                    "llack", acked)
+                    self._trace_hop(target, transmitter, segment, "llack", acked)
                 if is_data:
                     if target == receiver_id:
                         self.send_ack(receiver_id, receiver.on_data(segment))

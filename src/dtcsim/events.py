@@ -93,10 +93,9 @@ class EventQueue:
 class RandomSource:
     """Seeded uniform source; a run consumes it in event-processing order."""
 
-    __slots__ = ("seed", "_rng", "draws")
+    __slots__ = ("_rng", "draws")
 
     def __init__(self, seed: int) -> None:
-        self.seed = seed
         self._rng = random.Random(seed)
         self.draws = 0
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import NamedTuple, Optional, Sequence
 
+from .engine import LivenessError, RunMetrics, Simulation      # RunMetrics re-exported
 from .events import US_PER_MS, US_PER_S
 
 DEFAULT_SEGMENTS = 500
@@ -94,18 +95,6 @@ class Scenario:
         return 3 * self.effective_rto_min()
 
 
-class RunMetrics(NamedTuple):
-    """Counters collected from one completed run."""
-
-    e2e_retransmissions: int
-    per_node_data_tx: tuple             # indexed by intermediate node 0..hops-2
-    sender_data_tx: int
-    completion_time: int                # microseconds from transfer start
-    delivered_segments: int
-    local_retransmissions_total: int
-    rng_draws: int                      # replay check: must match per (scenario, seed)
-
-
 class RunRecord(NamedTuple):
     scenario: Scenario
     metrics: RunMetrics
@@ -113,13 +102,17 @@ class RunRecord(NamedTuple):
 
 def run(scenario: Scenario, trace=None, drop_override=None) -> RunMetrics:
     """Execute one run to completion; deterministic in the scenario."""
-    from .engine import Simulation      # engine imports this module; lazy keeps startup lean
-
     return Simulation(scenario, trace=trace, drop_override=drop_override).run()
 
 
 def _run_record(scenario: Scenario) -> RunRecord:
-    return RunRecord(scenario, run(scenario))
+    """One sweep task; a run that fails says which one it was."""
+    try:
+        return RunRecord(scenario, run(scenario))
+    except LivenessError as exc:
+        mode = "dtc" if scenario.dtc_enabled else "baseline"
+        raise LivenessError(f"hops={scenario.hops} p_data={scenario.p_data} mode={mode} "
+                            f"seed={scenario.seed}: {exc}") from exc
 
 
 def sweep(

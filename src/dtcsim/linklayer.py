@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .events import FRAME_ARRIVAL, LL_ACK_ARRIVAL, EventQueue, RandomSource
-from .packets import LinkFrame
 
 
 @dataclass(frozen=True)
@@ -31,9 +30,10 @@ def derive_loss_model(p_data: float) -> LossModel:
     return LossModel(p_data, p_data / 2.0, p_data / 4.0)
 
 
-# A drop override lets tests script exact losses: return True to force a
+# A drop override lets tests script exact losses.  It is called as
+# drop_override(frame_id, segment, src, dst) and returns True to force a
 # loss, False to force delivery, None to fall through to the random draw.
-DropOverride = Callable[[LinkFrame], Optional[bool]]
+DropOverride = Callable[[int, object, int, int], Optional[bool]]
 
 
 def transmit(
@@ -56,7 +56,7 @@ def transmit(
     """
     forced = None
     if drop_override is not None:
-        forced = drop_override(LinkFrame(frame_id, segment, src, dst))
+        forced = drop_override(frame_id, segment, src, dst)
     lost = rng.uniform_draw() < threshold if forced is None else forced
     if not lost:
         queue.schedule(queue.now + latency, dst, FRAME_ARRIVAL, arg=(frame_id, segment))

@@ -2,20 +2,25 @@
 
 Each intermediate node relays data toward the receiver and acks toward
 the sender.  When enabled, it additionally keeps at most one data segment
-cached:
+cached, as an entry in one of three states:
 
-  * a freshly forwarded segment is cached *tentative* while its
-    link-layer ack is outstanding; the entry pins the slot until the ack
-    arrives (the segment was presumably received, entry becomes
-    replaceable by newer traffic) or the wait expires (presumably lost,
-    entry is *locked* and armed with a local retransmission timer at
-    1.5x the node's round-trip estimate to the receiver);
-  * a passing ack that vouches for the cached segment clears the slot;
-  * a passing ack that fails to vouch for a locked segment triggers a
-    local retransmission, gets the segment added to its selective set,
-    and is dropped outright when that addition fills every gap;
-  * data below the node's own forwarded cumulative point means the ack
-    died upstream, so the node swallows the data and regenerates the ack.
+  * AWAITING: the node has just forwarded the segment and waits for the
+    next hop's link-layer ack.  The entry pins the slot.  The ll ack
+    makes it REPLACEABLE; the expiry of the wait makes it LOCKED.
+  * REPLACEABLE: the next hop link-acked the segment, so it presumably
+    arrived.  Newer data takes the slot; an ack that shows the segment
+    still missing downstream makes it LOCKED.
+  * LOCKED: the segment was presumably lost past this node.  The entry
+    holds a local retransmission timer at 1.5x the node's round-trip
+    estimate to the receiver, backing off per retry; after the last
+    retry the node resends once more and empties the slot.
+
+In any state, a passing ack that vouches for the cached segment empties
+the slot.  A passing ack that fails to vouch for a locked segment
+triggers a local retransmission, gets the segment added to its selective
+set, and is dropped outright when that addition fills every gap.  Data
+below the node's own forwarded cumulative point means the ack died
+upstream, so the node swallows the data and regenerates the ack.
 
 Timers carry a generation stamp; any cache mutation bumps the node's
 counter so stale expiries fall through harmlessly.
@@ -44,7 +49,9 @@ from .packets import (
     sack_covers,
 )
 
-TENTATIVE = "tentative"
+# cache entry states (see the module docstring)
+AWAITING = "awaiting"
+REPLACEABLE = "replaceable"
 LOCKED = "locked"
 
 
@@ -56,13 +63,12 @@ def initial_rtt(hops_to_receiver: int, hop_latency: int) -> int:
 
 
 class CacheEntry:
-    __slots__ = ("segment", "state", "frame_id", "awaiting_ll_ack", "local_retries")
+    __slots__ = ("segment", "state", "frame_id", "local_retries")
 
     def __init__(self, segment: DataSegment, frame_id: int) -> None:
         self.segment = segment
-        self.state = TENTATIVE
+        self.state = AWAITING
         self.frame_id = frame_id
-        self.awaiting_ll_ack = True
         self.local_retries = 0
 
 
@@ -118,7 +124,6 @@ class CachingNode:
     def _lock(self, entry: CacheEntry, now: int) -> None:
         """Pin the entry until an ack covers it; arm the first timer tier."""
         entry.state = LOCKED
-        entry.awaiting_ll_ack = False
         entry.local_retries = 0
         self.timer_generation += 1
         self.out.note(self.node_id, "lock", entry.segment.seq)
@@ -142,10 +147,10 @@ class CachingNode:
             return
         self.data_tx_count += 1
         entry = self.cache
-        if entry is None or (entry.state == TENTATIVE and not entry.awaiting_ll_ack):
+        if entry is None or entry.state == REPLACEABLE:
             # free slot, or the previous tenant was link-acknowledged and is
-            # presumably received downstream; a tentative entry still waiting
-            # on its ll ack keeps the slot (it may be the one that needs us)
+            # presumably received downstream; an entry still awaiting its
+            # ll ack keeps the slot (it may be the one that needs us)
             self.timer_generation += 1
             out.note(self.node_id, "cache", seq)
             self.cache = CacheEntry(segment, out.send_data(self.node_id, segment))
@@ -162,21 +167,15 @@ class CachingNode:
 
     def on_ll_ack(self, frame_id: int) -> None:
         entry = self.cache
-        if (
-            self.enabled
-            and entry is not None
-            and entry.state == TENTATIVE
-            and entry.awaiting_ll_ack
-            and entry.frame_id == frame_id
-        ):
-            entry.awaiting_ll_ack = False
+        if entry is not None and entry.state == AWAITING and entry.frame_id == frame_id:
+            entry.state = REPLACEABLE
             self.timer_generation += 1      # pending ll timeout is now stale
 
     def on_ll_timeout(self, generation: int, now: int) -> None:
         if generation != self.timer_generation:
             return
         entry = self.cache
-        assert entry is not None and entry.state == TENTATIVE
+        assert entry is not None and entry.state == AWAITING
         self._lock(entry, now)
 
     def on_local_rto(self, generation: int, now: int) -> None:
@@ -226,11 +225,7 @@ class CachingNode:
                     out.note(self.node_id, "drop_ack", cached)
                     return
                 forward = sack_add(ack, cached)
-            elif (
-                entry.state == TENTATIVE
-                and not entry.awaiting_ll_ack
-                and ack.ack_no <= cached
-            ):
+            elif entry.state == REPLACEABLE and ack.ack_no <= cached:
                 # the next hop link-acked this segment, yet the ack stream
                 # says it is still missing downstream: lock it and vouch for
                 # it; the timer (or the next uncovering ack) retransmits

@@ -63,15 +63,6 @@ def gaps_filled_with(ack: AckSegment, seq: int) -> bool:
     return True
 
 
-class LinkFrame(NamedTuple):
-    """One transmission of a data or ack segment over a single hop."""
-
-    frame_id: int
-    payload: object         # DataSegment or AckSegment
-    src: int
-    dst: int
-
-
 def render_payload(payload) -> str:
     """Stable textual form used by trace logs and golden-trace tests."""
     if type(payload) is DataSegment:

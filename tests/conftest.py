@@ -10,9 +10,9 @@ class ScriptedDrops:
     def __init__(self, rules):
         self.remaining = dict(rules)
 
-    def __call__(self, frame):
-        if type(frame.payload) is DataSegment:
-            key = (frame.payload.seq, frame.src)
+    def __call__(self, frame_id, segment, src, dst):
+        if type(segment) is DataSegment:
+            key = (segment.seq, src)
             if self.remaining.get(key, 0) > 0:
                 self.remaining[key] -= 1
                 return True

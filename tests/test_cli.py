@@ -100,10 +100,14 @@ RUN_ARGS = ["run", "--loss", "0.1", "--dtc", "on", "--segments", "5"]
     # values argparse itself rejects: main returns its exit code, never raises
     (RUN_ARGS + ["--hops", "x"], "--hops"),
     (RUN_ARGS + ["--hops", "3", "--hop-latency-ms", "inf"], "--hop-latency-ms"),
+    (RUN_ARGS + ["--hops", "3", "--fast-retransmit", "maybe"], "--fast-retransmit"),
+    (RUN_ARGS + ["--hops", "3", "--rto-min-us", "abc"], "--rto-min-us"),
 ])
 def test_bad_flag_exits_2_naming_the_knob(argv, knob, tmp_path, capsys, no_simulation):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
-    assert knob in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert knob in err
+    assert "_parse" not in err              # the expected form, not a private function
 
 
 def test_infinite_hop_latency_exits_2(tmp_path, capsys, no_simulation):

@@ -100,7 +100,6 @@ def test_duplicate_ack_with_sack_changes_nothing_visible():
     calls = emitted(sender.on_ack, AckSegment(1, {3}), 150_000)
     assert calls == []                          # no data, no retransmission
     assert sorted(sender.in_flight) == [1, 2, 3]
-    assert sender.sack_marked == {3}
     assert sender.e2e_retransmissions == 0
 
 
@@ -130,7 +129,6 @@ def test_sack_marked_segments_stay_retransmittable():
     # cumulative coverage finally removes them
     sender.on_ack(AckSegment(4), 200_000)
     assert all(seq >= 4 for seq in sender.in_flight)
-    assert sender.sack_marked == set()
 
 
 def test_rtt_sampled_only_from_unretransmitted():

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtcsim.engine import Simulation
+from dtcsim.engine import LivenessError, Simulation
 from dtcsim.harness import (
     RunMetrics,
     RunRecord,
@@ -138,8 +138,6 @@ def test_same_seed_reproduces_event_trace_exactly():
 
 
 def test_event_budget_aborts_with_liveness_diagnostic():
-    from dtcsim.engine import LivenessError
-
     with pytest.raises(LivenessError, match="budget"):
         run(scenario(p_data=0.2, total_segments=200, max_events=500))
 
@@ -184,6 +182,16 @@ def test_parallel_sweep_matches_serial():
     cells = [scenario(p_data=0.1, total_segments=40, dtc_enabled=False),
              scenario(p_data=0.1, total_segments=40, dtc_enabled=True)]
     assert sweep(cells, 2, 3, jobs=2) == sweep(cells, 2, 3, jobs=1)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_sweep_run_names_its_scenario_and_seed(jobs):
+    cell = Scenario(hops=6, p_data=0.2, dtc_enabled=True, total_segments=50, max_events=100)
+    with pytest.raises(LivenessError) as failure:
+        sweep([cell], runs=2, base_seed=7, jobs=jobs)
+    message = str(failure.value)
+    for part in ("hops=6", "p_data=0.2", "mode=dtc", "seed=7", "event budget"):
+        assert part in message
 
 
 def test_sweep_rejects_zero_runs():

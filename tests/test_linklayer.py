@@ -4,7 +4,7 @@ from dtcsim.engine import Simulation
 from dtcsim.events import FRAME_ARRIVAL, LL_ACK_ARRIVAL, EventQueue, RandomSource
 from dtcsim.harness import Scenario
 from dtcsim.linklayer import derive_loss_model, ll_acknowledge, transmit
-from dtcsim.packets import AckSegment, DataSegment, LinkFrame
+from dtcsim.packets import AckSegment, DataSegment
 
 
 class Fixed:
@@ -100,19 +100,19 @@ def test_frame_must_match_link_endpoints():
     q = EventQueue()
     seen = []
 
-    def spy(frame):
-        seen.append(frame)
+    def spy(frame_id, segment, src, dst):
+        seen.append((frame_id, segment, src, dst))
         return False
 
     assert send_data(q, RandomSource(0), 0.5, fid=9, seq=3, src=4, dst=5, drop_override=spy)
-    assert seen == [LinkFrame(9, DataSegment(3), 4, 5)]
+    assert seen == [(9, DataSegment(3), 4, 5)]
     assert q.pop_next()[2] == 5
 
 
 def test_drop_override_forces_loss_without_a_draw():
     q = EventQueue()
     rng = RandomSource(9)
-    assert not send_data(q, rng, 0.0, drop_override=lambda frame: True)
+    assert not send_data(q, rng, 0.0, drop_override=lambda *frame: True)
     assert rng.draws == 0
     assert len(q) == 0
 
@@ -120,10 +120,10 @@ def test_drop_override_forces_loss_without_a_draw():
 def test_drop_override_takes_precedence_over_the_draw():
     q = EventQueue()
     rng = Fixed(0.0)                                # would lose at any threshold > 0
-    assert send_data(q, rng, 0.5, drop_override=lambda frame: False)
+    assert send_data(q, rng, 0.5, drop_override=lambda *frame: False)
     assert rng.draws == 0
     assert len(q) == 1
-    assert not send_data(q, rng, 0.5, drop_override=lambda frame: None)
+    assert not send_data(q, rng, 0.5, drop_override=lambda *frame: None)
     assert rng.draws == 1                           # None falls through to the draw
 
 

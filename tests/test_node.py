@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import Recorder, emitted
+from dtcsim.engine import Simulation
 from dtcsim.events import LL_TIMEOUT, LOCAL_RTO
-from dtcsim.node import LOCKED, TENTATIVE, CachingNode, initial_rtt
+from dtcsim.harness import Scenario
+from dtcsim.node import AWAITING, LOCKED, REPLACEABLE, CachingNode, initial_rtt
 from dtcsim.packets import ORIGIN_LOCAL, AckSegment, DataSegment
 
 MS = 1000
@@ -82,7 +85,7 @@ def test_first_segment_cached_tentative_and_forwarded():
         ("schedule", 30 * MS, 5, LL_TIMEOUT, node.timer_generation),
     ]
     assert node.cache.frame_id == 0                 # the id send_data returned
-    assert node.cache.state == TENTATIVE and node.cache.awaiting_ll_ack
+    assert node.cache.state == AWAITING
     assert node.data_tx_count == 1
 
 
@@ -98,7 +101,7 @@ def test_ll_acked_entry_replaceable_by_newer_segment():
     node = make_node()
     node.on_data(DataSegment(2), 0)
     node.on_ll_ack(node.cache.frame_id)
-    assert not node.cache.awaiting_ll_ack
+    assert node.cache.state == REPLACEABLE
     calls = emitted(node.on_data, DataSegment(3), 21 * MS)
     assert node.cache.segment.seq == 3
     assert ("cache", 3) in notes(calls)
@@ -139,7 +142,7 @@ def test_matching_ll_ack_makes_entry_replaceable_and_stales_timer():
     node.on_data(DataSegment(2), 0)
     gen = node.timer_generation
     node.on_ll_ack(node.cache.frame_id)
-    assert not node.cache.awaiting_ll_ack
+    assert node.cache.state == REPLACEABLE
     assert emitted(node.on_ll_timeout, gen, 30 * MS) == []  # timer went stale
 
 
@@ -147,7 +150,7 @@ def test_ll_ack_for_unknown_frame_is_noop():
     node = make_node()
     node.on_data(DataSegment(2), 0)
     node.on_ll_ack(12345)
-    assert node.cache.awaiting_ll_ack
+    assert node.cache.state == AWAITING
 
 
 def test_ll_ack_on_locked_cache_is_noop():
@@ -282,12 +285,12 @@ def test_awaiting_entry_left_alone_by_uncovering_ack():
     node = make_node()
     node.on_data(DataSegment(2), 0)
     calls = emitted(node.on_ack, AckSegment(1, {3}), 5 * MS)
-    assert node.cache.state == TENTATIVE and node.cache.awaiting_ll_ack
+    assert node.cache.state == AWAITING
     assert calls == [("send_ack", 5, AckSegment(1, {3}))]
 
 
 def test_tentative_cache_does_not_eat_acks_when_uncovered():
-    # zero-loss smoke: uncovering acks pass tentative entries untouched
+    # zero-loss smoke: uncovering acks pass an awaiting entry untouched
     node = make_node()
     node.on_data(DataSegment(3), 0)
     calls = emitted(node.on_ack, AckSegment(3), 10 * MS)
@@ -329,7 +332,7 @@ def test_rtt_samples_from_covered_pending_segments():
     node.on_ll_ack(node.cache.frame_id)
     node.on_ack(AckSegment(3), 100 * MS)         # covers 1 and 2
     assert node.pending_rtt == {}
-    # two EWMA steps from the 100 ms seed toward the两 samples
+    # two EWMA steps from the 100 ms seed toward the two samples
     est = (7 * 100 * MS + 100 * MS) // 8
     est = (7 * est + (100 - 21) * MS) // 8
     assert node.rtt_est == est
@@ -351,3 +354,49 @@ def test_one_cache_slot_at_all_times():
         assert node.cache is None or isinstance(node.cache.segment.seq, int)
         node.on_ll_ack(node.cache.frame_id)
     assert node.cache.segment.seq == 7
+
+
+# -- whole-run invariant: an entry's state matches its live timer -----------------
+
+HANDLERS = ("on_data", "on_ack", "on_ll_ack", "on_ll_timeout", "on_local_rto")
+TIMER_BY_STATE = {None: [], AWAITING: [LL_TIMEOUT], REPLACEABLE: [], LOCKED: [LOCAL_RTO]}
+
+
+def live_timers(sim, node):
+    """Kinds of the node's queued timers that still match its generation."""
+    return [kind for _, _, target, kind, arg in sim.queue._heap
+            if target == node.node_id and kind in (LL_TIMEOUT, LOCAL_RTO)
+            and arg == node.timer_generation]
+
+
+def checked(sim, node, handler):
+    def call(*args):
+        handler(*args)
+        state = None if node.cache is None else node.cache.state
+        assert live_timers(sim, node) == TIMER_BY_STATE[state], (
+            f"node {node.node_id} after {handler.__name__}{args} at t={sim.queue.now}")
+    return call
+
+
+caching_runs = st.fixed_dictionaries({
+    "hops": st.integers(2, 8),
+    "total_segments": st.integers(1, 60),
+    "window": st.integers(1, 5),
+    "p_data": st.one_of(st.just(0.0), st.floats(0.0, 0.35)),
+    "max_local_retries": st.integers(0, 4),
+    "ll_wait_multiplier": st.integers(1, 4),
+    "fast_retransmit": st.booleans(),
+    "seed": st.integers(0, 2**63 - 1),
+})
+
+
+@settings(max_examples=50, deadline=None)
+@given(caching_runs)
+def test_every_entry_state_has_exactly_its_timer_over_whole_runs(knobs):
+    # AWAITING holds one live ll timeout, LOCKED one live local rto, and a
+    # REPLACEABLE entry or an empty slot none, after every handler call
+    sim = Simulation(Scenario(dtc_enabled=True, **knobs))
+    for node in sim.nodes:
+        for name in HANDLERS:
+            setattr(node, name, checked(sim, node, getattr(node, name)))
+    assert sim.run().delivered_segments == knobs["total_segments"]
