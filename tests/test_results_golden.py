@@ -1,0 +1,59 @@
+"""Byte-for-byte pin of every results file and of `run` and `report` stdout.
+
+One small sweep and one small fig4 write into the same directory, so the
+report renders all three of its tables. The goldens were recorded on
+Python 3.11; rewrite them (only for a change meant to alter results) with
+
+    PYTHONPATH=src python tests/test_results_golden.py
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from dtcsim.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "results"
+
+SWEEP = ["sweep", "--hops", "3,6", "--loss", "0.05,0.15", "--dtc", "both",
+         "--runs", "3", "--segments", "40", "--seed", "5"]
+FIG4 = ["fig4", "--runs", "3", "--segments", "40", "--seed", "5"]
+RUN = ["run", "--hops", "6", "--loss", "0.15", "--dtc", "on", "--segments", "40", "--seed", "5"]
+
+FILES = ["runs.csv", "summary.csv", "nodes.csv", "run.txt", "report.txt"]
+
+
+def _stdout(argv) -> str:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(argv) == 0
+    return buffer.getvalue()
+
+
+def produce(out: Path) -> None:
+    """Write every golden file into `out`."""
+    _stdout(SWEEP + ["--out", str(out)])
+    _stdout(FIG4 + ["--out", str(out)])
+    (out / "run.txt").write_text(_stdout(RUN))
+    (out / "report.txt").write_text(_stdout(["report", str(out)]))
+
+
+@pytest.fixture(scope="module")
+def produced(tmp_path_factory):
+    out = tmp_path_factory.mktemp("results")
+    produce(out)
+    return out
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_results_byte_identical_to_golden(name, produced):
+    assert (produced / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    produce(GOLDEN)
+    print(f"wrote {', '.join(FILES)} to {GOLDEN}", file=sys.stderr)
