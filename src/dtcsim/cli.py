@@ -31,18 +31,34 @@ from .harness import (
     sweep,
 )
 
-RUNS_CSV_HEADER = [
-    "scenario_id", "hops", "p_data", "dtc", "seed",
-    "e2e_retx", "sender_data_tx", "local_retx", "completion_time_us", "delivered",
+
+class Metric(NamedTuple):
+    """One RunMetrics counter and the names it is written out under."""
+
+    field: str                          # RunMetrics field
+    label: str                          # `dtcsim run` line label
+    column: Optional[str]               # runs.csv column; None: the per-node vector
+    summary: bool                       # summary.csv has mean_<column>, stddev_<column>
+
+
+# every counter a run reports, in output order; rng_draws is a replay
+# check and is never written out
+METRICS = [
+    Metric("e2e_retransmissions", "e2e_retransmissions", "e2e_retx", True),
+    Metric("sender_data_tx", "sender_data_tx", "sender_data_tx", True),
+    Metric("local_retransmissions_total", "local_retransmissions", "local_retx", True),
+    Metric("per_node_data_tx", "per_node_data_tx", None, False),    # nodes.csv
+    Metric("completion_time", "completion_time_us", "completion_time_us", True),
+    Metric("delivered_segments", "delivered_segments", "delivered", False),
 ]
-SUMMARY_CSV_HEADER = [
-    "hops", "p_data", "dtc", "runs",
-    "mean_e2e_retx", "stddev_e2e_retx",
-    "mean_sender_data_tx", "stddev_sender_data_tx",
-    "mean_local_retx", "stddev_local_retx",
-    "mean_completion_time_us", "stddev_completion_time_us",
-    "mean_throughput_seg_s", "reduction_factor",
-]
+_RUNS_METRICS = [m for m in METRICS if m.column is not None]
+_SUMMARY_METRICS = [m for m in METRICS if m.summary]
+
+RUNS_CSV_HEADER = ["scenario_id", "hops", "p_data", "dtc", "seed"] + [
+    m.column for m in _RUNS_METRICS]
+SUMMARY_CSV_HEADER = ["hops", "p_data", "dtc", "runs"] + [
+    f"{stat}_{m.column}" for m in _SUMMARY_METRICS for stat in ("mean", "stddev")
+] + ["mean_throughput_seg_s", "reduction_factor"]
 NODES_CSV_HEADER = ["dtc", "node_index", "mean_data_tx", "stddev_data_tx"]
 
 DEFAULT_SWEEP_HOPS = [6, 7, 8, 9, 10, 11]
@@ -101,18 +117,18 @@ CONFIG_KEYS = {
     "hops": Key(_parse_int_list, None, "N[,N...]"),
     "loss": Key(_parse_float_list, None, "P[,P...]"),
     "mode": Key(str, None),             # its flag is --dtc on|off|both
-    "segments": Key(int, "total_segments"),
-    "window": Key(int, "window"),
-    "runs": Key(int, None),
-    "seed": Key(int, None),
+    "segments": Key(int, "total_segments", "N"),
+    "window": Key(int, "window", "N"),
+    "runs": Key(int, None, "N"),
+    "seed": Key(int, None, "N"),
     "hop_latency_ms": Key(_parse_ms_as_us, "hop_latency", "MS"),
     "out": Key(str, None, "DIR"),
-    "jobs": Key(int, None, help="parallel runs for sweeps"),
-    "max_local_retries": Key(int, "max_local_retries"),
-    "ll_wait_multiplier": Key(int, "ll_wait_multiplier"),
+    "jobs": Key(int, None, "N", help="parallel runs for sweeps"),
+    "max_local_retries": Key(int, "max_local_retries", "N"),
+    "ll_wait_multiplier": Key(int, "ll_wait_multiplier", "N"),
     "send_spacing_us": Key(_parse_optional_int, "send_spacing", "US|auto"),
     "rto_min_us": Key(_parse_optional_int, "rto_min", "US|auto"),
-    "rto_max_us": Key(int, "rto_max"),
+    "rto_max_us": Key(int, "rto_max", "US"),
     "rto_initial_us": Key(_parse_optional_int, "rto_initial", "US|auto"),
     "fast_retransmit": Key(_parse_bool, "fast_retransmit", "on|off"),
 }
@@ -222,12 +238,10 @@ def _write_runs_csv(path: Path, records) -> None:
         writer = csv.writer(handle)
         writer.writerow(RUNS_CSV_HEADER)
         for record in records:
-            s, m = record.scenario, record.metrics
+            s = record.scenario
             writer.writerow([
                 _scenario_id(s), s.hops, s.p_data, _dtc_label(s.dtc_enabled), s.seed,
-                m.e2e_retransmissions, m.sender_data_tx,
-                m.local_retransmissions_total, m.completion_time, m.delivered_segments,
-            ])
+            ] + [getattr(record.metrics, m.field) for m in _RUNS_METRICS])
 
 
 def _write_summary_csv(path: Path, aggregates) -> None:
@@ -243,12 +257,10 @@ def _write_summary_csv(path: Path, aggregates) -> None:
                     factor = f"{reduction_factor(base, agg):.6f}"
             writer.writerow([
                 agg.hops, agg.p_data, _dtc_label(agg.dtc_enabled), agg.runs,
-                f"{agg.mean_e2e_retx:.6f}", f"{agg.stddev_e2e_retx:.6f}",
-                f"{agg.mean_sender_data_tx:.6f}", f"{agg.stddev_sender_data_tx:.6f}",
-                f"{agg.mean_local_retx:.6f}", f"{agg.stddev_local_retx:.6f}",
-                f"{agg.mean_completion_time:.6f}", f"{agg.stddev_completion_time:.6f}",
-                f"{agg.mean_throughput():.6f}", factor,
-            ])
+            ] + [
+                f"{getattr(stat, m.field):.6f}"
+                for m in _SUMMARY_METRICS for stat in (agg.mean, agg.stddev)
+            ] + [f"{agg.mean_throughput():.6f}", factor])
 
 
 def _write_nodes_csv(path: Path, aggregates) -> None:
@@ -257,7 +269,7 @@ def _write_nodes_csv(path: Path, aggregates) -> None:
         writer.writerow(NODES_CSV_HEADER)
         for agg in aggregates:
             for index, (mean, std) in enumerate(
-                zip(agg.mean_per_node_tx, agg.stddev_per_node_tx)
+                zip(agg.mean.per_node_data_tx, agg.stddev.per_node_data_tx)
             ):
                 writer.writerow([
                     _dtc_label(agg.dtc_enabled), index, f"{mean:.6f}", f"{std:.6f}",
@@ -277,22 +289,21 @@ def cmd_run(config: Config) -> int:
     )
     metrics = run_scenario(scenario, trace=print if config.trace else None)
     print(f"scenario: {_scenario_id(scenario)} seed={scenario.seed}")
-    print(f"e2e_retransmissions: {metrics.e2e_retransmissions}")
-    print(f"sender_data_tx: {metrics.sender_data_tx}")
-    print(f"local_retransmissions: {metrics.local_retransmissions_total}")
-    print(f"per_node_data_tx: {','.join(str(n) for n in metrics.per_node_data_tx)}")
-    print(f"completion_time_us: {metrics.completion_time}")
-    print(f"delivered_segments: {metrics.delivered_segments}")
+    for m in METRICS:
+        value = getattr(metrics, m.field)
+        if isinstance(value, tuple):
+            value = ",".join(str(n) for n in value)
+        print(f"{m.label}: {value}")
     return 0
 
 
-def _sweep_and_write(config: Config, cells: list, write) -> int:
-    """Run each cell config.runs times, aggregate per cell, write the results.
+def _sweep_and_write(config: Config, write) -> int:
+    """Run config's cells config.runs times each, aggregate per cell, write the results.
 
     `write(out, records, aggregates)` writes the files into the output
     directory and returns the lines to print; an OSError exits 3.
     """
-    records = sweep(cells, config.runs, config.seed, jobs=config.jobs)
+    records = sweep(config.cells(), config.runs, config.seed, jobs=config.jobs)
     aggregates = [aggregate(records[i:i + config.runs])
                   for i in range(0, len(records), config.runs)]
     out = Path(config.out)
@@ -314,16 +325,16 @@ def cmd_sweep(config: Config) -> int:
         return [f"wrote {len(records)} runs to {out / 'runs.csv'}",
                 f"wrote {len(aggregates)} cells to {out / 'summary.csv'}"]
 
-    return _sweep_and_write(config, config.cells(), write)
+    return _sweep_and_write(config, write)
 
 
 def cmd_fig4(config: Config) -> int:
     def write(out, records, aggregates):
         _write_nodes_csv(out / "nodes.csv", aggregates)
-        rows = sum(len(a.mean_per_node_tx) for a in aggregates)
+        rows = sum(len(a.mean.per_node_data_tx) for a in aggregates)
         return [f"wrote {rows} node rows to {out / 'nodes.csv'}"]
 
-    return _sweep_and_write(config, config.cells(), write)
+    return _sweep_and_write(config, write)
 
 
 # -- report -------------------------------------------------------------------
@@ -440,8 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
             try:
                 return spec.parse(text)
             except ValueError as exc:
-                reason = f"expected {spec.metavar}, got {text!r}" if spec.metavar else str(exc)
-                raise argparse.ArgumentTypeError(reason) from exc
+                raise argparse.ArgumentTypeError(f"expected {spec.metavar}, got {text!r}") from exc
         return parse
 
     def add_common(p):

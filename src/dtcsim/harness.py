@@ -150,32 +150,27 @@ class Aggregate:
     dtc_enabled: bool
     runs: int
     total_segments: int
-    mean_e2e_retx: float
-    stddev_e2e_retx: float
-    mean_sender_data_tx: float
-    stddev_sender_data_tx: float
-    mean_local_retx: float
-    stddev_local_retx: float
-    mean_completion_time: float
-    stddev_completion_time: float
-    mean_per_node_tx: tuple
-    stddev_per_node_tx: tuple
+    mean: RunMetrics                    # each field averaged; tuples elementwise
+    stddev: RunMetrics
 
     def mean_throughput(self) -> float:
         """Delivered segments per second of virtual time."""
-        seconds = self.mean_completion_time / US_PER_S
+        seconds = self.mean.completion_time / US_PER_S
         return 0.0 if seconds == 0 else self.total_segments / seconds
 
 
-def _mean_std(values) -> tuple[float, float]:
-    values = list(values)
+def _mean_std(values: tuple) -> tuple:
+    """(mean, sample stddev) of one field over the runs; a tuple field elementwise."""
+    if isinstance(values[0], tuple):
+        means, stddevs = zip(*(_mean_std(column) for column in zip(*values)))
+        return means, stddevs
     mean = statistics.fmean(values)
     std = statistics.stdev(values) if len(values) > 1 else 0.0
     return mean, std
 
 
 def aggregate(records: Sequence[RunRecord]) -> Aggregate:
-    """Mean and sample stddev per metric; per-node vector averaged elementwise."""
+    """Mean and sample stddev of every RunMetrics field over the cell's runs."""
     if not records:
         raise ValueError("cannot aggregate zero runs")
     first = records[0].scenario
@@ -185,29 +180,15 @@ def aggregate(records: Sequence[RunRecord]) -> Aggregate:
         if (s.hops, s.p_data, s.dtc_enabled) != key:
             raise ValueError(f"mixed scenario keys in aggregate: {key} vs "
                              f"{(s.hops, s.p_data, s.dtc_enabled)}")
-    metrics = [r.metrics for r in records]
-    e2e = _mean_std(m.e2e_retransmissions for m in metrics)
-    tx = _mean_std(m.sender_data_tx for m in metrics)
-    local = _mean_std(m.local_retransmissions_total for m in metrics)
-    done = _mean_std(m.completion_time for m in metrics)
-    per_node = list(zip(*(m.per_node_data_tx for m in metrics)))
-    node_stats = [_mean_std(column) for column in per_node]
+    means, stddevs = zip(*(_mean_std(values) for values in zip(*(r.metrics for r in records))))
     return Aggregate(
         hops=first.hops,
         p_data=first.p_data,
         dtc_enabled=first.dtc_enabled,
         runs=len(records),
         total_segments=first.total_segments,
-        mean_e2e_retx=e2e[0],
-        stddev_e2e_retx=e2e[1],
-        mean_sender_data_tx=tx[0],
-        stddev_sender_data_tx=tx[1],
-        mean_local_retx=local[0],
-        stddev_local_retx=local[1],
-        mean_completion_time=done[0],
-        stddev_completion_time=done[1],
-        mean_per_node_tx=tuple(s[0] for s in node_stats),
-        stddev_per_node_tx=tuple(s[1] for s in node_stats),
+        mean=RunMetrics(*means),
+        stddev=RunMetrics(*stddevs),
     )
 
 
@@ -221,4 +202,4 @@ def reduction_factor(base: Aggregate, dtc: Aggregate) -> float:
         raise ValueError("reduction factor needs matching (hops, p_data) cells")
     if base.dtc_enabled or not dtc.dtc_enabled:
         raise ValueError("pass (baseline aggregate, caching aggregate) in that order")
-    return base.mean_e2e_retx / max(dtc.mean_e2e_retx, 1.0)
+    return base.mean.e2e_retransmissions / max(dtc.mean.e2e_retransmissions, 1.0)

@@ -64,8 +64,8 @@ def test_criterion_1_retransmission_reduction(grid):
     worst = None
     for h in HOPS:
         for p in LOSSES:
-            base = grid[(h, p, False)][1].mean_e2e_retx
-            dtc = grid[(h, p, True)][1].mean_e2e_retx
+            base = grid[(h, p, False)][1].mean.e2e_retransmissions
+            dtc = grid[(h, p, True)][1].mean.e2e_retransmissions
             f = factor(grid, h, p)
             flag = "  FLAG (<10)" if f < 10 else ""
             print(f"{h:>5} {p:>6.2f} {base:>10.1f} {dtc:>9.1f} {f:>8.2f}{flag}")
@@ -84,7 +84,7 @@ def test_criterion_2_reduction_trend(grid):
 
 
 def test_criterion_3_baseline_load_slopes_toward_sender(grid):
-    nodes = grid[(11, 0.10, False)][1].mean_per_node_tx
+    nodes = grid[(11, 0.10, False)][1].mean.per_node_data_tx
     ratio = nodes[0] / nodes[9]
     report(3, ratio >= 1.2,
            f"baseline node0/node9 = {nodes[0]:.1f}/{nodes[9]:.1f} = {ratio:.2f} "
@@ -92,8 +92,8 @@ def test_criterion_3_baseline_load_slopes_toward_sender(grid):
 
 
 def test_criterion_4_caching_flattens_load(grid):
-    base = grid[(11, 0.10, False)][1].mean_per_node_tx
-    dtc = grid[(11, 0.10, True)][1].mean_per_node_tx
+    base = grid[(11, 0.10, False)][1].mean.per_node_data_tx
+    dtc = grid[(11, 0.10, True)][1].mean.per_node_data_tx
     cov_base = statistics.pstdev(base) / statistics.fmean(base)
     cov_dtc = statistics.pstdev(dtc) / statistics.fmean(dtc)
     ratio = dtc[0] / dtc[9]
@@ -110,10 +110,10 @@ def test_criterion_5_caching_improves_throughput(grid):
         d.metrics.completion_time < b.metrics.completion_time
         for b, d in zip(base_rows, dtc_rows)
     )
-    ok = dtc_agg.mean_completion_time < base_agg.mean_completion_time
+    ok = dtc_agg.mean.completion_time < base_agg.mean.completion_time
     report(5, ok,
-           f"mean completion {dtc_agg.mean_completion_time / 1e6:.0f}s < "
-           f"{base_agg.mean_completion_time / 1e6:.0f}s "
+           f"mean completion {dtc_agg.mean.completion_time / 1e6:.0f}s < "
+           f"{base_agg.mean.completion_time / 1e6:.0f}s "
            f"({wins}/{RUNS} paired seeds faster)")
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from dtcsim.cli import (
+    METRICS,
     NODES_CSV_HEADER,
     RUNS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -10,7 +11,7 @@ from dtcsim.cli import (
     load_config,
     main,
 )
-from dtcsim.harness import Scenario, run
+from dtcsim.harness import RunMetrics, Scenario, run
 
 
 def write(path: Path, text: str) -> str:
@@ -102,12 +103,15 @@ RUN_ARGS = ["run", "--loss", "0.1", "--dtc", "on", "--segments", "5"]
     (RUN_ARGS + ["--hops", "3", "--hop-latency-ms", "inf"], "--hop-latency-ms"),
     (RUN_ARGS + ["--hops", "3", "--fast-retransmit", "maybe"], "--fast-retransmit"),
     (RUN_ARGS + ["--hops", "3", "--rto-min-us", "abc"], "--rto-min-us"),
+    (RUN_ARGS + ["--hops", "3", "--segments", "y"], "--segments: expected N, got 'y'"),
+    (RUN_ARGS + ["--hops", "3", "--jobs", "1.5"], "--jobs: expected N, got '1.5'"),
 ])
 def test_bad_flag_exits_2_naming_the_knob(argv, knob, tmp_path, capsys, no_simulation):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert knob in err
     assert "_parse" not in err              # the expected form, not a private function
+    assert "invalid literal" not in err     # nor Python's own int() text
 
 
 def test_infinite_hop_latency_exits_2(tmp_path, capsys, no_simulation):
@@ -210,6 +214,26 @@ def test_runs_csv_header_bit_exact(small_sweep):
     assert header == ",".join(RUNS_CSV_HEADER)
     assert header == ("scenario_id,hops,p_data,dtc,seed,e2e_retx,sender_data_tx,"
                       "local_retx,completion_time_us,delivered")
+
+
+def test_summary_csv_header_bit_exact(small_sweep):
+    header = (small_sweep / "summary.csv").read_text().splitlines()[0]
+    assert header == ",".join(SUMMARY_CSV_HEADER)
+    assert header == ("hops,p_data,dtc,runs,mean_e2e_retx,stddev_e2e_retx,"
+                      "mean_sender_data_tx,stddev_sender_data_tx,"
+                      "mean_local_retx,stddev_local_retx,"
+                      "mean_completion_time_us,stddev_completion_time_us,"
+                      "mean_throughput_seg_s,reduction_factor")
+
+
+def test_metrics_table_covers_every_written_counter():
+    # rng_draws is a replay check, never written out
+    fields = [m.field for m in METRICS]
+    assert sorted(fields) == sorted(f for f in RunMetrics._fields if f != "rng_draws")
+    assert len({m.label for m in METRICS}) == len(METRICS)
+    columns = [m.column for m in METRICS if m.column is not None]
+    assert columns == [c for c in RUNS_CSV_HEADER if c in columns]
+    assert all(m.column is not None for m in METRICS if m.summary)
 
 
 def test_summary_reduction_factor_only_on_caching_rows(small_sweep):

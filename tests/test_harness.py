@@ -217,20 +217,20 @@ def record(e2e, per_node=(500, 500), time=1_000_000, s=None):
 
 def test_aggregate_mean_and_stddev():
     agg = aggregate([record(10), record(20)])
-    assert agg.mean_e2e_retx == 15
-    assert math.isclose(agg.stddev_e2e_retx, 7.0710678, rel_tol=1e-6)
+    assert agg.mean.e2e_retransmissions == 15
+    assert math.isclose(agg.stddev.e2e_retransmissions, 7.0710678, rel_tol=1e-6)
     assert agg.runs == 2
 
 
 def test_single_run_aggregate_has_zero_stddev():
     agg = aggregate([record(10)])
-    assert agg.mean_e2e_retx == 10
-    assert agg.stddev_e2e_retx == 0.0
+    assert agg.mean.e2e_retransmissions == 10
+    assert agg.stddev.e2e_retransmissions == 0.0
 
 
 def test_per_node_vector_averaged_elementwise():
     agg = aggregate([record(0, per_node=(500, 520)), record(0, per_node=(500, 480))])
-    assert agg.mean_per_node_tx == (500.0, 500.0)
+    assert agg.mean.per_node_data_tx == (500.0, 500.0)
 
 
 def test_aggregate_rejects_mixed_cells():
@@ -246,9 +246,8 @@ def test_aggregate_rejects_empty_input():
 # -- reduction factor -------------------------------------------------------------------------
 
 def agg_with_mean(mean, dtc):
-    return dataclasses.replace(
-        aggregate([record(0, s=scenario(dtc_enabled=dtc))]), mean_e2e_retx=mean
-    )
+    agg = aggregate([record(0, s=scenario(dtc_enabled=dtc))])
+    return dataclasses.replace(agg, mean=agg.mean._replace(e2e_retransmissions=mean))
 
 
 def test_reduction_factor_plain_ratio():
