@@ -172,6 +172,14 @@ class Config:
             raise ConfigError(f"mode must be dtc, baseline or both, got {self.mode!r}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        for knob in ("hops", "loss"):
+            values = getattr(self, knob)
+            if not values:
+                raise ConfigError(f"{knob} must list at least one value, got none")
+            if len(set(values)) != len(values):
+                # a repeated cell would run twice with the same seeds
+                raise ConfigError(f"{knob} must not repeat a value, got "
+                                  f"{','.join(str(v) for v in values)}")
         self.cells()
 
     def scenario(self, hops: int, p_data: float, dtc: bool) -> Scenario:

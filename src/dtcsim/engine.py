@@ -6,6 +6,13 @@ hop over a link of the scenario's hop latency: data and local
 retransmissions to id+1, acks to id-1.  So the transmitter of an arriving
 frame follows from its direction, and link-layer acks go back to it.
 
+Every arriving frame gets its link-layer ack draw, always at arrival.  The
+ack's arrival is pushed only when the transmitter is a node whose cache
+entry is AWAITING that frame id, the one reader of an ll ack; frame ids are
+unique, so no later entry can await it either.  Leaving the other pushes
+out keeps every draw and the relative order of every other event, so the
+results are the same as if every survivor were pushed.
+
 The run loop pops ``(fire_at, seq, target, kind, arg)`` tuples (see
 ``events``) and branches on the int ``kind``, frame arrivals first.  It
 calls the protocol state machines in ``node`` and ``endpoints``, which
@@ -38,8 +45,8 @@ from .events import (
     RandomSource,
 )
 from .endpoints import TcpReceiver, TcpSender
-from .linklayer import DropOverride, derive_loss_model, ll_acknowledge, transmit
-from .node import CachingNode
+from .linklayer import DropOverride, derive_loss_model, transmit
+from .node import AWAITING, CachingNode
 from .packets import AckSegment, DataSegment, render_payload
 
 
@@ -178,7 +185,12 @@ class Simulation:
                 frame_id, segment = arg
                 is_data = type(segment) is DataSegment
                 transmitter = target - 1 if is_data else target + 1
-                acked = ll_acknowledge(queue, transmitter, frame_id, p_ll_ack, latency, rng)
+                # drawn always, pushed only to its one reader (module docstring)
+                acked = rng.uniform_draw() >= p_ll_ack
+                if acked and 0 <= transmitter < receiver_id:
+                    entry = nodes[transmitter].cache
+                    if entry is not None and entry.state is AWAITING and entry.frame_id == frame_id:
+                        queue.schedule(now + latency, transmitter, LL_ACK_ARRIVAL, arg=frame_id)
                 if trace is not None:
                     self._trace_hop(target, transmitter, segment, "llack", acked)
                 if is_data:
@@ -193,8 +205,7 @@ class Simulation:
                 else:
                     nodes[target].on_ack(segment, now)
             elif kind == LL_ACK_ARRIVAL:
-                if 0 <= target < receiver_id:
-                    nodes[target].on_ll_ack(arg)
+                nodes[target].on_ll_ack(arg)
             elif kind == LL_TIMEOUT:
                 nodes[target].on_ll_timeout(arg, now)
             elif kind == LOCAL_RTO:

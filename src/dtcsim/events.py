@@ -39,7 +39,9 @@ SENDER = -1             # node id of the TCP sender; see ``engine`` for the rest
 
 # event kinds
 FRAME_ARRIVAL = 0       # a link frame reached the target node
-LL_ACK_ARRIVAL = 1      # a link-layer ack reached the frame's transmitter
+LL_ACK_ARRIVAL = 1      # a link-layer ack reached the frame's transmitter; the
+                        # ack is drawn for every frame, but pushed only to a
+                        # node whose cache entry awaits it
 LL_TIMEOUT = 2          # a node's wait for a link-layer ack expired
 LOCAL_RTO = 3           # a node's local retransmission timer expired
 SENDER_RTO = 4          # the sender's retransmission timer expired

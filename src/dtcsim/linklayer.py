@@ -1,4 +1,4 @@
-"""Single-hop lossy transmission with explicit positive link-layer acks.
+"""Single-hop lossy transmission and the per-kind loss model.
 
 Loss is memoryless: one uniform draw per transmission against a
 per-kind threshold.  Data segments are the largest frames and lose most
@@ -6,6 +6,11 @@ often; TCP acks lose at half that rate and link-layer acks at a quarter.
 The caller picks the threshold that matches the frame it sends.  The
 link layer never retransmits -- a lost frame is simply gone, and
 recovery is someone else's job.
+
+The positive link-layer ack of a delivered frame is drawn by the engine
+(``Simulation.run``) for every arrival, against ``p_ll_ack``; its arrival
+is pushed only when the transmitter is a node whose cache entry awaits
+that frame, since nothing else reads it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .events import FRAME_ARRIVAL, LL_ACK_ARRIVAL, EventQueue, RandomSource
+from .events import FRAME_ARRIVAL, EventQueue, RandomSource
 
 
 @dataclass(frozen=True)
@@ -62,23 +67,3 @@ def transmit(
         queue.schedule(queue.now + latency, dst, FRAME_ARRIVAL, arg=(frame_id, segment))
     return not lost
 
-
-def ll_acknowledge(
-    queue: EventQueue,
-    dst: int,
-    frame_id: int,
-    threshold: float,
-    latency: int,
-    rng: RandomSource,
-) -> bool:
-    """Send the positive link-layer ack for a frame that just arrived.
-
-    dst is the frame's transmitter.  One draw against threshold (the loss
-    model's p_ll_ack); on survival dst sees an LL_ACK_ARRIVAL with arg
-    frame_id after latency microseconds.  Emitted only for delivered
-    frames, so a missing ll ack is evidence the frame (or its ack) died.
-    """
-    lost = rng.uniform_draw() < threshold
-    if not lost:
-        queue.schedule(queue.now + latency, dst, LL_ACK_ARRIVAL, arg=frame_id)
-    return not lost

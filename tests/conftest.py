@@ -1,3 +1,4 @@
+from dtcsim.events import EventQueue
 from dtcsim.packets import DataSegment
 
 
@@ -57,3 +58,23 @@ def emitted(handler, *args):
     out.calls.clear()
     assert handler(*args) is None
     return list(out.calls)
+
+
+class WatchedQueue(EventQueue):
+    """An event queue that calls ``on_push(fire_at, target, kind, arg)``
+    just before each push, while the run's state is as the pusher left it."""
+
+    def __init__(self, on_push) -> None:
+        super().__init__()
+        self.on_push = on_push
+
+    def schedule(self, fire_at, target, kind, *, arg=None):
+        self.on_push(fire_at, target, kind, arg)
+        super().schedule(fire_at, target, kind, arg=arg)
+
+
+def watch_pushes(sim, on_push):
+    """Route every push of a not yet started Simulation through on_push."""
+    assert len(sim.queue) == 0
+    sim.queue = WatchedQueue(on_push)
+    sim.schedule = sim.queue.schedule

@@ -105,6 +105,11 @@ RUN_ARGS = ["run", "--loss", "0.1", "--dtc", "on", "--segments", "5"]
     (RUN_ARGS + ["--hops", "3", "--rto-min-us", "abc"], "--rto-min-us"),
     (RUN_ARGS + ["--hops", "3", "--segments", "y"], "--segments: expected N, got 'y'"),
     (RUN_ARGS + ["--hops", "3", "--jobs", "1.5"], "--jobs: expected N, got '1.5'"),
+    # an empty or repeating grid: no cells, or each repeated cell run twice
+    (["sweep", "--hops", ",", "--loss", "0.1", "--runs", "1"], "hops must list"),
+    (["sweep", "--hops", "3", "--loss", ",", "--runs", "1"], "loss must list"),
+    (["sweep", "--hops", "3,3", "--loss", "0.1", "--runs", "1"], "hops must not repeat"),
+    (["sweep", "--hops", "3", "--loss", "0.1,0.10", "--runs", "1"], "loss must not repeat"),
 ])
 def test_bad_flag_exits_2_naming_the_knob(argv, knob, tmp_path, capsys, no_simulation):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -112,6 +117,17 @@ def test_bad_flag_exits_2_naming_the_knob(argv, knob, tmp_path, capsys, no_simul
     assert knob in err
     assert "_parse" not in err              # the expected form, not a private function
     assert "invalid literal" not in err     # nor Python's own int() text
+
+
+@pytest.mark.parametrize("line, message", [
+    ("hops =", "hops must list at least one value"),
+    ("loss = 0.1, 0.1", "loss must not repeat a value, got 0.1,0.1"),
+])
+def test_empty_or_repeating_grid_in_config_file_exits_2(line, message, tmp_path, capsys,
+                                                        no_simulation):
+    path = write(tmp_path / "c.conf", line + "\n")
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_infinite_hop_latency_exits_2(tmp_path, capsys, no_simulation):

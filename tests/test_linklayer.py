@@ -3,20 +3,25 @@ import pytest
 from dtcsim.engine import Simulation
 from dtcsim.events import FRAME_ARRIVAL, LL_ACK_ARRIVAL, EventQueue, RandomSource
 from dtcsim.harness import Scenario
-from dtcsim.linklayer import derive_loss_model, ll_acknowledge, transmit
+from dtcsim.linklayer import derive_loss_model, transmit
+from dtcsim.node import REPLACEABLE
 from dtcsim.packets import AckSegment, DataSegment
+
+from conftest import watch_pushes
 
 
 class Fixed:
-    """Random source stub returning one value and counting draws."""
+    """Random source stub returning the values in `first` in turn, then
+    `value` for good; it counts draws."""
 
-    def __init__(self, value):
+    def __init__(self, value, first=()):
         self.value = value
+        self.first = list(first)
         self.draws = 0
 
     def uniform_draw(self):
         self.draws += 1
-        return self.value
+        return self.first.pop(0) if self.first else self.value
 
 
 def send_data(q, rng, threshold, fid=0, seq=1, src=0, dst=1, latency=10, drop_override=None):
@@ -137,29 +142,66 @@ def test_delivered_fraction_monte_carlo():
     assert 0.894 <= delivered / n <= 0.906
 
 
-# -- link-layer acks -----------------------------------------------------------------
+# -- link-layer acks, drawn by the engine at each arrival -------------------------------
+
+def lone_node_run(p_data, rng=None):
+    """One caching node between the endpoints relaying one segment.
+
+    The node caches segment 1 and forwards it as frame 1 at 10 ms; it
+    reaches the receiver at 20 ms.  Returns the simulation, its pushes as
+    (draws so far, fire_at, target, kind, arg), the ll-acks node 0 read as
+    (t, frame id, entry state after), and the trace lines.
+    """
+    lines = []
+    sim = Simulation(Scenario(hops=2, p_data=p_data, dtc_enabled=True, total_segments=1),
+                     trace=lines.append)
+    if rng is not None:
+        sim.rng = rng
+    pushes = []
+    watch_pushes(sim, lambda *push: pushes.append((sim.rng.draws,) + push))
+    node = sim.nodes[0]
+    read = []
+    on_ll_ack = node.on_ll_ack
+
+    def spy(frame_id):
+        on_ll_ack(frame_id)
+        read.append((sim.queue.now, frame_id, node.cache.state))
+
+    node.on_ll_ack = spy
+    assert sim.run().delivered_segments == 1
+    return sim, pushes, read, lines
+
 
 def test_lossless_delivery_is_always_ll_acknowledged():
-    q = EventQueue()
-    rng = RandomSource(2)
-    assert ll_acknowledge(q, 3, 77, 0.0, 10_000, rng)
-    assert rng.draws == 1
-    # back to the transmitter, carrying the acknowledged frame id
-    assert q.pop_next() == (10_000, 0, 3, LL_ACK_ARRIVAL, 77)
+    sim, pushes, read, _ = lone_node_run(0.0)
+    # the frame's own send draw, then exactly one ll-ack draw on arrival
+    assert (3, 20_000, 1, FRAME_ARRIVAL, (1, DataSegment(1))) in pushes
+    assert [p for p in pushes if p[3] == LL_ACK_ARRIVAL] == [(4, 30_000, 0, LL_ACK_ARRIVAL, 1)]
+    # back to the transmitter, carrying the frame id it awaits
+    assert read == [(30_000, 1, REPLACEABLE)]
+    # four frames: one draw to send each and one ll-ack draw per arrival
+    assert sim.rng.draws == 8
 
 
 def test_lost_ll_ack_never_arrives():
-    q = EventQueue()
-    p_ll_ack = derive_loss_model(0.10).p_ll_ack
-    assert not ll_acknowledge(q, 0, 0, p_ll_ack, 10, Fixed(0.0))
-    assert len(q) == 0
+    # p_data 0.4: frames survive a 0.5 draw, and the ll ack (p_ll_ack 0.1)
+    # of frame 1 at the receiver, the fourth draw, is lost
+    sim, pushes, read, lines = lone_node_run(0.4, Fixed(0.5, first=[0.5, 0.5, 0.5, 0.05]))
+    assert "HOP from=R to=0 kind=llack result=lost t=20000" in lines
+    assert [p for p in pushes if p[3] == LL_ACK_ARRIVAL] == []
+    assert read == []
+    assert sim.rng.draws == 8                       # the lost ack was still drawn
 
 
-def test_ll_ack_fraction_monte_carlo():
-    # deliveries at p_data=0.10 (p_ll_ack=0.025): arrivals in [0.971, 0.979]
-    q = EventQueue()
-    rng = RandomSource(31337)
-    p_ll_ack = derive_loss_model(0.10).p_ll_ack
-    n = 100_000
-    acked = sum(ll_acknowledge(q, 0, k, p_ll_ack, 10, rng) for k in range(n))
-    assert 0.971 <= acked / n <= 0.979
+def test_ll_ack_fraction_monte_carlo(monkeypatch):
+    # every arrival draws its ll ack against p_ll_ack = 0.025 (p_data 0.10):
+    # about 1e5 draws over five runs, survivors in [0.971, 0.979]
+    outcomes = []
+    monkeypatch.setattr(Simulation, "_trace_hop",
+                        lambda self, src, dst, payload, kind, delivered:
+                        kind == "llack" and outcomes.append(delivered))
+    for seed in range(1, 6):
+        Simulation(Scenario(hops=11, p_data=0.10, dtc_enabled=False, seed=seed),
+                   trace=lambda line: None).run()
+    assert len(outcomes) >= 100_000
+    assert 0.971 <= sum(outcomes) / len(outcomes) <= 0.979

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Recorder, emitted
+from conftest import Recorder, emitted, watch_pushes
 from dtcsim.engine import Simulation
-from dtcsim.events import LL_TIMEOUT, LOCAL_RTO
+from dtcsim.events import LL_ACK_ARRIVAL, LL_TIMEOUT, LOCAL_RTO
 from dtcsim.harness import Scenario
 from dtcsim.node import AWAITING, LOCKED, REPLACEABLE, CachingNode, initial_rtt
 from dtcsim.packets import ORIGIN_LOCAL, AckSegment, DataSegment
@@ -400,3 +400,25 @@ def test_every_entry_state_has_exactly_its_timer_over_whole_runs(knobs):
         for name in HANDLERS:
             setattr(node, name, checked(sim, node, getattr(node, name)))
     assert sim.run().delivered_segments == knobs["total_segments"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(caching_runs, st.booleans())
+def test_ll_acks_are_pushed_only_to_a_node_awaiting_them(knobs, dtc):
+    # an ll ack has one reader, a node whose entry awaits that frame: the
+    # engine pushes it to no one else, so a caching-off run pushes none
+    sim = Simulation(Scenario(dtc_enabled=dtc, **knobs))
+    pushed = []
+
+    def on_push(fire_at, target, kind, arg):
+        if kind == LL_ACK_ARRIVAL:
+            entry = sim.nodes[target].cache if 0 <= target < sim.receiver_id else None
+            assert entry is not None and entry.state == AWAITING and entry.frame_id == arg, (
+                f"ll ack of frame {arg} pushed to {target} at t={sim.queue.now}")
+            pushed.append(arg)
+
+    watch_pushes(sim, on_push)
+    assert sim.run().delivered_segments == knobs["total_segments"]
+    assert len(set(pushed)) == len(pushed)          # at most one ll ack per frame
+    if not dtc:
+        assert pushed == []
