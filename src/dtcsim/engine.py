@@ -1,10 +1,31 @@
-"""One simulation run: chain wiring, event dispatch, trace, metrics.
+"""One simulation run: chain wiring, event queue, lossy links, trace, metrics.
 
 Node ids: the sender is -1, the intermediate nodes are 0 .. hops-2 (node 0
 nearest the sender), and the receiver is hops-1.  Every frame moves one
 hop over a link of the scenario's hop latency: data and local
 retransmissions to id+1, acks to id-1.  So the transmitter of an arriving
 frame follows from its direction, and link-layer acks go back to it.
+
+The ``Simulation`` is its own event queue, virtual clock and random
+source: it holds the heap of ``(fire_at, seq, target, kind, arg)`` tuples
+(see ``events``), the insertion counter behind ``seq``, ``now``, one
+seeded generator and the count of its draws.  The run loop pops the heap
+inline and branches on the int ``kind``, frame arrivals first.  It calls
+the protocol state machines in ``node`` and ``endpoints``, which emit
+straight back into the ``Simulation`` as their sink:
+
+    send_data(src, segment) -> frame_id   toward the receiver
+    send_ack(src, ack)                    toward the sender
+    schedule(at, target, kind, arg=...)   a timer; never behind the clock
+    note(node_id, action, seq)            a cache transition, trace only
+
+Loss is memoryless: each send takes the next frame id and makes one
+uniform draw against its kind's threshold.  Data segments are the
+largest frames and lose most often (``p_data``); TCP acks lose at half
+that rate and link-layer acks at a quarter.  A frame that survives has
+its arrival pushed one hop latency later; a lost one is simply gone, and
+recovery is someone else's job.  A drop override (tests only) may decide
+a send instead of the draw.
 
 Every arriving frame gets its link-layer ack draw, always at arrival.  The
 ack's arrival is pushed only when the transmitter is a node whose cache
@@ -13,24 +34,14 @@ unique, so no later entry can await it either.  Leaving the other pushes
 out keeps every draw and the relative order of every other event, so the
 results are the same as if every survivor were pushed.
 
-The run loop pops ``(fire_at, seq, target, kind, arg)`` tuples (see
-``events``) and branches on the int ``kind``, frame arrivals first.  It
-calls the protocol state machines in ``node`` and ``endpoints``, which
-emit straight back into the ``Simulation`` as their sink:
-
-    send_data(src, segment) -> frame_id   toward the receiver
-    send_ack(src, ack)                    toward the sender
-    schedule(at, target, kind, arg=...)   the queue's own method: a timer
-    note(node_id, action, seq)            a cache transition, trace only
-
-Each send takes the next frame id, draws once from the random source and,
-if the frame survives, pushes its arrival.  So the order in which a
-handler emits is the order of frame ids, draws and pushes, and it is part
-of every result; keep it when editing a handler.
+So the order in which a handler emits is the order of frame ids, draws and
+pushes, and it is part of every result; keep it when editing a handler.
 """
 
 from __future__ import annotations
 
+import random
+from heapq import heappop, heappush
 from typing import Callable, NamedTuple, Optional
 
 from .events import (
@@ -41,13 +52,16 @@ from .events import (
     SEND_SLOT,
     SENDER,
     SENDER_RTO,
-    EventQueue,
-    RandomSource,
+    SchedulingError,
 )
 from .endpoints import TcpReceiver, TcpSender
-from .linklayer import DropOverride, derive_loss_model, transmit
 from .node import AWAITING, CachingNode
 from .packets import AckSegment, DataSegment, render_payload
+
+# A drop override lets tests script exact losses.  It is called as
+# drop_override(frame_id, segment, src, dst) and returns True to force a
+# loss, False to force delivery, None to fall through to the random draw.
+DropOverride = Callable[[int, object, int, int], Optional[bool]]
 
 
 class LivenessError(RuntimeError):
@@ -75,11 +89,20 @@ class Simulation:
         trace: Optional[Callable[[str], None]] = None,
         drop_override: Optional[DropOverride] = None,
     ) -> None:
+        # the engine pushes frames and ll acks at now + latency unchecked;
+        # a latency of at least 1 us keeps those pushes ahead of the clock
+        if scenario.hop_latency < 1:
+            raise ValueError(f"hop_latency must be >= 1 us, got {scenario.hop_latency}")
         self.scenario = scenario
-        self.queue = EventQueue()
-        self.schedule = self.queue.schedule
-        self.rng = RandomSource(scenario.seed)
-        self.loss = derive_loss_model(scenario.p_data)
+        self._heap: list[tuple] = []
+        self._seq = 0                               # next event's insertion order
+        self.now = 0                                # virtual time, microseconds
+        self._random = random.Random(scenario.seed).random
+        self.draws = 0
+        # per-kind loss thresholds in the fixed 4:2:1 size-based ratio
+        self.p_data = scenario.p_data
+        self.p_tcp_ack = scenario.p_data / 2.0
+        self.p_ll_ack = scenario.p_data / 4.0
         self.latency = scenario.hop_latency
         self._next_frame_id = 0
         self.trace = trace
@@ -123,74 +146,109 @@ class Simulation:
         suffix = "" if kind == "llack" else " " + render_payload(payload)
         self.trace(
             f"HOP from={self._name(src)} to={self._name(dst)} "
-            f"kind={kind} result={result} t={self.queue.now}{suffix}"
+            f"kind={kind} result={result} t={self.now}{suffix}"
         )
 
     # -- the sink the state machines emit into ----------------------------------
+    # send_data and send_ack spell out the same send, one per direction, so a
+    # frame costs no extra call
 
     def send_data(self, src: int, segment: DataSegment) -> int:
         """Transmit a data segment from src toward the receiver; its frame id."""
         frame_id = self._next_frame_id
         self._next_frame_id = frame_id + 1
-        delivered = transmit(self.queue, src, src + 1, frame_id, segment, self.loss.p_data,
-                             self.latency, self.rng, self.drop_override)
+        dst = src + 1
+        forced = None
+        if self.drop_override is not None:
+            forced = self.drop_override(frame_id, segment, src, dst)
+        if forced is None:
+            self.draws += 1
+            delivered = self._random() >= self.p_data
+        else:
+            delivered = not forced
+        if delivered:
+            seq = self._seq
+            self._seq = seq + 1
+            heappush(self._heap, (self.now + self.latency, seq, dst, FRAME_ARRIVAL,
+                                  (frame_id, segment)))
         if self.trace is not None:
-            self._trace_hop(src, src + 1, segment, "data", delivered)
+            self._trace_hop(src, dst, segment, "data", delivered)
         return frame_id
 
     def send_ack(self, src: int, ack: AckSegment) -> None:
         """Transmit a TCP ack from src toward the sender."""
         frame_id = self._next_frame_id
         self._next_frame_id = frame_id + 1
-        delivered = transmit(self.queue, src, src - 1, frame_id, ack, self.loss.p_tcp_ack,
-                             self.latency, self.rng, self.drop_override)
+        dst = src - 1
+        forced = None
+        if self.drop_override is not None:
+            forced = self.drop_override(frame_id, ack, src, dst)
+        if forced is None:
+            self.draws += 1
+            delivered = self._random() >= self.p_tcp_ack
+        else:
+            delivered = not forced
+        if delivered:
+            seq = self._seq
+            self._seq = seq + 1
+            heappush(self._heap, (self.now + self.latency, seq, dst, FRAME_ARRIVAL,
+                                  (frame_id, ack)))
         if self.trace is not None:
-            self._trace_hop(src, src - 1, ack, "ack", delivered)
+            self._trace_hop(src, dst, ack, "ack", delivered)
+
+    def schedule(self, fire_at: int, target: int, kind: int, arg: object = None) -> None:
+        """Push one timer event; fire_at may not lie behind the clock."""
+        if fire_at < self.now:
+            raise SchedulingError(
+                f"event kind {kind} for node {target} scheduled at t={fire_at}us "
+                f"behind the clock t={self.now}us"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (fire_at, seq, target, kind, arg))
 
     def note(self, node_id: int, action: str, seq: int) -> None:
         """Trace a cache transition; nothing else sees it."""
         if self.trace is not None:
-            self.trace(f"DTC node={node_id} action={action} seq={seq} t={self.queue.now}")
+            self.trace(f"DTC node={node_id} action={action} seq={seq} t={self.now}")
 
     # -- event loop -----------------------------------------------------------------
 
     def run(self) -> RunMetrics:
-        queue = self.queue
-        rng = self.rng
+        heap = self._heap
+        rand = self._random
         trace = self.trace
         sender = self.sender
         receiver = self.receiver
         nodes = self.nodes
         receiver_id = self.receiver_id
         latency = self.latency
-        p_ll_ack = self.loss.p_ll_ack
+        p_ll_ack = self.p_ll_ack
         budget = self.scenario.max_events
         processed = 0
-        sender.start(queue.now)
-        while True:
-            event = queue.pop_next()
-            if event is None:
-                raise LivenessError(
-                    f"event queue drained at t={queue.now}us with "
-                    f"{receiver.delivered_in_order}/{receiver.total} segments delivered"
-                )
+        sender.start(self.now)
+        while heap:
+            now, _, target, kind, arg = heappop(heap)
+            self.now = now
             processed += 1
             if processed > budget:
                 raise LivenessError(
-                    f"run exceeded the {budget} event budget at t={queue.now}us "
+                    f"run exceeded the {budget} event budget at t={now}us "
                     f"({receiver.delivered_in_order}/{receiver.total} delivered)"
                 )
-            now, _, target, kind, arg = event
             if kind == FRAME_ARRIVAL:
                 frame_id, segment = arg
                 is_data = type(segment) is DataSegment
                 transmitter = target - 1 if is_data else target + 1
                 # drawn always, pushed only to its one reader (module docstring)
-                acked = rng.uniform_draw() >= p_ll_ack
+                self.draws += 1
+                acked = rand() >= p_ll_ack
                 if acked and 0 <= transmitter < receiver_id:
                     entry = nodes[transmitter].cache
                     if entry is not None and entry.state is AWAITING and entry.frame_id == frame_id:
-                        queue.schedule(now + latency, transmitter, LL_ACK_ARRIVAL, arg=frame_id)
+                        seq = self._seq
+                        self._seq = seq + 1
+                        heappush(heap, (now + latency, seq, transmitter, LL_ACK_ARRIVAL, frame_id))
                 if trace is not None:
                     self._trace_hop(target, transmitter, segment, "llack", acked)
                 if is_data:
@@ -216,6 +274,11 @@ class Simulation:
                 sender.on_send_slot(now)
             else:
                 raise AssertionError(f"unknown event kind {kind!r}")
+        else:
+            raise LivenessError(
+                f"event queue drained at t={self.now}us with "
+                f"{receiver.delivered_in_order}/{receiver.total} segments delivered"
+            )
         # the state machines hold this simulation as their sink; cut that
         # cycle so a finished run is freed at once, not at the next full
         # garbage collection (a sweep's peak memory would show the wait)
@@ -232,5 +295,5 @@ class Simulation:
             completion_time=self.sender.completed_at,
             delivered_segments=self.receiver.delivered_in_order,
             local_retransmissions_total=sum(n.local_retx_count for n in self.nodes),
-            rng_draws=self.rng.draws,
+            rng_draws=self.draws,
         )

@@ -8,6 +8,7 @@ base_seed + run index) and aggregation is a fold over collected metrics.
 from __future__ import annotations
 
 import dataclasses
+import os
 import statistics
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -129,7 +130,8 @@ def sweep(
     Every cell reuses the same seed list, so paired comparisons across
     cells (with/without caching) see identical loss processes per seed
     index.  Rows come back grouped by cell, in run-index order,
-    regardless of job count.
+    regardless of job count.  At most min(jobs, runs x cells, CPU count)
+    worker processes run them.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
@@ -138,8 +140,9 @@ def sweep(
         for cell in cells
         for k in range(runs)
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(processes=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(processes=workers) as pool:
             return pool.map(_run_record, tasks, chunksize=4)
     return [_run_record(task) for task in tasks]
 

@@ -1,4 +1,7 @@
-from dtcsim.events import EventQueue
+from contextlib import contextmanager
+from unittest import mock
+
+from dtcsim import engine
 from dtcsim.packets import DataSegment
 
 
@@ -45,7 +48,7 @@ class Recorder:
     def send_ack(self, src, ack):
         self.calls.append(("send_ack", src, ack))
 
-    def schedule(self, fire_at, target, kind, *, arg=None):
+    def schedule(self, fire_at, target, kind, arg=None):
         self.calls.append(("schedule", fire_at, target, kind, arg))
 
     def note(self, node_id, action, seq):
@@ -60,21 +63,17 @@ def emitted(handler, *args):
     return list(out.calls)
 
 
-class WatchedQueue(EventQueue):
-    """An event queue that calls ``on_push(fire_at, target, kind, arg)``
-    just before each push, while the run's state is as the pusher left it."""
+@contextmanager
+def watch_pushes(on_push):
+    """Call ``on_push(fire_at, target, kind, arg)`` just before each event
+    push a Simulation makes inside the block, while the run's state is as
+    the pusher left it."""
+    push = engine.heappush
 
-    def __init__(self, on_push) -> None:
-        super().__init__()
-        self.on_push = on_push
+    def watched(heap, event):
+        fire_at, _, target, kind, arg = event
+        on_push(fire_at, target, kind, arg)
+        push(heap, event)
 
-    def schedule(self, fire_at, target, kind, *, arg=None):
-        self.on_push(fire_at, target, kind, arg)
-        super().schedule(fire_at, target, kind, arg=arg)
-
-
-def watch_pushes(sim, on_push):
-    """Route every push of a not yet started Simulation through on_push."""
-    assert len(sim.queue) == 0
-    sim.queue = WatchedQueue(on_push)
-    sim.schedule = sim.queue.schedule
+    with mock.patch.object(engine, "heappush", watched):
+        yield

@@ -1,11 +1,15 @@
 import dataclasses
 import math
 import re
+from heapq import heappop
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dtcsim import engine, harness
 from dtcsim.engine import LivenessError, Simulation
+from dtcsim.events import FRAME_ARRIVAL
 from dtcsim.harness import (
     RunMetrics,
     RunRecord,
@@ -15,6 +19,8 @@ from dtcsim.harness import (
     run,
     sweep,
 )
+
+from conftest import ScriptedDrops, watch_pushes
 
 
 HOP_LINE = re.compile(r"HOP from=(\S+) to=(\S+) kind=(\S+) result=delivered t=(\d+)")
@@ -184,6 +190,35 @@ def test_parallel_sweep_matches_serial():
     assert sweep(cells, 2, 3, jobs=2) == sweep(cells, 2, 3, jobs=1)
 
 
+@pytest.mark.parametrize("cpus, workers", [(64, [4]), (3, [3]), (1, []), (None, [])])
+def test_sweep_pool_is_capped_by_tasks_and_cpus(monkeypatch, cpus, workers):
+    # --jobs 100000 must not ask for 100,000 processes: 4 tasks, `cpus` cores
+    sizes = []
+
+    class SerialPool:
+        """Stands in for multiprocessing.Pool: notes its size, maps in process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(harness, "Pool", SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    cells = [scenario(p_data=0.1, total_segments=10, dtc_enabled=False),
+             scenario(p_data=0.1, total_segments=10, dtc_enabled=True)]
+    rows = sweep(cells, 2, 3, jobs=100_000)
+    assert sizes == workers
+    assert rows == sweep(cells, 2, 3, jobs=1)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_failing_sweep_run_names_its_scenario_and_seed(jobs):
     cell = Scenario(hops=6, p_data=0.2, dtc_enabled=True, total_segments=50, max_events=100)
@@ -296,3 +331,57 @@ def test_whole_runs_conserve_segments_and_transmissions(knobs, dtc):
     if knobs["p_data"] == 0.0:
         # with nothing lost a cache never acts: both modes run alike
         assert metrics == run(Scenario(dtc_enabled=not dtc, **knobs))
+
+
+scripted_drops = st.dictionaries(st.tuples(st.integers(1, 10), st.integers(-1, 4)),
+                                 st.integers(1, 3), max_size=6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_runs, st.booleans(), st.one_of(st.none(), scripted_drops))
+def test_every_draw_is_a_send_or_an_arrival(knobs, dtc, rules):
+    # rng_draws = one loss draw per send the override leaves to chance + one
+    # ll-ack draw per frame arrival processed; each popped arrival is the
+    # frame of exactly one send that survived
+    verdicts = []
+    override = None
+    if rules is not None:
+        scripted = ScriptedDrops(rules)
+
+        def override(*frame):
+            verdicts.append(scripted(*frame))
+            return verdicts[-1]
+
+    sim = Simulation(Scenario(dtc_enabled=dtc, **knobs), drop_override=override)
+    sends = []
+
+    def counted(send):
+        def call(*args):
+            sends.append(args)
+            return send(*args)
+        return call
+
+    sim.send_data = counted(sim.send_data)
+    sim.send_ack = counted(sim.send_ack)
+    pushed = {}
+    popped = []
+
+    def on_push(fire_at, target, kind, arg):
+        if kind == FRAME_ARRIVAL:
+            assert arg[0] not in pushed
+            pushed[arg[0]] = arg
+
+    def pop(heap):
+        event = heappop(heap)
+        if event[3] == FRAME_ARRIVAL:
+            popped.append(event[4])
+        return event
+
+    with watch_pushes(on_push), mock.patch.object(engine, "heappop", pop):
+        metrics = sim.run()
+    assert metrics.delivered_segments == knobs["total_segments"]
+    decided = sum(verdict is not None for verdict in verdicts)
+    assert metrics.rng_draws == len(sends) - decided + len(popped)
+    assert len(pushed) <= len(sends)
+    assert len({arg[0] for arg in popped}) == len(popped)
+    assert all(pushed[arg[0]] is arg for arg in popped)

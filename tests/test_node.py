@@ -364,7 +364,7 @@ TIMER_BY_STATE = {None: [], AWAITING: [LL_TIMEOUT], REPLACEABLE: [], LOCKED: [LO
 
 def live_timers(sim, node):
     """Kinds of the node's queued timers that still match its generation."""
-    return [kind for _, _, target, kind, arg in sim.queue._heap
+    return [kind for _, _, target, kind, arg in sim._heap
             if target == node.node_id and kind in (LL_TIMEOUT, LOCAL_RTO)
             and arg == node.timer_generation]
 
@@ -374,7 +374,7 @@ def checked(sim, node, handler):
         handler(*args)
         state = None if node.cache is None else node.cache.state
         assert live_timers(sim, node) == TIMER_BY_STATE[state], (
-            f"node {node.node_id} after {handler.__name__}{args} at t={sim.queue.now}")
+            f"node {node.node_id} after {handler.__name__}{args} at t={sim.now}")
     return call
 
 
@@ -414,11 +414,11 @@ def test_ll_acks_are_pushed_only_to_a_node_awaiting_them(knobs, dtc):
         if kind == LL_ACK_ARRIVAL:
             entry = sim.nodes[target].cache if 0 <= target < sim.receiver_id else None
             assert entry is not None and entry.state == AWAITING and entry.frame_id == arg, (
-                f"ll ack of frame {arg} pushed to {target} at t={sim.queue.now}")
+                f"ll ack of frame {arg} pushed to {target} at t={sim.now}")
             pushed.append(arg)
 
-    watch_pushes(sim, on_push)
-    assert sim.run().delivered_segments == knobs["total_segments"]
+    with watch_pushes(on_push):
+        assert sim.run().delivered_segments == knobs["total_segments"]
     assert len(set(pushed)) == len(pushed)          # at most one ll ack per frame
     if not dtc:
         assert pushed == []
