@@ -107,15 +107,17 @@ class Key(NamedTuple):
     """One config key; its flag is --key with underscores as dashes."""
 
     parse: Callable[[str], object]      # text -> value, for the file and the flag
-    field: Optional[str]                # Scenario field; None for front-end keys
+    field: Optional[str]                # Scenario field it sets; None for front-end keys
     metavar: Optional[str] = None
     help: Optional[str] = None
 
 
-# config key -> how to read it and where it goes; Scenario holds the defaults
+# config key -> how to read it and where it goes; Scenario holds the defaults.
+# hops and loss are the sweep grid: Config keeps their lists, and each cell
+# sets its field from one value of each
 CONFIG_KEYS = {
-    "hops": Key(_parse_int_list, None, "N[,N...]"),
-    "loss": Key(_parse_float_list, None, "P[,P...]"),
+    "hops": Key(_parse_int_list, "hops", "N[,N...]"),
+    "loss": Key(_parse_float_list, "p_data", "P[,P...]"),
     "mode": Key(str, None),             # its flag is --dtc on|off|both
     "segments": Key(int, "total_segments", "N"),
     "window": Key(int, "window", "N"),
@@ -154,11 +156,10 @@ class Config:
     knobs: dict = field(default_factory=dict)   # Scenario field -> value, as given
 
     def set(self, key: str, value) -> None:
-        knob = CONFIG_KEYS.get(key)
-        if knob is not None and knob.field is not None:
-            self.knobs[knob.field] = value
-        else:
+        if hasattr(self, key):          # a front-end key or a grid axis
             setattr(self, key, value)
+        else:
+            self.knobs[CONFIG_KEYS[key].field] = value
 
     def validate(self) -> None:
         """Check the front-end knobs, then build every cell's Scenario.
@@ -186,7 +187,10 @@ class Config:
         try:
             return Scenario(hops=hops, p_data=p_data, dtc_enabled=dtc, **self.knobs)
         except ValueError as exc:
-            raise ConfigError(f"bad scenario knob: {exc}") from exc
+            # Scenario's message starts with the field; name the key that set it
+            field = str(exc).split()[0]
+            key = next((k for k, spec in CONFIG_KEYS.items() if spec.field == field), field)
+            raise ConfigError(f"bad value for {key}: {exc}") from exc
 
     def cells(self) -> list:
         """One Scenario per (hops, loss, mode), in sweep order."""

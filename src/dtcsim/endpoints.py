@@ -7,13 +7,10 @@ behind a flag, default off).  Neither endpoint knows anything about the
 in-network caches between them.
 
 The sender's handlers return nothing; they emit into the sink ``out``
-given at construction (the run's ``Simulation``, or a recorder in unit
-tests): ``out.send_data(SENDER, segment)`` transmits a segment toward the
-chain, and ``out.schedule(at, SENDER, kind, ...)`` (re)arms the
-retransmission timer (``SENDER_RTO``, with its generation) or wakes the
-pacing gate (``SEND_SLOT``).  Each transmission draws from the run's
-random source, so the order of these calls is part of every result.  The
-receiver just answers each segment with its ack, which the engine sends.
+given at construction (its calls are described in ``engine``): segments
+toward the chain, the retransmission timer (``SENDER_RTO``, with its
+generation) and wake-ups of the pacing gate (``SEND_SLOT``).  The receiver
+just answers each segment with its ack, which the engine sends.
 """
 
 from __future__ import annotations
@@ -82,32 +79,29 @@ class TcpSender:
         self.total_data_tx = 0
         self.completed_at: Optional[int] = None
         self.spacing = send_spacing
-        self._tx_queue = deque()        # (seq, is_retransmission)
+        self._tx_queue = deque()        # seqs waiting in the pacing gate
         self._next_free_at = 0
         self._slot_armed = False
 
     # -- pacing gate --------------------------------------------------------
 
-    def _queue_tx(self, seq: int, is_retx: bool) -> None:
-        if any(q == seq for q, _ in self._tx_queue):
-            return
-        self._tx_queue.append((seq, is_retx))
+    def _queue_tx(self, seq: int) -> None:
+        if seq not in self._tx_queue:
+            self._tx_queue.append(seq)
 
     def _drain(self, now: int) -> None:
         while self._tx_queue and now >= self._next_free_at:
-            seq, is_retx = self._tx_queue.popleft()
-            if seq < self.cumulative:
-                continue                # acknowledged while waiting in the gate
+            seq = self._tx_queue.popleft()
             entry = self.in_flight.get(seq)
             if entry is None:
-                continue
-            entry[1] += 1
-            if entry[0] is None:
-                entry[0] = now
-            self.total_data_tx += 1
-            if is_retx:
+                continue                # acknowledged while waiting in the gate
+            if entry[1]:                # sent before: a retransmission
                 self.e2e_retransmissions += 1
-            self.out.send_data(SENDER, DataSegment(seq, ORIGIN_E2E))
+            else:
+                entry[0] = now
+            entry[1] += 1
+            self.total_data_tx += 1
+            self.out.send(SENDER, DataSegment(seq, ORIGIN_E2E))
             self._next_free_at = now + self.spacing
         if self._tx_queue and not self._slot_armed:
             self._slot_armed = True
@@ -128,13 +122,17 @@ class TcpSender:
 
     # -- transfer -----------------------------------------------------------
 
+    def _fill_window(self, now: int) -> None:
+        """Queue never-sent segments up to the window, then drain the gate."""
+        while self.next_new <= self.total and len(self.in_flight) < self.window:
+            self.in_flight[self.next_new] = [None, 0]
+            self._tx_queue.append(self.next_new)
+            self.next_new += 1
+        self._drain(now)
+
     def start(self, now: int) -> None:
         """Queue the initial window (segments 1..w) and arm the timer."""
-        for seq in range(1, min(self.window, self.total) + 1):
-            self.in_flight[seq] = [None, 0]
-            self._queue_tx(seq, False)
-            self.next_new = seq + 1
-        self._drain(now)
+        self._fill_window(now)
         self._arm_rto(now)
 
     def on_ack(self, ack: AckSegment, now: int) -> None:
@@ -155,11 +153,7 @@ class TcpSender:
             self.cumulative = ack.ack_no
             self.backoff = 0
             self.dup_acks = 0
-            while self.next_new <= self.total and len(self.in_flight) < self.window:
-                self.in_flight[self.next_new] = [None, 0]
-                self._queue_tx(self.next_new, False)
-                self.next_new += 1
-            self._drain(now)
+            self._fill_window(now)
             if self.cumulative == self.total + 1:
                 self.completed_at = now
                 self.rto_generation += 1    # pending timer goes stale
@@ -170,16 +164,15 @@ class TcpSender:
         # unless fast retransmit is switched on
         self.dup_acks += 1
         if self.fast_retransmit and self.dup_acks == 3 and self.in_flight:
-            self._queue_tx(min(self.in_flight), True)
+            self._queue_tx(min(self.in_flight))
             self._drain(now)
 
     def on_rto(self, generation: int, now: int) -> None:
         if generation != self.rto_generation or self.completed_at is not None:
             return
         if self.in_flight:
-            oldest = min(self.in_flight)
-            if self.in_flight[oldest][0] is not None:
-                self._queue_tx(oldest, True)
+            # a never-sent oldest segment is still in the gate: a no-op
+            self._queue_tx(min(self.in_flight))
         self.backoff += 1
         self._drain(now)
         self._arm_rto(now)

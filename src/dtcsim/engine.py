@@ -11,11 +11,12 @@ source: it holds the heap of ``(fire_at, seq, target, kind, arg)`` tuples
 (see ``events``), the insertion counter behind ``seq``, ``now``, one
 seeded generator and the count of its draws.  The run loop pops the heap
 inline and branches on the int ``kind``, frame arrivals first.  It calls
-the protocol state machines in ``node`` and ``endpoints``, which emit
-straight back into the ``Simulation`` as their sink:
+the protocol state machines in ``node`` and ``endpoints``, whose handlers
+return nothing and emit straight back into the ``Simulation``, their sink
+``out`` (a recorder stands in for it in unit tests):
 
-    send_data(src, segment) -> frame_id   toward the receiver
-    send_ack(src, ack)                    toward the sender
+    send(src, payload) -> frame_id        a DataSegment toward the receiver,
+                                          an AckSegment toward the sender
     schedule(at, target, kind, arg=...)   a timer; never behind the clock
     note(node_id, action, seq)            a cache transition, trace only
 
@@ -56,7 +57,7 @@ from .events import (
 )
 from .endpoints import TcpReceiver, TcpSender
 from .node import AWAITING, CachingNode
-from .packets import AckSegment, DataSegment, render_payload
+from .packets import DataSegment, render_payload
 
 # A drop override lets tests script exact losses.  It is called as
 # drop_override(frame_id, segment, src, dst) and returns True to force a
@@ -150,51 +151,34 @@ class Simulation:
         )
 
     # -- the sink the state machines emit into ----------------------------------
-    # send_data and send_ack spell out the same send, one per direction, so a
-    # frame costs no extra call
 
-    def send_data(self, src: int, segment: DataSegment) -> int:
-        """Transmit a data segment from src toward the receiver; its frame id."""
+    def send(self, src: int, payload) -> int:
+        """Transmit one frame from src: a data segment toward the receiver,
+        an ack toward the sender; its frame id."""
         frame_id = self._next_frame_id
         self._next_frame_id = frame_id + 1
-        dst = src + 1
+        if type(payload) is DataSegment:
+            dst = src + 1
+            threshold = self.p_data
+        else:
+            dst = src - 1
+            threshold = self.p_tcp_ack
         forced = None
         if self.drop_override is not None:
-            forced = self.drop_override(frame_id, segment, src, dst)
+            forced = self.drop_override(frame_id, payload, src, dst)
         if forced is None:
             self.draws += 1
-            delivered = self._random() >= self.p_data
+            delivered = self._random() >= threshold
         else:
             delivered = not forced
         if delivered:
             seq = self._seq
             self._seq = seq + 1
             heappush(self._heap, (self.now + self.latency, seq, dst, FRAME_ARRIVAL,
-                                  (frame_id, segment)))
+                                  (frame_id, payload)))
         if self.trace is not None:
-            self._trace_hop(src, dst, segment, "data", delivered)
+            self._trace_hop(src, dst, payload, "data" if dst > src else "ack", delivered)
         return frame_id
-
-    def send_ack(self, src: int, ack: AckSegment) -> None:
-        """Transmit a TCP ack from src toward the sender."""
-        frame_id = self._next_frame_id
-        self._next_frame_id = frame_id + 1
-        dst = src - 1
-        forced = None
-        if self.drop_override is not None:
-            forced = self.drop_override(frame_id, ack, src, dst)
-        if forced is None:
-            self.draws += 1
-            delivered = self._random() >= self.p_tcp_ack
-        else:
-            delivered = not forced
-        if delivered:
-            seq = self._seq
-            self._seq = seq + 1
-            heappush(self._heap, (self.now + self.latency, seq, dst, FRAME_ARRIVAL,
-                                  (frame_id, ack)))
-        if self.trace is not None:
-            self._trace_hop(src, dst, ack, "ack", delivered)
 
     def schedule(self, fire_at: int, target: int, kind: int, arg: object = None) -> None:
         """Push one timer event; fire_at may not lie behind the clock."""
@@ -253,7 +237,7 @@ class Simulation:
                     self._trace_hop(target, transmitter, segment, "llack", acked)
                 if is_data:
                     if target == receiver_id:
-                        self.send_ack(receiver_id, receiver.on_data(segment))
+                        self.send(receiver_id, receiver.on_data(segment))
                     else:
                         nodes[target].on_data(segment, now)
                 elif target == SENDER:

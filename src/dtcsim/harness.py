@@ -47,9 +47,9 @@ class Scenario:
     max_events: int = 100_000_000
 
     def __post_init__(self) -> None:
-        """Reject knob values no run can use; each message names the knob."""
+        """Reject knob values no run can use; each message starts with the field."""
         if self.hops < 2:
-            raise ValueError(f"hops: a chain needs at least 2, got {self.hops}")
+            raise ValueError(f"hops must be >= 2 (a chain of two links), got {self.hops}")
         if not 0.0 <= self.p_data < 1.0:
             raise ValueError(f"p_data (per-hop data loss) must be in [0, 1), got {self.p_data!r}")
         if self.total_segments < 1:

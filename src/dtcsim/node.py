@@ -26,13 +26,8 @@ Timers carry a generation stamp; any cache mutation bumps the node's
 counter so stale expiries fall through harmlessly.
 
 Handlers return nothing; they emit into the sink ``out`` given at
-construction (the run's ``Simulation``, or a recorder in unit tests):
-``out.send_data(src, segment)`` transmits toward the receiver and returns
-the frame's id, ``out.send_ack(src, ack)`` transmits toward the sender,
-``out.schedule(at, node_id, kind, arg=generation)`` arms a timer, and
-``out.note(node_id, action, seq)`` marks a cache transition in the trace.
-Each transmission draws from the run's random source and takes the next
-frame id, so the order of these calls is part of every result.
+construction (its calls are described in ``engine``), and the order of
+those calls is part of every result.
 """
 
 from __future__ import annotations
@@ -111,7 +106,7 @@ class CachingNode:
         # Karn hygiene: a seq we retransmit ourselves yields no rtt sample
         self.pending_rtt.pop(seq, None)
         self.out.note(self.node_id, "local_retx", seq)
-        self.out.send_data(self.node_id, DataSegment(seq, ORIGIN_LOCAL))
+        self.out.send(self.node_id, DataSegment(seq, ORIGIN_LOCAL))
 
     def _retransmit_cached(self, now: int) -> None:
         """Resend the cached segment and restart its timer tier."""
@@ -136,14 +131,14 @@ class CachingNode:
         out = self.out
         if not self.enabled:
             self.data_tx_count += 1
-            out.send_data(self.node_id, segment)
+            out.send(self.node_id, segment)
             return
         seq = segment.seq
         if seq < self.last_ack_forwarded:
             # we already forwarded an ack covering this segment; that ack
             # evidently died upstream, so regenerate it instead of relaying
             out.note(self.node_id, "regen_ack", self.last_ack_forwarded)
-            out.send_ack(self.node_id, AckSegment(self.last_ack_forwarded))
+            out.send(self.node_id, AckSegment(self.last_ack_forwarded))
             return
         self.data_tx_count += 1
         entry = self.cache
@@ -153,10 +148,10 @@ class CachingNode:
             # ll ack keeps the slot (it may be the one that needs us)
             self.timer_generation += 1
             out.note(self.node_id, "cache", seq)
-            self.cache = CacheEntry(segment, out.send_data(self.node_id, segment))
+            self.cache = CacheEntry(segment, out.send(self.node_id, segment))
             out.schedule(now + self.ll_wait, self.node_id, LL_TIMEOUT, arg=self.timer_generation)
         else:
-            out.send_data(self.node_id, segment)
+            out.send(self.node_id, segment)
         if seq not in self._seen:
             self._seen.add(seq)
             self.pending_rtt[seq] = now
@@ -199,7 +194,7 @@ class CachingNode:
     def on_ack(self, ack: AckSegment, now: int) -> None:
         out = self.out
         if not self.enabled:
-            out.send_ack(self.node_id, ack)
+            out.send(self.node_id, ack)
             return
         # round-trip samples for every pending segment this ack vouches for
         if self.pending_rtt:
@@ -233,4 +228,4 @@ class CachingNode:
                 forward = sack_add(ack, cached)
         if forward.ack_no > self.last_ack_forwarded:
             self.last_ack_forwarded = forward.ack_no
-        out.send_ack(self.node_id, forward)
+        out.send(self.node_id, forward)

@@ -26,11 +26,11 @@ class ScriptedDrops:
 class Recorder:
     """A sink for a node or a sender that records what they emit, in order.
 
-    Stands in for the engine: ``send_data`` hands out frame ids 0, 1, 2, ...
-    Each call is recorded as a tuple:
+    Stands in for the engine (see ``dtcsim.engine`` for the calls): ``send``
+    hands out frame ids 0, 1, 2, ... to every frame, data or ack.  Each
+    call is recorded as a tuple:
 
-        ("send_data", src, segment, frame_id)
-        ("send_ack", src, ack)
+        ("send", src, payload, frame_id)
         ("schedule", fire_at, target, kind, arg)
         ("note", node_id, action, seq)
     """
@@ -39,14 +39,11 @@ class Recorder:
         self.calls = []
         self.next_frame_id = 0
 
-    def send_data(self, src, segment):
+    def send(self, src, payload):
         frame_id = self.next_frame_id
         self.next_frame_id += 1
-        self.calls.append(("send_data", src, segment, frame_id))
+        self.calls.append(("send", src, payload, frame_id))
         return frame_id
-
-    def send_ack(self, src, ack):
-        self.calls.append(("send_ack", src, ack))
 
     def schedule(self, fire_at, target, kind, arg=None):
         self.calls.append(("schedule", fire_at, target, kind, arg))

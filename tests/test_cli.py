@@ -110,8 +110,16 @@ RUN_ARGS = ["run", "--loss", "0.1", "--dtc", "on", "--segments", "5"]
     (["sweep", "--hops", "3", "--loss", ",", "--runs", "1"], "loss must list"),
     (["sweep", "--hops", "3,3", "--loss", "0.1", "--runs", "1"], "hops must not repeat"),
     (["sweep", "--hops", "3", "--loss", "0.1,0.10", "--runs", "1"], "loss must not repeat"),
+    # a Scenario rejection names the key that was typed, as a flag or a line
+    (["run", "--hops", "3", "--loss", "1.0", "--dtc", "on"], "bad value for loss: "),
+    (["run", "--hops", "3", "--dtc", "on", "--config", "loss = 1.0"], "bad value for loss: "),
+    (RUN_ARGS + ["--hops", "3", "--hop-latency-ms", "0.0004"], "bad value for hop_latency_ms: "),
+    (RUN_ARGS + ["--hops", "3", "--config", "hop_latency_ms = 0.0004"],
+     "bad value for hop_latency_ms: "),
 ])
 def test_bad_flag_exits_2_naming_the_knob(argv, knob, tmp_path, capsys, no_simulation):
+    # an argument that reads `key = value` is a config-file line: pass its file
+    argv = [write(tmp_path / "c.conf", arg + "\n") if " = " in arg else arg for arg in argv]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert knob in err

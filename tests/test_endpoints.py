@@ -1,3 +1,6 @@
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from conftest import Recorder, emitted
 from dtcsim.endpoints import TcpReceiver, TcpSender, update_rto
 from dtcsim.events import SEND_SLOT, SENDER, SENDER_RTO, US_PER_MS
@@ -17,7 +20,7 @@ def make_sender(total=500, window=3, spacing=0, **overrides):
 
 
 def sent_seqs(calls):
-    return [c[2].seq for c in calls if c[0] == "send_data"]
+    return [c[2].seq for c in calls if c[0] == "send"]
 
 
 def rto_arms(calls):
@@ -52,9 +55,9 @@ def test_blended_sample():
 def test_start_emits_initial_window():
     sender = make_sender(total=500, window=3)
     assert emitted(sender.start, 0) == [     # the window first, then the timer
-        ("send_data", SENDER, DataSegment(1), 0),
-        ("send_data", SENDER, DataSegment(2), 1),
-        ("send_data", SENDER, DataSegment(3), 2),
+        ("send", SENDER, DataSegment(1), 0),
+        ("send", SENDER, DataSegment(2), 1),
+        ("send", SENDER, DataSegment(3), 2),
         ("schedule", 300_000, SENDER, SENDER_RTO, sender.rto_generation),
     ]
     assert sender.total_data_tx == 3
@@ -79,7 +82,7 @@ def test_paced_start_spreads_transmissions():
     calls = emitted(sender.on_send_slot, 21_000)
     assert sent_seqs(calls) == [2]
     calls = emitted(sender.on_send_slot, 42_000)
-    assert calls == [("send_data", SENDER, DataSegment(3), 2)]     # no slot re-armed
+    assert calls == [("send", SENDER, DataSegment(3), 2)]     # no slot re-armed
 
 
 # -- sender ack handling ---------------------------------------------------------------
@@ -201,6 +204,48 @@ def test_counter_identity_tx_equals_total_plus_retx():
     assert sender.total_data_tx == 6 + 1
     assert sender.e2e_retransmissions == 1
     assert sender.total_data_tx - sender.e2e_retransmissions == 6
+
+
+# -- sender bookkeeping under any interleaving ---------------------------------------
+
+@pytest.mark.parametrize("fast_retransmit", [False, True])
+@settings(max_examples=100, deadline=None)
+@given(window=st.integers(1, 4), total=st.integers(1, 12),
+       spacing=st.sampled_from([0, 21_000]), data=st.data())
+def test_each_send_is_counted_once_and_retransmissions_after_the_first(
+        fast_retransmit, window, total, spacing, data):
+    # acks (never beyond the highest seq sent + 1), live and stale timeouts and
+    # gate wake-ups in any order; every data send lands in the recorder
+    sender = make_sender(total=total, window=window, spacing=spacing,
+                         fast_retransmit=fast_retransmit)
+    sent = []
+    now = 0
+    for step in range(data.draw(st.integers(1, 40))):
+        if step == 0:
+            calls = emitted(sender.start, now)
+        else:
+            now += data.draw(st.integers(0, 50_000))
+            action = data.draw(st.sampled_from(["ack", "rto", "slot"]))
+            if action == "ack":
+                highest = max(sent, default=0)
+                ack = AckSegment(data.draw(st.integers(1, highest + 1)),
+                                 data.draw(st.frozensets(st.integers(1, highest + 1), max_size=3)))
+                calls = emitted(sender.on_ack, ack, now)
+            elif action == "rto":
+                live = sender.rto_generation
+                generation = data.draw(st.one_of(st.just(live), st.integers(0, live)))
+                calls = emitted(sender.on_rto, generation, now)
+            else:
+                calls = emitted(sender.on_send_slot, now)
+        seqs = sent_seqs(calls)
+        assert all(sender.cumulative <= seq < sender.next_new for seq in seqs)
+        sent += seqs
+        assert sender.total_data_tx == len(sent)
+        # a seq's first send is new data; each later one is a retransmission
+        assert sender.e2e_retransmissions == len(sent) - len(set(sent))
+        # a never-sent segment in flight waits in the pacing gate, so a
+        # timeout that picks it queues nothing new
+        assert set(sender.in_flight) - set(sent) <= set(sender._tx_queue)
 
 
 # -- receiver ---------------------------------------------------------------------------

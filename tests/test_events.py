@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from dtcsim.engine import LivenessError, Simulation
 from dtcsim.events import SEND_SLOT, SENDER, SENDER_RTO, SchedulingError
 from dtcsim.harness import Scenario
+from dtcsim.packets import DataSegment
 
 
 class StubSender:
@@ -173,7 +174,7 @@ def test_same_seed_same_draws():
     assert [a._random() for _ in range(10)] == [b._random() for _ in range(10)]
     for sim in (a, b):
         for _ in range(10):
-            sim.send_data(SENDER, None)
+            sim.send(SENDER, DataSegment(1))
     assert a.draws == b.draws == 10
     assert a._heap == b._heap
 

@@ -361,8 +361,7 @@ def test_every_draw_is_a_send_or_an_arrival(knobs, dtc, rules):
             return send(*args)
         return call
 
-    sim.send_data = counted(sim.send_data)
-    sim.send_ack = counted(sim.send_ack)
+    sim.send = counted(sim.send)
     pushed = {}
     popped = []
 

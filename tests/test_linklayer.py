@@ -36,7 +36,7 @@ def make_sim(p_data, hops=8, latency=10, draw=None, drop_override=None):
 def send_data(sim, seq=1, src=0):
     """One data send; True when its arrival was pushed."""
     pushed = len(sim._heap)
-    sim.send_data(src, DataSegment(seq))
+    sim.send(src, DataSegment(seq))
     return len(sim._heap) > pushed
 
 
@@ -74,7 +74,7 @@ def test_link_latency_must_be_positive():
 
 def test_lossless_transmit_arrives_after_latency():
     sim = make_sim(0.0, latency=10_000)
-    assert sim.send_data(0, DataSegment(1)) == 0
+    assert sim.send(0, DataSegment(1)) == 0
     assert sim._heap == [(10_000, 0, 1, FRAME_ARRIVAL, (0, DataSegment(1)))]
 
 
@@ -88,21 +88,21 @@ def test_threshold_semantics_survive_iff_draw_at_least_threshold():
 def test_exactly_one_draw_per_transmission():
     sim = make_sim(0.10)
     for seq in range(50):
-        sim.send_data(0, DataSegment(seq))
+        sim.send(0, DataSegment(seq))
     for _ in range(20):
-        sim.send_ack(1, AckSegment(1))
+        sim.send(1, AckSegment(1))
     assert sim.draws == 70
 
 
 def test_ack_frames_use_the_halved_threshold():
     # the engine sends data against p_data and TCP acks against p_tcp_ack
     sim = make_sim(0.8, hops=3, latency=10_000, draw=Fixed(0.5))  # p_data 0.8 > 0.5 >= 0.4
-    sim.send_ack(1, AckSegment(1))
-    assert sim.send_data(0, DataSegment(1)) == 1    # frame ids count every send
+    sim.send(1, AckSegment(1))
+    assert sim.send(0, DataSegment(1)) == 1    # frame ids count every send
     assert sim.draws == 2
     assert sim._heap == [(10_000, 0, 0, FRAME_ARRIVAL, (0, AckSegment(1)))]  # ack survived, data lost
     sim._random = Fixed(0.3)
-    sim.send_ack(1, AckSegment(1))
+    sim.send(1, AckSegment(1))
     assert len(sim._heap) == 1
 
 
@@ -116,7 +116,7 @@ def test_frame_must_match_link_endpoints():
         return False
 
     sim = make_sim(0.5, drop_override=spy)
-    sim.send_ack(3, AckSegment(2))
+    sim.send(3, AckSegment(2))
     assert send_data(sim, seq=3, src=4)
     assert seen == [(0, AckSegment(2), 3, 2), (1, DataSegment(3), 4, 5)]
     assert sorted(event[2] for event in sim._heap) == [2, 5]
@@ -125,7 +125,7 @@ def test_frame_must_match_link_endpoints():
 def test_drop_override_forces_loss_without_a_draw():
     sim = make_sim(0.0, drop_override=lambda *frame: True)
     assert not send_data(sim)
-    sim.send_ack(1, AckSegment(1))
+    sim.send(1, AckSegment(1))
     assert sim.draws == 0
     assert sim._heap == []
 
@@ -146,7 +146,7 @@ def test_delivered_fraction_monte_carlo():
     sim = make_sim(0.10)
     n = 100_000
     for seq in range(n):
-        sim.send_data(0, DataSegment(seq))
+        sim.send(0, DataSegment(seq))
     assert 0.894 <= len(sim._heap) / n <= 0.906
 
 

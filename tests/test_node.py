@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from conftest import Recorder, emitted, watch_pushes
 from dtcsim.engine import Simulation
 from dtcsim.events import LL_ACK_ARRIVAL, LL_TIMEOUT, LOCAL_RTO
 from dtcsim.harness import Scenario
 from dtcsim.node import AWAITING, LOCKED, REPLACEABLE, CachingNode, initial_rtt
-from dtcsim.packets import ORIGIN_LOCAL, AckSegment, DataSegment
+from dtcsim.packets import ORIGIN_LOCAL, AckSegment, DataSegment, sack_covers
 
 MS = 1000
 
@@ -27,7 +28,7 @@ def make_node(node_id=5, hops_to_receiver=5, *, enabled=True):
 
 def data_sent(calls):
     """(segment, frame_id) of each data transmission."""
-    return [(c[2], c[3]) for c in calls if c[0] == "send_data"]
+    return [(c[2], c[3]) for c in calls if c[0] == "send" and type(c[2]) is DataSegment]
 
 
 def local_tx(calls):
@@ -35,7 +36,7 @@ def local_tx(calls):
 
 
 def acks_up(calls):
-    return [c[2] for c in calls if c[0] == "send_ack"]
+    return [c[2] for c in calls if c[0] == "send" and type(c[2]) is AckSegment]
 
 
 def notes(calls):
@@ -81,10 +82,10 @@ def test_first_segment_cached_tentative_and_forwarded():
     # note, transmit, then arm the wait: the order the engine draws and pushes in
     assert calls == [
         ("note", 5, "cache", 1),
-        ("send_data", 5, DataSegment(1), 0),
+        ("send", 5, DataSegment(1), 0),
         ("schedule", 30 * MS, 5, LL_TIMEOUT, node.timer_generation),
     ]
-    assert node.cache.frame_id == 0                 # the id send_data returned
+    assert node.cache.frame_id == 0                 # the id send returned
     assert node.cache.state == AWAITING
     assert node.data_tx_count == 1
 
@@ -93,7 +94,7 @@ def test_awaiting_entry_not_displaced():
     node = make_node()
     node.on_data(DataSegment(1), 0)
     calls = emitted(node.on_data, DataSegment(2), 0)
-    assert calls == [("send_data", 5, DataSegment(2), 1)]   # forwarded but not cached
+    assert calls == [("send", 5, DataSegment(2), 1)]        # forwarded but not cached
     assert node.cache.segment.seq == 1 and node.cache.frame_id == 0
 
 
@@ -114,7 +115,7 @@ def test_locked_entry_never_displaced():
     calls = emitted(node.on_data, DataSegment(3), 50 * MS)
     assert node.cache.segment.seq == 1 and node.cache.frame_id == 0
     assert node.cache.state == LOCKED
-    assert calls == [("send_data", 5, DataSegment(3), 1)]
+    assert calls == [("send", 5, DataSegment(3), 1)]
 
 
 def test_data_below_forwarded_ack_regenerates_ack():
@@ -122,17 +123,17 @@ def test_data_below_forwarded_ack_regenerates_ack():
     node.last_ack_forwarded = 4
     calls = emitted(node.on_data, DataSegment(2), 0)
     assert data_sent(calls) == []                # data swallowed
-    assert calls == [("note", 5, "regen_ack", 4), ("send_ack", 5, AckSegment(4))]
+    assert calls == [("note", 5, "regen_ack", 4), ("send", 5, AckSegment(4), 0)]
     assert node.data_tx_count == 0
 
 
 def test_disabled_node_is_a_pure_relay():
     node = make_node(enabled=False)
     node.last_ack_forwarded = 9
-    assert emitted(node.on_data, DataSegment(2), 0) == [("send_data", 5, DataSegment(2), 0)]
+    assert emitted(node.on_data, DataSegment(2), 0) == [("send", 5, DataSegment(2), 0)]
     assert node.cache is None
     ack = AckSegment(1, {3})
-    assert emitted(node.on_ack, ack, 0) == [("send_ack", 5, ack)]
+    assert emitted(node.on_ack, ack, 0) == [("send", 5, ack, 1)]
 
 
 # -- link-layer ack handling ---------------------------------------------------------
@@ -192,7 +193,7 @@ def test_local_timer_retransmits_with_backoff():
     calls = emitted(node.on_local_rto, node.timer_generation, 180 * MS)
     assert calls == [
         ("note", 5, "local_retx", 2),
-        ("send_data", 5, DataSegment(2, ORIGIN_LOCAL), 1),
+        ("send", 5, DataSegment(2, ORIGIN_LOCAL), 1),
         # 1.5 * rtt doubled once
         ("schedule", 180 * MS + 300 * MS, 5, LOCAL_RTO, node.timer_generation),
     ]
@@ -207,7 +208,7 @@ def test_exhausted_retries_clear_the_cache():
     calls = emitted(node.on_local_rto, node.timer_generation, 10_000 * MS)
     assert calls == [                            # no timer armed
         ("note", 5, "local_retx", 2),
-        ("send_data", 5, DataSegment(2, ORIGIN_LOCAL), 1),
+        ("send", 5, DataSegment(2, ORIGIN_LOCAL), 1),
         ("note", 5, "clear", 2),
     ]
     assert node.cache is None
@@ -232,9 +233,9 @@ def test_uncovered_locked_segment_retransmitted_and_vouched():
     calls = emitted(node.on_ack, AckSegment(1, {3}), 200 * MS)
     assert calls == [
         ("note", 7, "local_retx", 2),
-        ("send_data", 7, DataSegment(2, ORIGIN_LOCAL), 1),
+        ("send", 7, DataSegment(2, ORIGIN_LOCAL), 1),
         ("schedule", 200 * MS + 90 * MS, 7, LOCAL_RTO, node.timer_generation),
-        ("send_ack", 7, AckSegment(1, {2, 3})),
+        ("send", 7, AckSegment(1, {2, 3}), 2),
     ]
     assert node.cache.state == LOCKED            # kept until covered
 
@@ -253,7 +254,7 @@ def test_covering_ack_clears_cache_and_forwards_unchanged():
     lock_cached(node, 3)
     calls = emitted(node.on_ack, AckSegment(4), 200 * MS)
     assert node.cache is None
-    assert calls == [("note", 5, "clear", 3), ("send_ack", 5, AckSegment(4))]
+    assert calls == [("note", 5, "clear", 3), ("send", 5, AckSegment(4), 1)]
     assert node.last_ack_forwarded == 4
 
 
@@ -277,7 +278,7 @@ def test_replaceable_entry_locks_on_uncovering_ack_without_retransmitting():
     assert calls == [                            # nothing retransmitted
         ("note", 5, "lock", 2),
         ("schedule", 100 * MS + 150 * MS, 5, LOCAL_RTO, node.timer_generation),
-        ("send_ack", 5, AckSegment(1, {2, 3})),
+        ("send", 5, AckSegment(1, {2, 3}), 1),
     ]
 
 
@@ -286,7 +287,7 @@ def test_awaiting_entry_left_alone_by_uncovering_ack():
     node.on_data(DataSegment(2), 0)
     calls = emitted(node.on_ack, AckSegment(1, {3}), 5 * MS)
     assert node.cache.state == AWAITING
-    assert calls == [("send_ack", 5, AckSegment(1, {3}))]
+    assert calls == [("send", 5, AckSegment(1, {3}), 1)]
 
 
 def test_tentative_cache_does_not_eat_acks_when_uncovered():
@@ -362,6 +363,10 @@ HANDLERS = ("on_data", "on_ack", "on_ll_ack", "on_ll_timeout", "on_local_rto")
 TIMER_BY_STATE = {None: [], AWAITING: [LL_TIMEOUT], REPLACEABLE: [], LOCKED: [LOCAL_RTO]}
 
 
+def state_of(node):
+    return None if node.cache is None else node.cache.state
+
+
 def live_timers(sim, node):
     """Kinds of the node's queued timers that still match its generation."""
     return [kind for _, _, target, kind, arg in sim._heap
@@ -372,8 +377,7 @@ def live_timers(sim, node):
 def checked(sim, node, handler):
     def call(*args):
         handler(*args)
-        state = None if node.cache is None else node.cache.state
-        assert live_timers(sim, node) == TIMER_BY_STATE[state], (
+        assert live_timers(sim, node) == TIMER_BY_STATE[state_of(node)], (
             f"node {node.node_id} after {handler.__name__}{args} at t={sim.now}")
     return call
 
@@ -422,3 +426,115 @@ def test_ll_acks_are_pushed_only_to_a_node_awaiting_them(knobs, dtc):
     assert len(set(pushed)) == len(pushed)          # at most one ll ack per frame
     if not dtc:
         assert pushed == []
+
+
+# -- one node as a state machine: its handlers in any order -----------------------
+
+# the moves of the module docstring: handler -> state before -> states after,
+# with None for an empty slot
+MOVES = {
+    "on_data": {None: {None, AWAITING}, AWAITING: {AWAITING},
+                REPLACEABLE: {REPLACEABLE, AWAITING}, LOCKED: {LOCKED}},
+    "on_ll_ack": {None: {None}, AWAITING: {AWAITING, REPLACEABLE},
+                  REPLACEABLE: {REPLACEABLE}, LOCKED: {LOCKED}},
+    "on_ll_timeout": {None: {None}, AWAITING: {AWAITING, LOCKED},
+                      REPLACEABLE: {REPLACEABLE}, LOCKED: {LOCKED}},
+    "on_local_rto": {None: {None}, AWAITING: {AWAITING},
+                     REPLACEABLE: {REPLACEABLE}, LOCKED: {LOCKED, None}},
+    "on_ack": {None: {None}, AWAITING: {AWAITING, None},
+               REPLACEABLE: {REPLACEABLE, LOCKED, None}, LOCKED: {LOCKED, None}},
+}
+
+STEP = st.integers(0, 100 * MS)
+
+
+class CacheNodeMachine(RuleBasedStateMachine):
+    """One caching node over the Recorder.  Data, acks and ll acks come in any
+    order, including orders no chain produces; a timer fires only once armed,
+    but at any time and any number of times, so with a live or a stale
+    generation."""
+
+    def __init__(self):
+        super().__init__()
+        self.node = make_node()
+        self.now = 0
+        self.sent = []                  # every payload the node sent
+        self.armed = []                 # (kind, generation) of every timer armed
+
+    def call(self, name, *args):
+        node = self.node
+        before, before_state = node.cache, state_of(node)
+        calls = emitted(getattr(node, name), *args)
+        self.sent += [c[2] for c in calls if c[0] == "send"]
+        self.armed += [(c[3], c[4]) for c in calls if c[0] == "schedule"]
+        after = node.cache
+        assert state_of(node) in MOVES[name][before_state], (
+            f"{name}{args}: {before_state} -> {state_of(node)}")
+        if after is not None and after is not before:
+            # only data takes the slot, an empty or replaceable one: the
+            # segment just sent, as its frame
+            assert name == "on_data" and before_state in (None, REPLACEABLE)
+            assert after.state == AWAITING
+            assert data_sent(calls) == [(after.segment, after.frame_id)]
+        return before, before_state
+
+    # seqs and ack points are drawn near the node's forwarded ack point, so
+    # data is not all swallowed as long since acknowledged
+
+    @rule(offset=st.integers(-2, 4), dt=STEP)
+    def data(self, offset, dt):
+        self.now += dt
+        seq = max(1, self.node.last_ack_forwarded + offset)
+        self.call("on_data", DataSegment(seq), self.now)
+
+    @rule(offset=st.integers(-1, 3), above=st.frozensets(st.integers(1, 5), max_size=3),
+          dt=STEP)
+    def ack(self, offset, above, dt):
+        self.now += dt
+        ack_no = max(1, self.node.last_ack_forwarded + offset)
+        ack = AckSegment(ack_no, {ack_no + k for k in above})
+        before, before_state = self.call("on_ack", ack, self.now)
+        if before is None:
+            return
+        if sack_covers(ack, before.segment.seq):
+            assert self.node.cache is None      # an ack that vouches for it empties the slot
+        elif before_state != AWAITING:
+            # one that shows it missing downstream locks it (or keeps it locked)
+            assert self.node.cache is before and before.state == LOCKED
+
+    @rule(frame_id=st.integers(0, 20))
+    def ll_ack(self, frame_id):
+        self.call("on_ll_ack", frame_id)
+
+    @precondition(lambda self: self.node.cache is not None)
+    @rule()
+    def ll_ack_of_the_cached_frame(self):
+        before, before_state = self.call("on_ll_ack", self.node.cache.frame_id)
+        if before_state == AWAITING:
+            assert self.node.cache is before and before.state == REPLACEABLE
+
+    @precondition(lambda self: self.armed)
+    @rule(data=st.data(), live=st.booleans(), dt=STEP)
+    def fire(self, data, live, dt):
+        live_ones = [t for t in self.armed if t[1] == self.node.timer_generation]
+        kind, generation = data.draw(st.sampled_from(live_ones if live and live_ones else self.armed))
+        self.now += dt
+        self.call("on_ll_timeout" if kind == LL_TIMEOUT else "on_local_rto", generation, self.now)
+
+    @invariant()
+    def only_its_own_timer_is_live(self):
+        # AWAITING holds one live ll timeout, LOCKED one live local rto; each
+        # live firing bumps the generation, so a fired timer is never live
+        live = [kind for kind, generation in self.armed
+                if generation == self.node.timer_generation]
+        assert live == TIMER_BY_STATE[state_of(self.node)]
+
+    @invariant()
+    def counters_match_the_sends(self):
+        data = [p for p in self.sent if type(p) is DataSegment]
+        assert self.node.data_tx_count == len(data)
+        assert self.node.local_retx_count == sum(p.origin == ORIGIN_LOCAL for p in data)
+
+
+TestCacheNodeMachine = CacheNodeMachine.TestCase
+TestCacheNodeMachine.settings = settings(max_examples=100, stateful_step_count=40, deadline=None)
