@@ -160,9 +160,11 @@ class Simulation:
         if type(payload) is DataSegment:
             dst = src + 1
             threshold = self.p_data
+            kind = "data"
         else:
             dst = src - 1
             threshold = self.p_tcp_ack
+            kind = "ack"
         forced = None
         if self.drop_override is not None:
             forced = self.drop_override(frame_id, payload, src, dst)
@@ -177,7 +179,7 @@ class Simulation:
             heappush(self._heap, (self.now + self.latency, seq, dst, FRAME_ARRIVAL,
                                   (frame_id, payload)))
         if self.trace is not None:
-            self._trace_hop(src, dst, payload, "data" if dst > src else "ack", delivered)
+            self._trace_hop(src, dst, payload, kind, delivered)
         return frame_id
 
     def schedule(self, fire_at: int, target: int, kind: int, arg: object = None) -> None:

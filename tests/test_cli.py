@@ -3,10 +3,12 @@ from pathlib import Path
 import pytest
 
 from dtcsim.cli import (
+    CONFIG_KEYS,
     METRICS,
     NODES_CSV_HEADER,
     RUNS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
+    Config,
     ConfigError,
     load_config,
     main,
@@ -170,6 +172,29 @@ def test_bad_advanced_knob_exits_2_naming_it(line, knob, command, tmp_path, caps
         argv += ["--config", write(tmp_path / "c.conf", line + "\n")]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert knob in capsys.readouterr().err
+
+
+# a value Scenario rejects for each key that sets a field, as its parser returns it;
+# fast_retransmit is a bool, so no value of it is bad
+BAD_PARSED_VALUES = {
+    "hops": [1], "loss": [1.0], "segments": 0, "window": 0, "hop_latency_ms": 0,
+    "max_local_retries": -1, "ll_wait_multiplier": 0, "send_spacing_us": -1,
+    "rto_min_us": 0, "rto_max_us": 1, "rto_initial_us": 0,
+}
+
+
+def test_scenario_rejection_starts_with_the_field_of_its_key():
+    # Config.scenario finds the key by the first word of Scenario's message
+    assert set(BAD_PARSED_VALUES) == {
+        key for key, spec in CONFIG_KEYS.items() if spec.field is not None
+    } - {"fast_retransmit"}
+    for key, value in BAD_PARSED_VALUES.items():
+        config = Config()
+        config.set(key, value)
+        with pytest.raises(ConfigError) as excinfo:
+            config.validate()
+        assert str(excinfo.value).startswith(
+            f"bad value for {key}: {CONFIG_KEYS[key].field} "), key
 
 
 def test_every_advanced_flag_reaches_the_scenario(tmp_path, capsys, monkeypatch):
