@@ -212,7 +212,7 @@ def load_config(path: Optional[str], overrides: dict) -> Config:
     if path is not None:
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -245,47 +245,46 @@ def _scenario_id(scenario: Scenario) -> str:
     return f"h{scenario.hops}-p{scenario.p_data}-{_dtc_label(scenario.dtc_enabled)}"
 
 
-def _write_runs_csv(path: Path, records) -> None:
+def _write_csv(path: Path, header: list, rows) -> None:
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(RUNS_CSV_HEADER)
-        for record in records:
-            s = record.scenario
-            writer.writerow([
-                _scenario_id(s), s.hops, s.p_data, _dtc_label(s.dtc_enabled), s.seed,
-            ] + [getattr(record.metrics, m.field) for m in _RUNS_METRICS])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_runs_csv(path: Path, records) -> None:
+    _write_csv(path, RUNS_CSV_HEADER, (
+        [_scenario_id(s), s.hops, s.p_data, _dtc_label(s.dtc_enabled), s.seed]
+        + [getattr(metrics, m.field) for m in _RUNS_METRICS]
+        for s, metrics in records
+    ))
 
 
 def _write_summary_csv(path: Path, aggregates) -> None:
-    by_cell = {(a.hops, a.p_data, a.dtc_enabled): a for a in aggregates}
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SUMMARY_CSV_HEADER)
-        for agg in aggregates:
-            factor = ""
-            if agg.dtc_enabled:
-                base = by_cell.get((agg.hops, agg.p_data, False))
-                if base is not None:
-                    factor = f"{reduction_factor(base, agg):.6f}"
-            writer.writerow([
-                agg.hops, agg.p_data, _dtc_label(agg.dtc_enabled), agg.runs,
-            ] + [
-                f"{getattr(stat, m.field):.6f}"
-                for m in _SUMMARY_METRICS for stat in (agg.mean, agg.stddev)
-            ] + [f"{agg.mean_throughput():.6f}", factor])
+    """One row per cell; a caching row's factor divides by its cell's baseline row."""
+    by_cell = {agg.cell: agg for agg in aggregates}
+    rows = []
+    for agg in aggregates:
+        cell = agg.cell
+        factor = ""
+        if cell.dtc_enabled:
+            base = by_cell.get(dataclasses.replace(cell, dtc_enabled=False))
+            if base is not None:
+                factor = f"{reduction_factor(base, agg):.6f}"
+        rows.append([cell.hops, cell.p_data, _dtc_label(cell.dtc_enabled), agg.runs] + [
+            f"{getattr(stat, m.field):.6f}"
+            for m in _SUMMARY_METRICS for stat in (agg.mean, agg.stddev)
+        ] + [f"{agg.mean_throughput():.6f}", factor])
+    _write_csv(path, SUMMARY_CSV_HEADER, rows)
 
 
 def _write_nodes_csv(path: Path, aggregates) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(NODES_CSV_HEADER)
-        for agg in aggregates:
-            for index, (mean, std) in enumerate(
-                zip(agg.mean.per_node_data_tx, agg.stddev.per_node_data_tx)
-            ):
-                writer.writerow([
-                    _dtc_label(agg.dtc_enabled), index, f"{mean:.6f}", f"{std:.6f}",
-                ])
+    _write_csv(path, NODES_CSV_HEADER, (
+        [_dtc_label(agg.cell.dtc_enabled), index, f"{mean:.6f}", f"{std:.6f}"]
+        for agg in aggregates
+        for index, (mean, std) in enumerate(
+            zip(agg.mean.per_node_data_tx, agg.stddev.per_node_data_tx))
+    ))
 
 
 # -- commands -----------------------------------------------------------------
@@ -359,7 +358,7 @@ def _read_csv(path: Path, expected_header) -> list:
     try:
         with path.open(newline="") as handle:
             rows = list(csv.reader(handle))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ReportError(f"cannot read {path}: {exc}") from exc
     if not rows or rows[0] != expected_header:
         raise ReportError(f"{path.name}: unexpected header {rows[0] if rows else '(empty)'}")

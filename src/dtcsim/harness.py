@@ -1,8 +1,10 @@
 """Scenario definition, runs, sweeps, and aggregation.
 
 A Scenario pins every knob of one run, including the seed, so a run is a
-pure function of its Scenario.  Sweeps execute independent runs (seeds
-base_seed + run index) and aggregation is a fold over collected metrics.
+pure function of its Scenario.  A cell is a Scenario with seed 0: every
+knob a group of runs shares.  Sweeps execute independent runs of each cell
+(seeds base_seed + run index), and aggregation folds one cell's metrics
+into an Aggregate that keeps the cell.
 """
 
 from __future__ import annotations
@@ -69,6 +71,9 @@ class Scenario:
             if value is not None and value < 1:
                 raise ValueError(f"{knob} must be >= 1 us, got {value}")
         if self.rto_max < self.effective_rto_min():
+            if self.rto_min is not None:
+                raise ValueError(f"rto_min must be <= rto_max ({self.rto_max} us), "
+                                 f"got {self.rto_min}")
             raise ValueError(f"rto_max must be >= the effective rto_min "
                              f"({self.effective_rto_min()} us), got {self.rto_max}")
         if self.max_events < 1:
@@ -149,20 +154,21 @@ def sweep(
 
 @dataclass(frozen=True)
 class Aggregate:
-    """Per-(hops, p_data, dtc) means and sample standard deviations."""
+    """Means and sample standard deviations over the runs of one cell.
 
-    hops: int
-    p_data: float
-    dtc_enabled: bool
+    The cell is the Scenario the runs share, with seed 0, so it equals the
+    matching entry of the cell list the sweep ran.
+    """
+
+    cell: Scenario
     runs: int
-    total_segments: int
     mean: RunMetrics                    # each field averaged; tuples elementwise
     stddev: RunMetrics
 
     def mean_throughput(self) -> float:
         """Delivered segments per second of virtual time."""
         seconds = self.mean.completion_time / US_PER_S
-        return 0.0 if seconds == 0 else self.total_segments / seconds
+        return 0.0 if seconds == 0 else self.cell.total_segments / seconds
 
 
 def _mean_std(values: tuple) -> tuple:
@@ -176,23 +182,20 @@ def _mean_std(values: tuple) -> tuple:
 
 
 def aggregate(records: Sequence[RunRecord]) -> Aggregate:
-    """Mean and sample stddev of every RunMetrics field over the cell's runs."""
+    """Mean and sample stddev of every RunMetrics field over the cell's runs.
+
+    The records must share one cell: their scenarios may differ in the seed only.
+    """
     if not records:
         raise ValueError("cannot aggregate zero runs")
-    first = records[0].scenario
-    key = (first.hops, first.p_data, first.dtc_enabled)
+    cell = dataclasses.replace(records[0].scenario, seed=0)
     for record in records:
-        s = record.scenario
-        if (s.hops, s.p_data, s.dtc_enabled) != key:
-            raise ValueError(f"mixed scenario keys in aggregate: {key} vs "
-                             f"{(s.hops, s.p_data, s.dtc_enabled)}")
+        if dataclasses.replace(record.scenario, seed=0) != cell:
+            raise ValueError(f"mixed cells in aggregate: {cell} vs {record.scenario}")
     means, stddevs = zip(*(_mean_std(values) for values in zip(*(r.metrics for r in records))))
     return Aggregate(
-        hops=first.hops,
-        p_data=first.p_data,
-        dtc_enabled=first.dtc_enabled,
+        cell=cell,
         runs=len(records),
-        total_segments=first.total_segments,
         mean=RunMetrics(*means),
         stddev=RunMetrics(*stddevs),
     )
@@ -201,11 +204,13 @@ def aggregate(records: Sequence[RunRecord]) -> Aggregate:
 def reduction_factor(base: Aggregate, dtc: Aggregate) -> float:
     """How many end-to-end retransmissions the caches save, as a ratio.
 
-    The denominator is floored at one retransmission so a cache layer
-    that eliminates them entirely still yields a finite factor.
+    The two cells may differ in dtc_enabled only, the baseline first.  The
+    denominator is floored at one retransmission so a cache layer that
+    eliminates them entirely still yields a finite factor.
     """
-    if (base.hops, base.p_data) != (dtc.hops, dtc.p_data):
-        raise ValueError("reduction factor needs matching (hops, p_data) cells")
-    if base.dtc_enabled or not dtc.dtc_enabled:
+    if base.cell.dtc_enabled or not dtc.cell.dtc_enabled:
         raise ValueError("pass (baseline aggregate, caching aggregate) in that order")
+    if dataclasses.replace(base.cell, dtc_enabled=True) != dtc.cell:
+        raise ValueError(f"reduction factor needs cells that differ in dtc_enabled only: "
+                         f"{base.cell} vs {dtc.cell}")
     return base.mean.e2e_retransmissions / max(dtc.mean.e2e_retransmissions, 1.0)

@@ -1,3 +1,4 @@
+import csv
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,11 @@ RUN_ARGS = ["run", "--loss", "0.1", "--dtc", "on", "--segments", "5"]
     (RUN_ARGS + ["--hops", "3", "--hop-latency-ms", "0.0004"], "bad value for hop_latency_ms: "),
     (RUN_ARGS + ["--hops", "3", "--config", "hop_latency_ms = 0.0004"],
      "bad value for hop_latency_ms: "),
+    # rto_min above the default rto_max: the rto_min the user set is the bad value
+    (RUN_ARGS + ["--hops", "3", "--rto-min-us", "900000000"],
+     "bad value for rto_min_us: rto_min must be <= rto_max (60000000 us), got 900000000"),
+    (RUN_ARGS + ["--hops", "3", "--config", "rto_min_us = 900000000"],
+     "bad value for rto_min_us: rto_min must be <= rto_max (60000000 us), got 900000000"),
 ])
 def test_bad_flag_exits_2_naming_the_knob(argv, knob, tmp_path, capsys, no_simulation):
     # an argument that reads `key = value` is a config-file line: pass its file
@@ -138,6 +144,13 @@ def test_empty_or_repeating_grid_in_config_file_exits_2(line, message, tmp_path,
     path = write(tmp_path / "c.conf", line + "\n")
     assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_undecodable_config_file_exits_2(tmp_path, capsys, no_simulation):
+    path = tmp_path / "c.conf"
+    path.write_bytes(b"hops = 3\n\xff\n")
+    assert main(RUN_ARGS + ["--hops", "3", "--config", str(path)]) == 2
+    assert f"cannot read config file {path}" in capsys.readouterr().err
 
 
 def test_infinite_hop_latency_exits_2(tmp_path, capsys, no_simulation):
@@ -315,6 +328,20 @@ def test_rows_rederivable_from_scenario_and_seed(small_sweep):
         assert metrics.completion_time == int(fields[8])
 
 
+def test_one_mode_sweep_has_no_reduction_factor(tmp_path, capsys):
+    out = tmp_path / "results"
+    assert main(["sweep", "--hops", "2,3", "--loss", "0.1", "--dtc", "on", "--segments", "5",
+                 "--runs", "1", "--out", str(out)]) == 0
+    with (out / "summary.csv").open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["reduction_factor"] for row in rows] == ["", ""]    # no baseline twin
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    table = capsys.readouterr().out.splitlines()[2:4]       # hops loss baseline caching factor
+    assert [line.split()[:2] for line in table] == [["2", "0.10"], ["3", "0.10"]]
+    assert all(line.split()[2] == "-" and line.split()[4] == "-" for line in table)
+
+
 def test_sweep_determinism_byte_identical(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -411,3 +438,15 @@ def test_report_malformed_csv_exits_4(summary, tmp_path, capsys):
     (tmp_path / "summary.csv").write_text(summary)
     assert main(["report", str(tmp_path)]) == 4
     assert "summary.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b"\xff\n", id="undecodable-byte"),
+    pytest.param(b"x" * 131_073 + b"\n", id="field-over-csv-limit"),
+])
+def test_report_unreadable_csv_exits_4(content, tmp_path, capsys):
+    (tmp_path / "runs.csv").write_text(",".join(RUNS_CSV_HEADER) + "\n")
+    (tmp_path / "summary.csv").write_bytes((",".join(SUMMARY_CSV_HEADER) + "\n").encode()
+                                           + content)
+    assert main(["report", str(tmp_path)]) == 4
+    assert f"cannot read {tmp_path / 'summary.csv'}" in capsys.readouterr().err

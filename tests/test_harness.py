@@ -255,6 +255,9 @@ def test_aggregate_mean_and_stddev():
     assert agg.mean.e2e_retransmissions == 15
     assert math.isclose(agg.stddev.e2e_retransmissions, 7.0710678, rel_tol=1e-6)
     assert agg.runs == 2
+    # the cell is the runs' shared Scenario with seed 0, as a sweep's cell list holds it
+    assert agg.cell == scenario(total_segments=500, seed=0)
+    assert [f.name for f in dataclasses.fields(agg)] == ["cell", "runs", "mean", "stddev"]
 
 
 def test_single_run_aggregate_has_zero_stddev():
@@ -269,8 +272,12 @@ def test_per_node_vector_averaged_elementwise():
 
 
 def test_aggregate_rejects_mixed_cells():
-    with pytest.raises(ValueError):
-        aggregate([record(1), record(1, s=scenario(hops=7))])
+    # record() runs 500 segments; after hops, each second run differs in one knob
+    for other in (scenario(hops=7), scenario(total_segments=20),
+                  scenario(total_segments=500, window=8),
+                  scenario(total_segments=500, hop_latency=1_000)):
+        with pytest.raises(ValueError):
+            aggregate([record(1), record(1, s=other)])
 
 
 def test_aggregate_rejects_empty_input():
@@ -298,10 +305,13 @@ def test_reduction_factor_floor_prevents_division_by_zero():
 
 
 def test_reduction_factor_rejects_mismatched_cells():
-    base = aggregate([record(1, s=scenario(hops=6, dtc_enabled=False))])
-    dtc = aggregate([record(1, s=scenario(hops=8, dtc_enabled=True))])
-    with pytest.raises(ValueError):
-        reduction_factor(base, dtc)
+    # the two cells may differ in dtc_enabled only
+    for knob, base_value, dtc_value in (("hops", 6, 8), ("window", 3, 8),
+                                        ("hop_latency", 10_000, 1_000)):
+        base = aggregate([record(1, s=scenario(dtc_enabled=False, **{knob: base_value}))])
+        dtc = aggregate([record(1, s=scenario(dtc_enabled=True, **{knob: dtc_value}))])
+        with pytest.raises(ValueError):
+            reduction_factor(base, dtc)
 
 
 def test_reduction_factor_rejects_swapped_modes():
