@@ -2,12 +2,12 @@
 
 Commands:
     run     one scenario, metrics to stdout (optionally a full event trace)
-    sweep   grid of (hops, loss, mode) cells -> runs.csv + summary.csv
+    sweep   grid of (hops, loss, dtc) cells -> runs.csv + summary.csv
     fig4    per-node load profile preset (11 hops, 10% loss) -> nodes.csv
     report  human-readable tables from a directory of CSVs
 
 Exit codes: 0 success, 2 configuration error, 3 output I/O error,
-4 report input error.
+4 report input error, 5 a run that could not finish (LivenessError).
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
+from .engine import LivenessError
 from .events import US_PER_MS
 from .harness import (
     DEFAULT_RUNS,
     Scenario,
     aggregate,
+    dtc_label,
     reduction_factor,
     run as run_scenario,
     sweep,
@@ -118,7 +120,7 @@ class Key(NamedTuple):
 CONFIG_KEYS = {
     "hops": Key(_parse_int_list, "hops", "N[,N...]"),
     "loss": Key(_parse_float_list, "p_data", "P[,P...]"),
-    "mode": Key(str, None),             # its flag is --dtc on|off|both
+    "dtc": Key(str, None, "on|off|both", help="caching on, off, or both modes"),
     "segments": Key(int, "total_segments", "N"),
     "window": Key(int, "window", "N"),
     "runs": Key(int, None, "N"),
@@ -136,23 +138,22 @@ CONFIG_KEYS = {
 }
 
 
-_DTC_BY_MODE = {"dtc": [True], "baseline": [False], "both": [False, True]}
+_DTC_BY_MODE = {"on": [True], "off": [False], "both": [False, True]}
 
 # fig4's fixed load-profile cells, the longest chain at the midpoint loss
 # rate; they replace the grid flags, so only these cells are validated
-FIG4_GRID = {"hops": [11], "loss": [0.10], "mode": "both"}
+FIG4_GRID = {"hops": [11], "loss": [0.10], "dtc": "both"}
 
 
 @dataclass
 class Config:
     hops: list = field(default_factory=lambda: list(DEFAULT_SWEEP_HOPS))
     loss: list = field(default_factory=lambda: list(DEFAULT_SWEEP_LOSS))
-    mode: str = "both"                  # dtc | baseline | both
+    dtc: str = "both"                   # on | off | both
     runs: int = DEFAULT_RUNS
     seed: int = 1
     out: str = "results"
     jobs: int = 1
-    trace: bool = False
     knobs: dict = field(default_factory=dict)   # Scenario field -> value, as given
 
     def set(self, key: str, value) -> None:
@@ -169,8 +170,8 @@ class Config:
         """
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if self.mode not in _DTC_BY_MODE:
-            raise ConfigError(f"mode must be dtc, baseline or both, got {self.mode!r}")
+        if self.dtc not in _DTC_BY_MODE:
+            raise ConfigError(f"dtc must be on, off or both, got {self.dtc!r}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         for knob in ("hops", "loss"):
@@ -193,12 +194,12 @@ class Config:
             raise ConfigError(f"bad value for {key}: {exc}") from exc
 
     def cells(self) -> list:
-        """One Scenario per (hops, loss, mode), in sweep order."""
+        """One Scenario per (hops, loss, dtc), in sweep order."""
         return [
             self.scenario(h, p, dtc)
             for h in self.hops
             for p in self.loss
-            for dtc in _DTC_BY_MODE[self.mode]
+            for dtc in _DTC_BY_MODE[self.dtc]
         ]
 
 
@@ -237,14 +238,6 @@ def load_config(path: Optional[str], overrides: dict) -> Config:
 # -- csv emission -------------------------------------------------------------
 
 
-def _dtc_label(enabled: bool) -> str:
-    return "on" if enabled else "off"
-
-
-def _scenario_id(scenario: Scenario) -> str:
-    return f"h{scenario.hops}-p{scenario.p_data}-{_dtc_label(scenario.dtc_enabled)}"
-
-
 def _write_csv(path: Path, header: list, rows) -> None:
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
@@ -254,7 +247,7 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 def _write_runs_csv(path: Path, records) -> None:
     _write_csv(path, RUNS_CSV_HEADER, (
-        [_scenario_id(s), s.hops, s.p_data, _dtc_label(s.dtc_enabled), s.seed]
+        [s.cell_id, s.hops, s.p_data, dtc_label(s.dtc_enabled), s.seed]
         + [getattr(metrics, m.field) for m in _RUNS_METRICS]
         for s, metrics in records
     ))
@@ -271,7 +264,7 @@ def _write_summary_csv(path: Path, aggregates) -> None:
             base = by_cell.get(dataclasses.replace(cell, dtc_enabled=False))
             if base is not None:
                 factor = f"{reduction_factor(base, agg):.6f}"
-        rows.append([cell.hops, cell.p_data, _dtc_label(cell.dtc_enabled), agg.runs] + [
+        rows.append([cell.hops, cell.p_data, dtc_label(cell.dtc_enabled), agg.runs] + [
             f"{getattr(stat, m.field):.6f}"
             for m in _SUMMARY_METRICS for stat in (agg.mean, agg.stddev)
         ] + [f"{agg.mean_throughput():.6f}", factor])
@@ -280,7 +273,7 @@ def _write_summary_csv(path: Path, aggregates) -> None:
 
 def _write_nodes_csv(path: Path, aggregates) -> None:
     _write_csv(path, NODES_CSV_HEADER, (
-        [_dtc_label(agg.cell.dtc_enabled), index, f"{mean:.6f}", f"{std:.6f}"]
+        [dtc_label(agg.cell.dtc_enabled), index, f"{mean:.6f}", f"{std:.6f}"]
         for agg in aggregates
         for index, (mean, std) in enumerate(
             zip(agg.mean.per_node_data_tx, agg.stddev.per_node_data_tx))
@@ -290,16 +283,16 @@ def _write_nodes_csv(path: Path, aggregates) -> None:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_run(config: Config) -> int:
-    if len(config.hops) != 1 or len(config.loss) != 1 or config.mode == "both":
+def cmd_run(config: Config, trace: bool) -> int:
+    if len(config.hops) != 1 or len(config.loss) != 1 or config.dtc == "both":
         raise ConfigError("run takes exactly one hops value, one loss value, "
                           "and --dtc on or off")
     scenario = dataclasses.replace(
-        config.scenario(config.hops[0], config.loss[0], config.mode == "dtc"),
+        config.scenario(config.hops[0], config.loss[0], config.dtc == "on"),
         seed=config.seed,
     )
-    metrics = run_scenario(scenario, trace=print if config.trace else None)
-    print(f"scenario: {_scenario_id(scenario)} seed={scenario.seed}")
+    metrics = run_scenario(scenario, trace=print if trace else None)
+    print(f"scenario: {scenario.cell_id} seed={scenario.seed}")
     for m in METRICS:
         value = getattr(metrics, m.field)
         if isinstance(value, tuple):
@@ -445,9 +438,6 @@ def cmd_report(directory: str) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
-_MODE_BY_FLAG = {"on": "dtc", "off": "baseline", "both": "both"}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dtcsim",
@@ -468,12 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", metavar="FILE", help="key = value config file")
         for key, spec in CONFIG_KEYS.items():
-            if key == "mode":
-                p.add_argument("--dtc", dest="mode", choices=list(_MODE_BY_FLAG),
-                               help="caching on, off, or both modes")
-            else:
-                p.add_argument("--" + key.replace("_", "-"), dest=key, type=flag_type(spec),
-                               metavar=spec.metavar, help=spec.help)
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=flag_type(spec),
+                           metavar=spec.metavar, help=spec.help)
 
     p_run = sub.add_parser("run", help="execute a single run")
     add_common(p_run)
@@ -499,22 +485,21 @@ def main(argv=None) -> int:
     if args.command == "report":
         return cmd_report(args.directory)
     overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
-    if args.mode is not None:
-        overrides["mode"] = _MODE_BY_FLAG[args.mode]
     if args.command == "fig4":
         overrides.update(FIG4_GRID)
-    if getattr(args, "trace", False):
-        overrides["trace"] = True
     try:
         config = load_config(args.config, overrides)
         if args.command == "run":
-            return cmd_run(config)
+            return cmd_run(config, args.trace)
         if args.command == "sweep":
             return cmd_sweep(config)
         return cmd_fig4(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except LivenessError as exc:        # its message names the run and seed
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 def entrypoint() -> None:

@@ -66,7 +66,8 @@ DropOverride = Callable[[int, object, int, int], Optional[bool]]
 
 
 class LivenessError(RuntimeError):
-    """The run exceeded its event budget without completing."""
+    """The run stopped without completing: its event budget ran out, or its
+    queue drained.  The message starts with ``<cell_id> seed=<seed>: ``."""
 
 
 class RunMetrics(NamedTuple):
@@ -219,6 +220,7 @@ class Simulation:
             processed += 1
             if processed > budget:
                 raise LivenessError(
+                    f"{self.scenario.cell_id} seed={self.scenario.seed}: "
                     f"run exceeded the {budget} event budget at t={now}us "
                     f"({receiver.delivered_in_order}/{receiver.total} delivered)"
                 )
@@ -262,6 +264,7 @@ class Simulation:
                 raise AssertionError(f"unknown event kind {kind!r}")
         else:
             raise LivenessError(
+                f"{self.scenario.cell_id} seed={self.scenario.seed}: "
                 f"event queue drained at t={self.now}us with "
                 f"{receiver.delivered_in_order}/{receiver.total} segments delivered"
             )

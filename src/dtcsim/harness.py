@@ -16,13 +16,18 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import NamedTuple, Optional, Sequence
 
-from .engine import LivenessError, RunMetrics, Simulation      # RunMetrics re-exported
+from .engine import RunMetrics, Simulation      # RunMetrics re-exported
 from .events import US_PER_MS, US_PER_S
 
 DEFAULT_SEGMENTS = 500
 DEFAULT_WINDOW = 3
 DEFAULT_HOP_LATENCY = 10 * US_PER_MS
 DEFAULT_RUNS = 30
+
+
+def dtc_label(enabled: bool) -> str:
+    """A caching mode as written in results files, run names and the dtc key."""
+    return "on" if enabled else "off"
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,16 @@ class Scenario:
         if self.max_events < 1:
             raise ValueError(f"max_events must be >= 1, got {self.max_events}")
 
+    @property
+    def cell_id(self) -> str:
+        """The run's name without its seed, ``h<hops>-p<p_data>-<on|off>``.
+
+        It is the ``scenario_id`` column of runs.csv, the ``scenario:`` line
+        of ``dtcsim run``, and the start of every LivenessError message,
+        followed there by ``seed=<seed>``.
+        """
+        return f"h{self.hops}-p{self.p_data}-{dtc_label(self.dtc_enabled)}"
+
     def path_delay(self) -> int:
         """One-way sender-to-receiver delay over the whole chain."""
         return self.hops * self.hop_latency
@@ -115,13 +130,8 @@ def run(scenario: Scenario, trace=None, drop_override=None) -> RunMetrics:
 
 
 def _run_record(scenario: Scenario) -> RunRecord:
-    """One sweep task; a run that fails says which one it was."""
-    try:
-        return RunRecord(scenario, run(scenario))
-    except LivenessError as exc:
-        mode = "dtc" if scenario.dtc_enabled else "baseline"
-        raise LivenessError(f"hops={scenario.hops} p_data={scenario.p_data} mode={mode} "
-                            f"seed={scenario.seed}: {exc}") from exc
+    """One sweep task."""
+    return RunRecord(scenario, run(scenario))
 
 
 def sweep(

@@ -211,7 +211,7 @@ class CachingNode:
                 self.cache = None
                 self.timer_generation += 1
                 out.note(self.node_id, "clear", cached)
-            elif entry.state == LOCKED and ack.ack_no <= cached:
+            elif entry.state == LOCKED:
                 self._retransmit_cached(now)
                 if gaps_filled_with(ack, cached):
                     # with our segment back in flight nothing above the
@@ -220,7 +220,7 @@ class CachingNode:
                     out.note(self.node_id, "drop_ack", cached)
                     return
                 forward = sack_add(ack, cached)
-            elif entry.state == REPLACEABLE and ack.ack_no <= cached:
+            elif entry.state == REPLACEABLE:
                 # the next hop link-acked this segment, yet the ack stream
                 # says it is still missing downstream: lock it and vouch for
                 # it; the timer (or the next uncovering ack) retransmits

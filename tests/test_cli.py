@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from dtcsim.cli import (
     SUMMARY_CSV_HEADER,
     Config,
     ConfigError,
+    _build_parser,
     load_config,
     main,
 )
@@ -30,7 +32,7 @@ def test_defaults_without_file_or_flags():
     assert config.runs == 30
     assert config.hops == [6, 7, 8, 9, 10, 11]
     assert config.loss == [0.05, 0.10, 0.15]
-    assert config.mode == "both"
+    assert config.dtc == "both"
 
 
 def test_file_values_parsed(tmp_path):
@@ -40,14 +42,14 @@ def test_file_values_parsed(tmp_path):
         loss = 0.05          # per-hop data loss
         runs = 5
         seed = 42
-        mode = baseline
+        dtc = off
     """)
     config = load_config(path, {})
     assert config.hops == [6, 11]
     assert config.loss == [0.05]
     assert config.runs == 5
     assert config.seed == 42
-    assert config.mode == "baseline"
+    assert config.dtc == "off"
 
 
 def test_flags_override_file(tmp_path):
@@ -124,6 +126,11 @@ RUN_ARGS = ["run", "--loss", "0.1", "--dtc", "on", "--segments", "5"]
      "bad value for rto_min_us: rto_min must be <= rto_max (60000000 us), got 900000000"),
     (RUN_ARGS + ["--hops", "3", "--config", "rto_min_us = 900000000"],
      "bad value for rto_min_us: rto_min must be <= rto_max (60000000 us), got 900000000"),
+    # the caching mode has one spelling, the same as a flag and as a line
+    (RUN_ARGS + ["--hops", "3", "--dtc", "maybe"], "dtc must be on, off or both, got 'maybe'"),
+    (["run", "--hops", "3", "--loss", "0.1", "--config", "dtc = maybe"],
+     "dtc must be on, off or both, got 'maybe'"),
+    (RUN_ARGS + ["--hops", "3", "--config", "mode = both"], "unknown key 'mode'"),
 ])
 def test_bad_flag_exits_2_naming_the_knob(argv, knob, tmp_path, capsys, no_simulation):
     # an argument that reads `key = value` is a config-file line: pass its file
@@ -229,6 +236,15 @@ def test_every_advanced_flag_reaches_the_scenario(tmp_path, capsys, monkeypatch)
     )]
 
 
+def test_every_config_key_is_exactly_one_flag():
+    commands = _build_parser()._subparsers._group_actions[0].choices
+    for command in ("run", "sweep", "fig4"):
+        actions = commands[command]._actions
+        for key in CONFIG_KEYS:
+            options = [a.option_strings for a in actions if a.dest == key]
+            assert options == [["--" + key.replace("_", "-")]], (command, key, options)
+
+
 # -- run command ---------------------------------------------------------------------
 
 def test_run_prints_metrics(capsys):
@@ -251,6 +267,24 @@ def test_run_trace_emits_hop_lines(capsys):
 
 def test_run_requires_single_cell():
     assert main(["run", "--hops", "3,4", "--loss", "0.0", "--dtc", "on"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    RUN_ARGS + ["--hops", "6", "--loss", "0.2", "--segments", "50", "--seed", "7"],
+    ["sweep", "--hops", "6", "--loss", "0.2", "--dtc", "on", "--segments", "50",
+     "--runs", "2", "--seed", "7", "--jobs", "1"],
+    ["sweep", "--hops", "6", "--loss", "0.2", "--dtc", "on", "--segments", "50",
+     "--runs", "2", "--seed", "7", "--jobs", "2"],
+], ids=["run", "sweep-jobs-1", "sweep-jobs-2"])
+def test_run_that_cannot_finish_exits_5_naming_it(argv, tmp_path, capsys, monkeypatch):
+    # a real budget overrun: every cell the config builds gets a tiny event budget
+    build = Config.scenario
+    monkeypatch.setattr(Config, "scenario", lambda self, *cell: dataclasses.replace(
+        build(self, *cell), max_events=50))
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: h6-p0.2-on seed=7: run exceeded the 50 event budget")
+    assert err.count("\n") == 1
 
 
 # -- sweep command ----------------------------------------------------------------------

@@ -148,6 +148,17 @@ def test_event_budget_aborts_with_liveness_diagnostic():
         run(scenario(p_data=0.2, total_segments=200, max_events=500))
 
 
+def test_liveness_errors_start_with_the_run_name():
+    with pytest.raises(LivenessError) as budget:
+        run(scenario(p_data=0.2, total_segments=200, max_events=500, seed=3))
+    assert str(budget.value).startswith("h6-p0.2-on seed=3: run exceeded the 500 event budget")
+    sim = Simulation(scenario(hops=2, dtc_enabled=False, seed=4))
+    sim.sender.start = lambda now: None     # nothing is ever sent, so the queue drains
+    with pytest.raises(LivenessError) as drained:
+        sim.run()
+    assert str(drained.value).startswith("h2-p0.0-off seed=4: event queue drained")
+
+
 def test_rng_draw_count_is_replayable():
     s = scenario(p_data=0.10, total_segments=80, seed=5)
     assert run(s).rng_draws == run(s).rng_draws
@@ -225,7 +236,7 @@ def test_failing_sweep_run_names_its_scenario_and_seed(jobs):
     with pytest.raises(LivenessError) as failure:
         sweep([cell], runs=2, base_seed=7, jobs=jobs)
     message = str(failure.value)
-    for part in ("hops=6", "p_data=0.2", "mode=dtc", "seed=7", "event budget"):
+    for part in ("h6-p0.2-on seed=7", "event budget"):
         assert part in message
 
 
