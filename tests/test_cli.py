@@ -269,12 +269,13 @@ def test_run_requires_single_cell():
     assert main(["run", "--hops", "3,4", "--loss", "0.0", "--dtc", "on"]) == 2
 
 
+ONE_CELL = ["--hops", "6", "--loss", "0.2", "--dtc", "on", "--segments", "50", "--seed", "7"]
+
+
 @pytest.mark.parametrize("argv", [
-    RUN_ARGS + ["--hops", "6", "--loss", "0.2", "--segments", "50", "--seed", "7"],
-    ["sweep", "--hops", "6", "--loss", "0.2", "--dtc", "on", "--segments", "50",
-     "--runs", "2", "--seed", "7", "--jobs", "1"],
-    ["sweep", "--hops", "6", "--loss", "0.2", "--dtc", "on", "--segments", "50",
-     "--runs", "2", "--seed", "7", "--jobs", "2"],
+    ["run"] + ONE_CELL,
+    ["sweep", "--runs", "2", "--jobs", "1"] + ONE_CELL,
+    ["sweep", "--runs", "2", "--jobs", "2"] + ONE_CELL,     # re-raised from a pool worker
 ], ids=["run", "sweep-jobs-1", "sweep-jobs-2"])
 def test_run_that_cannot_finish_exits_5_naming_it(argv, tmp_path, capsys, monkeypatch):
     # a real budget overrun: every cell the config builds gets a tiny event budget
