@@ -1,4 +1,4 @@
-"""Pinned RunMetrics for 400 scenarios drawn over the whole knob space.
+"""Pinned RunMetrics for 600 scenarios drawn over the whole knob space.
 
 The determinism pins and the results goldens run default knobs only
 (window 3, 10 ms hops, ll-wait multiplier 3, automatic spacing and RTOs,
@@ -8,12 +8,15 @@ generator and stores each run's RunMetrics values under
 ``tests/data/knob_space.jsonl``, one scenario per line.  A failure names
 the first scenario that differs and the fields that changed.
 
-An explicit ``rto_min`` is kept at or above one round trip of the path
-(``2 * hops * hop_latency``): a floor below it lets the sender's timer
-fire about once per microsecond, a run of minutes that the default event
-budget does not stop.  Widen the bound once every accepted scenario has
-a budget that ends it in bounded host time.  No drawn scenario is ever
-dropped, whatever its outcome.
+The generator makes two passes.  The first 400 scenarios keep an
+explicit ``rto_min`` at or above one round trip of the path
+(``2 * hops * hop_latency``).  The next 200, seeded ``GENERATOR_SEED + 1``,
+draw ``rto_min`` and ``rto_initial`` log-uniformly from 1 us, so the
+sender's backoff starts far below the round trip.  Both passes keep
+``rto_max`` at or above one round trip: a ceiling below it fires the
+sender's timer many times per round trip whatever the transfer, a run of
+minutes at a few hundred segments.  No drawn scenario is ever dropped,
+whatever its outcome.
 
 ``RunMetrics`` holds only ints, so the values agree on Python 3.10 and
 3.11.  Rewrite the data (only for a change meant to alter results) with
@@ -32,7 +35,8 @@ from dtcsim.harness import Scenario, run
 PINNED = Path(__file__).parent / "data" / "knob_space.jsonl"
 
 GENERATOR_SEED = 20_100_412
-COUNT = 400
+COUNT = 400                 # explicit rto_min at or above one round trip
+WIDE_COUNT = 200            # rto_min and rto_initial from 1 us
 
 P_DATA = [0.0, 0.01, 0.05, 0.1, 0.15, 0.2, 0.3]
 HOP_LATENCY_US = [1, 2, 37, 1_000, 10_000, 25_000]
@@ -43,11 +47,16 @@ def _maybe(rng: random.Random, value):
     return value if rng.random() < 0.5 else None
 
 
-def scenarios() -> list:
-    """The pinned scenarios; every one the generator draws, in order."""
-    rng = random.Random(GENERATOR_SEED)
+def _log_uniform(rng: random.Random, high: int) -> int:
+    """An int in [1, high] whose logarithm is uniform."""
+    return round(high ** rng.random())
+
+
+def _draw(seed: int, count: int, wide_rto: bool) -> list:
+    """count scenarios from one seeded pass of the generator."""
+    rng = random.Random(seed)
     drawn = []
-    for _ in range(COUNT):
+    for _ in range(count):
         hops = rng.randint(2, 12)
         hop_latency = rng.choice(HOP_LATENCY_US)
         round_trip = 2 * hops * hop_latency
@@ -58,10 +67,17 @@ def scenarios() -> list:
             "small": rng.randint(1, 2 * hop_latency),
             "large": rng.randint(10 * hop_latency, 50 * hop_latency),
         }[spacing]
-        rto_min = _maybe(rng, rng.randint(round_trip, 6 * round_trip))
-        floor = rto_min if rto_min is not None else 4 * hops * hop_latency
-        rto_max = _maybe(rng, rng.randint(floor, 64 * floor))
-        rto_initial = _maybe(rng, rng.randint(1, 4 * floor))
+        if wide_rto:
+            rto_min = _maybe(rng, _log_uniform(rng, 6 * round_trip))
+            floor = rto_min if rto_min is not None else 4 * hops * hop_latency
+            ceiling = max(floor, round_trip)
+            rto_max = _maybe(rng, rng.randint(ceiling, 64 * ceiling))
+            rto_initial = _maybe(rng, _log_uniform(rng, 4 * floor))
+        else:
+            rto_min = _maybe(rng, rng.randint(round_trip, 6 * round_trip))
+            floor = rto_min if rto_min is not None else 4 * hops * hop_latency
+            rto_max = _maybe(rng, rng.randint(floor, 64 * floor))
+            rto_initial = _maybe(rng, rng.randint(1, 4 * floor))
         fields = dict(
             hops=hops,
             p_data=rng.choice(P_DATA),
@@ -81,6 +97,11 @@ def scenarios() -> list:
             fields["rto_max"] = rto_max
         drawn.append(Scenario(**fields))
     return drawn
+
+
+def scenarios() -> list:
+    """The pinned scenarios; every one the generator draws, in order."""
+    return _draw(GENERATOR_SEED, COUNT, False) + _draw(GENERATOR_SEED + 1, WIDE_COUNT, True)
 
 
 def _entry(scenario: Scenario) -> dict:
@@ -109,8 +130,11 @@ def test_generator_covers_every_knob():
     for field in ("rto_min", "rto_initial"):
         assert None in seen(field) and len(seen(field)) > 100
     assert len(seen("rto_max")) > 100
-    # the bound above, until every accepted scenario ends in bounded host time
-    assert all(s.rto_min is None or s.rto_min >= 2 * s.hops * s.hop_latency for s in drawn)
+    first, wide = drawn[:COUNT], drawn[COUNT:]
+    assert all(s.rto_min is None or s.rto_min >= 2 * s.hops * s.hop_latency for s in first)
+    assert 1 in seen("rto_min") and 1 in seen("rto_initial")
+    assert any(s.rto_min is not None and s.rto_min < 2 * s.hops * s.hop_latency for s in wide)
+    assert all(s.rto_max >= 2 * s.hops * s.hop_latency for s in drawn)
 
 
 def test_results_match_the_pin_over_the_knob_space():
@@ -131,4 +155,4 @@ if __name__ == "__main__":
     with PINNED.open("w") as handle:
         for scenario in scenarios():
             handle.write(json.dumps(_entry(scenario), sort_keys=True) + "\n")
-    print(f"wrote {COUNT} scenarios to {PINNED}", file=sys.stderr)
+    print(f"wrote {COUNT + WIDE_COUNT} scenarios to {PINNED}", file=sys.stderr)
