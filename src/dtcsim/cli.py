@@ -420,7 +420,7 @@ def _render_report(directory: Path) -> str:
             means = [m for _, m in sorted(by_mode[mode])]
             mean = statistics.fmean(means)
             cov = statistics.pstdev(means) / mean if mean else 0.0
-            lines.append(f"  mode={mode}: node0={means[0]:.1f} node{len(means) - 1}={means[-1]:.1f} "
+            lines.append(f"  dtc={mode}: node0={means[0]:.1f} node{len(means) - 1}={means[-1]:.1f} "
                          f"cov={cov:.4f}")
             lines.append("    " + " ".join(f"{m:.0f}" for m in means))
     return "\n".join(lines) + "\n"
