@@ -211,7 +211,7 @@ class Simulation:
         receiver_id = self.receiver_id
         latency = self.latency
         p_ll_ack = self.p_ll_ack
-        budget = self.scenario.max_events
+        budget = self.scenario.event_budget()
         processed = 0
         sender.start(self.now)
         while heap:

@@ -10,6 +10,7 @@ into an Aggregate that keeps the cell.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import statistics
 from dataclasses import dataclass
@@ -48,10 +49,6 @@ class Scenario:
     rto_max: int = 60 * US_PER_S
     rto_initial: Optional[int] = None           # None: 3x the effective rto_min
     fast_retransmit: bool = False
-    # the budget counts processed events, and an ll ack that no node awaits
-    # is never pushed, so it is not one; no default run comes near the budget
-    # (an 11-hop, 15 % loss run processes about 48,500 with caching off)
-    max_events: int = 100_000_000
 
     def __post_init__(self) -> None:
         """Reject knob values no run can use; each message starts with the field."""
@@ -75,14 +72,15 @@ class Scenario:
             value = getattr(self, knob)
             if value is not None and value < 1:
                 raise ValueError(f"{knob} must be >= 1 us, got {value}")
-        if self.rto_max < self.effective_rto_min():
-            if self.rto_min is not None:
-                raise ValueError(f"rto_min must be <= rto_max ({self.rto_max} us), "
-                                 f"got {self.rto_min}")
-            raise ValueError(f"rto_max must be >= the effective rto_min "
-                             f"({self.effective_rto_min()} us), got {self.rto_max}")
-        if self.max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {self.max_events}")
+        if self.rto_min is not None and self.rto_min > self.rto_max:
+            raise ValueError(f"rto_min must be <= rto_max ({self.rto_max} us), "
+                             f"got {self.rto_min}")
+        # a ceiling below one round trip fires the sender's timer many times
+        # per round trip, so a run's events grow with it, not with the transfer
+        floor = max(self.effective_rto_min(), 2 * self.path_delay())
+        if self.rto_max < floor:
+            raise ValueError(f"rto_max must be >= the effective rto_min and one path "
+                             f"round trip ({floor} us), got {self.rto_max}")
 
     @property
     def cell_id(self) -> str:
@@ -117,6 +115,23 @@ class Scenario:
         if self.rto_initial is not None:
             return self.rto_initial
         return 3 * self.effective_rto_min()
+
+    def event_budget(self) -> int:
+        """Processed events after which a run stops with a LivenessError.
+
+        ``ceil(160 * total_segments * hops / (1 - p_data) ** hops)``: 160
+        events per segment-hop per expected end-to-end attempt.  An ll ack
+        that no node awaits is never pushed, so it is no event.  Measured
+        as events / (segments * hops * (1 - p_data) ** -hops), the highest
+        ratios were 2.9 over the acceptance grid (540 runs), 12.7 over the
+        600 knob-space pin scenarios, and 39.7 over all but one of 14,000
+        scenarios with rto_min and rto_initial drawn log-uniformly from
+        1 us; 160 is 4x the highest.  The one left, at 93.7, caches over
+        2 us hops, where local retransmissions cascade and the ratio grows
+        with the transfer (168 at 50 segments, 859 at 60): a storm that
+        the budget is there to stop.
+        """
+        return math.ceil(160 * self.total_segments * self.hops / (1 - self.p_data) ** self.hops)
 
 
 class RunRecord(NamedTuple):

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -131,6 +130,11 @@ RUN_ARGS = ["run", "--loss", "0.1", "--dtc", "on", "--segments", "5"]
     (["run", "--hops", "3", "--loss", "0.1", "--config", "dtc = maybe"],
      "dtc must be on, off or both, got 'maybe'"),
     (RUN_ARGS + ["--hops", "3", "--config", "mode = both"], "unknown key 'mode'"),
+    # an rto_max below one path round trip, even above the rto_min set beside it
+    (RUN_ARGS + ["--hops", "3", "--rto-min-us", "1", "--rto-max-us", "1"],
+     "bad value for rto_max_us: rto_max"),
+    (RUN_ARGS + ["--hops", "3", "--config", "rto_min_us = 1\nrto_max_us = 1"],
+     "bad value for rto_max_us: rto_max"),
 ])
 def test_bad_flag_exits_2_naming_the_knob(argv, knob, tmp_path, capsys, no_simulation):
     # an argument that reads `key = value` is a config-file line: pass its file
@@ -278,10 +282,8 @@ ONE_CELL = ["--hops", "6", "--loss", "0.2", "--dtc", "on", "--segments", "50", "
     ["sweep", "--runs", "2", "--jobs", "2"] + ONE_CELL,     # re-raised from a pool worker
 ], ids=["run", "sweep-jobs-1", "sweep-jobs-2"])
 def test_run_that_cannot_finish_exits_5_naming_it(argv, tmp_path, capsys, monkeypatch):
-    # a real budget overrun: every cell the config builds gets a tiny event budget
-    build = Config.scenario
-    monkeypatch.setattr(Config, "scenario", lambda self, *cell: dataclasses.replace(
-        build(self, *cell), max_events=50))
+    # a real budget overrun: every run gets a tiny event budget
+    monkeypatch.setattr(Scenario, "event_budget", lambda self: 50)
     assert main(argv + ["--out", str(tmp_path / "o")]) == 5
     err = capsys.readouterr().err
     assert err.startswith("error: h6-p0.2-on seed=7: run exceeded the 50 event budget")

@@ -47,7 +47,7 @@ def scenario(**overrides):
     dict(rto_min=0),
     dict(rto_initial=0),
     dict(rto_max=1),
-    dict(max_events=0),
+    dict(rto_min=1, rto_max=119_999),       # one round trip of the 6-hop path is 120,000
 ])
 def test_invalid_scenarios_rejected(bad):
     knob = next(iter(bad))
@@ -57,8 +57,8 @@ def test_invalid_scenarios_rejected(bad):
 
 def test_boundary_knob_values_accepted():
     s = scenario(max_local_retries=0, ll_wait_multiplier=1, send_spacing=0,
-                 rto_min=1, rto_initial=1, rto_max=1, max_events=1)
-    assert s.effective_rto_min() == s.rto_max == 1
+                 rto_min=1, rto_initial=1, rto_max=120_000)
+    assert s.effective_rto_min() == 1 and s.rto_max == 2 * s.path_delay()
     assert scenario(hops=11, rto_max=440_000).rto_max == 440_000    # the derived rto_min
 
 
@@ -143,15 +143,23 @@ def test_same_seed_reproduces_event_trace_exactly():
     assert traces[0] == traces[1]
 
 
+def never_delivered(*frame):
+    return True
+
+
 def test_event_budget_aborts_with_liveness_diagnostic():
-    with pytest.raises(LivenessError, match="budget"):
-        run(scenario(p_data=0.2, total_segments=200, max_events=500))
+    s = scenario(p_data=0.2, total_segments=10)
+    with pytest.raises(LivenessError) as budget:
+        run(s, drop_override=never_delivered)
+    assert f"exceeded the {s.event_budget()} event budget at t=" in str(budget.value)
 
 
 def test_liveness_errors_start_with_the_run_name():
+    s = scenario(p_data=0.2, total_segments=10, seed=3)
     with pytest.raises(LivenessError) as budget:
-        run(scenario(p_data=0.2, total_segments=200, max_events=500, seed=3))
-    assert str(budget.value).startswith("h6-p0.2-on seed=3: run exceeded the 500 event budget")
+        run(s, drop_override=never_delivered)
+    assert str(budget.value).startswith(
+        f"h6-p0.2-on seed=3: run exceeded the {s.event_budget()} event budget")
     sim = Simulation(scenario(hops=2, dtc_enabled=False, seed=4))
     sim.sender.start = lambda now: None     # nothing is ever sent, so the queue drains
     with pytest.raises(LivenessError) as drained:
@@ -231,8 +239,9 @@ def test_sweep_pool_is_capped_by_tasks_and_cpus(monkeypatch, cpus, workers):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_failing_sweep_run_names_its_scenario_and_seed(jobs):
-    cell = Scenario(hops=6, p_data=0.2, dtc_enabled=True, total_segments=50, max_events=100)
+def test_failing_sweep_run_names_its_scenario_and_seed(jobs, monkeypatch):
+    monkeypatch.setattr(Scenario, "event_budget", lambda self: 100)     # forked workers too
+    cell = Scenario(hops=6, p_data=0.2, dtc_enabled=True, total_segments=50)
     with pytest.raises(LivenessError) as failure:
         sweep([cell], runs=2, base_seed=7, jobs=jobs)
     message = str(failure.value)

@@ -13,10 +13,8 @@ explicit ``rto_min`` at or above one round trip of the path
 (``2 * hops * hop_latency``).  The next 200, seeded ``GENERATOR_SEED + 1``,
 draw ``rto_min`` and ``rto_initial`` log-uniformly from 1 us, so the
 sender's backoff starts far below the round trip.  Both passes keep
-``rto_max`` at or above one round trip: a ceiling below it fires the
-sender's timer many times per round trip whatever the transfer, a run of
-minutes at a few hundred segments.  No drawn scenario is ever dropped,
-whatever its outcome.
+``rto_max`` at or above one round trip, the lowest ceiling Scenario
+accepts.  No drawn scenario is ever dropped, whatever its outcome.
 
 ``RunMetrics`` holds only ints, so the values agree on Python 3.10 and
 3.11.  Rewrite the data (only for a change meant to alter results) with
