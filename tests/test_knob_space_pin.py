@@ -67,15 +67,13 @@ def _draw(seed: int, count: int, wide_rto: bool) -> list:
         }[spacing]
         if wide_rto:
             rto_min = _maybe(rng, _log_uniform(rng, 6 * round_trip))
-            floor = rto_min if rto_min is not None else 4 * hops * hop_latency
-            ceiling = max(floor, round_trip)
-            rto_max = _maybe(rng, rng.randint(ceiling, 64 * ceiling))
-            rto_initial = _maybe(rng, _log_uniform(rng, 4 * floor))
         else:
             rto_min = _maybe(rng, rng.randint(round_trip, 6 * round_trip))
-            floor = rto_min if rto_min is not None else 4 * hops * hop_latency
-            rto_max = _maybe(rng, rng.randint(floor, 64 * floor))
-            rto_initial = _maybe(rng, rng.randint(1, 4 * floor))
+        floor = rto_min if rto_min is not None else 4 * hops * hop_latency
+        ceiling = max(floor, round_trip)        # the first pass's floor is never below it
+        rto_max = _maybe(rng, rng.randint(ceiling, 64 * ceiling))
+        initial = _log_uniform(rng, 4 * floor) if wide_rto else rng.randint(1, 4 * floor)
+        rto_initial = _maybe(rng, initial)
         fields = dict(
             hops=hops,
             p_data=rng.choice(P_DATA),
