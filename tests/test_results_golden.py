@@ -1,4 +1,4 @@
-"""Byte-for-byte pin of every results file and of `run` and `report` stdout.
+"""Byte-for-byte pin of every results file and of `run`, `run --trace` and `report` stdout.
 
 One small sweep and one small fig4 write into the same directory, so the
 report renders all three of its tables. The goldens were recorded on
@@ -22,8 +22,11 @@ SWEEP = ["sweep", "--hops", "3,6", "--loss", "0.05,0.15", "--dtc", "both",
          "--runs", "3", "--segments", "40", "--seed", "5"]
 FIG4 = ["fig4", "--runs", "3", "--segments", "40", "--seed", "5"]
 RUN = ["run", "--hops", "6", "--loss", "0.15", "--dtc", "on", "--segments", "40", "--seed", "5"]
+# losses on several hops and local retransmissions, in 240 lines
+RUN_TRACE = ["run", "--hops", "4", "--loss", "0.15", "--dtc", "on", "--segments", "10",
+             "--seed", "5", "--trace"]
 
-FILES = ["runs.csv", "summary.csv", "nodes.csv", "run.txt", "report.txt"]
+FILES = ["runs.csv", "summary.csv", "nodes.csv", "run.txt", "run_trace.txt", "report.txt"]
 
 
 def _stdout(argv) -> str:
@@ -38,6 +41,7 @@ def produce(out: Path) -> None:
     _stdout(SWEEP + ["--out", str(out)])
     _stdout(FIG4 + ["--out", str(out)])
     (out / "run.txt").write_text(_stdout(RUN))
+    (out / "run_trace.txt").write_text(_stdout(RUN_TRACE))
     (out / "report.txt").write_text(_stdout(["report", str(out)]))
 
 
