@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .engine import LivenessError
+from .engine import LivenessError, renderer
 from .events import US_PER_MS
 from .harness import (
     DEFAULT_RUNS,
@@ -291,7 +291,9 @@ def cmd_run(config: Config, trace: bool) -> int:
         config.scenario(config.hops[0], config.loss[0], config.dtc == "on"),
         seed=config.seed,
     )
-    metrics = run_scenario(scenario, trace=print if trace else None)
+    render = renderer(scenario.hops)
+    sink = (lambda record: print(render(record))) if trace else None
+    metrics = run_scenario(scenario, trace=sink)
     print(f"scenario: {scenario.cell_id} seed={scenario.seed}")
     for m in METRICS:
         value = getattr(metrics, m.field)

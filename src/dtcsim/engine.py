@@ -18,7 +18,7 @@ return nothing and emit straight back into the ``Simulation``, their sink
     send(src, payload) -> frame_id        a DataSegment toward the receiver,
                                           an AckSegment toward the sender
     schedule(at, target, kind, arg=...)   a timer; never behind the clock
-    note(node_id, action, seq)            a cache transition, trace only
+    note(node_id, action, seq)            a cache transition: a DTC trace record
 
 Loss is memoryless: each send takes the next frame id and makes one
 uniform draw against its kind's threshold.  Data segments are the
@@ -37,6 +37,16 @@ results are the same as if every survivor were pushed.
 
 So the order in which a handler emits is the order of frame ids, draws and
 pushes, and it is part of every result; keep it when editing a handler.
+
+A run given a ``trace`` callable passes it one tuple per event, built only
+when the callable is there:
+
+    (t, HOP, src, dst, kind, delivered, payload)   a frame or ll ack on a link
+    (t, DTC, node_id, action, seq)                 a cache transition
+
+``kind`` is "data", "ack" or "llack"; an llack record carries the payload
+of the frame it acknowledges.  ``renderer(hops)`` turns records into the
+trace text that ``dtcsim run --trace`` prints.
 """
 
 from __future__ import annotations
@@ -57,12 +67,45 @@ from .events import (
 )
 from .endpoints import TcpReceiver, TcpSender
 from .node import AWAITING, CachingNode
-from .packets import DataSegment, render_payload
+from .packets import DataSegment
 
 # A drop override lets tests script exact losses.  It is called as
 # drop_override(frame_id, segment, src, dst) and returns True to force a
 # loss, False to force delivery, None to fall through to the random draw.
 DropOverride = Callable[[int, object, int, int], Optional[bool]]
+
+
+# the tag at index 1 of a trace record
+HOP = "HOP"
+DTC = "DTC"
+
+
+def render_payload(payload) -> str:
+    """Stable textual form of a segment: the tail of each data and ack line
+    that ``renderer`` writes, and so of the golden traces."""
+    if type(payload) is DataSegment:
+        return f"DATA seq={payload.seq} origin={payload.origin}"
+    inner = ",".join(str(s) for s in sorted(payload.sack))
+    return f"ACK no={payload.ack_no} sack={{{inner}}}"
+
+
+def renderer(hops: int) -> Callable[[tuple], str]:
+    """The trace text of one run over ``hops`` links: record -> line.
+
+    Nodes are named S (the sender), 0 .. hops-2 and R (the receiver).
+    """
+    names = ["S", *map(str, range(hops - 1)), "R"]     # indexed by node id + 1
+
+    def render(record: tuple) -> str:
+        if record[1] == HOP:
+            t, _, src, dst, kind, delivered, payload = record
+            line = (f"HOP from={names[src + 1]} to={names[dst + 1]} kind={kind} "
+                    f"result={'delivered' if delivered else 'lost'} t={t}")
+            return line if kind == "llack" else line + " " + render_payload(payload)
+        t, _, node_id, action, seq = record
+        return f"DTC node={node_id} action={action} seq={seq} t={t}"
+
+    return render
 
 
 class LivenessError(RuntimeError):
@@ -88,7 +131,7 @@ class Simulation:
     def __init__(
         self,
         scenario,
-        trace: Optional[Callable[[str], None]] = None,
+        trace: Optional[Callable[[tuple], None]] = None,
         drop_override: Optional[DropOverride] = None,
     ) -> None:
         # the engine pushes frames and ll acks at now + latency unchecked;
@@ -134,22 +177,10 @@ class Simulation:
             for node_id in range(self.receiver_id)
         ]
 
-    # -- trace helpers -------------------------------------------------------
-
-    def _name(self, node_id: int) -> str:
-        if node_id == SENDER:
-            return "S"
-        if node_id == self.receiver_id:
-            return "R"
-        return str(node_id)
+    # -- trace records ----------------------------------------------------------
 
     def _trace_hop(self, src: int, dst: int, payload, kind: str, delivered: bool) -> None:
-        result = "delivered" if delivered else "lost"
-        suffix = "" if kind == "llack" else " " + render_payload(payload)
-        self.trace(
-            f"HOP from={self._name(src)} to={self._name(dst)} "
-            f"kind={kind} result={result} t={self.now}{suffix}"
-        )
+        self.trace((self.now, HOP, src, dst, kind, delivered, payload))
 
     # -- the sink the state machines emit into ----------------------------------
 
@@ -197,7 +228,7 @@ class Simulation:
     def note(self, node_id: int, action: str, seq: int) -> None:
         """Trace a cache transition; nothing else sees it."""
         if self.trace is not None:
-            self.trace(f"DTC node={node_id} action={action} seq={seq} t={self.now}")
+            self.trace((self.now, DTC, node_id, action, seq))
 
     # -- event loop -----------------------------------------------------------------
 

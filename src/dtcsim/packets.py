@@ -62,10 +62,3 @@ def gaps_filled_with(ack: AckSegment, seq: int) -> bool:
             return False
     return True
 
-
-def render_payload(payload) -> str:
-    """Stable textual form used by trace logs and golden-trace tests."""
-    if type(payload) is DataSegment:
-        return f"DATA seq={payload.seq} origin={payload.origin}"
-    inner = ",".join(str(s) for s in sorted(payload.sack))
-    return f"ACK no={payload.ack_no} sack={{{inner}}}"

@@ -15,7 +15,7 @@ import pytest
 
 from dtcsim import Scenario, aggregate, reduction_factor, run, sweep
 from dtcsim.cli import main as cli_main
-from dtcsim.engine import Simulation
+from dtcsim.engine import Simulation, renderer
 
 from conftest import ScriptedDrops
 from oracle_attempts import (
@@ -152,13 +152,14 @@ def test_criterion_7_zero_loss_identity():
 
 
 def test_criterion_8_golden_trace():
-    lines = []
+    records = []
     sim = Simulation(
         Scenario(hops=11, p_data=0.0, dtc_enabled=True, total_segments=3, seed=0),
-        trace=lines.append,
+        trace=records.append,
         drop_override=ScriptedDrops({(1, 5): 1, (2, 7): 1}),
     )
     metrics = sim.run()
+    lines = list(map(renderer(11), records))
 
     def index_of(*fragments, after=-1):
         for i, line in enumerate(lines):

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import re
 from heapq import heappop
 from unittest import mock
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtcsim import engine, harness
-from dtcsim.engine import LivenessError, Simulation
+from dtcsim.engine import HOP, LivenessError, Simulation
 from dtcsim.events import FRAME_ARRIVAL
 from dtcsim.harness import (
     RunMetrics,
@@ -21,9 +20,6 @@ from dtcsim.harness import (
 )
 
 from conftest import ScriptedDrops, watch_pushes
-
-
-HOP_LINE = re.compile(r"HOP from=(\S+) to=(\S+) kind=(\S+) result=delivered t=(\d+)")
 
 
 def scenario(**overrides):
@@ -97,14 +93,14 @@ def test_hops_to_receiver_arithmetic():
     assert [node.hops_to_receiver for node in sim.nodes] == [5, 4, 3, 2, 1]
     # lossless 3-hop run of one segment: every frame moves one node per hop
     # latency, and each link-layer ack goes back to the frame's transmitter
-    lines = []
-    run(scenario(hops=3, total_segments=1, dtc_enabled=False), trace=lines.append)
-    hops = [HOP_LINE.match(line).groups() for line in lines if line.startswith("HOP ")]
-    hops = [(src, dst, kind, int(t)) for src, dst, kind, t in hops]
+    records = []
+    run(scenario(hops=3, total_segments=1, dtc_enabled=False), trace=records.append)
+    assert all(r[5] for r in records if r[1] == HOP)
+    hops = [(src, dst, kind, t) for t, tag, src, dst, kind, *_ in records if tag == HOP]
     frames = [hop for hop in hops if hop[2] != "llack"]
     assert frames == [
-        ("S", "0", "data", 0), ("0", "1", "data", 10_000), ("1", "R", "data", 20_000),
-        ("R", "1", "ack", 30_000), ("1", "0", "ack", 40_000), ("0", "S", "ack", 50_000),
+        (-1, 0, "data", 0), (0, 1, "data", 10_000), (1, 2, "data", 20_000),
+        (2, 1, "ack", 30_000), (1, 0, "ack", 40_000), (0, -1, "ack", 50_000),
     ]
     llacks = [(src, dst, t) for src, dst, kind, t in hops if kind == "llack"]
     assert llacks == [(dst, src, t + 10_000) for src, dst, _, t in frames]

@@ -4,7 +4,7 @@ hop latency later, and the link-layer ack drawn at every arrival."""
 
 import pytest
 
-from dtcsim.engine import Simulation
+from dtcsim.engine import HOP, Simulation
 from dtcsim.events import FRAME_ARRIVAL, LL_ACK_ARRIVAL
 from dtcsim.harness import Scenario
 from dtcsim.node import REPLACEABLE
@@ -158,11 +158,11 @@ def lone_node_run(p_data, draw=None):
     The node caches segment 1 and forwards it as frame 1 at 10 ms; it
     reaches the receiver at 20 ms.  Returns the simulation, its pushes as
     (draws so far, fire_at, target, kind, arg), the ll-acks node 0 read as
-    (t, frame id, entry state after), and the trace lines.
+    (t, frame id, entry state after), and the trace records.
     """
-    lines = []
+    records = []
     sim = Simulation(Scenario(hops=2, p_data=p_data, dtc_enabled=True, total_segments=1),
-                     trace=lines.append)
+                     trace=records.append)
     if draw is not None:
         sim._random = draw
     pushes = []
@@ -177,7 +177,7 @@ def lone_node_run(p_data, draw=None):
     node.on_ll_ack = spy
     with watch_pushes(lambda *push: pushes.append((sim.draws,) + push)):
         assert sim.run().delivered_segments == 1
-    return sim, pushes, read, lines
+    return sim, pushes, read, records
 
 
 def test_lossless_delivery_is_always_ll_acknowledged():
@@ -194,22 +194,24 @@ def test_lossless_delivery_is_always_ll_acknowledged():
 def test_lost_ll_ack_never_arrives():
     # p_data 0.4: frames survive a 0.5 draw, and the ll ack (p_ll_ack 0.1)
     # of frame 1 at the receiver, the fourth draw, is lost
-    sim, pushes, read, lines = lone_node_run(0.4, Fixed(0.5, first=[0.5, 0.5, 0.5, 0.05]))
-    assert "HOP from=R to=0 kind=llack result=lost t=20000" in lines
+    sim, pushes, read, records = lone_node_run(0.4, Fixed(0.5, first=[0.5, 0.5, 0.5, 0.05]))
+    assert (20_000, HOP, 1, 0, "llack", False, DataSegment(1)) in records
     assert [p for p in pushes if p[3] == LL_ACK_ARRIVAL] == []
     assert read == []
     assert sim.draws == 8                           # the lost ack was still drawn
 
 
-def test_ll_ack_fraction_monte_carlo(monkeypatch):
+def test_ll_ack_fraction_monte_carlo():
     # every arrival draws its ll ack against p_ll_ack = 0.025 (p_data 0.10):
     # about 1e5 draws over five runs, survivors in [0.971, 0.979]
     outcomes = []
-    monkeypatch.setattr(Simulation, "_trace_hop",
-                        lambda self, src, dst, payload, kind, delivered:
-                        kind == "llack" and outcomes.append(delivered))
+
+    def sink(record):
+        if record[1] == HOP and record[4] == "llack":
+            outcomes.append(record[5])
+
     for seed in range(1, 6):
         Simulation(Scenario(hops=11, p_data=0.10, dtc_enabled=False, seed=seed),
-                   trace=lambda line: None).run()
+                   trace=sink).run()
     assert len(outcomes) >= 100_000
     assert 0.971 <= sum(outcomes) / len(outcomes) <= 0.979

@@ -6,10 +6,10 @@ from dtcsim.packets import (
     AckSegment,
     DataSegment,
     gaps_filled_with,
-    render_payload,
     sack_add,
     sack_covers,
 )
+from dtcsim.engine import render_payload
 
 seqs = st.integers(min_value=1, max_value=30)
 acks = st.builds(
