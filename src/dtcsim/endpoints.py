@@ -173,7 +173,10 @@ class TcpSender:
         if self.in_flight:
             # a never-sent oldest segment is still in the gate: a no-op
             self._queue_tx(min(self.in_flight))
-        self.backoff += 1
+        # back off only up to the ceiling: every later timeout is rto_max,
+        # and the shifted value stays a small int
+        if self.rto << self.backoff < self.rto_max:
+            self.backoff += 1
         self._drain(now)
         self._arm_rto(now)
 

@@ -174,6 +174,19 @@ def test_backoff_resets_on_progress():
     assert sender.backoff == 0
 
 
+def test_backoff_stops_once_the_timeout_reaches_rto_max():
+    # a transfer that never gets an ack: 64 timeouts in a row, each fired
+    # at the deadline the one before armed
+    sender = make_sender()
+    rto, rto_max = sender.rto, sender.rto_max
+    (arm,) = rto_arms(emitted(sender.start, 0))
+    for k in range(1, 65):
+        now = arm[1]
+        (arm,) = rto_arms(emitted(sender.on_rto, sender.rto_generation, now))
+        assert arm[1] == now + min(rto << k, rto_max)
+        assert sender.backoff <= (rto_max // rto).bit_length()
+
+
 def test_stale_rto_generation_ignored():
     sender = make_sender()
     sender.start(0)
