@@ -58,6 +58,12 @@ class Scenario:
             raise ValueError(f"p_data (per-hop data loss) must be in [0, 1), got {self.p_data!r}")
         if self.total_segments < 1:
             raise ValueError(f"total_segments must be >= 1, got {self.total_segments}")
+        try:
+            self.event_budget()
+        except (ZeroDivisionError, OverflowError):
+            # (1 - p_data) ** hops underflowed to 0, or the budget to inf
+            raise ValueError(f"p_data must leave a finite event budget over {self.hops} "
+                             f"hops, got {self.p_data!r}") from None
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.hop_latency < 1:

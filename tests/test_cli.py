@@ -135,6 +135,9 @@ RUN_ARGS = ["run", "--loss", "0.1", "--dtc", "on", "--segments", "5"]
      "bad value for rto_max_us: rto_max"),
     (RUN_ARGS + ["--hops", "3", "--config", "rto_min_us = 1\nrto_max_us = 1"],
      "bad value for rto_max_us: rto_max"),
+    # a loss so high over so many hops that no event budget is a number
+    (["run", "--hops", "200", "--loss", "0.99", "--dtc", "off"],
+     "bad value for loss: p_data must leave a finite event budget over 200 hops, got 0.99"),
 ])
 def test_bad_flag_exits_2_naming_the_knob(argv, knob, tmp_path, capsys, no_simulation):
     # an argument that reads `key = value` is a config-file line: pass its file

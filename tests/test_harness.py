@@ -44,6 +44,8 @@ def scenario(**overrides):
     dict(rto_initial=0),
     dict(rto_max=1),
     dict(rto_min=1, rto_max=119_999),       # one round trip of the 6-hop path is 120,000
+    dict(p_data=0.99, hops=200),            # (1 - p) ** hops underflows to 0
+    dict(p_data=0.99, hops=160),            # the budget overflows to inf
 ])
 def test_invalid_scenarios_rejected(bad):
     knob = next(iter(bad))
