@@ -90,6 +90,29 @@ def test_minimal_chain():
     assert [node.hops_to_receiver for node in sim.nodes] == [1]
 
 
+def test_every_knob_reaches_its_state_machine():
+    # each knob away from its default, so a knob wired to the wrong field,
+    # or left at a constructor default, shows here and not only in results
+    s = Scenario(hops=5, p_data=0.05, dtc_enabled=False, total_segments=17, window=4,
+                 hop_latency=7_000, seed=3, max_local_retries=5, ll_wait_multiplier=2,
+                 send_spacing=12_345, rto_min=200_000, rto_max=5_000_000,
+                 rto_initial=700_000, fast_retransmit=True)
+    sim = Simulation(s)
+    sender = sim.sender
+    assert (sender.total, sender.window, sender.fast_retransmit) == (17, 4, True)
+    assert (sender.rto, sender.rto_min, sender.rto_max) == (700_000, 200_000, 5_000_000)
+    assert sender.rto == s.effective_rto_initial() and sender.rto_min == s.effective_rto_min()
+    assert sender.spacing == s.effective_send_spacing() == 12_345
+    assert sim.receiver.total == 17
+    assert len(sim.nodes) == 4
+    for node in sim.nodes:
+        assert node.enabled is False
+        assert node.ll_wait == s.ll_wait() == 14_000
+        assert node.max_local_retries == 5
+        assert node.hops_to_receiver == 4 - node.node_id
+        assert node.rtt_est == 2 * node.hops_to_receiver * 7_000
+
+
 def test_hops_to_receiver_arithmetic():
     sim = Simulation(scenario(hops=6))
     assert [node.hops_to_receiver for node in sim.nodes] == [5, 4, 3, 2, 1]
