@@ -24,7 +24,6 @@ from typing import Callable, NamedTuple, Optional
 from .engine import LivenessError, renderer
 from .events import US_PER_MS
 from .harness import (
-    DEFAULT_RUNS,
     Scenario,
     aggregate,
     dtc_label,
@@ -65,6 +64,7 @@ NODES_CSV_HEADER = ["dtc", "node_index", "mean_data_tx", "stddev_data_tx"]
 
 DEFAULT_SWEEP_HOPS = [6, 7, 8, 9, 10, 11]
 DEFAULT_SWEEP_LOSS = [0.05, 0.10, 0.15]
+DEFAULT_RUNS = 30
 
 
 class ConfigError(Exception):

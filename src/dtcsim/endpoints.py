@@ -6,8 +6,10 @@ exponential backoff, and timeout-driven recovery (fast retransmit exists
 behind a flag, default off).  Neither endpoint knows anything about the
 in-network caches between them.
 
-The sender's handlers return nothing; they emit into the sink ``out``
-given at construction (its calls are described in ``engine``): segments
+The sender is built from the run's ``Scenario``, whose transfer size,
+window, RTO bounds, pacing and fast-retransmit knobs it reads itself.  Its
+handlers return nothing; they emit into the sink ``out`` given at
+construction (its calls are described in ``engine``): segments
 toward the chain, the retransmission timer (``SENDER_RTO``, with its
 generation) and wake-ups of the pacing gate (``SEND_SLOT``).  The receiver
 just answers each segment with its ack, which the engine sends.
@@ -48,37 +50,26 @@ class TcpSender:
     absorbs).  With spacing 0 the gate is transparent.
     """
 
-    def __init__(
-        self,
-        total_segments: int,
-        window: int,
-        out,
-        *,
-        rto_min: int,
-        rto_max: int,
-        rto_initial: int,
-        send_spacing: int = 0,
-        fast_retransmit: bool = False,
-    ) -> None:
-        self.total = total_segments
-        self.window = window
+    def __init__(self, scenario, out) -> None:
+        self.total = scenario.total_segments
+        self.window = scenario.window
         self.out = out
         self.next_new = 1               # lowest never-sent segment
         self.cumulative = 1             # receiver's next expected segment
         self.in_flight = {}             # seq -> [first_sent_at | None, transmissions]
         self.srtt: Optional[int] = None
         self.rttvar = 0
-        self.rto = rto_initial
-        self.rto_min = rto_min
-        self.rto_max = rto_max
+        self.rto = scenario.effective_rto_initial()
+        self.rto_min = scenario.effective_rto_min()
+        self.rto_max = scenario.rto_max
         self.backoff = 0
         self.rto_generation = 0
-        self.fast_retransmit = fast_retransmit
+        self.fast_retransmit = scenario.fast_retransmit
         self.dup_acks = 0
         self.e2e_retransmissions = 0
         self.total_data_tx = 0
         self.completed_at: Optional[int] = None
-        self.spacing = send_spacing
+        self.spacing = scenario.effective_send_spacing()
         self._tx_queue = deque()        # seqs waiting in the pacing gate
         self._next_free_at = 0
         self._slot_armed = False

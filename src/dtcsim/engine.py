@@ -11,9 +11,12 @@ source: it holds the heap of ``(fire_at, seq, target, kind, arg)`` tuples
 (see ``events``), the insertion counter behind ``seq``, ``now``, one
 seeded generator and the count of its draws.  The run loop pops the heap
 inline and branches on the int ``kind``, frame arrivals first.  It calls
-the protocol state machines in ``node`` and ``endpoints``, whose handlers
-return nothing and emit straight back into the ``Simulation``, their sink
-``out`` (a recorder stands in for it in unit tests):
+the protocol state machines in ``node`` and ``endpoints``.  Each is built
+from the run's ``Scenario``, whose knobs it reads itself:
+``TcpSender(scenario, out)``, ``CachingNode(node_id, scenario, out)`` and
+``TcpReceiver(total_segments)``.  Their handlers return nothing and emit
+straight back into the ``Simulation``, their sink ``out`` (a recorder
+stands in for it in unit tests):
 
     send(src, payload) -> frame_id        a DataSegment toward the receiver,
                                           an AckSegment toward the sender
@@ -153,29 +156,9 @@ class Simulation:
         self.trace = trace
         self.drop_override = drop_override
         self.receiver_id = scenario.hops - 1
-        self.sender = TcpSender(
-            scenario.total_segments,
-            scenario.window,
-            self,
-            rto_min=scenario.effective_rto_min(),
-            rto_max=scenario.rto_max,
-            rto_initial=scenario.effective_rto_initial(),
-            send_spacing=scenario.effective_send_spacing(),
-            fast_retransmit=scenario.fast_retransmit,
-        )
+        self.sender = TcpSender(scenario, self)
         self.receiver = TcpReceiver(scenario.total_segments)
-        self.nodes = [
-            CachingNode(
-                node_id,
-                self.receiver_id - node_id,     # hops to the receiver
-                scenario.hop_latency,
-                self,
-                enabled=scenario.dtc_enabled,
-                ll_wait=scenario.ll_wait(),
-                max_local_retries=scenario.max_local_retries,
-            )
-            for node_id in range(self.receiver_id)
-        ]
+        self.nodes = [CachingNode(i, scenario, self) for i in range(self.receiver_id)]
 
     # -- trace records ----------------------------------------------------------
 

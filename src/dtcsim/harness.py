@@ -20,11 +20,6 @@ from typing import NamedTuple, Optional, Sequence
 from .engine import RunMetrics, Simulation      # RunMetrics re-exported
 from .events import US_PER_MS, US_PER_S
 
-DEFAULT_SEGMENTS = 500
-DEFAULT_WINDOW = 3
-DEFAULT_HOP_LATENCY = 10 * US_PER_MS
-DEFAULT_RUNS = 30
-
 
 def dtc_label(enabled: bool) -> str:
     """A caching mode as written in results files, run names and the dtc key."""
@@ -38,9 +33,9 @@ class Scenario:
     hops: int                           # links, including both endpoint hops
     p_data: float                       # per-hop data-frame loss probability
     dtc_enabled: bool
-    total_segments: int = DEFAULT_SEGMENTS
-    window: int = DEFAULT_WINDOW
-    hop_latency: int = DEFAULT_HOP_LATENCY      # microseconds per hop
+    total_segments: int = 500
+    window: int = 3
+    hop_latency: int = 10 * US_PER_MS           # microseconds per hop
     seed: int = 0
     max_local_retries: int = 3
     ll_wait_multiplier: int = 3                 # ll-ack wait, in hop latencies
@@ -58,6 +53,11 @@ class Scenario:
             raise ValueError(f"p_data (per-hop data loss) must be in [0, 1), got {self.p_data!r}")
         if self.total_segments < 1:
             raise ValueError(f"total_segments must be >= 1, got {self.total_segments}")
+        for knob in ("hops", "total_segments"):
+            try:
+                float(getattr(self, knob))
+            except OverflowError:
+                raise ValueError(f"{knob} must fit a float (below 1.8e308)") from None
         try:
             self.event_budget()
         except (ZeroDivisionError, OverflowError):

@@ -25,6 +25,8 @@ upstream, so the node swallows the data and regenerates the ack.
 Timers carry a generation stamp; any cache mutation bumps the node's
 counter so stale expiries fall through harmlessly.
 
+A node is built from its id and the run's ``Scenario``, whose caching
+switch, ll-ack wait, local retry limit and chain geometry it reads itself.
 Handlers return nothing; they emit into the sink ``out`` given at
 construction (its calls are described in ``engine``), and the order of
 those calls is part of every result.
@@ -68,29 +70,19 @@ class CacheEntry:
 
 
 class CachingNode:
-    def __init__(
-        self,
-        node_id: int,
-        hops_to_receiver: int,
-        hop_latency: int,
-        out,
-        *,
-        enabled: bool = True,
-        ll_wait: int,
-        max_local_retries: int,
-    ) -> None:
+    def __init__(self, node_id: int, scenario, out) -> None:
         self.node_id = node_id
-        self.enabled = enabled
-        self.hops_to_receiver = hops_to_receiver
+        self.enabled = scenario.dtc_enabled
+        self.hops_to_receiver = scenario.hops - 1 - node_id
         self.cache: Optional[CacheEntry] = None
-        self.rtt_est = initial_rtt(hops_to_receiver, hop_latency)
+        self.rtt_est = initial_rtt(self.hops_to_receiver, scenario.hop_latency)
         self.pending_rtt = {}           # seq -> forwarded_at, awaiting ack coverage
         self._seen = set()              # seqs ever relayed (first-sighting filter)
         self.last_ack_forwarded = 1     # highest cumulative ack sent toward the sender
         self.data_tx_count = 0
         self.local_retx_count = 0
-        self.ll_wait = ll_wait
-        self.max_local_retries = max_local_retries
+        self.ll_wait = scenario.ll_wait()
+        self.max_local_retries = scenario.max_local_retries
         self.timer_generation = 0
         self.out = out
 

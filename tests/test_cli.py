@@ -138,6 +138,9 @@ RUN_ARGS = ["run", "--loss", "0.1", "--dtc", "on", "--segments", "5"]
     # a loss so high over so many hops that no event budget is a number
     (["run", "--hops", "200", "--loss", "0.99", "--dtc", "off"],
      "bad value for loss: p_data must leave a finite event budget over 200 hops, got 0.99"),
+    # a segment count too large for a float is its own fault, not the loss's
+    (["run", "--hops", "3", "--loss", "0", "--dtc", "on", "--segments", "1" + "0" * 400],
+     "bad value for segments: "),
 ])
 def test_bad_flag_exits_2_naming_the_knob(argv, knob, tmp_path, capsys, no_simulation):
     # an argument that reads `key = value` is a config-file line: pass its file

@@ -4,19 +4,25 @@ from hypothesis import given, settings, strategies as st
 from conftest import Recorder, emitted
 from dtcsim.endpoints import TcpReceiver, TcpSender, update_rto
 from dtcsim.events import SEND_SLOT, SENDER, SENDER_RTO, US_PER_MS
+from dtcsim.harness import Scenario
 from dtcsim.packets import AckSegment, DataSegment
 
 
 def make_sender(total=500, window=3, spacing=0, **overrides):
-    kwargs = dict(
+    knobs = dict(
+        hops=2,
+        p_data=0.0,
+        dtc_enabled=False,
+        total_segments=total,
+        window=window,
         rto_min=100_000,
         rto_max=60_000_000,
         rto_initial=300_000,
         send_spacing=spacing,
         fast_retransmit=False,
     )
-    kwargs.update(overrides)
-    return TcpSender(total, window, Recorder(), **kwargs)
+    knobs.update(overrides)
+    return TcpSender(Scenario(**knobs), Recorder())
 
 
 def sent_seqs(calls):

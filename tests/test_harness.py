@@ -53,6 +53,14 @@ def test_invalid_scenarios_rejected(bad):
         scenario(**bad)
 
 
+@pytest.mark.parametrize("knob", ["total_segments", "hops"])
+def test_int_knob_too_large_for_a_float_is_named_first(knob):
+    # the event budget would overflow converting it to a float: the fault is
+    # the knob's, not p_data's
+    with pytest.raises(ValueError, match=f"^{knob} "):
+        scenario(**{knob: 10**400})
+
+
 def test_boundary_knob_values_accepted():
     s = scenario(max_local_retries=0, ll_wait_multiplier=1, send_spacing=0,
                  rto_min=1, rto_initial=1, rto_max=120_000)

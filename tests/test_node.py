@@ -13,15 +13,10 @@ MS = 1000
 
 
 def make_node(node_id=5, hops_to_receiver=5, *, enabled=True):
-    return CachingNode(
-        node_id,
-        hops_to_receiver,
-        10 * MS,
-        Recorder(),
-        enabled=enabled,
-        ll_wait=30 * MS,
-        max_local_retries=3,
-    )
+    # a chain just long enough to leave hops_to_receiver hops past the node;
+    # its default knobs give 10 ms hops, a 30 ms ll wait and 3 local retries
+    scenario = Scenario(hops=node_id + 1 + hops_to_receiver, p_data=0.0, dtc_enabled=enabled)
+    return CachingNode(node_id, scenario, Recorder())
 
 
 # each helper picks one kind of emission out of a handler's recorded calls
