@@ -19,7 +19,6 @@ def make_sender(total=500, window=3, spacing=0, **overrides):
         rto_max=60_000_000,
         rto_initial=300_000,
         send_spacing=spacing,
-        fast_retransmit=False,
     )
     knobs.update(overrides)
     return TcpSender(Scenario(**knobs), Recorder())
