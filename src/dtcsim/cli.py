@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import os
 import statistics
 import sys
 from dataclasses import dataclass, field
@@ -291,8 +292,7 @@ def cmd_run(config: Config, trace: bool) -> int:
         config.scenario(config.hops[0], config.loss[0], config.dtc == "on"),
         seed=config.seed,
     )
-    render = renderer(scenario.hops)
-    sink = (lambda record: print(render(record))) if trace else None
+    sink = renderer(scenario.hops, sys.stdout.write) if trace else None
     metrics = run_scenario(scenario, trace=sink)
     print(f"scenario: {scenario.cell_id} seed={scenario.seed}")
     for m in METRICS:
@@ -505,7 +505,16 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()              # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout (`dtcsim run --trace | head`): an output
+        # I/O error.  Point stdout at devnull so the interpreter's final
+        # flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -48,8 +48,11 @@ when the callable is there:
     (t, DTC, node_id, action, seq)                 a cache transition
 
 ``kind`` is "data", "ack" or "llack"; an llack record carries the payload
-of the frame it acknowledges.  ``renderer(hops)`` turns records into the
-trace text that ``dtcsim run --trace`` prints.
+of the frame it acknowledges.  ``renderer(hops, write)`` is the one code
+that turns records into trace text: it returns such a callable, which
+formats each record as its whole line, newline included, and passes the
+line to ``write`` at once.  ``dtcsim run --trace`` passes
+``sys.stdout.write``; a caller that wants the lines passes ``list.append``.
 """
 
 from __future__ import annotations
@@ -88,27 +91,35 @@ def render_payload(payload) -> str:
     that ``renderer`` writes, and so of the golden traces."""
     if type(payload) is DataSegment:
         return f"DATA seq={payload.seq} origin={payload.origin}"
-    inner = ",".join(str(s) for s in sorted(payload.sack))
+    inner = ",".join(map(str, sorted(payload.sack)))
     return f"ACK no={payload.ack_no} sack={{{inner}}}"
 
 
-def renderer(hops: int) -> Callable[[tuple], str]:
-    """The trace text of one run over ``hops`` links: record -> line.
+def renderer(hops: int, write: Callable[[str], object]) -> Callable[[tuple], None]:
+    """The trace sink of one run over ``hops`` links.
 
-    Nodes are named S (the sender), 0 .. hops-2 and R (the receiver).
+    It formats each record as its whole line, newline included, and hands
+    the line to ``write`` before it returns, so a run that raises has
+    written every record before the failure.  Nodes are named S (the
+    sender), 0 .. hops-2 and R (the receiver).
     """
-    names = ["S", *map(str, range(hops - 1)), "R"]     # indexed by node id + 1
+    # indexed by node id: the sender's -1 wraps to the last entry
+    names = [*map(str, range(hops - 1)), "R", "S"]
 
-    def render(record: tuple) -> str:
+    def sink(record: tuple) -> None:
         if record[1] == HOP:
             t, _, src, dst, kind, delivered, payload = record
-            line = (f"HOP from={names[src + 1]} to={names[dst + 1]} kind={kind} "
-                    f"result={'delivered' if delivered else 'lost'} t={t}")
-            return line if kind == "llack" else line + " " + render_payload(payload)
-        t, _, node_id, action, seq = record
-        return f"DTC node={node_id} action={action} seq={seq} t={t}"
+            result = "delivered" if delivered else "lost"
+            if kind == "llack":
+                write(f"HOP from={names[src]} to={names[dst]} kind=llack result={result} t={t}\n")
+            else:
+                write(f"HOP from={names[src]} to={names[dst]} kind={kind} result={result} "
+                      f"t={t} {render_payload(payload)}\n")
+        else:
+            t, _, node_id, action, seq = record
+            write(f"DTC node={node_id} action={action} seq={seq} t={t}\n")
 
-    return render
+    return sink
 
 
 class LivenessError(RuntimeError):

@@ -21,6 +21,11 @@ from .engine import RunMetrics, Simulation      # RunMetrics re-exported
 from .events import US_PER_MS, US_PER_S
 
 
+# the event budget per segment-hop per expected end-to-end attempt: see
+# Scenario.event_budget
+EVENTS_PER_SEGMENT_HOP = 160
+
+
 def dtc_label(enabled: bool) -> str:
     """A caching mode as written in results files, run names and the dtc key."""
     return "on" if enabled else "off"
@@ -58,6 +63,12 @@ class Scenario:
                 float(getattr(self, knob))
             except OverflowError:
                 raise ValueError(f"{knob} must fit a float (below 1.8e308)") from None
+        try:
+            float(EVENTS_PER_SEGMENT_HOP * self.total_segments * self.hops)
+        except OverflowError:
+            raise ValueError(f"total_segments must keep {EVENTS_PER_SEGMENT_HOP} x total_segments "
+                             f"x hops below 1.8e308 over {self.hops} hops, "
+                             f"got {self.total_segments}") from None
         try:
             self.event_budget()
         except (ZeroDivisionError, OverflowError):
@@ -137,7 +148,8 @@ class Scenario:
         with the transfer (168 at 50 segments, 859 at 60): a storm that
         the budget is there to stop.
         """
-        return math.ceil(160 * self.total_segments * self.hops / (1 - self.p_data) ** self.hops)
+        return math.ceil(EVENTS_PER_SEGMENT_HOP * self.total_segments * self.hops
+                         / (1 - self.p_data) ** self.hops)
 
 
 class RunRecord(NamedTuple):

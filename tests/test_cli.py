@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from dtcsim.cli import (
     load_config,
     main,
 )
+from dtcsim.engine import LivenessError, renderer
 from dtcsim.harness import RunMetrics, Scenario, run
 
 
@@ -141,6 +145,9 @@ RUN_ARGS = ["run", "--loss", "0.1", "--dtc", "on", "--segments", "5"]
     # a segment count too large for a float is its own fault, not the loss's
     (["run", "--hops", "3", "--loss", "0", "--dtc", "on", "--segments", "1" + "0" * 400],
      "bad value for segments: "),
+    # so is one whose event budget 160 x segments x hops overflows, though it fits
+    (["run", "--hops", "3", "--loss", "0", "--dtc", "on", "--segments", "1" + "0" * 307],
+     "bad value for segments: total_segments must keep 160 x total_segments x hops"),
 ])
 def test_bad_flag_exits_2_naming_the_knob(argv, knob, tmp_path, capsys, no_simulation):
     # an argument that reads `key = value` is a config-file line: pass its file
@@ -294,6 +301,39 @@ def test_run_that_cannot_finish_exits_5_naming_it(argv, tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert err.startswith("error: h6-p0.2-on seed=7: run exceeded the 50 event budget")
     assert err.count("\n") == 1
+
+
+def test_trace_streams_every_record_before_a_failure(capsys, monkeypatch):
+    # a sink that held lines back would lose the ones that explain the failure
+    monkeypatch.setattr(Scenario, "event_budget", lambda self: 50)
+    assert main(["run"] + ONE_CELL + ["--trace"]) == 5
+    out = capsys.readouterr().out
+    records = []
+    with pytest.raises(LivenessError):
+        run(Scenario(hops=6, p_data=0.2, dtc_enabled=True, total_segments=50, seed=7),
+            trace=records.append)
+    written = []
+    sink = renderer(6, written.append)
+    for record in records:
+        sink(record)
+    assert records
+    assert out.splitlines() == "".join(written).splitlines()
+
+
+def test_closed_stdout_exits_3_without_a_traceback():
+    # the reader goes away after one line, as `dtcsim run --trace | head -n 1`
+    # does; the trace left to write is far more than a pipe holds
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dtcsim.cli", "run", "--hops", "11", "--loss", "0.15",
+         "--dtc", "on", "--segments", "50", "--seed", "1", "--trace"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"HOP ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 3
+    assert "Traceback" not in err
 
 
 # -- sweep command ----------------------------------------------------------------------

@@ -46,6 +46,7 @@ def scenario(**overrides):
     dict(rto_min=1, rto_max=119_999),       # one round trip of the 6-hop path is 120,000
     dict(p_data=0.99, hops=200),            # (1 - p) ** hops underflows to 0
     dict(p_data=0.99, hops=160),            # the budget overflows to inf
+    dict(total_segments=10**307, hops=3),   # each fits a float, 160 x their product does not
 ])
 def test_invalid_scenarios_rejected(bad):
     knob = next(iter(bad))

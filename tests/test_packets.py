@@ -9,7 +9,7 @@ from dtcsim.packets import (
     sack_add,
     sack_covers,
 )
-from dtcsim.engine import render_payload
+from dtcsim.engine import DTC, HOP, render_payload, renderer
 
 seqs = st.integers(min_value=1, max_value=30)
 acks = st.builds(
@@ -117,3 +117,39 @@ def test_render_data_segment():
 def test_render_ack_sorted():
     assert render_payload(AckSegment(1, {3, 2})) == "ACK no=1 sack={2,3}"
     assert render_payload(AckSegment(4)) == "ACK no=4 sack={}"
+
+
+def test_renderer_writes_every_line_shape():
+    # hops=4: node ids -1 (S), 0, 1, 2 and 3 (R)
+    records = [
+        (0, HOP, -1, 0, "data", True, DataSegment(1, ORIGIN_E2E)),
+        (10, HOP, 1, 2, "data", False, DataSegment(2, ORIGIN_LOCAL)),
+        (20, HOP, 3, 2, "ack", True, AckSegment(2)),
+        (30, HOP, 0, -1, "ack", False, AckSegment(1, {6, 3, 4})),
+        (40, HOP, 0, -1, "llack", True, DataSegment(1, ORIGIN_E2E)),
+        (50, HOP, 2, 3, "llack", False, AckSegment(2)),
+        (60, DTC, 0, "cache", 1),
+        (70, DTC, 1, "lock", 2),
+        (80, DTC, 2, "local_retx", 3),
+        (90, DTC, 0, "clear", 4),
+        (100, DTC, 1, "drop_ack", 5),
+        (110, DTC, 2, "regen_ack", 6),
+    ]
+    written = []
+    sink = renderer(4, written.append)
+    for record in records:
+        sink(record)
+    assert written == [
+        "HOP from=S to=0 kind=data result=delivered t=0 DATA seq=1 origin=e2e\n",
+        "HOP from=1 to=2 kind=data result=lost t=10 DATA seq=2 origin=local\n",
+        "HOP from=R to=2 kind=ack result=delivered t=20 ACK no=2 sack={}\n",
+        "HOP from=0 to=S kind=ack result=lost t=30 ACK no=1 sack={3,4,6}\n",
+        "HOP from=0 to=S kind=llack result=delivered t=40\n",
+        "HOP from=2 to=R kind=llack result=lost t=50\n",
+        "DTC node=0 action=cache seq=1 t=60\n",
+        "DTC node=1 action=lock seq=2 t=70\n",
+        "DTC node=2 action=local_retx seq=3 t=80\n",
+        "DTC node=0 action=clear seq=4 t=90\n",
+        "DTC node=1 action=drop_ack seq=5 t=100\n",
+        "DTC node=2 action=regen_ack seq=6 t=110\n",
+    ]
