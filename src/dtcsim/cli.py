@@ -6,8 +6,12 @@ Commands:
     fig4    per-node load profile preset (11 hops, 10% loss) -> nodes.csv
     report  human-readable tables from a directory of CSVs
 
-Exit codes: 0 success, 2 configuration error, 3 output I/O error,
-4 report input error, 5 a run that could not finish (LivenessError).
+Commands raise on failure, and `EXIT_CODES` in `main` decides every exit
+code: 0 success, 2 configuration error (ConfigError), 3 a failed write to
+stdout or to the results directory (OSError: a closed pipe, a full device,
+stdout closed at start, an unwritable --out), 4 report input error
+(ReportError), 5 a run that could not finish (LivenessError).  Each failure
+prints one `error:` line to stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
+import io
 import os
 import statistics
 import sys
@@ -62,10 +68,6 @@ SUMMARY_CSV_HEADER = ["hops", "p_data", "dtc", "runs"] + [
     f"{stat}_{m.column}" for m in _SUMMARY_METRICS for stat in ("mean", "stddev")
 ] + ["mean_throughput_seg_s", "reduction_factor"]
 NODES_CSV_HEADER = ["dtc", "node_index", "mean_data_tx", "stddev_data_tx"]
-
-DEFAULT_SWEEP_HOPS = [6, 7, 8, 9, 10, 11]
-DEFAULT_SWEEP_LOSS = [0.05, 0.10, 0.15]
-DEFAULT_RUNS = 30
 
 
 class ConfigError(Exception):
@@ -148,10 +150,10 @@ FIG4_GRID = {"hops": [11], "loss": [0.10], "dtc": "both"}
 
 @dataclass
 class Config:
-    hops: list = field(default_factory=lambda: list(DEFAULT_SWEEP_HOPS))
-    loss: list = field(default_factory=lambda: list(DEFAULT_SWEEP_LOSS))
+    hops: list = field(default_factory=lambda: [6, 7, 8, 9, 10, 11])
+    loss: list = field(default_factory=lambda: [0.05, 0.10, 0.15])
     dtc: str = "both"                   # on | off | both
-    runs: int = DEFAULT_RUNS
+    runs: int = 30
     seed: int = 1
     out: str = "results"
     jobs: int = 1
@@ -284,14 +286,12 @@ def _write_nodes_csv(path: Path, aggregates) -> None:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_run(config: Config, trace: bool) -> int:
-    if len(config.hops) != 1 or len(config.loss) != 1 or config.dtc == "both":
+def cmd_run(config: Config, trace: bool) -> None:
+    cells = config.cells()
+    if len(cells) != 1:
         raise ConfigError("run takes exactly one hops value, one loss value, "
                           "and --dtc on or off")
-    scenario = dataclasses.replace(
-        config.scenario(config.hops[0], config.loss[0], config.dtc == "on"),
-        seed=config.seed,
-    )
+    scenario = dataclasses.replace(cells[0], seed=config.seed)
     sink = renderer(scenario.hops, sys.stdout.write) if trace else None
     metrics = run_scenario(scenario, trace=sink)
     print(f"scenario: {scenario.cell_id} seed={scenario.seed}")
@@ -300,47 +300,34 @@ def cmd_run(config: Config, trace: bool) -> int:
         if isinstance(value, tuple):
             value = ",".join(str(n) for n in value)
         print(f"{m.label}: {value}")
-    return 0
 
 
-def _sweep_and_write(config: Config, write) -> int:
-    """Run config's cells config.runs times each, aggregate per cell, write the results.
+def _sweep(config: Config) -> tuple:
+    """Run config's cells config.runs times each and aggregate per cell.
 
-    `write(out, records, aggregates)` writes the files into the output
-    directory and returns the lines to print; an OSError exits 3.
+    Returns (records, aggregates, out), the output directory made.
     """
     records = sweep(config.cells(), config.runs, config.seed, jobs=config.jobs)
     aggregates = [aggregate(records[i:i + config.runs])
                   for i in range(0, len(records), config.runs)]
     out = Path(config.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        lines = write(out, records, aggregates)
-    except OSError as exc:
-        print(f"error: cannot write results to {out}: {exc}", file=sys.stderr)
-        return 3
-    for line in lines:
-        print(line)
-    return 0
+    out.mkdir(parents=True, exist_ok=True)
+    return records, aggregates, out
 
 
-def cmd_sweep(config: Config) -> int:
-    def write(out, records, aggregates):
-        _write_runs_csv(out / "runs.csv", records)
-        _write_summary_csv(out / "summary.csv", aggregates)
-        return [f"wrote {len(records)} runs to {out / 'runs.csv'}",
-                f"wrote {len(aggregates)} cells to {out / 'summary.csv'}"]
-
-    return _sweep_and_write(config, write)
+def cmd_sweep(config: Config) -> None:
+    records, aggregates, out = _sweep(config)
+    _write_runs_csv(out / "runs.csv", records)
+    _write_summary_csv(out / "summary.csv", aggregates)
+    print(f"wrote {len(records)} runs to {out / 'runs.csv'}")
+    print(f"wrote {len(aggregates)} cells to {out / 'summary.csv'}")
 
 
-def cmd_fig4(config: Config) -> int:
-    def write(out, records, aggregates):
-        _write_nodes_csv(out / "nodes.csv", aggregates)
-        rows = sum(len(a.mean.per_node_data_tx) for a in aggregates)
-        return [f"wrote {rows} node rows to {out / 'nodes.csv'}"]
-
-    return _sweep_and_write(config, write)
+def cmd_fig4(config: Config) -> None:
+    _, aggregates, out = _sweep(config)
+    _write_nodes_csv(out / "nodes.csv", aggregates)
+    rows = sum(len(a.mean.per_node_data_tx) for a in aggregates)
+    print(f"wrote {rows} node rows to {out / 'nodes.csv'}")
 
 
 # -- report -------------------------------------------------------------------
@@ -428,15 +415,6 @@ def _render_report(directory: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_report(directory: str) -> int:
-    try:
-        print(_render_report(Path(directory)), end="")
-    except ReportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    return 0
-
-
 # -- argument parsing ----------------------------------------------------------
 
 
@@ -479,41 +457,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# every failure a command raises -> its exit code; an OSError is a failed
+# write, to stdout or to the results directory
+EXIT_CODES = {ConfigError: 2, OSError: 3, ReportError: 4, LivenessError: 5}
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:           # argparse has printed usage and the error
         return exc.code
-    if args.command == "report":
-        return cmd_report(args.directory)
-    overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
-    if args.command == "fig4":
-        overrides.update(FIG4_GRID)
     try:
-        config = load_config(args.config, overrides)
-        if args.command == "run":
-            return cmd_run(config, args.trace)
-        if args.command == "sweep":
-            return cmd_sweep(config)
-        return cmd_fig4(config)
-    except ConfigError as exc:
+        if args.command == "report":
+            print(_render_report(Path(args.directory)), end="")
+        else:
+            overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
+            if args.command == "fig4":
+                overrides.update(FIG4_GRID)
+            config = load_config(args.config, overrides)
+            if args.command == "run":
+                cmd_run(config, args.trace)
+            elif args.command == "sweep":
+                cmd_sweep(config)
+            else:
+                cmd_fig4(config)
+        sys.stdout.flush()              # a full or closed stdout fails here at the latest
+    except tuple(EXIT_CODES) as exc:    # a LivenessError names the run and seed
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LivenessError as exc:        # its message names the run and seed
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
+    return 0
+
+
+class _ClosedStdout(io.TextIOBase):
+    """The stdout of a process started without one: every write fails."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
 
 
 def entrypoint() -> None:
+    if sys.stdout is None:              # started with stdout closed (`dtcsim run >&-`)
+        sys.stdout = _ClosedStdout()
+    code = main()
     try:
-        code = main()
-        sys.stdout.flush()              # a closed pipe raises here, not at exit
-    except BrokenPipeError:
-        # the reader closed stdout (`dtcsim run --trace | head`): an output
-        # I/O error.  Point stdout at devnull so the interpreter's final
-        # flush cannot raise again
+        sys.stdout.flush()              # only output a failed command left unwritten
+    except OSError:
+        # stdout cannot take it: point stdout at devnull so the interpreter's
+        # final flush cannot raise again; the exit code stays main's
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 3
     sys.exit(code)
 
 

@@ -148,10 +148,6 @@ class Simulation:
         trace: Optional[Callable[[tuple], None]] = None,
         drop_override: Optional[DropOverride] = None,
     ) -> None:
-        # the engine pushes frames and ll acks at now + latency unchecked;
-        # a latency of at least 1 us keeps those pushes ahead of the clock
-        if scenario.hop_latency < 1:
-            raise ValueError(f"hop_latency must be >= 1 us, got {scenario.hop_latency}")
         self.scenario = scenario
         self._heap: list[tuple] = []
         self._seq = 0                               # next event's insertion order

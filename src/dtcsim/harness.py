@@ -77,6 +77,8 @@ class Scenario:
                              f"hops, got {self.p_data!r}") from None
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
+        # the engine pushes frames and ll acks at now + hop_latency unchecked;
+        # a latency of at least 1 us keeps those pushes ahead of the clock
         if self.hop_latency < 1:
             raise ValueError(f"hop_latency must be >= 1 us, got {self.hop_latency}")
         if self.max_local_retries < 0:

@@ -1,4 +1,6 @@
 import csv
+import errno
+import io
 import os
 import subprocess
 import sys
@@ -320,20 +322,59 @@ def test_trace_streams_every_record_before_a_failure(capsys, monkeypatch):
     assert out.splitlines() == "".join(written).splitlines()
 
 
+# the one error line of a write to a full device, and of one to a closed stdout
+NO_SPACE = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+CLOSED = f"error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}: '<stdout>'\n"
+
+
 def test_closed_stdout_exits_3_without_a_traceback():
-    # the reader goes away after one line, as `dtcsim run --trace | head -n 1`
-    # does; the trace left to write is far more than a pipe holds
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "dtcsim.cli", "run", "--hops", "11", "--loss", "0.15",
-         "--dtc", "on", "--segments", "50", "--seed", "1", "--trace"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    command = [sys.executable, "-m", "dtcsim.cli", "run", "--hops", "11", "--loss", "0.15",
+               "--dtc", "on", "--segments", "50", "--seed", "1"]
+    # the reader goes away after one line, as `dtcsim run --trace | head -n 1`
+    # does; the trace left to write is far more than a pipe holds
+    proc = subprocess.Popen(command + ["--trace"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline().startswith(b"HOP ")
     proc.stdout.close()
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 3
     assert "Traceback" not in err
+    # stdout on a full device, and stdout closed at start (`>&-`)
+    for argv in (command, command + ["--trace"]):
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env,
+                                  timeout=60)
+        assert done.returncode == 3, argv
+        assert done.stderr.decode() == NO_SPACE
+        done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh"] + argv,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+        assert done.returncode == 3, argv
+        assert done.stderr.decode() == CLOSED
+
+
+class FullDevice(io.TextIOBase):
+    """A stdout on a device with no space left: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [
+    RUN_ARGS + ["--hops", "3"],
+    RUN_ARGS + ["--hops", "3", "--trace"],
+    ["sweep", "--hops", "3", "--loss", "0.1", "--runs", "1", "--segments", "5"],
+    ["report"],
+], ids=["run", "run-trace", "sweep", "report"])
+def test_failed_stdout_write_exits_3_with_one_error_line(argv, tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "results")
+    assert main(["sweep", "--hops", "3", "--loss", "0.1", "--runs", "1", "--segments", "5",
+                 "--out", out]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", FullDevice())
+    assert main(argv + [out] if argv == ["report"] else argv + ["--out", out]) == 3
+    assert capsys.readouterr().err == NO_SPACE
 
 
 # -- sweep command ----------------------------------------------------------------------
@@ -435,12 +476,15 @@ def test_sweep_determinism_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_unwritable_output_directory_exits_3(tmp_path):
+def test_unwritable_output_directory_exits_3(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
     code = main(["sweep", "--hops", "2", "--loss", "0.0", "--segments", "5",
                  "--runs", "1", "--out", str(blocker / "sub")])
     assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(blocker / "sub") in err
 
 
 # -- fig4 command ----------------------------------------------------------------------

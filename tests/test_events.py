@@ -138,15 +138,6 @@ def test_scheduling_in_the_past_aborts():
     assert sim._heap == []
 
 
-@pytest.mark.parametrize("latency", [0, -5])
-def test_hop_latency_below_one_rejected_at_construction(latency):
-    # the engine's own pushes at now + latency rely on this check
-    scenario = Scenario(hops=3, p_data=0.1, dtc_enabled=True)
-    object.__setattr__(scenario, "hop_latency", latency)    # past Scenario's own check
-    with pytest.raises(ValueError, match="hop_latency"):
-        Simulation(scenario)
-
-
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=50))
 def test_pop_times_never_decrease(times):
     sim = make_sim()
