@@ -21,10 +21,12 @@ import csv
 import dataclasses
 import errno
 import io
+import math
 import os
 import statistics
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -83,7 +85,8 @@ def _parse_int_list(text: str) -> list:
 
 
 def _parse_float_list(text: str) -> list:
-    return [float(part) for part in text.split(",") if part.strip()]
+    # + 0.0 turns -0.0 into 0.0, so a zero loss has one name
+    return [float(part) + 0.0 for part in text.split(",") if part.strip()]
 
 
 def _parse_bool(text: str) -> bool:
@@ -101,11 +104,13 @@ def _parse_optional_int(text: str) -> Optional[int]:
 
 
 def _parse_ms_as_us(text: str) -> int:
-    """Milliseconds to whole microseconds, truncated toward zero."""
-    try:
-        return int(float(text) * US_PER_MS)
-    except OverflowError as exc:
-        raise ValueError(f"not a finite time: {text!r}") from exc
+    """Decimal milliseconds to whole microseconds, exactly, truncated toward zero."""
+    # float() rejects a bad spelling; inf, nan and a time no float holds go
+    # before Decimal turns them into a huge exact int
+    if not math.isfinite(float(text) * US_PER_MS):
+        raise ValueError(f"not a finite time: {text!r}")
+    sign, digits, exponent = Decimal(text).as_tuple()
+    return int(Decimal((sign, digits, exponent + 3)))      # x US_PER_MS (10**3), exactly
 
 
 class Key(NamedTuple):
@@ -173,6 +178,9 @@ class Config:
         """
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        # each cell carries seed 0, so its Scenario cannot check the seed
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.dtc not in _DTC_BY_MODE:
             raise ConfigError(f"dtc must be on, off or both, got {self.dtc!r}")
         if self.jobs < 1:

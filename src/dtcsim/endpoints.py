@@ -6,13 +6,14 @@ exponential backoff, and timeout-driven recovery (fast retransmit exists
 behind a flag, default off).  Neither endpoint knows anything about the
 in-network caches between them.
 
-The sender is built from the run's ``Scenario``, whose transfer size,
-window, RTO bounds, pacing and fast-retransmit knobs it reads itself.  Its
-handlers return nothing; they emit into the sink ``out`` given at
-construction (its calls are described in ``engine``): segments
-toward the chain, the retransmission timer (``SENDER_RTO``, with its
-generation) and wake-ups of the pacing gate (``SEND_SLOT``).  The receiver
-just answers each segment with its ack, which the engine sends.
+Both are built from the run's ``Scenario`` and read their knobs from it:
+the sender its transfer size, window, RTO bounds, pacing and
+fast-retransmit knobs, the receiver its transfer size and its node id
+``hops - 1``.  Their handlers return nothing; they emit into the sink
+``out`` given at construction (its calls are described in ``engine``).
+The sender emits segments toward the chain, the retransmission timer
+(``SENDER_RTO``, with its generation) and wake-ups of the pacing gate
+(``SEND_SLOT``).  The receiver just answers each segment with its ack.
 """
 
 from __future__ import annotations
@@ -175,8 +176,10 @@ class TcpSender:
 class TcpReceiver:
     """In-order delivery with selective acknowledgment of the holes above."""
 
-    def __init__(self, total_segments: int) -> None:
-        self.total = total_segments
+    def __init__(self, scenario, out) -> None:
+        self.total = scenario.total_segments
+        self.node_id = scenario.hops - 1
+        self.out = out
         self.next_expected = 1
         self.out_of_order = set()
 
@@ -184,7 +187,7 @@ class TcpReceiver:
     def delivered_in_order(self) -> int:
         return self.next_expected - 1
 
-    def on_data(self, segment: DataSegment) -> AckSegment:
+    def on_data(self, segment: DataSegment, now: int) -> None:
         """Absorb one segment; always answer with the current ack."""
         seq = segment.seq
         if seq == self.next_expected:
@@ -195,4 +198,4 @@ class TcpReceiver:
         elif seq > self.next_expected:
             self.out_of_order.add(seq)
         # duplicates below next_expected change nothing but still get re-acked
-        return AckSegment(self.next_expected, frozenset(self.out_of_order))
+        self.out.send(self.node_id, AckSegment(self.next_expected, frozenset(self.out_of_order)))

@@ -11,12 +11,14 @@ source: it holds the heap of ``(fire_at, seq, target, kind, arg)`` tuples
 (see ``events``), the insertion counter behind ``seq``, ``now``, one
 seeded generator and the count of its draws.  The run loop pops the heap
 inline and branches on the int ``kind``, frame arrivals first.  It calls
-the protocol state machines in ``node`` and ``endpoints``.  Each is built
-from the run's ``Scenario``, whose knobs it reads itself:
+the protocol state machines in ``node`` and ``endpoints``, the stations.
+Each is built from the run's ``Scenario``, whose knobs it reads itself:
 ``TcpSender(scenario, out)``, ``CachingNode(node_id, scenario, out)`` and
-``TcpReceiver(total_segments)``.  Their handlers return nothing and emit
-straight back into the ``Simulation``, their sink ``out`` (a recorder
-stands in for it in unit tests):
+``TcpReceiver(scenario, out)``.  ``stations`` lists them by node id (the
+sender's -1 wraps to the last entry), and a frame arrival goes to
+``stations[target].on_data`` or ``.on_ack``.  Every handler returns
+nothing and emits straight back into the ``Simulation``, its sink ``out``
+(a recorder stands in for it in unit tests):
 
     send(src, payload) -> frame_id        a DataSegment toward the receiver,
                                           an AckSegment toward the sender
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import random
 from heapq import heappop, heappush
+from itertools import count
 from typing import Callable, NamedTuple, Optional
 
 from .events import (
@@ -67,7 +70,6 @@ from .events import (
     LL_TIMEOUT,
     LOCAL_RTO,
     SEND_SLOT,
-    SENDER,
     SENDER_RTO,
     SchedulingError,
 )
@@ -150,7 +152,7 @@ class Simulation:
     ) -> None:
         self.scenario = scenario
         self._heap: list[tuple] = []
-        self._seq = 0                               # next event's insertion order
+        self._seq = count()                         # each event's insertion order
         self.now = 0                                # virtual time, microseconds
         self._random = random.Random(scenario.seed).random
         self.draws = 0
@@ -159,13 +161,15 @@ class Simulation:
         self.p_tcp_ack = scenario.p_data / 2.0
         self.p_ll_ack = scenario.p_data / 4.0
         self.latency = scenario.hop_latency
-        self._next_frame_id = 0
+        self._frame_ids = count()
         self.trace = trace
         self.drop_override = drop_override
         self.receiver_id = scenario.hops - 1
         self.sender = TcpSender(scenario, self)
-        self.receiver = TcpReceiver(scenario.total_segments)
+        self.receiver = TcpReceiver(scenario, self)
         self.nodes = [CachingNode(i, scenario, self) for i in range(self.receiver_id)]
+        # indexed by node id: the sender's -1 wraps to the last entry
+        self.stations = [*self.nodes, self.receiver, self.sender]
 
     # -- trace records ----------------------------------------------------------
 
@@ -177,8 +181,7 @@ class Simulation:
     def send(self, src: int, payload) -> int:
         """Transmit one frame from src: a data segment toward the receiver,
         an ack toward the sender; its frame id."""
-        frame_id = self._next_frame_id
-        self._next_frame_id = frame_id + 1
+        frame_id = next(self._frame_ids)
         if type(payload) is DataSegment:
             dst = src + 1
             threshold = self.p_data
@@ -196,9 +199,7 @@ class Simulation:
         else:
             delivered = not forced
         if delivered:
-            seq = self._seq
-            self._seq = seq + 1
-            heappush(self._heap, (self.now + self.latency, seq, dst, FRAME_ARRIVAL,
+            heappush(self._heap, (self.now + self.latency, next(self._seq), dst, FRAME_ARRIVAL,
                                   (frame_id, payload)))
         if self.trace is not None:
             self._trace_hop(src, dst, payload, kind, delivered)
@@ -211,9 +212,7 @@ class Simulation:
                 f"event kind {kind} for node {target} scheduled at t={fire_at}us "
                 f"behind the clock t={self.now}us"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, (fire_at, seq, target, kind, arg))
+        heappush(self._heap, (fire_at, next(self._seq), target, kind, arg))
 
     def note(self, node_id: int, action: str, seq: int) -> None:
         """Trace a cache transition; nothing else sees it."""
@@ -229,6 +228,7 @@ class Simulation:
         sender = self.sender
         receiver = self.receiver
         nodes = self.nodes
+        stations = self.stations
         receiver_id = self.receiver_id
         latency = self.latency
         p_ll_ack = self.p_ll_ack
@@ -255,22 +255,16 @@ class Simulation:
                 if acked and 0 <= transmitter < receiver_id:
                     entry = nodes[transmitter].cache
                     if entry is not None and entry.state is AWAITING and entry.frame_id == frame_id:
-                        seq = self._seq
-                        self._seq = seq + 1
-                        heappush(heap, (now + latency, seq, transmitter, LL_ACK_ARRIVAL, frame_id))
+                        heappush(heap, (now + latency, next(self._seq), transmitter, LL_ACK_ARRIVAL,
+                                        frame_id))
                 if trace is not None:
                     self._trace_hop(target, transmitter, segment, "llack", acked)
                 if is_data:
-                    if target == receiver_id:
-                        self.send(receiver_id, receiver.on_data(segment))
-                    else:
-                        nodes[target].on_data(segment, now)
-                elif target == SENDER:
-                    sender.on_ack(segment, now)
+                    stations[target].on_data(segment, now)
+                else:
+                    stations[target].on_ack(segment, now)
                     if sender.completed_at is not None:
                         break
-                else:
-                    nodes[target].on_ack(segment, now)
             elif kind == LL_ACK_ARRIVAL:
                 nodes[target].on_ll_ack(arg)
             elif kind == LL_TIMEOUT:
@@ -292,9 +286,8 @@ class Simulation:
         # the state machines hold this simulation as their sink; cut that
         # cycle so a finished run is freed at once, not at the next full
         # garbage collection (a sweep's peak memory would show the wait)
-        sender.out = None
-        for node in nodes:
-            node.out = None
+        for station in stations:
+            station.out = None
         return self._collect()
 
     def _collect(self) -> RunMetrics:

@@ -77,6 +77,9 @@ class Scenario:
                              f"hops, got {self.p_data!r}") from None
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
+        # random.Random(-s) seeds exactly like random.Random(s)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # the engine pushes frames and ll acks at now + hop_latency unchecked;
         # a latency of at least 1 us keeps those pushes ahead of the clock
         if self.hop_latency < 1:

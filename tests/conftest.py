@@ -24,7 +24,8 @@ class ScriptedDrops:
 
 
 class Recorder:
-    """A sink for a node or a sender that records what they emit, in order.
+    """A sink for a node, the sender or the receiver that records what it
+    emits, in order.
 
     Stands in for the engine (see ``dtcsim.engine`` for the calls): ``send``
     hands out frame ids 0, 1, 2, ... to every frame, data or ack.  Each
@@ -53,7 +54,7 @@ class Recorder:
 
 
 def emitted(handler, *args):
-    """Call one handler of a node or sender; the calls it made on its sink."""
+    """Call one handler of a station; the calls it made on its sink."""
     out = handler.__self__.out
     out.calls.clear()
     assert handler(*args) is None

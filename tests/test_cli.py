@@ -150,6 +150,13 @@ RUN_ARGS = ["run", "--loss", "0.1", "--dtc", "on", "--segments", "5"]
     # so is one whose event budget 160 x segments x hops overflows, though it fits
     (["run", "--hops", "3", "--loss", "0", "--dtc", "on", "--segments", "1" + "0" * 307],
      "bad value for segments: total_segments must keep 160 x total_segments x hops"),
+    # a negative seed would repeat the runs of its absolute value
+    (RUN_ARGS + ["--hops", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["sweep", "--hops", "3", "--loss", "0.1", "--dtc", "on", "--runs", "3", "--seed", "-1"],
+     "seed must be >= 0, got -1"),
+    # an exact parse still rejects what no float holds
+    (RUN_ARGS + ["--hops", "3", "--hop-latency-ms", "nan"], "--hop-latency-ms"),
+    (RUN_ARGS + ["--hops", "3", "--config", "hop_latency_ms = 1e400"], "'hop_latency_ms'"),
 ])
 def test_bad_flag_exits_2_naming_the_knob(argv, knob, tmp_path, capsys, no_simulation):
     # an argument that reads `key = value` is a config-file line: pass its file
@@ -183,6 +190,22 @@ def test_infinite_hop_latency_exits_2(tmp_path, capsys, no_simulation):
     path = write(tmp_path / "c.conf", "hop_latency_ms = inf\n")
     assert main(RUN_ARGS + ["--hops", "3", "--config", path]) == 2
     assert "hop_latency_ms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, us", [
+    ("1.001", 1001),        # 1.001 * 1000 is 1000.9999999999999 as a float
+    (" 1_000.0019 ", 1_000_001),    # the spellings float() takes, truncated
+])
+def test_hop_latency_ms_parses_exactly(text, us):
+    assert CONFIG_KEYS["hop_latency_ms"].parse(text) == us
+
+
+def test_negative_zero_loss_is_zero_loss(tmp_path, capsys):
+    assert main(["run", "--hops", "3", "--loss", "-0", "--dtc", "on", "--segments", "5"]) == 0
+    assert "scenario: h3-p0.0-on seed=1" in capsys.readouterr().out
+    # -0.0 == 0.0, so compare the spellings
+    path = write(tmp_path / "c.conf", "loss = -0.0, 0.1\n")
+    assert [str(p) for p in load_config(path, {}).loss] == ["0.0", "0.1"]
 
 
 BAD_ADVANCED_KNOBS = [

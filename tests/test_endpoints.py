@@ -268,39 +268,50 @@ def test_each_send_is_counted_once_and_retransmissions_after_the_first(
 
 # -- receiver ---------------------------------------------------------------------------
 
+def make_receiver(total=500):
+    return TcpReceiver(Scenario(hops=4, p_data=0.0, dtc_enabled=False, total_segments=total),
+                       Recorder())
+
+
+def ack_for(receiver, seq):
+    """Hand the receiver one segment; the one ack it sends, from id hops - 1."""
+    calls = emitted(receiver.on_data, DataSegment(seq), 0)
+    assert len(calls) == 1
+    kind, src, ack, _ = calls[0]
+    assert (kind, src) == ("send", 3)
+    return ack
+
+
 def test_out_of_order_arrival_selectively_acked():
-    receiver = TcpReceiver(500)
-    ack = receiver.on_data(DataSegment(3))
-    assert ack == AckSegment(1, {3})
+    receiver = make_receiver()
+    assert ack_for(receiver, 3) == AckSegment(1, {3})
     assert receiver.next_expected == 1
 
 
 def test_gap_fill_advances_past_buffered_segments():
-    receiver = TcpReceiver(500)
-    receiver.on_data(DataSegment(2))
-    receiver.on_data(DataSegment(3))
-    ack = receiver.on_data(DataSegment(1))
-    assert ack == AckSegment(4)
+    receiver = make_receiver()
+    ack_for(receiver, 2)
+    ack_for(receiver, 3)
+    assert ack_for(receiver, 1) == AckSegment(4)
     assert receiver.delivered_in_order == 3
 
 
 def test_duplicate_data_reacked_without_state_change():
-    receiver = TcpReceiver(500)
+    receiver = make_receiver()
     for seq in (1, 2, 3, 4):
-        receiver.on_data(DataSegment(seq))
-    ack = receiver.on_data(DataSegment(2))
-    assert ack == AckSegment(5)
+        ack_for(receiver, seq)
+    assert ack_for(receiver, 2) == AckSegment(5)
     assert receiver.next_expected == 5
     assert receiver.out_of_order == set()
 
 
 def test_receiver_delivers_each_segment_exactly_once():
-    receiver = TcpReceiver(10)
+    receiver = make_receiver(total=10)
     import random
 
     order = list(range(1, 11)) * 2
     random.Random(4).shuffle(order)
     for seq in order:
-        receiver.on_data(DataSegment(seq))
+        ack_for(receiver, seq)
     assert receiver.delivered_in_order == 10
     assert receiver.out_of_order == set()

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 from heapq import heappop
 from unittest import mock
 
@@ -47,6 +49,7 @@ def scenario(**overrides):
     dict(p_data=0.99, hops=200),            # (1 - p) ** hops underflows to 0
     dict(p_data=0.99, hops=160),            # the budget overflows to inf
     dict(total_segments=10**307, hops=3),   # each fits a float, 160 x their product does not
+    dict(seed=-1),                          # random.Random(-1) seeds like random.Random(1)
 ])
 def test_invalid_scenarios_rejected(bad):
     knob = next(iter(bad))
@@ -97,6 +100,32 @@ def test_minimal_chain():
     sim = Simulation(scenario(hops=2))
     assert [node.node_id for node in sim.nodes] == [0]
     assert [node.hops_to_receiver for node in sim.nodes] == [1]
+
+
+def test_stations_are_indexed_by_node_id():
+    sim = Simulation(scenario(hops=5))
+    assert len(sim.stations) == 6
+    for i in range(4):
+        assert sim.stations[i] is sim.nodes[i]
+    assert sim.stations[sim.receiver_id] is sim.receiver
+    assert sim.receiver.node_id == sim.receiver_id == 4
+    assert sim.stations[-1] is sim.sender
+
+
+def test_finished_run_is_freed_without_the_cycle_collector():
+    # the stations hold the simulation as their sink; a run cuts that cycle
+    # when it ends, so a sweep frees each run at once
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulation(scenario(hops=4, p_data=0.1, total_segments=10))
+        sim.run()
+        finished = weakref.ref(sim)
+        del sim
+        assert finished() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_every_knob_reaches_its_state_machine():
