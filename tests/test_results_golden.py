@@ -1,4 +1,5 @@
-"""Byte-for-byte pin of every results file and of `run`, `run --trace` and `report` stdout.
+"""Byte-for-byte pin of every results file and of `run`, `run --trace` (caching on
+and off) and `report` stdout.
 
 One small sweep and one small fig4 write into the same directory, so the
 report renders all three of its tables. The goldens were recorded on
@@ -25,8 +26,12 @@ RUN = ["run", "--hops", "6", "--loss", "0.15", "--dtc", "on", "--segments", "40"
 # losses on several hops and local retransmissions, in 240 lines
 RUN_TRACE = ["run", "--hops", "4", "--loss", "0.15", "--dtc", "on", "--segments", "10",
              "--seed", "5", "--trace"]
+# the same run with caching off: every node a relay, 16 losses in 190 lines
+RUN_TRACE_OFF = ["run", "--hops", "4", "--loss", "0.15", "--dtc", "off", "--segments", "10",
+                 "--seed", "5", "--trace"]
 
-FILES = ["runs.csv", "summary.csv", "nodes.csv", "run.txt", "run_trace.txt", "report.txt"]
+FILES = ["runs.csv", "summary.csv", "nodes.csv", "run.txt", "run_trace.txt", "run_trace_off.txt",
+         "report.txt"]
 
 
 def _stdout(argv) -> str:
@@ -42,6 +47,7 @@ def produce(out: Path) -> None:
     _stdout(FIG4 + ["--out", str(out)])
     (out / "run.txt").write_text(_stdout(RUN))
     (out / "run_trace.txt").write_text(_stdout(RUN_TRACE))
+    (out / "run_trace_off.txt").write_text(_stdout(RUN_TRACE_OFF))
     (out / "report.txt").write_text(_stdout(["report", str(out)]))
 
 
