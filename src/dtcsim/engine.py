@@ -16,7 +16,8 @@ Each is built from the run's ``Scenario``, whose knobs it reads itself:
 ``TcpSender(scenario, out)``, ``CachingNode(node_id, scenario, out)`` and
 ``TcpReceiver(scenario, out)``.  ``stations`` lists them by node id (the
 sender's -1 wraps to the last entry), and a frame arrival goes to
-``stations[target].on_data`` or ``.on_ack``.  Every handler returns
+``stations[target].on_data`` or ``.on_ack``, except at a relay (below).
+Every handler returns
 nothing and emits straight back into the ``Simulation``, its sink ``out``
 (a recorder stands in for it in unit tests):
 
@@ -42,6 +43,21 @@ results are the same as if every survivor were pushed.
 
 So the order in which a handler emits is the order of frame ids, draws and
 pushes, and it is part of every result; keep it when editing a handler.
+
+With caching off every intermediate node is a relay, and the run loop
+forwards a frame arriving there itself, as ``send`` would: one data
+transmission counted on the node for data, the next frame id, the drop
+override or one loss draw, and the trace record.  A surviving frame is
+then carried on inline as the next arrival, with its ll-ack draw, without
+a heap push and pop.  The carry stops, and the arrival is pushed as
+``send`` pushes it, when the next station is the sender or the receiver,
+when a queued event fires at or before the arrival (on a tie the queued
+event, pushed earlier, pops first), or when one more event would exceed
+the budget.  Otherwise the arrival is the very next event the heap would
+pop, so carrying it processes the same events in the same order.  A
+skipped push takes no insertion number; the counter still grows with
+every push, so no two events change their relative order.  A carried hop
+counts as a processed event, so the budget cuts a run at the same event.
 
 A run given a ``trace`` callable passes it one tuple per event, built only
 when the callable is there:
@@ -225,12 +241,17 @@ class Simulation:
         heap = self._heap
         rand = self._random
         trace = self.trace
+        drop_override = self.drop_override
         sender = self.sender
         receiver = self.receiver
         nodes = self.nodes
         stations = self.stations
         receiver_id = self.receiver_id
+        # with caching off every intermediate node is a relay
+        relays = not self.scenario.dtc_enabled
         latency = self.latency
+        p_data = self.p_data
+        p_tcp_ack = self.p_tcp_ack
         p_ll_ack = self.p_ll_ack
         budget = self.scenario.event_budget()
         processed = 0
@@ -248,6 +269,46 @@ class Simulation:
             if kind == FRAME_ARRIVAL:
                 frame_id, segment = arg
                 is_data = type(segment) is DataSegment
+                if relays and 0 <= target < receiver_id:
+                    while True:
+                        # the ll-ack draw; a caching-off run has no cache to read it
+                        self.draws += 1
+                        acked = rand() >= p_ll_ack
+                        if trace is not None:
+                            self._trace_hop(target, target - 1 if is_data else target + 1,
+                                            segment, "llack", acked)
+                        # the relay forwards the frame as send() would ...
+                        if is_data:
+                            nodes[target].data_tx_count += 1
+                            dst = target + 1
+                            threshold = p_data
+                        else:
+                            dst = target - 1
+                            threshold = p_tcp_ack
+                        frame_id = next(self._frame_ids)
+                        forced = None
+                        if drop_override is not None:
+                            forced = drop_override(frame_id, segment, target, dst)
+                        if forced is None:
+                            self.draws += 1
+                            delivered = rand() >= threshold
+                        else:
+                            delivered = not forced
+                        if trace is not None:
+                            self._trace_hop(target, dst, segment, "data" if is_data else "ack", delivered)
+                        if not delivered:
+                            break
+                        # ... and carries it on as the next event while nothing
+                        # queued fires first (a tie pops the queued event first),
+                        # the next station is a relay too, and the budget allows
+                        at = now + latency
+                        if (heap and heap[0][0] <= at) or not 0 <= dst < receiver_id or processed == budget:
+                            heappush(heap, (at, next(self._seq), dst, FRAME_ARRIVAL, (frame_id, segment)))
+                            break
+                        now = self.now = at
+                        processed += 1
+                        target = dst
+                    continue
                 transmitter = target - 1 if is_data else target + 1
                 # drawn always, pushed only to its one reader (module docstring)
                 self.draws += 1

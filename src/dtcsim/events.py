@@ -19,9 +19,10 @@ An event is a plain heap tuple ``(fire_at, seq, target, kind, arg)``:
               counter); SEND_SLOT: None
 
 The order in which a run schedules events and consumes random draws is
-part of its result: two runs agree byte for byte only if they push the
+part of its result: two runs agree byte for byte only if they handle the
 same events in the same order and draw from the source in the same
-order.  A faster engine must preserve both.
+order.  A faster engine must preserve both; it may handle an event
+without pushing it (``engine`` says when).
 """
 
 from __future__ import annotations

@@ -172,6 +172,14 @@ def _run_record(scenario: Scenario) -> RunRecord:
     return RunRecord(scenario, run(scenario))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set (which taskset or
+    a cpuset narrows) where the platform has one, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sweep(
     cells: Sequence[Scenario],
     runs: int,
@@ -183,7 +191,7 @@ def sweep(
     Every cell reuses the same seed list, so paired comparisons across
     cells (with/without caching) see identical loss processes per seed
     index.  Rows come back grouped by cell, in run-index order,
-    regardless of job count.  At most min(jobs, runs x cells, CPU count)
+    regardless of job count.  At most min(jobs, runs x cells, usable CPUs)
     worker processes run them.
     """
     if runs < 1:
@@ -193,7 +201,7 @@ def sweep(
         for cell in cells
         for k in range(runs)
     ]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(tasks), _usable_cpus())
     if workers > 1:
         with Pool(processes=workers) as pool:
             return pool.map(_run_record, tasks, chunksize=4)

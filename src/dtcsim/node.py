@@ -1,8 +1,8 @@
 """Per-node one-segment cache with link-layer-ack-driven locking.
 
-Each intermediate node relays data toward the receiver and acks toward
-the sender.  When enabled, it additionally keeps at most one data segment
-cached, as an entry in one of three states:
+Each intermediate node of a caching run relays data toward the receiver
+and acks toward the sender, and keeps at most one data segment cached, as
+an entry in one of three states:
 
   * AWAITING: the node has just forwarded the segment and waits for the
     next hop's link-layer ack.  The entry pins the slot.  The ll ack
@@ -25,8 +25,12 @@ upstream, so the node swallows the data and regenerates the ack.
 Timers carry a generation stamp; any cache mutation bumps the node's
 counter so stale expiries fall through harmlessly.
 
-A node is built from its id and the run's ``Scenario``, whose caching
-switch, ll-ack wait, local retry limit and chain geometry it reads itself.
+With caching off a node's handlers never run: the engine's run loop
+relays every frame itself and counts the node's data transmissions.  So
+this module has no pass-through mode.
+
+A node is built from its id and the run's ``Scenario``, whose ll-ack
+wait, local retry limit and chain geometry it reads itself.
 Handlers return nothing; they emit into the sink ``out`` given at
 construction (its calls are described in ``engine``), and the order of
 those calls is part of every result.
@@ -72,7 +76,6 @@ class CacheEntry:
 class CachingNode:
     def __init__(self, node_id: int, scenario, out) -> None:
         self.node_id = node_id
-        self.enabled = scenario.dtc_enabled
         self.hops_to_receiver = scenario.hops - 1 - node_id
         self.cache: Optional[CacheEntry] = None
         self.rtt_est = initial_rtt(self.hops_to_receiver, scenario.hop_latency)
@@ -121,10 +124,6 @@ class CachingNode:
 
     def on_data(self, segment: DataSegment, now: int) -> None:
         out = self.out
-        if not self.enabled:
-            self.data_tx_count += 1
-            out.send(self.node_id, segment)
-            return
         seq = segment.seq
         if seq < self.last_ack_forwarded:
             # we already forwarded an ack covering this segment; that ack
@@ -185,9 +184,6 @@ class CachingNode:
 
     def on_ack(self, ack: AckSegment, now: int) -> None:
         out = self.out
-        if not self.enabled:
-            out.send(self.node_id, ack)
-            return
         # round-trip samples for every pending segment this ack vouches for
         if self.pending_rtt:
             for seq in sorted(self.pending_rtt):

@@ -2,14 +2,13 @@ import dataclasses
 import gc
 import math
 import weakref
-from heapq import heappop
-from unittest import mock
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtcsim import engine, harness
-from dtcsim.engine import HOP, LivenessError, Simulation
+from dtcsim import harness
+from dtcsim.engine import DTC, HOP, LivenessError, Simulation
 from dtcsim.events import FRAME_ARRIVAL
 from dtcsim.harness import (
     RunMetrics,
@@ -20,8 +19,9 @@ from dtcsim.harness import (
     run,
     sweep,
 )
+from dtcsim.packets import DataSegment
 
-from conftest import ScriptedDrops, watch_pushes
+from conftest import ScriptedDrops
 
 
 def scenario(**overrides):
@@ -135,7 +135,8 @@ def test_every_knob_reaches_its_state_machine():
                  hop_latency=7_000, seed=3, max_local_retries=5, ll_wait_multiplier=2,
                  send_spacing=12_345, rto_min=200_000, rto_max=5_000_000,
                  rto_initial=700_000, fast_retransmit=True)
-    sim = Simulation(s)
+    records = []
+    sim = Simulation(s, trace=records.append)
     sender = sim.sender
     assert (sender.total, sender.window, sender.fast_retransmit) == (17, 4, True)
     assert (sender.rto, sender.rto_min, sender.rto_max) == (700_000, 200_000, 5_000_000)
@@ -144,11 +145,12 @@ def test_every_knob_reaches_its_state_machine():
     assert sim.receiver.total == 17
     assert len(sim.nodes) == 4
     for node in sim.nodes:
-        assert node.enabled is False
         assert node.ll_wait == s.ll_wait() == 14_000
         assert node.max_local_retries == 5
         assert node.hops_to_receiver == 4 - node.node_id
         assert node.rtt_est == 2 * node.hops_to_receiver * 7_000
+    sim.run()
+    assert [record for record in records if record[1] == DTC] == []     # caching off: relays only
 
 
 def test_hops_to_receiver_arithmetic():
@@ -268,7 +270,12 @@ def test_parallel_sweep_matches_serial():
     assert sweep(cells, 2, 3, jobs=2) == sweep(cells, 2, 3, jobs=1)
 
 
-@pytest.mark.parametrize("cpus, workers", [(64, [4]), (3, [3]), (1, []), (None, [])])
+@pytest.mark.parametrize("cpus, workers", [
+    (64, [4]), (3, [3]), (1, []), (None, []),
+    # (count, affinity): taskset or a cpuset leaves this process fewer cores
+    pytest.param((64, {0, 1}), [2], id="64-affinity2"),
+    pytest.param((64, {5}), [], id="64-affinity1"),
+])
 def test_sweep_pool_is_capped_by_tasks_and_cpus(monkeypatch, cpus, workers):
     # --jobs 100000 must not ask for 100,000 processes: 4 tasks, `cpus` cores
     sizes = []
@@ -289,6 +296,11 @@ def test_sweep_pool_is_capped_by_tasks_and_cpus(monkeypatch, cpus, workers):
             return [fn(task) for task in tasks]
 
     monkeypatch.setattr(harness, "Pool", SerialPool)
+    if isinstance(cpus, tuple):
+        cpus, affinity = cpus
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    else:
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     cells = [scenario(p_data=0.1, total_segments=10, dtc_enabled=False),
              scenario(p_data=0.1, total_segments=10, dtc_enabled=True)]
@@ -306,6 +318,25 @@ def test_failing_sweep_run_names_its_scenario_and_seed(jobs, monkeypatch):
     message = str(failure.value)
     for part in ("h6-p0.2-on seed=7", "event budget"):
         assert part in message
+
+
+@pytest.mark.parametrize("budget, cut_at", [
+    (1, "t=20000us (0/30 delivered)"),          # data reaching node 1
+    (2, "t=21000us (0/30 delivered)"),          # the sender's send slot
+    (3, "t=30000us (0/30 delivered)"),          # data reaching node 2
+    (8, "t=60000us (0/30 delivered)"),          # data reaching the receiver
+    (13, "t=82000us (1/30 delivered)"),         # data reaching node 3
+    (50, "t=5520000us (4/30 delivered)"),       # the sender's rto
+    (200, "t=1472290000us (6/30 delivered)"),   # data reaching node 0
+    (777, "t=7533750000us (25/30 delivered)"),  # data reaching node 2
+])
+def test_budget_cut_on_a_caching_off_chain(monkeypatch, budget, cut_at):
+    # the messages were recorded before relays forwarded frames inside the
+    # run loop; a cut among relay hops must still name the same event
+    monkeypatch.setattr(Scenario, "event_budget", lambda self: budget)
+    with pytest.raises(LivenessError) as cut:
+        run(Scenario(hops=6, p_data=0.2, dtc_enabled=False, total_segments=30, seed=3))
+    assert str(cut.value) == f"h6-p0.2-off seed=3: run exceeded the {budget} event budget at {cut_at}"
 
 
 def test_sweep_rejects_zero_runs():
@@ -429,9 +460,11 @@ scripted_drops = st.dictionaries(st.tuples(st.integers(1, 10), st.integers(-1, 4
 @settings(max_examples=50, deadline=None)
 @given(small_runs, st.booleans(), st.one_of(st.none(), scripted_drops))
 def test_every_draw_is_a_send_or_an_arrival(knobs, dtc, rules):
+    # read from the trace, which sees frames the run loop carries past the
+    # heap: a data or ack record is a send, an llack record a frame arrival.
     # rng_draws = one loss draw per send the override leaves to chance + one
-    # ll-ack draw per frame arrival processed; each popped arrival is the
-    # frame of exactly one send that survived
+    # ll-ack draw per arrival; each delivered send either arrived on its
+    # link one hop latency later or is still in flight in the heap
     verdicts = []
     override = None
     if rules is not None:
@@ -441,35 +474,20 @@ def test_every_draw_is_a_send_or_an_arrival(knobs, dtc, rules):
             verdicts.append(scripted(*frame))
             return verdicts[-1]
 
-    sim = Simulation(Scenario(dtc_enabled=dtc, **knobs), drop_override=override)
-    sends = []
-
-    def counted(send):
-        def call(*args):
-            sends.append(args)
-            return send(*args)
-        return call
-
-    sim.send = counted(sim.send)
-    pushed = {}
-    popped = []
-
-    def on_push(fire_at, target, kind, arg):
-        if kind == FRAME_ARRIVAL:
-            assert arg[0] not in pushed
-            pushed[arg[0]] = arg
-
-    def pop(heap):
-        event = heappop(heap)
-        if event[3] == FRAME_ARRIVAL:
-            popped.append(event[4])
-        return event
-
-    with watch_pushes(on_push), mock.patch.object(engine, "heappop", pop):
-        metrics = sim.run()
+    records = []
+    sim = Simulation(Scenario(dtc_enabled=dtc, **knobs), trace=records.append,
+                     drop_override=override)
+    metrics = sim.run()
     assert metrics.delivered_segments == knobs["total_segments"]
+    hops = [record for record in records if record[1] == HOP]
+    sends = [record for record in hops if record[4] != "llack"]
+    # (arrival time, receiving node, transmitter, frame) of each frame
+    arrivals = Counter((t, src, dst, payload)
+                       for t, _, src, dst, kind, _, payload in hops if kind == "llack")
+    in_flight = Counter((t, target, target - 1 if type(arg[1]) is DataSegment else target + 1, arg[1])
+                        for t, _, target, kind, arg in sim._heap if kind == FRAME_ARRIVAL)
+    delivered = Counter((t + sim.latency, dst, src, payload)
+                        for t, _, src, dst, _, ok, payload in sends if ok)
     decided = sum(verdict is not None for verdict in verdicts)
-    assert metrics.rng_draws == len(sends) - decided + len(popped)
-    assert len(pushed) <= len(sends)
-    assert len({arg[0] for arg in popped}) == len(popped)
-    assert all(pushed[arg[0]] is arg for arg in popped)
+    assert metrics.rng_draws == len(sends) - decided + sum(arrivals.values())
+    assert delivered == arrivals + in_flight

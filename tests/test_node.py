@@ -1,9 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from conftest import Recorder, emitted, watch_pushes
-from dtcsim.engine import Simulation
+from dtcsim.engine import DTC, HOP, Simulation
 from dtcsim.events import LL_ACK_ARRIVAL, LL_TIMEOUT, LOCAL_RTO
 from dtcsim.harness import Scenario
 from dtcsim.node import AWAITING, LOCKED, REPLACEABLE, CachingNode, initial_rtt
@@ -12,10 +14,10 @@ from dtcsim.packets import ORIGIN_LOCAL, AckSegment, DataSegment, sack_covers
 MS = 1000
 
 
-def make_node(node_id=5, hops_to_receiver=5, *, enabled=True):
+def make_node(node_id=5, hops_to_receiver=5):
     # a chain just long enough to leave hops_to_receiver hops past the node;
     # its default knobs give 10 ms hops, a 30 ms ll wait and 3 local retries
-    scenario = Scenario(hops=node_id + 1 + hops_to_receiver, p_data=0.0, dtc_enabled=enabled)
+    scenario = Scenario(hops=node_id + 1 + hops_to_receiver, p_data=0.0, dtc_enabled=True)
     return CachingNode(node_id, scenario, Recorder())
 
 
@@ -123,12 +125,23 @@ def test_data_below_forwarded_ack_regenerates_ack():
 
 
 def test_disabled_node_is_a_pure_relay():
-    node = make_node(enabled=False)
-    node.last_ack_forwarded = 9
-    assert emitted(node.on_data, DataSegment(2), 0) == [("send", 5, DataSegment(2), 0)]
-    assert node.cache is None
-    ack = AckSegment(1, {3})
-    assert emitted(node.on_ack, ack, 0) == [("send", 5, ack, 1)]
+    # with caching off each node forwards every frame it receives unchanged,
+    # at the instant it arrives, and its cache machine never runs
+    records = []
+    sim = Simulation(Scenario(hops=4, p_data=0.0, dtc_enabled=False, total_segments=5),
+                     trace=records.append)
+    sim.run()
+    assert [record for record in records if record[1] == DTC] == []
+    frames = [(t, src, dst, payload)
+              for t, tag, src, dst, kind, _, payload in records if tag == HOP and kind != "llack"]
+    relayed = [frame for frame in frames if 0 <= frame[1] < sim.receiver_id]
+    expected = [(t + sim.latency, dst, dst + 1 if type(payload) is DataSegment else dst - 1, payload)
+                for t, _, dst, payload in frames if 0 <= dst < sim.receiver_id]
+    assert len(relayed) == 3 * (5 + 5)          # 5 data and 5 acks through each node
+    assert Counter(relayed) == Counter(expected)
+    for node in sim.nodes:
+        assert node.cache is None and node.timer_generation == 0
+        assert (node.data_tx_count, node.local_retx_count, node.last_ack_forwarded) == (5, 0, 1)
 
 
 # -- link-layer ack handling ---------------------------------------------------------
