@@ -11,9 +11,10 @@ the sender its transfer size, window, RTO bounds, pacing and
 fast-retransmit knobs, the receiver its transfer size and its node id
 ``hops - 1``.  Their handlers return nothing; they emit into the sink
 ``out`` given at construction (its calls are described in ``engine``).
-The sender emits segments toward the chain, the retransmission timer
-(``SENDER_RTO``, with its generation) and wake-ups of the pacing gate
-(``SEND_SLOT``).  The receiver just answers each segment with its ack.
+The sender emits segments toward the chain and schedules its own
+handlers: ``on_rto`` for the retransmission timer, with its generation,
+and ``on_send_slot`` for the next opening of the pacing gate.  The
+receiver just answers each segment with its ack.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .events import SEND_SLOT, SENDER, SENDER_RTO
+from .events import SENDER
 from .packets import ORIGIN_E2E, AckSegment, DataSegment
 
 
@@ -97,9 +98,9 @@ class TcpSender:
             self._next_free_at = now + self.spacing
         if self._tx_queue and not self._slot_armed:
             self._slot_armed = True
-            self.out.schedule(self._next_free_at, SENDER, SEND_SLOT)
+            self.out.schedule(self._next_free_at, self.on_send_slot)
 
-    def on_send_slot(self, now: int) -> None:
+    def on_send_slot(self, arg: None, now: int) -> None:
         self._slot_armed = False
         self._drain(now)
 
@@ -110,7 +111,7 @@ class TcpSender:
 
     def _arm_rto(self, now: int) -> None:
         self.rto_generation += 1
-        self.out.schedule(now + self.effective_rto(), SENDER, SENDER_RTO, arg=self.rto_generation)
+        self.out.schedule(now + self.effective_rto(), self.on_rto, self.rto_generation)
 
     # -- transfer -----------------------------------------------------------
 

@@ -7,10 +7,10 @@ retransmissions to id+1, acks to id-1.  So the transmitter of an arriving
 frame follows from its direction, and link-layer acks go back to it.
 
 The ``Simulation`` is its own event queue, virtual clock and random
-source: it holds the heap of ``(fire_at, seq, target, kind, arg)`` tuples
-(see ``events``), the insertion counter behind ``seq``, ``now``, one
-seeded generator and the count of its draws.  The run loop pops the heap
-inline and branches on the int ``kind``, frame arrivals first.  It calls
+source: it holds the heap of event tuples (see ``events``), the insertion
+counter behind ``seq``, ``now``, one seeded generator and the count of its
+draws.  The run loop pops the heap inline.  It handles a frame arrival
+itself and makes any other event's call.  The calls are the handlers of
 the protocol state machines in ``node`` and ``endpoints``, the stations.
 Each is built from the run's ``Scenario``, whose knobs it reads itself:
 ``TcpSender(scenario, out)``, ``CachingNode(node_id, scenario, out)`` and
@@ -23,7 +23,8 @@ nothing and emits straight back into the ``Simulation``, its sink ``out``
 
     send(src, payload) -> frame_id        a DataSegment toward the receiver,
                                           an AckSegment toward the sender
-    schedule(at, target, kind, arg=...)   a timer; never behind the clock
+    schedule(at, call, arg=None)          a timer: call(arg, now) at time at,
+                                          never behind the clock
     note(node_id, action, seq)            a cache transition: a DTC trace record
 
 Loss is memoryless: each send takes the next frame id and makes one
@@ -35,11 +36,12 @@ recovery is someone else's job.  A drop override (tests only) may decide
 a send instead of the draw.
 
 Every arriving frame gets its link-layer ack draw, always at arrival.  The
-ack's arrival is pushed only when the transmitter is a node whose cache
-entry is AWAITING that frame id, the one reader of an ll ack; frame ids are
-unique, so no later entry can await it either.  Leaving the other pushes
-out keeps every draw and the relative order of every other event, so the
-results are the same as if every survivor were pushed.
+ack's arrival, a call of the transmitter's ``on_ll_ack``, is pushed only
+when the transmitter is a node whose cache entry is AWAITING that frame
+id, the one reader of an ll ack; frame ids are unique, so no later entry
+can await it either.  Leaving the other pushes out keeps every draw and
+the relative order of every other event, so the results are the same as
+if every survivor were pushed.
 
 So the order in which a handler emits is the order of frame ids, draws and
 pushes, and it is part of every result; keep it when editing a handler.
@@ -80,15 +82,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Callable, NamedTuple, Optional
 
-from .events import (
-    FRAME_ARRIVAL,
-    LL_ACK_ARRIVAL,
-    LL_TIMEOUT,
-    LOCAL_RTO,
-    SEND_SLOT,
-    SENDER_RTO,
-    SchedulingError,
-)
+from .events import SchedulingError
 from .endpoints import TcpReceiver, TcpSender
 from .node import AWAITING, CachingNode
 from .packets import DataSegment
@@ -215,20 +209,19 @@ class Simulation:
         else:
             delivered = not forced
         if delivered:
-            heappush(self._heap, (self.now + self.latency, next(self._seq), dst, FRAME_ARRIVAL,
-                                  (frame_id, payload)))
+            heappush(self._heap, (self.now + self.latency, next(self._seq), None,
+                                  (dst, frame_id, payload)))
         if self.trace is not None:
             self._trace_hop(src, dst, payload, kind, delivered)
         return frame_id
 
-    def schedule(self, fire_at: int, target: int, kind: int, arg: object = None) -> None:
-        """Push one timer event; fire_at may not lie behind the clock."""
+    def schedule(self, fire_at: int, call: Callable, arg: object = None) -> None:
+        """Push one timer: ``call(arg, now)`` at fire_at, which may not lie
+        behind the clock."""
         if fire_at < self.now:
-            raise SchedulingError(
-                f"event kind {kind} for node {target} scheduled at t={fire_at}us "
-                f"behind the clock t={self.now}us"
-            )
-        heappush(self._heap, (fire_at, next(self._seq), target, kind, arg))
+            raise SchedulingError(f"{call.__qualname__} scheduled at t={fire_at}us "
+                                  f"behind the clock t={self.now}us")
+        heappush(self._heap, (fire_at, next(self._seq), call, arg))
 
     def note(self, node_id: int, action: str, seq: int) -> None:
         """Trace a cache transition; nothing else sees it."""
@@ -257,7 +250,7 @@ class Simulation:
         processed = 0
         sender.start(self.now)
         while heap:
-            now, _, target, kind, arg = heappop(heap)
+            now, _, call, arg = heappop(heap)
             self.now = now
             processed += 1
             if processed > budget:
@@ -266,78 +259,68 @@ class Simulation:
                     f"run exceeded the {budget} event budget at t={now}us "
                     f"({receiver.delivered_in_order}/{receiver.total} delivered)"
                 )
-            if kind == FRAME_ARRIVAL:
-                frame_id, segment = arg
-                is_data = type(segment) is DataSegment
-                if relays and 0 <= target < receiver_id:
-                    while True:
-                        # the ll-ack draw; a caching-off run has no cache to read it
+            if call is not None:
+                call(arg, now)
+                continue
+            target, frame_id, segment = arg
+            is_data = type(segment) is DataSegment
+            if relays and 0 <= target < receiver_id:
+                while True:
+                    # the ll-ack draw; a caching-off run has no cache to read it
+                    self.draws += 1
+                    acked = rand() >= p_ll_ack
+                    if trace is not None:
+                        self._trace_hop(target, target - 1 if is_data else target + 1,
+                                        segment, "llack", acked)
+                    # the relay forwards the frame as send() would ...
+                    if is_data:
+                        nodes[target].data_tx_count += 1
+                        dst = target + 1
+                        threshold = p_data
+                    else:
+                        dst = target - 1
+                        threshold = p_tcp_ack
+                    frame_id = next(self._frame_ids)
+                    forced = None
+                    if drop_override is not None:
+                        forced = drop_override(frame_id, segment, target, dst)
+                    if forced is None:
                         self.draws += 1
-                        acked = rand() >= p_ll_ack
-                        if trace is not None:
-                            self._trace_hop(target, target - 1 if is_data else target + 1,
-                                            segment, "llack", acked)
-                        # the relay forwards the frame as send() would ...
-                        if is_data:
-                            nodes[target].data_tx_count += 1
-                            dst = target + 1
-                            threshold = p_data
-                        else:
-                            dst = target - 1
-                            threshold = p_tcp_ack
-                        frame_id = next(self._frame_ids)
-                        forced = None
-                        if drop_override is not None:
-                            forced = drop_override(frame_id, segment, target, dst)
-                        if forced is None:
-                            self.draws += 1
-                            delivered = rand() >= threshold
-                        else:
-                            delivered = not forced
-                        if trace is not None:
-                            self._trace_hop(target, dst, segment, "data" if is_data else "ack", delivered)
-                        if not delivered:
-                            break
-                        # ... and carries it on as the next event while nothing
-                        # queued fires first (a tie pops the queued event first),
-                        # the next station is a relay too, and the budget allows
-                        at = now + latency
-                        if (heap and heap[0][0] <= at) or not 0 <= dst < receiver_id or processed == budget:
-                            heappush(heap, (at, next(self._seq), dst, FRAME_ARRIVAL, (frame_id, segment)))
-                            break
-                        now = self.now = at
-                        processed += 1
-                        target = dst
-                    continue
-                transmitter = target - 1 if is_data else target + 1
-                # drawn always, pushed only to its one reader (module docstring)
-                self.draws += 1
-                acked = rand() >= p_ll_ack
-                if acked and 0 <= transmitter < receiver_id:
-                    entry = nodes[transmitter].cache
-                    if entry is not None and entry.state is AWAITING and entry.frame_id == frame_id:
-                        heappush(heap, (now + latency, next(self._seq), transmitter, LL_ACK_ARRIVAL,
-                                        frame_id))
-                if trace is not None:
-                    self._trace_hop(target, transmitter, segment, "llack", acked)
-                if is_data:
-                    stations[target].on_data(segment, now)
-                else:
-                    stations[target].on_ack(segment, now)
-                    if sender.completed_at is not None:
+                        delivered = rand() >= threshold
+                    else:
+                        delivered = not forced
+                    if trace is not None:
+                        self._trace_hop(target, dst, segment, "data" if is_data else "ack", delivered)
+                    if not delivered:
                         break
-            elif kind == LL_ACK_ARRIVAL:
-                nodes[target].on_ll_ack(arg)
-            elif kind == LL_TIMEOUT:
-                nodes[target].on_ll_timeout(arg, now)
-            elif kind == LOCAL_RTO:
-                nodes[target].on_local_rto(arg, now)
-            elif kind == SENDER_RTO:
-                sender.on_rto(arg, now)
-            elif kind == SEND_SLOT:
-                sender.on_send_slot(now)
+                    # ... and carries it on as the next event while nothing
+                    # queued fires first (a tie pops the queued event first),
+                    # the next station is a relay too, and the budget allows
+                    at = now + latency
+                    if (heap and heap[0][0] <= at) or not 0 <= dst < receiver_id or processed == budget:
+                        heappush(heap, (at, next(self._seq), None, (dst, frame_id, segment)))
+                        break
+                    now = self.now = at
+                    processed += 1
+                    target = dst
+                continue
+            transmitter = target - 1 if is_data else target + 1
+            # drawn always, pushed only to its one reader (module docstring)
+            self.draws += 1
+            acked = rand() >= p_ll_ack
+            if acked and 0 <= transmitter < receiver_id:
+                node = nodes[transmitter]
+                entry = node.cache
+                if entry is not None and entry.state is AWAITING and entry.frame_id == frame_id:
+                    heappush(heap, (now + latency, next(self._seq), node.on_ll_ack, frame_id))
+            if trace is not None:
+                self._trace_hop(target, transmitter, segment, "llack", acked)
+            if is_data:
+                stations[target].on_data(segment, now)
             else:
-                raise AssertionError(f"unknown event kind {kind!r}")
+                stations[target].on_ack(segment, now)
+                if sender.completed_at is not None:
+                    break
         else:
             raise LivenessError(
                 f"{self.scenario.cell_id} seed={self.scenario.seed}: "

@@ -25,6 +25,9 @@ from .events import US_PER_MS, US_PER_S
 # Scenario.event_budget
 EVENTS_PER_SEGMENT_HOP = 160
 
+# the sender's timeout ceiling unless a run sets its own
+DEFAULT_RTO_MAX = 60 * US_PER_S
+
 
 def dtc_label(enabled: bool) -> str:
     """A caching mode as written in results files, run names and the dtc key."""
@@ -46,7 +49,7 @@ class Scenario:
     ll_wait_multiplier: int = 3                 # ll-ack wait, in hop latencies
     send_spacing: Optional[int] = None          # None: just over one ll-ack round trip
     rto_min: Optional[int] = None               # None: 4x the one-way path delay
-    rto_max: int = 60 * US_PER_S
+    rto_max: int = DEFAULT_RTO_MAX
     rto_initial: Optional[int] = None           # None: 3x the effective rto_min
     fast_retransmit: bool = False
 
@@ -101,6 +104,12 @@ class Scenario:
         # per round trip, so a run's events grow with it, not with the transfer
         floor = max(self.effective_rto_min(), 2 * self.path_delay())
         if self.rto_max < floor:
+            if self.rto_max == DEFAULT_RTO_MAX:
+                # the ceiling was left alone: the hops are too slow for it
+                limit = self.rto_max // ((4 if self.rto_min is None else 2) * self.hops)
+                raise ValueError(f"hop_latency must be <= {limit} us over {self.hops} hops: the "
+                                 f"default rto_max ({self.rto_max} us) must cover the effective "
+                                 f"rto_min and one path round trip")
             raise ValueError(f"rto_max must be >= the effective rto_min and one path "
                              f"round trip ({floor} us), got {self.rto_max}")
 

@@ -22,8 +22,9 @@ set, and is dropped outright when that addition fills every gap.  Data
 below the node's own forwarded cumulative point means the ack died
 upstream, so the node swallows the data and regenerates the ack.
 
-Timers carry a generation stamp; any cache mutation bumps the node's
-counter so stale expiries fall through harmlessly.
+A node's timers are its own handlers, ``on_ll_timeout`` and
+``on_local_rto``, scheduled with a generation stamp; any cache mutation
+bumps the node's counter so stale expiries fall through harmlessly.
 
 With caching off a node's handlers never run: the engine's run loop
 relays every frame itself and counts the node's data transmissions.  So
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .events import LL_TIMEOUT, LOCAL_RTO
 from .packets import (
     ORIGIN_LOCAL,
     AckSegment,
@@ -109,7 +109,7 @@ class CachingNode:
         self._resend_cached(entry.segment.seq)
         self.timer_generation += 1
         deadline = now + self._local_timer_interval() * (1 << entry.local_retries)
-        self.out.schedule(deadline, self.node_id, LOCAL_RTO, arg=self.timer_generation)
+        self.out.schedule(deadline, self.on_local_rto, self.timer_generation)
 
     def _lock(self, entry: CacheEntry, now: int) -> None:
         """Pin the entry until an ack covers it; arm the first timer tier."""
@@ -117,8 +117,7 @@ class CachingNode:
         entry.local_retries = 0
         self.timer_generation += 1
         self.out.note(self.node_id, "lock", entry.segment.seq)
-        self.out.schedule(now + self._local_timer_interval(), self.node_id, LOCAL_RTO,
-                          arg=self.timer_generation)
+        self.out.schedule(now + self._local_timer_interval(), self.on_local_rto, self.timer_generation)
 
     # -- data path ------------------------------------------------------------
 
@@ -140,7 +139,7 @@ class CachingNode:
             self.timer_generation += 1
             out.note(self.node_id, "cache", seq)
             self.cache = CacheEntry(segment, out.send(self.node_id, segment))
-            out.schedule(now + self.ll_wait, self.node_id, LL_TIMEOUT, arg=self.timer_generation)
+            out.schedule(now + self.ll_wait, self.on_ll_timeout, self.timer_generation)
         else:
             out.send(self.node_id, segment)
         if seq not in self._seen:
@@ -151,7 +150,7 @@ class CachingNode:
             # eventual ack coverage is ambiguous; never sample it (Karn)
             self.pending_rtt.pop(seq, None)
 
-    def on_ll_ack(self, frame_id: int) -> None:
+    def on_ll_ack(self, frame_id: int, now: int) -> None:
         entry = self.cache
         if entry is not None and entry.state == AWAITING and entry.frame_id == frame_id:
             entry.state = REPLACEABLE

@@ -29,10 +29,11 @@ class Recorder:
 
     Stands in for the engine (see ``dtcsim.engine`` for the calls): ``send``
     hands out frame ids 0, 1, 2, ... to every frame, data or ack.  Each
-    call is recorded as a tuple:
+    call is recorded as a tuple; a timer's ``call`` is the station's bound
+    handler, which compares equal to ``station.on_rto`` and the like:
 
         ("send", src, payload, frame_id)
-        ("schedule", fire_at, target, kind, arg)
+        ("schedule", fire_at, call, arg)
         ("note", node_id, action, seq)
     """
 
@@ -46,8 +47,8 @@ class Recorder:
         self.calls.append(("send", src, payload, frame_id))
         return frame_id
 
-    def schedule(self, fire_at, target, kind, arg=None):
-        self.calls.append(("schedule", fire_at, target, kind, arg))
+    def schedule(self, fire_at, call, arg=None):
+        self.calls.append(("schedule", fire_at, call, arg))
 
     def note(self, node_id, action, seq):
         self.calls.append(("note", node_id, action, seq))
@@ -63,14 +64,14 @@ def emitted(handler, *args):
 
 @contextmanager
 def watch_pushes(on_push):
-    """Call ``on_push(fire_at, target, kind, arg)`` just before each event
-    push a Simulation makes inside the block, while the run's state is as
-    the pusher left it."""
+    """Call ``on_push(fire_at, call, arg)`` just before each event push a
+    Simulation makes inside the block, while the run's state is as the
+    pusher left it."""
     push = engine.heappush
 
     def watched(heap, event):
-        fire_at, _, target, kind, arg = event
-        on_push(fire_at, target, kind, arg)
+        fire_at, _, call, arg = event
+        on_push(fire_at, call, arg)
         push(heap, event)
 
     with mock.patch.object(engine, "heappush", watched):

@@ -192,6 +192,23 @@ def test_infinite_hop_latency_exits_2(tmp_path, capsys, no_simulation):
     assert "hop_latency_ms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, limit", [
+    (["--hop-latency-ms", "1e305"], 5_000_000),
+    (["--hop-latency-ms", "20000"], 5_000_000),
+    # with rto_min set, only one path round trip must fit under rto_max
+    (["--hop-latency-ms", "20000", "--rto-min-us", "5"], 10_000_000),
+])
+def test_hops_too_slow_for_the_default_rto_max_blame_hop_latency(extra, limit, tmp_path, capsys,
+                                                                  no_simulation):
+    # rto_max was never set, so the latency is the knob at fault; the message
+    # states the largest one these hops accept, on one short line
+    argv = ["run", "--hops", "3", "--loss", "0", "--dtc", "on", "--segments", "1"] + extra
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert f"bad value for hop_latency_ms: hop_latency must be <= {limit} us over 3 hops" in line
+    assert len(line) < 200
+
+
 @pytest.mark.parametrize("text, us", [
     ("1.001", 1001),        # 1.001 * 1000 is 1000.9999999999999 as a float
     (" 1_000.0019 ", 1_000_001),    # the spellings float() takes, truncated

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import Recorder, emitted
 from dtcsim.endpoints import TcpReceiver, TcpSender, update_rto
-from dtcsim.events import SEND_SLOT, SENDER, SENDER_RTO, US_PER_MS
+from dtcsim.events import SENDER, US_PER_MS
 from dtcsim.harness import Scenario
 from dtcsim.packets import AckSegment, DataSegment
 
@@ -28,8 +28,8 @@ def sent_seqs(calls):
     return [c[2].seq for c in calls if c[0] == "send"]
 
 
-def rto_arms(calls):
-    return [c for c in calls if c[0] == "schedule" and c[3] == SENDER_RTO]
+def rto_arms(sender, calls):
+    return [c for c in calls if c[0] == "schedule" and c[2] == sender.on_rto]
 
 
 # -- update_rto ------------------------------------------------------------------
@@ -63,7 +63,7 @@ def test_start_emits_initial_window():
         ("send", SENDER, DataSegment(1), 0),
         ("send", SENDER, DataSegment(2), 1),
         ("send", SENDER, DataSegment(3), 2),
-        ("schedule", 300_000, SENDER, SENDER_RTO, sender.rto_generation),
+        ("schedule", 300_000, sender.on_rto, sender.rto_generation),
     ]
     assert sender.total_data_tx == 3
 
@@ -82,11 +82,11 @@ def test_paced_start_spreads_transmissions():
     sender = make_sender(window=3, spacing=21_000)
     calls = emitted(sender.start, 0)
     assert sent_seqs(calls) == [1]
-    slots = [c for c in calls if c[0] == "schedule" and c[3] == SEND_SLOT]
-    assert slots == [("schedule", 21_000, SENDER, SEND_SLOT, None)]
-    calls = emitted(sender.on_send_slot, 21_000)
+    slots = [c for c in calls if c[0] == "schedule" and c[2] == sender.on_send_slot]
+    assert slots == [("schedule", 21_000, sender.on_send_slot, None)]
+    calls = emitted(sender.on_send_slot, None, 21_000)
     assert sent_seqs(calls) == [2]
-    calls = emitted(sender.on_send_slot, 42_000)
+    calls = emitted(sender.on_send_slot, None, 42_000)
     assert calls == [("send", SENDER, DataSegment(3), 2)]     # no slot re-armed
 
 
@@ -99,7 +99,7 @@ def test_cumulative_ack_clears_window_and_refills():
     assert sent_seqs(calls) == [4, 5, 6]
     assert sorted(sender.in_flight) == [4, 5, 6]
     assert sender.cumulative == 4
-    assert rto_arms(calls) == [calls[-1]]           # armed after the new data
+    assert rto_arms(sender, calls) == [calls[-1]]           # armed after the new data
 
 
 def test_duplicate_ack_with_sack_changes_nothing_visible():
@@ -161,12 +161,12 @@ def test_rto_retransmits_oldest_and_backs_off():
     assert sent_seqs(calls) == [1]
     assert sender.e2e_retransmissions == 1
     assert sender.in_flight[1][1] == 2
-    (arm,) = rto_arms(calls)
+    (arm,) = rto_arms(sender, calls)
     assert arm[1] - 300_000 == 2 * sender.rto           # doubled timeout
-    assert arm[4] == sender.rto_generation == gen + 1
+    assert arm[3] == sender.rto_generation == gen + 1
 
     calls = emitted(sender.on_rto, sender.rto_generation, 900_000)
-    (arm,) = rto_arms(calls)
+    (arm,) = rto_arms(sender, calls)
     assert arm[1] - 900_000 == 4 * sender.rto
 
 
@@ -184,10 +184,10 @@ def test_backoff_stops_once_the_timeout_reaches_rto_max():
     # at the deadline the one before armed
     sender = make_sender()
     rto, rto_max = sender.rto, sender.rto_max
-    (arm,) = rto_arms(emitted(sender.start, 0))
+    (arm,) = rto_arms(sender, emitted(sender.start, 0))
     for k in range(1, 65):
         now = arm[1]
-        (arm,) = rto_arms(emitted(sender.on_rto, sender.rto_generation, now))
+        (arm,) = rto_arms(sender, emitted(sender.on_rto, sender.rto_generation, now))
         assert arm[1] == now + min(rto << k, rto_max)
         assert sender.backoff <= (rto_max // rto).bit_length()
 
@@ -254,7 +254,7 @@ def test_each_send_is_counted_once_and_retransmissions_after_the_first(
                 generation = data.draw(st.one_of(st.just(live), st.integers(0, live)))
                 calls = emitted(sender.on_rto, generation, now)
             else:
-                calls = emitted(sender.on_send_slot, now)
+                calls = emitted(sender.on_send_slot, None, now)
         seqs = sent_seqs(calls)
         assert all(sender.cumulative <= seq < sender.next_new for seq in seqs)
         sent += seqs

@@ -1,28 +1,29 @@
 """The event queue, clock and random source that a Simulation holds.
 
 Events are pushed with ``Simulation.schedule`` and popped by ``run()``.
-A stub sender stands in for the TCP sender: it records every timer event
-the loop hands it, and it never completes, so each run ends when the heap
-drains.
+A stub sender stands in for the TCP sender: it records every timer call
+the loop makes on it, and it never completes, so each run ends when the
+heap drains.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dtcsim.engine import LivenessError, Simulation
-from dtcsim.events import SEND_SLOT, SENDER, SENDER_RTO, SchedulingError
+from dtcsim.events import SENDER, SchedulingError
 from dtcsim.harness import Scenario
 from dtcsim.packets import DataSegment
 
 
 class StubSender:
-    """Records (now, kind, arg) of each event the run loop dispatches to it."""
+    """Records (now, call, arg) of each of its handlers the run loop calls,
+    in ``seen`` (which two stubs may share)."""
 
     completed_at = None
 
-    def __init__(self, sim):
+    def __init__(self, sim, seen=None):
         self.sim = sim
-        self.seen = []
+        self.seen = [] if seen is None else seen
         self.on_pop = None
 
     def start(self, now):
@@ -30,13 +31,13 @@ class StubSender:
 
     def on_rto(self, arg, now):
         assert self.sim.now == now
-        self.seen.append((now, SENDER_RTO, arg))
+        self.seen.append((now, self.on_rto, arg))
         if self.on_pop is not None:
             self.on_pop()
 
-    def on_send_slot(self, now):
+    def on_send_slot(self, arg, now):
         assert self.sim.now == now
-        self.seen.append((now, SEND_SLOT, None))
+        self.seen.append((now, self.on_send_slot, arg))
         if self.on_pop is not None:
             self.on_pop()
 
@@ -60,44 +61,51 @@ def args(seen):
 
 def test_single_event_pops():
     sim = make_sim()
-    sim.schedule(5, SENDER, SENDER_RTO, arg="a")
-    assert drain(sim) == [(5, SENDER_RTO, "a")]
+    sim.schedule(5, sim.sender.on_rto, arg="a")
+    assert drain(sim) == [(5, sim.sender.on_rto, "a")]
 
 
 def test_event_tuple_layout():
     sim = make_sim()
-    sim.schedule(4, 2, SENDER_RTO, arg=7)
-    sim.schedule(4, -1, SEND_SLOT)
-    assert sim._heap == [(4, 0, 2, SENDER_RTO, 7), (4, 1, -1, SEND_SLOT, None)]
+    sim.schedule(4, sim.sender.on_rto, arg=7)
+    sim.schedule(4, sim.sender.on_send_slot)
+    sim.send(SENDER, DataSegment(1))
+    assert sim._heap == [(4, 0, sim.sender.on_rto, 7), (4, 1, sim.sender.on_send_slot, None),
+                         (10_000, 2, None, (0, 0, DataSegment(1)))]
 
 
 def test_pop_orders_by_fire_time():
     sim = make_sim()
-    sim.schedule(5, SENDER, SENDER_RTO, arg="late")
-    sim.schedule(3, SENDER, SENDER_RTO, arg="early")
+    sim.schedule(5, sim.sender.on_rto, arg="late")
+    sim.schedule(3, sim.sender.on_rto, arg="early")
     assert args(drain(sim)) == ["early", "late"]
 
 
 def test_equal_time_events_stay_fifo():
     sim = make_sim()
-    sim.schedule(7, SENDER, SENDER_RTO, arg="A")
-    sim.schedule(7, SENDER, SENDER_RTO, arg="B")
+    sim.schedule(7, sim.sender.on_rto, arg="A")
+    sim.schedule(7, sim.sender.on_rto, arg="B")
     assert args(drain(sim)) == ["A", "B"]
 
 
-def test_equal_time_ties_never_compare_kind_or_arg():
-    # a later kind code or an unorderable arg must not reorder equal times
+def test_equal_time_ties_never_compare_call_or_arg():
+    # two stations' handlers (which do not order) and unorderable args must
+    # not reorder equal times
     sim = make_sim()
-    sim.schedule(7, SENDER, SEND_SLOT)
-    sim.schedule(7, SENDER, SENDER_RTO, arg=object())
-    sim.schedule(7, SENDER, SENDER_RTO, arg=object())
-    assert [kind for _, kind, _ in drain(sim)] == [SEND_SLOT, SENDER_RTO, SENDER_RTO]
+    a = sim.sender
+    b = StubSender(sim, seen=a.seen)
+    sim.schedule(7, b.on_send_slot)
+    sim.schedule(7, a.on_rto, arg=object())
+    sim.schedule(7, b.on_rto, arg=object())
+    sim.schedule(7, a.on_send_slot)
+    assert [call for _, call, _ in drain(sim)] == [b.on_send_slot, a.on_rto, b.on_rto,
+                                                   a.on_send_slot]
 
 
 def test_pop_advances_clock():
     sim = make_sim()
-    sim.schedule(1, SENDER, SENDER_RTO, arg="x")
-    sim.schedule(9, SENDER, SENDER_RTO, arg="y")
+    sim.schedule(1, sim.sender.on_rto, arg="x")
+    sim.schedule(9, sim.sender.on_rto, arg="y")
     clock = []
     sim.sender.on_pop = lambda: clock.append(sim.now)
     drain(sim)
@@ -114,11 +122,11 @@ def test_empty_queue_returns_none():
 
 def test_scheduling_at_current_time_is_legal():
     sim = make_sim()
-    sim.schedule(9, SENDER, SENDER_RTO, arg="x")
+    sim.schedule(9, sim.sender.on_rto, arg="x")
 
     def again():
         if len(sim.sender.seen) == 1:
-            sim.schedule(9, SENDER, SENDER_RTO, arg="same-instant")
+            sim.schedule(9, sim.sender.on_rto, arg="same-instant")
 
     sim.sender.on_pop = again
     assert args(drain(sim)) == ["x", "same-instant"]
@@ -126,14 +134,15 @@ def test_scheduling_at_current_time_is_legal():
 
 def test_scheduling_in_the_past_aborts():
     sim = make_sim()
-    sim.schedule(10, SENDER, SENDER_RTO, arg="x")
+    sim.schedule(10, sim.sender.on_rto, arg="x")
 
     def too_late():
         if len(sim.sender.seen) == 1:
-            sim.schedule(9, SENDER, SENDER_RTO, arg="too-late")
+            sim.schedule(9, sim.sender.on_rto, arg="too-late")
 
     sim.sender.on_pop = too_late
-    with pytest.raises(SchedulingError, match="behind the clock"):
+    with pytest.raises(SchedulingError,
+                       match="StubSender.on_rto scheduled at t=9us behind the clock t=10us"):
         sim.run()
     assert sim._heap == []
 
@@ -142,7 +151,7 @@ def test_scheduling_in_the_past_aborts():
 def test_pop_times_never_decrease(times):
     sim = make_sim()
     for t in times:
-        sim.schedule(t, SENDER, SEND_SLOT)
+        sim.schedule(t, sim.sender.on_send_slot)
     popped = [fire_at for fire_at, _, _ in drain(sim)]
     assert popped == sorted(times)
 
@@ -151,8 +160,8 @@ def test_pop_times_never_decrease(times):
 def test_tiebreaks_unique_and_insertion_ordered(times):
     sim = make_sim()
     for i, t in enumerate(times):
-        sim.schedule(t, SENDER, SENDER_RTO, arg=i)
-    assert len({seq for _, seq, _, _, _ in sim._heap}) == len(times)
+        sim.schedule(t, sim.sender.on_rto, arg=i)
+    assert len({seq for _, seq, _, _ in sim._heap}) == len(times)
     seen = drain(sim)
     for t in set(times):
         same_time = [arg for fire_at, _, arg in seen if fire_at == t]

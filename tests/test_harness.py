@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from dtcsim import harness
 from dtcsim.engine import DTC, HOP, LivenessError, Simulation
-from dtcsim.events import FRAME_ARRIVAL
 from dtcsim.harness import (
     RunMetrics,
     RunRecord,
@@ -484,8 +483,9 @@ def test_every_draw_is_a_send_or_an_arrival(knobs, dtc, rules):
     # (arrival time, receiving node, transmitter, frame) of each frame
     arrivals = Counter((t, src, dst, payload)
                        for t, _, src, dst, kind, _, payload in hops if kind == "llack")
-    in_flight = Counter((t, target, target - 1 if type(arg[1]) is DataSegment else target + 1, arg[1])
-                        for t, _, target, kind, arg in sim._heap if kind == FRAME_ARRIVAL)
+    frames = [(t, *arg) for t, _, call, arg in sim._heap if call is None]
+    in_flight = Counter((t, node, node - 1 if type(segment) is DataSegment else node + 1, segment)
+                        for t, node, _, segment in frames)
     delivered = Counter((t + sim.latency, dst, src, payload)
                         for t, _, src, dst, _, ok, payload in sends if ok)
     decided = sum(verdict is not None for verdict in verdicts)

@@ -2,10 +2,11 @@
 against the 4:2:1 per-kind thresholds, the drop override, the arrival one
 hop latency later, and the link-layer ack drawn at every arrival."""
 
+import functools
+
 import pytest
 
 from dtcsim.engine import HOP, Simulation
-from dtcsim.events import FRAME_ARRIVAL, LL_ACK_ARRIVAL
 from dtcsim.harness import Scenario
 from dtcsim.node import REPLACEABLE
 from dtcsim.packets import AckSegment, DataSegment
@@ -75,7 +76,7 @@ def test_link_latency_must_be_positive():
 def test_lossless_transmit_arrives_after_latency():
     sim = make_sim(0.0, latency=10_000)
     assert sim.send(0, DataSegment(1)) == 0
-    assert sim._heap == [(10_000, 0, 1, FRAME_ARRIVAL, (0, DataSegment(1)))]
+    assert sim._heap == [(10_000, 0, None, (1, 0, DataSegment(1)))]
 
 
 def test_threshold_semantics_survive_iff_draw_at_least_threshold():
@@ -100,7 +101,7 @@ def test_ack_frames_use_the_halved_threshold():
     sim.send(1, AckSegment(1))
     assert sim.send(0, DataSegment(1)) == 1    # frame ids count every send
     assert sim.draws == 2
-    assert sim._heap == [(10_000, 0, 0, FRAME_ARRIVAL, (0, AckSegment(1)))]  # ack survived, data lost
+    assert sim._heap == [(10_000, 0, None, (0, 0, AckSegment(1)))]  # ack survived, data lost
     sim._random = Fixed(0.3)
     sim.send(1, AckSegment(1))
     assert len(sim._heap) == 1
@@ -119,7 +120,7 @@ def test_frame_must_match_link_endpoints():
     sim.send(3, AckSegment(2))
     assert send_data(sim, seq=3, src=4)
     assert seen == [(0, AckSegment(2), 3, 2), (1, DataSegment(3), 4, 5)]
-    assert sorted(event[2] for event in sim._heap) == [2, 5]
+    assert sorted(arg[0] for _, _, _, arg in sim._heap) == [2, 5]
 
 
 def test_drop_override_forces_loss_without_a_draw():
@@ -157,7 +158,7 @@ def lone_node_run(p_data, draw=None):
 
     The node caches segment 1 and forwards it as frame 1 at 10 ms; it
     reaches the receiver at 20 ms.  Returns the simulation, its pushes as
-    (draws so far, fire_at, target, kind, arg), the ll-acks node 0 read as
+    (draws so far, fire_at, call, arg), the ll-acks node 0 read as
     (t, frame id, entry state after), and the trace records.
     """
     records = []
@@ -170,8 +171,9 @@ def lone_node_run(p_data, draw=None):
     read = []
     on_ll_ack = node.on_ll_ack
 
-    def spy(frame_id):
-        on_ll_ack(frame_id)
+    @functools.wraps(on_ll_ack)
+    def spy(frame_id, now):
+        on_ll_ack(frame_id, now)
         read.append((sim.now, frame_id, node.cache.state))
 
     node.on_ll_ack = spy
@@ -180,11 +182,15 @@ def lone_node_run(p_data, draw=None):
     return sim, pushes, read, records
 
 
+def ll_ack_pushes(pushes):
+    return [p for p in pushes if getattr(p[2], "__name__", None) == "on_ll_ack"]
+
+
 def test_lossless_delivery_is_always_ll_acknowledged():
     sim, pushes, read, _ = lone_node_run(0.0)
     # the frame's own send draw, then exactly one ll-ack draw on arrival
-    assert (3, 20_000, 1, FRAME_ARRIVAL, (1, DataSegment(1))) in pushes
-    assert [p for p in pushes if p[3] == LL_ACK_ARRIVAL] == [(4, 30_000, 0, LL_ACK_ARRIVAL, 1)]
+    assert (3, 20_000, None, (1, 1, DataSegment(1))) in pushes
+    assert ll_ack_pushes(pushes) == [(4, 30_000, sim.nodes[0].on_ll_ack, 1)]
     # back to the transmitter, carrying the frame id it awaits
     assert read == [(30_000, 1, REPLACEABLE)]
     # four frames: one draw to send each and one ll-ack draw per arrival
@@ -196,7 +202,7 @@ def test_lost_ll_ack_never_arrives():
     # of frame 1 at the receiver, the fourth draw, is lost
     sim, pushes, read, records = lone_node_run(0.4, Fixed(0.5, first=[0.5, 0.5, 0.5, 0.05]))
     assert (20_000, HOP, 1, 0, "llack", False, DataSegment(1)) in records
-    assert [p for p in pushes if p[3] == LL_ACK_ARRIVAL] == []
+    assert ll_ack_pushes(pushes) == []
     assert read == []
     assert sim.draws == 8                           # the lost ack was still drawn
 

@@ -6,7 +6,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from conftest import Recorder, emitted, watch_pushes
 from dtcsim.engine import DTC, HOP, Simulation
-from dtcsim.events import LL_ACK_ARRIVAL, LL_TIMEOUT, LOCAL_RTO
 from dtcsim.harness import Scenario
 from dtcsim.node import AWAITING, LOCKED, REPLACEABLE, CachingNode, initial_rtt
 from dtcsim.packets import ORIGIN_LOCAL, AckSegment, DataSegment, sack_covers
@@ -40,9 +39,9 @@ def notes(calls):
     return [(c[2], c[3]) for c in calls if c[0] == "note"]
 
 
-def timers(calls, kind):
-    """Fire times of the timers of one kind."""
-    return [c[1] for c in calls if c[0] == "schedule" and c[3] == kind]
+def timers(calls, handler):
+    """Fire times of the timers that call one handler."""
+    return [c[1] for c in calls if c[0] == "schedule" and c[2] == handler]
 
 
 def lock_cached(node, seq, now=0):
@@ -80,7 +79,7 @@ def test_first_segment_cached_tentative_and_forwarded():
     assert calls == [
         ("note", 5, "cache", 1),
         ("send", 5, DataSegment(1), 0),
-        ("schedule", 30 * MS, 5, LL_TIMEOUT, node.timer_generation),
+        ("schedule", 30 * MS, node.on_ll_timeout, node.timer_generation),
     ]
     assert node.cache.frame_id == 0                 # the id send returned
     assert node.cache.state == AWAITING
@@ -98,7 +97,7 @@ def test_awaiting_entry_not_displaced():
 def test_ll_acked_entry_replaceable_by_newer_segment():
     node = make_node()
     node.on_data(DataSegment(2), 0)
-    node.on_ll_ack(node.cache.frame_id)
+    node.on_ll_ack(node.cache.frame_id, 20 * MS)
     assert node.cache.state == REPLACEABLE
     calls = emitted(node.on_data, DataSegment(3), 21 * MS)
     assert node.cache.segment.seq == 3
@@ -150,7 +149,7 @@ def test_matching_ll_ack_makes_entry_replaceable_and_stales_timer():
     node = make_node()
     node.on_data(DataSegment(2), 0)
     gen = node.timer_generation
-    node.on_ll_ack(node.cache.frame_id)
+    node.on_ll_ack(node.cache.frame_id, 20 * MS)
     assert node.cache.state == REPLACEABLE
     assert emitted(node.on_ll_timeout, gen, 30 * MS) == []  # timer went stale
 
@@ -158,14 +157,14 @@ def test_matching_ll_ack_makes_entry_replaceable_and_stales_timer():
 def test_ll_ack_for_unknown_frame_is_noop():
     node = make_node()
     node.on_data(DataSegment(2), 0)
-    node.on_ll_ack(12345)
+    node.on_ll_ack(12345, 20 * MS)
     assert node.cache.state == AWAITING
 
 
 def test_ll_ack_on_locked_cache_is_noop():
     node = make_node()
     lock_cached(node, 1)
-    node.on_ll_ack(node.cache.frame_id)
+    node.on_ll_ack(node.cache.frame_id, 40 * MS)
     assert node.cache.state == LOCKED
 
 
@@ -180,7 +179,7 @@ def test_missing_ll_ack_locks_and_arms_local_timer():
     # 1.5x the topology-seeded 100 ms round trip
     assert calls == [
         ("note", 5, "lock", 1),
-        ("schedule", 30 * MS + 150 * MS, 5, LOCAL_RTO, node.timer_generation),
+        ("schedule", 30 * MS + 150 * MS, node.on_local_rto, node.timer_generation),
     ]
 
 
@@ -189,7 +188,7 @@ def test_timer_scale_follows_rtt_estimate():
     node.rtt_est = 40 * MS
     node.on_data(DataSegment(1), 0)
     calls = emitted(node.on_ll_timeout, node.timer_generation, 30 * MS)
-    assert timers(calls, LOCAL_RTO) == [30 * MS + 60 * MS]
+    assert timers(calls, node.on_local_rto) == [30 * MS + 60 * MS]
 
 
 # -- local retransmission timer ----------------------------------------------------------
@@ -203,7 +202,7 @@ def test_local_timer_retransmits_with_backoff():
         ("note", 5, "local_retx", 2),
         ("send", 5, DataSegment(2, ORIGIN_LOCAL), 1),
         # 1.5 * rtt doubled once
-        ("schedule", 180 * MS + 300 * MS, 5, LOCAL_RTO, node.timer_generation),
+        ("schedule", 180 * MS + 300 * MS, node.on_local_rto, node.timer_generation),
     ]
     assert node.cache.local_retries == 1
     assert node.local_retx_count == 1
@@ -242,7 +241,7 @@ def test_uncovered_locked_segment_retransmitted_and_vouched():
     assert calls == [
         ("note", 7, "local_retx", 2),
         ("send", 7, DataSegment(2, ORIGIN_LOCAL), 1),
-        ("schedule", 200 * MS + 90 * MS, 7, LOCAL_RTO, node.timer_generation),
+        ("schedule", 200 * MS + 90 * MS, node.on_local_rto, node.timer_generation),
         ("send", 7, AckSegment(1, {2, 3}), 2),
     ]
     assert node.cache.state == LOCKED            # kept until covered
@@ -280,12 +279,12 @@ def test_replaceable_entry_locks_on_uncovering_ack_without_retransmitting():
     # later ack) does the retransmitting
     node = make_node()
     node.on_data(DataSegment(2), 0)
-    node.on_ll_ack(node.cache.frame_id)
+    node.on_ll_ack(node.cache.frame_id, 20 * MS)
     calls = emitted(node.on_ack, AckSegment(1, {3}), 100 * MS)
     assert node.cache.state == LOCKED
     assert calls == [                            # nothing retransmitted
         ("note", 5, "lock", 2),
-        ("schedule", 100 * MS + 150 * MS, 5, LOCAL_RTO, node.timer_generation),
+        ("schedule", 100 * MS + 150 * MS, node.on_local_rto, node.timer_generation),
         ("send", 5, AckSegment(1, {2, 3}), 1),
     ]
 
@@ -314,7 +313,7 @@ def test_ack_triggered_retransmit_rearms_timer():
     before_gen = node.timer_generation
     calls = emitted(node.on_ack, AckSegment(1, {3}), 200 * MS)
     assert node.timer_generation > before_gen
-    assert timers(calls, LOCAL_RTO) == [200 * MS + (3 * node.rtt_est) // 2]
+    assert timers(calls, node.on_local_rto) == [200 * MS + (3 * node.rtt_est) // 2]
 
 
 def test_local_retransmission_discards_pending_rtt_sample():
@@ -336,9 +335,9 @@ def test_repeat_sighting_discards_pending_rtt_sample():
 def test_rtt_samples_from_covered_pending_segments():
     node = make_node(hops_to_receiver=5)
     node.on_data(DataSegment(1), 0)
-    node.on_ll_ack(node.cache.frame_id)
+    node.on_ll_ack(node.cache.frame_id, 20 * MS)
     node.on_data(DataSegment(2), 21 * MS)
-    node.on_ll_ack(node.cache.frame_id)
+    node.on_ll_ack(node.cache.frame_id, 41 * MS)
     node.on_ack(AckSegment(3), 100 * MS)         # covers 1 and 2
     assert node.pending_rtt == {}
     # two EWMA steps from the 100 ms seed toward the two samples
@@ -361,14 +360,14 @@ def test_one_cache_slot_at_all_times():
     for seq in range(1, 8):
         node.on_data(DataSegment(seq), seq * 30 * MS)
         assert node.cache is None or isinstance(node.cache.segment.seq, int)
-        node.on_ll_ack(node.cache.frame_id)
+        node.on_ll_ack(node.cache.frame_id, seq * 30 * MS + 20 * MS)
     assert node.cache.segment.seq == 7
 
 
 # -- whole-run invariant: an entry's state matches its live timer -----------------
 
 HANDLERS = ("on_data", "on_ack", "on_ll_ack", "on_ll_timeout", "on_local_rto")
-TIMER_BY_STATE = {None: [], AWAITING: [LL_TIMEOUT], REPLACEABLE: [], LOCKED: [LOCAL_RTO]}
+TIMER_BY_STATE = {None: [], AWAITING: ["on_ll_timeout"], REPLACEABLE: [], LOCKED: ["on_local_rto"]}
 
 
 def state_of(node):
@@ -376,10 +375,10 @@ def state_of(node):
 
 
 def live_timers(sim, node):
-    """Kinds of the node's queued timers that still match its generation."""
-    return [kind for _, _, target, kind, arg in sim._heap
-            if target == node.node_id and kind in (LL_TIMEOUT, LOCAL_RTO)
-            and arg == node.timer_generation]
+    """Handler names of the node's queued timers that still match its generation."""
+    names = {node.on_ll_timeout: "on_ll_timeout", node.on_local_rto: "on_local_rto"}
+    return [names[call] for _, _, call, arg in sim._heap
+            if call in names and arg == node.timer_generation]
 
 
 def checked(sim, node, handler):
@@ -414,19 +413,32 @@ def test_every_entry_state_has_exactly_its_timer_over_whole_runs(knobs):
     assert sim.run().delivered_segments == knobs["total_segments"]
 
 
+# the handlers a station schedules, or the engine pushes for an ll ack
+PUSHED_HANDLERS = {"on_ll_ack", "on_ll_timeout", "on_local_rto", "on_rto", "on_send_slot"}
+
+
 @settings(max_examples=50, deadline=None)
 @given(caching_runs, st.booleans())
 def test_ll_acks_are_pushed_only_to_a_node_awaiting_them(knobs, dtc):
     # an ll ack has one reader, a node whose entry awaits that frame: the
-    # engine pushes it to no one else, so a caching-off run pushes none
+    # engine pushes it to no one else, so a caching-off run pushes none.
+    # Every other push is a frame toward a station or a station's own timer
     sim = Simulation(Scenario(dtc_enabled=dtc, **knobs))
     pushed = []
 
-    def on_push(fire_at, target, kind, arg):
-        if kind == LL_ACK_ARRIVAL:
-            entry = sim.nodes[target].cache if 0 <= target < sim.receiver_id else None
-            assert entry is not None and entry.state == AWAITING and entry.frame_id == arg, (
-                f"ll ack of frame {arg} pushed to {target} at t={sim.now}")
+    def on_push(fire_at, call, arg):
+        if call is None:
+            target = arg[0]
+            assert -1 <= target <= knobs["hops"] - 1, f"frame pushed to {target} at t={sim.now}"
+            return
+        assert call.__name__ in PUSHED_HANDLERS, f"{call!r} pushed at t={sim.now}"
+        assert any(call.__self__ is station for station in sim.stations), (
+            f"{call!r} of no station pushed at t={sim.now}")
+        if call.__name__ == "on_ll_ack":
+            awaiting = [node for node in sim.nodes if node.cache is not None
+                        and node.cache.state == AWAITING and node.cache.frame_id == arg]
+            assert awaiting == [call.__self__], (
+                f"ll ack of frame {arg} pushed to {call!r} at t={sim.now}")
             pushed.append(arg)
 
     with watch_pushes(on_push):
@@ -467,14 +479,14 @@ class CacheNodeMachine(RuleBasedStateMachine):
         self.node = make_node()
         self.now = 0
         self.sent = []                  # every payload the node sent
-        self.armed = []                 # (kind, generation) of every timer armed
+        self.armed = []                 # (handler name, generation) of every timer armed
 
     def call(self, name, *args):
         node = self.node
         before, before_state = node.cache, state_of(node)
         calls = emitted(getattr(node, name), *args)
         self.sent += [c[2] for c in calls if c[0] == "send"]
-        self.armed += [(c[3], c[4]) for c in calls if c[0] == "schedule"]
+        self.armed += [(c[2].__name__, c[3]) for c in calls if c[0] == "schedule"]
         after = node.cache
         assert state_of(node) in MOVES[name][before_state], (
             f"{name}{args}: {before_state} -> {state_of(node)}")
@@ -512,12 +524,12 @@ class CacheNodeMachine(RuleBasedStateMachine):
 
     @rule(frame_id=st.integers(0, 20))
     def ll_ack(self, frame_id):
-        self.call("on_ll_ack", frame_id)
+        self.call("on_ll_ack", frame_id, self.now)
 
     @precondition(lambda self: self.node.cache is not None)
     @rule()
     def ll_ack_of_the_cached_frame(self):
-        before, before_state = self.call("on_ll_ack", self.node.cache.frame_id)
+        before, before_state = self.call("on_ll_ack", self.node.cache.frame_id, self.now)
         if before_state == AWAITING:
             assert self.node.cache is before and before.state == REPLACEABLE
 
@@ -525,15 +537,15 @@ class CacheNodeMachine(RuleBasedStateMachine):
     @rule(data=st.data(), live=st.booleans(), dt=STEP)
     def fire(self, data, live, dt):
         live_ones = [t for t in self.armed if t[1] == self.node.timer_generation]
-        kind, generation = data.draw(st.sampled_from(live_ones if live and live_ones else self.armed))
+        name, generation = data.draw(st.sampled_from(live_ones if live and live_ones else self.armed))
         self.now += dt
-        self.call("on_ll_timeout" if kind == LL_TIMEOUT else "on_local_rto", generation, self.now)
+        self.call(name, generation, self.now)
 
     @invariant()
     def only_its_own_timer_is_live(self):
         # AWAITING holds one live ll timeout, LOCKED one live local rto; each
         # live firing bumps the generation, so a fired timer is never live
-        live = [kind for kind, generation in self.armed
+        live = [name for name, generation in self.armed
                 if generation == self.node.timer_generation]
         assert live == TIMER_BY_STATE[state_of(self.node)]
 
