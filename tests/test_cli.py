@@ -58,9 +58,11 @@ def test_file_values_parsed(tmp_path):
 
 
 def test_flags_override_file(tmp_path):
-    path = write(tmp_path / "c.conf", "loss = 0.10\n")
-    config = load_config(path, {"loss": [0.15]})
+    path = write(tmp_path / "c.conf", "loss = 0.10\nfast_retransmit = on\n")
+    # a flag arrives as its text and is parsed like a file value
+    config = load_config(path, {"loss": "0.15", "fast_retransmit": "off"})
     assert config.loss == [0.15]
+    assert config.scenario(6, 0.15, True).fast_retransmit is False
 
 
 def test_unknown_key_names_the_line(tmp_path):
@@ -156,7 +158,16 @@ RUN_ARGS = ["run", "--loss", "0.1", "--dtc", "on", "--segments", "5"]
      "seed must be >= 0, got -1"),
     # an exact parse still rejects what no float holds
     (RUN_ARGS + ["--hops", "3", "--hop-latency-ms", "nan"], "--hop-latency-ms"),
-    (RUN_ARGS + ["--hops", "3", "--config", "hop_latency_ms = 1e400"], "'hop_latency_ms'"),
+    (RUN_ARGS + ["--hops", "3", "--config", "hop_latency_ms = 1e400"],
+     "hop_latency_ms: expected MS, got '1e400'"),
+    # the front-end counts Scenario does not check
+    (RUN_ARGS + ["--hops", "3", "--runs", "0"], "runs must be >= 1, got 0"),
+    (RUN_ARGS + ["--hops", "3", "--jobs", "0"], "jobs must be >= 1, got 0"),
+    # a value that does not parse reads the same as a flag and as a file line
+    (RUN_ARGS + ["--hops", "3", "--fast-retransmit", "maybe"],
+     "--fast-retransmit: expected on|off, got 'maybe'"),
+    (RUN_ARGS + ["--hops", "3", "--config", "fast_retransmit = maybe"],
+     "c.conf:1: fast_retransmit: expected on|off, got 'maybe'"),
 ])
 def test_bad_flag_exits_2_naming_the_knob(argv, knob, tmp_path, capsys, no_simulation):
     # an argument that reads `key = value` is a config-file line: pass its file
@@ -166,6 +177,12 @@ def test_bad_flag_exits_2_naming_the_knob(argv, knob, tmp_path, capsys, no_simul
     assert knob in err
     assert "_parse" not in err              # the expected form, not a private function
     assert "invalid literal" not in err     # nor Python's own int() text
+
+
+def test_bad_flag_text_is_one_error_line(capsys):
+    # no usage block: the flag's text fails like a config line's
+    assert main(["run", "--hops", "x", "--loss", "0.1", "--dtc", "on"]) == 2
+    assert capsys.readouterr().err == "error: --hops: expected N[,N...], got 'x'\n"
 
 
 @pytest.mark.parametrize("line, message", [
@@ -206,6 +223,22 @@ def test_hops_too_slow_for_the_default_rto_max_blame_hop_latency(extra, limit, t
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert f"bad value for hop_latency_ms: hop_latency must be <= {limit} us over 3 hops" in line
+    assert len(line) < 200
+
+
+@pytest.mark.parametrize("hops, latency", [
+    # too many for the default rto_max even at 1 us a hop
+    pytest.param("20000000", "0.001", id="2e7"),
+    # 160 x hops is above a float even at one segment
+    pytest.param("1" + "0" * 307, "10", id="1e307"),
+])
+def test_hops_no_other_value_could_fit_blame_hops(hops, latency, tmp_path, capsys,
+                                                  no_simulation):
+    argv = ["run", "--hops", hops, "--loss", "0", "--dtc", "on", "--segments", "1",
+            "--hop-latency-ms", latency]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: bad value for hops: hops ")
     assert len(line) < 200
 
 
@@ -591,20 +624,33 @@ def test_report_missing_csv_exits_4(tmp_path, capsys):
 GOOD_OFF_ROW = "6,0.1,off,30,12.0,1,530,1,0,0,2000000,1,250,"
 
 
-@pytest.mark.parametrize("summary", [
-    pytest.param("bogus\n", id="bad-header"),
-    pytest.param("6,0.1,off,30,abc,1,530,1,0,0,2000000,1,250,\n", id="non-numeric-mean"),
-    pytest.param("6,0.1,off\n", id="short-row"),
-    pytest.param(GOOD_OFF_ROW + "\n6,0.1,on,30,2.0,1,510,1,9,1,1000000,1,500,x\n",
+@pytest.mark.parametrize("summary, nodes", [
+    pytest.param("bogus\n", None, id="bad-header"),
+    pytest.param("6,0.1,off,30,abc,1,530,1,0,0,2000000,1,250,\n", None, id="non-numeric-mean"),
+    pytest.param("6,0.1,off\n", None, id="short-row"),
+    pytest.param(GOOD_OFF_ROW + "\n6,0.1,on,30,2.0,1,510,1,9,1,1000000,1,500,x\n", None,
                  id="non-numeric-factor"),
+    pytest.param(GOOD_OFF_ROW + "\n", "on,x,12.0,1.0\n", id="non-numeric-node-index"),
 ])
-def test_report_malformed_csv_exits_4(summary, tmp_path, capsys):
+def test_report_malformed_csv_exits_4(summary, nodes, tmp_path, capsys):
     (tmp_path / "runs.csv").write_text(",".join(RUNS_CSV_HEADER) + "\n")
     if summary != "bogus\n":
         summary = ",".join(SUMMARY_CSV_HEADER) + "\n" + summary
     (tmp_path / "summary.csv").write_text(summary)
+    if nodes is not None:
+        (tmp_path / "nodes.csv").write_text(",".join(NODES_CSV_HEADER) + "\n" + nodes)
     assert main(["report", str(tmp_path)]) == 4
-    assert "summary.csv" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ("summary.csv" if nodes is None else "nodes.csv: malformed row") in err
+
+
+def test_report_load_profile_of_one_mode(tmp_path, capsys):
+    (tmp_path / "runs.csv").write_text(",".join(RUNS_CSV_HEADER) + "\n")
+    (tmp_path / "summary.csv").write_text(",".join(SUMMARY_CSV_HEADER) + "\n" + GOOD_OFF_ROW)
+    (tmp_path / "nodes.csv").write_text(",".join(NODES_CSV_HEADER) + "\non,0,12.0,1.0\non,1,10.0,1.0\n")
+    assert main(["report", str(tmp_path)]) == 0
+    profile = capsys.readouterr().out.split("Per-node data transmissions (load profile)\n")[1]
+    assert profile == "  dtc=on: node0=12.0 node1=10.0 cov=0.0909\n    12 10\n"
 
 
 @pytest.mark.parametrize("content", [

@@ -69,6 +69,22 @@ def test_boundary_knob_values_accepted():
                  rto_min=1, rto_initial=1, rto_max=120_000)
     assert s.effective_rto_min() == 1 and s.rto_max == 2 * s.path_delay()
     assert scenario(hops=11, rto_max=440_000).rto_max == 440_000    # the derived rto_min
+    # the most hops the default rto_max takes at 1 us a hop: 4 x path delay = 60 s
+    assert scenario(hops=15_000_000, hop_latency=1, total_segments=1).rto_max == 60_000_000
+
+
+@pytest.mark.parametrize("knobs, message", [
+    # no hop_latency of at least 1 us fits: the hop count is at fault
+    (dict(hops=20_000_000, hop_latency=1), "hops must be <= 15000000 "),
+    (dict(hops=15_000_001, hop_latency=1), "hops must be <= 15000000 "),
+    (dict(hops=30_000_001, hop_latency=1, rto_min=5), "hops must be <= 30000000 "),
+    # a 1 us hop would fit: the latency is at fault
+    (dict(hops=15_000_000, hop_latency=2), "hop_latency must be <= 1 us over 15000000 hops"),
+])
+def test_default_rto_max_blames_hops_only_when_no_latency_fits(knobs, message):
+    with pytest.raises(ValueError) as excinfo:
+        scenario(total_segments=1, **knobs)
+    assert str(excinfo.value).startswith(message)
 
 
 def test_derived_timing_defaults():
