@@ -118,7 +118,7 @@ class Key(NamedTuple):
 
     parse: Callable[[str], object]      # text -> value, for the file and the flag
     field: Optional[str]                # Scenario field it sets; None for front-end keys
-    metavar: Optional[str] = None
+    metavar: str                        # the form a value takes, in help and errors
     help: Optional[str] = None
 
 
@@ -149,8 +149,9 @@ CONFIG_KEYS = {
 _DTC_BY_MODE = {"on": [True], "off": [False], "both": [False, True]}
 
 # fig4's fixed load-profile cells, the longest chain at the midpoint loss
-# rate; they replace the grid flags, so only these cells are validated
-FIG4_GRID = {"hops": [11], "loss": [0.10], "dtc": "both"}
+# rate, as flag text; they replace the grid flags, so only these cells are
+# validated
+FIG4_GRID = {"hops": "11", "loss": "0.10", "dtc": "both"}
 
 
 @dataclass
@@ -217,10 +218,13 @@ class Config:
 def load_config(path: Optional[str], overrides: dict) -> Config:
     """Defaults, then `key = value` lines from the file, then flag overrides.
 
-    `overrides` maps config keys to values as their parsers return them
-    (so `hop_latency_ms` arrives in microseconds); None means not given.
+    `overrides` maps config keys to their flag text; None means not given.
+    A file value and a flag's text go through the same parser, and a value
+    it rejects is named by where it came from: `<file>:<line>: key` or
+    `--flag`.
     """
     config = Config()
+    given = []                          # (where, key, text), in the order they apply
     if path is not None:
         try:
             text = Path(path).read_text()
@@ -235,13 +239,15 @@ def load_config(path: Optional[str], overrides: dict) -> Config:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in: {raw}")
-            try:
-                config.set(key, CONFIG_KEYS[key].parse(value))
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {raw} ({exc})") from exc
-    for key, value in overrides.items():
-        if value is not None:
-            config.set(key, value)
+            given.append((f"{path}:{lineno}: {key}", key, value))
+    given += [("--" + key.replace("_", "-"), key, text)
+              for key, text in overrides.items() if text is not None]
+    for where, key, text in given:
+        spec = CONFIG_KEYS[key]
+        try:
+            config.set(key, spec.parse(text))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: expected {spec.metavar}, got {text!r}") from exc
     config.validate()
     return config
 
@@ -434,20 +440,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def flag_type(spec):
-        # argparse would name the parser function; report the expected form
-        def parse(text):
-            try:
-                return spec.parse(text)
-            except ValueError as exc:
-                raise argparse.ArgumentTypeError(f"expected {spec.metavar}, got {text!r}") from exc
-        return parse
-
     def add_common(p):
+        # a flag's text is parsed by load_config, like a file value
         p.add_argument("--config", metavar="FILE", help="key = value config file")
         for key, spec in CONFIG_KEYS.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=flag_type(spec),
-                           metavar=spec.metavar, help=spec.help)
+            p.add_argument("--" + key.replace("_", "-"), dest=key, metavar=spec.metavar,
+                           help=spec.help)
 
     p_run = sub.add_parser("run", help="execute a single run")
     add_common(p_run)
@@ -473,8 +471,8 @@ EXIT_CODES = {ConfigError: 2, OSError: 3, ReportError: 4, LivenessError: 5}
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:           # argparse has printed usage and the error
-        return exc.code
+    except SystemExit as exc:           # a malformed command line: argparse has printed
+        return exc.code                 # usage and the error, or the help
     try:
         if args.command == "report":
             print(_render_report(Path(args.directory)), end="")

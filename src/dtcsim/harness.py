@@ -13,6 +13,7 @@ import dataclasses
 import math
 import os
 import statistics
+import sys
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import NamedTuple, Optional, Sequence
@@ -54,24 +55,24 @@ class Scenario:
     fast_retransmit: bool = False
 
     def __post_init__(self) -> None:
-        """Reject knob values no run can use; each message starts with the field."""
+        """Reject knob values no run can use; each message starts with the field.
+
+        A bound that hops and another knob break together names hops when
+        no value of the other knob could meet it, else the other knob.
+        """
         if self.hops < 2:
             raise ValueError(f"hops must be >= 2 (a chain of two links), got {self.hops}")
         if not 0.0 <= self.p_data < 1.0:
             raise ValueError(f"p_data (per-hop data loss) must be in [0, 1), got {self.p_data!r}")
         if self.total_segments < 1:
             raise ValueError(f"total_segments must be >= 1, got {self.total_segments}")
-        for knob in ("hops", "total_segments"):
-            try:
-                float(getattr(self, knob))
-            except OverflowError:
-                raise ValueError(f"{knob} must fit a float (below 1.8e308)") from None
-        try:
-            float(EVENTS_PER_SEGMENT_HOP * self.total_segments * self.hops)
-        except OverflowError:
-            raise ValueError(f"total_segments must keep {EVENTS_PER_SEGMENT_HOP} x total_segments "
-                             f"x hops below 1.8e308 over {self.hops} hops, "
-                             f"got {self.total_segments}") from None
+        # event_budget divides this product as a float; an int compares with
+        # a float exactly, so this holds however large either knob is
+        if EVENTS_PER_SEGMENT_HOP * self.total_segments * self.hops > sys.float_info.max:
+            knob = ("hops" if EVENTS_PER_SEGMENT_HOP * self.hops > sys.float_info.max
+                    else "total_segments")     # hops even at one segment
+            raise ValueError(f"{knob} must keep {EVENTS_PER_SEGMENT_HOP} x total_segments x hops "
+                             f"below 1.8e308")
         try:
             self.event_budget()
         except (ZeroDivisionError, OverflowError):
@@ -105,11 +106,16 @@ class Scenario:
         floor = max(self.effective_rto_min(), 2 * self.path_delay())
         if self.rto_max < floor:
             if self.rto_max == DEFAULT_RTO_MAX:
-                # the ceiling was left alone: the hops are too slow for it
-                limit = self.rto_max // ((4 if self.rto_min is None else 2) * self.hops)
-                raise ValueError(f"hop_latency must be <= {limit} us over {self.hops} hops: the "
-                                 f"default rto_max ({self.rto_max} us) must cover the effective "
-                                 f"rto_min and one path round trip")
+                # the ceiling was left alone: the hops are too slow or too many
+                # for it; the floor spans this many path delays
+                per_hop = 4 if self.rto_min is None else 2
+                rule = (f"the default rto_max ({self.rto_max} us) must cover the effective "
+                        f"rto_min and one path round trip")
+                if self.hops > self.rto_max // per_hop:       # even at a 1 us hop
+                    raise ValueError(f"hops must be <= {self.rto_max // per_hop} with a 1 us "
+                                     f"hop_latency: {rule}")
+                raise ValueError(f"hop_latency must be <= {self.rto_max // (per_hop * self.hops)} "
+                                 f"us over {self.hops} hops: {rule}")
             raise ValueError(f"rto_max must be >= the effective rto_min and one path "
                              f"round trip ({floor} us), got {self.rto_max}")
 
