@@ -471,8 +471,8 @@ EXIT_CODES = {ConfigError: 2, OSError: 3, ReportError: 4, LivenessError: 5}
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:           # a malformed command line: argparse has printed
-        return exc.code                 # usage and the error, or the help
+    except SystemExit as exc:           # a malformed command line, or --help
+        return exc.code
     try:
         if args.command == "report":
             print(_render_report(Path(args.directory)), end="")

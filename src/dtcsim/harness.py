@@ -70,7 +70,7 @@ class Scenario:
         # a float exactly, so this holds however large either knob is
         if EVENTS_PER_SEGMENT_HOP * self.total_segments * self.hops > sys.float_info.max:
             knob = ("hops" if EVENTS_PER_SEGMENT_HOP * self.hops > sys.float_info.max
-                    else "total_segments")     # hops even at one segment
+                    else "total_segments")     # hops: even one segment is too many
             raise ValueError(f"{knob} must keep {EVENTS_PER_SEGMENT_HOP} x total_segments x hops "
                              f"below 1.8e308")
         try:

@@ -27,8 +27,7 @@ A node's timers are its own handlers, ``on_ll_timeout`` and
 bumps the node's counter so stale expiries fall through harmlessly.
 
 With caching off a node's handlers never run: the engine's run loop
-relays every frame itself and counts the node's data transmissions.  So
-this module has no pass-through mode.
+relays every frame itself and counts the node's data transmissions.
 
 A node is built from its id and the run's ``Scenario``, whose ll-ack
 wait, local retry limit and chain geometry it reads itself.
