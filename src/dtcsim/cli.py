@@ -361,6 +361,13 @@ def _read_csv(path: Path, expected_header) -> list:
     return [dict(zip(expected_header, row)) for row in rows[1:]]
 
 
+def _mode_of(row: dict) -> str:
+    """The row's dtc column, which names one caching mode."""
+    if row["dtc"] not in ("on", "off"):
+        raise ValueError(f"dtc must be on or off, got {row['dtc']!r}")
+    return row["dtc"]
+
+
 def _render_report(directory: Path) -> str:
     summary = _read_csv(directory / "summary.csv", SUMMARY_CSV_HEADER)
     _read_csv(directory / "runs.csv", RUNS_CSV_HEADER)
@@ -368,7 +375,7 @@ def _render_report(directory: Path) -> str:
         cells = {}                      # (hops, loss) -> dtc label -> parsed columns
         for row in summary:
             factor = row["reduction_factor"]
-            cells.setdefault((int(row["hops"]), float(row["p_data"])), {})[row["dtc"]] = {
+            cells.setdefault((int(row["hops"]), float(row["p_data"])), {})[_mode_of(row)] = {
                 "e2e": float(row["mean_e2e_retx"]),
                 "time": float(row["mean_completion_time_us"]),
                 "factor": float(factor) if factor else None,
@@ -413,7 +420,7 @@ def _render_report(directory: Path) -> str:
         by_mode = {}
         try:
             for row in node_rows:
-                by_mode.setdefault(row["dtc"], []).append(
+                by_mode.setdefault(_mode_of(row), []).append(
                     (int(row["node_index"]), float(row["mean_data_tx"])))
         except (ValueError, KeyError) as exc:
             raise ReportError(f"nodes.csv: malformed row ({exc})") from exc

@@ -631,6 +631,8 @@ GOOD_OFF_ROW = "6,0.1,off,30,12.0,1,530,1,0,0,2000000,1,250,"
     pytest.param(GOOD_OFF_ROW + "\n6,0.1,on,30,2.0,1,510,1,9,1,1000000,1,500,x\n", None,
                  id="non-numeric-factor"),
     pytest.param(GOOD_OFF_ROW + "\n", "on,x,12.0,1.0\n", id="non-numeric-node-index"),
+    pytest.param("6,0.1,maybe,30,12.0,1,530,1,0,0,2000000,1,250,\n", None, id="dtc-maybe-summary"),
+    pytest.param(GOOD_OFF_ROW + "\n", "maybe,0,12.0,1.0\n", id="dtc-maybe-nodes"),
 ])
 def test_report_malformed_csv_exits_4(summary, nodes, tmp_path, capsys):
     (tmp_path / "runs.csv").write_text(",".join(RUNS_CSV_HEADER) + "\n")

@@ -5,7 +5,7 @@ import weakref
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings, strategies as st
 
 from dtcsim import harness
 from dtcsim.engine import DTC, HOP, LivenessError, Simulation
@@ -21,6 +21,7 @@ from dtcsim.harness import (
 from dtcsim.packets import DataSegment
 
 from conftest import ScriptedDrops
+from scenario_space import DEADLINE_MS, any_scenario, finish
 
 
 def scenario(**overrides):
@@ -446,40 +447,56 @@ def test_reduction_factor_rejects_swapped_modes():
 
 # -- whole-run properties -----------------------------------------------------------
 
-small_runs = st.fixed_dictionaries({
+@settings(max_examples=50, deadline=DEADLINE_MS)
+@given(any_scenario)
+def test_whole_runs_conserve_segments_and_transmissions(s):
+    note(s)
+    metrics = finish(Simulation(s))
+    if metrics is None:
+        return
+    assert metrics.delivered_segments == s.total_segments
+    assert metrics.sender_data_tx == s.total_segments + metrics.e2e_retransmissions
+    assert all(tx >= s.total_segments for tx in metrics.per_node_data_tx)  # every node relays all
+
+
+# With nothing lost a cache never acts, so both modes run alike.  This holds
+# at default timers only: over any_scenario an rto_min down to 1 us times
+# out spuriously, an ll-wait multiplier of 1 locks entries, and a wide
+# window over short hops or long spacing meets ROADMAP direction 1's
+# defect (the xfail test below)
+@settings(max_examples=50, deadline=DEADLINE_MS)
+@given(st.fixed_dictionaries({
     "hops": st.integers(2, 6),
     "total_segments": st.integers(1, 40),
     "window": st.integers(1, 5),
-    "p_data": st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
     "seed": st.integers(0, 2**63 - 1),
-})
+}))
+def test_lossless_runs_alike_in_both_modes(knobs):
+    s = Scenario(p_data=0.0, dtc_enabled=False, **knobs)
+    assert run(s) == run(dataclasses.replace(s, dtc_enabled=True))
 
 
-@settings(max_examples=50, deadline=None)
-@given(small_runs, st.booleans())
-def test_whole_runs_conserve_segments_and_transmissions(knobs, dtc):
-    total = knobs["total_segments"]
-    metrics = run(Scenario(dtc_enabled=dtc, **knobs))
-    assert metrics.delivered_segments == total
-    assert metrics.sender_data_tx == total + metrics.e2e_retransmissions
-    assert all(tx >= total for tx in metrics.per_node_data_tx)     # every node relays all
-    if knobs["p_data"] == 0.0:
-        # with nothing lost a cache never acts: both modes run alike
-        assert metrics == run(Scenario(dtc_enabled=not dtc, **knobs))
+@pytest.mark.xfail(strict=True, reason="ROADMAP direction 1: an ack for an earlier seq locks "
+                   "a replaceable entry whose segment is still in flight downstream")
+def test_lossless_caching_chain_never_retransmits_locally():
+    s = Scenario(hops=6, p_data=0.0, dtc_enabled=True, total_segments=50, window=8,
+                 hop_latency=1, seed=1)
+    assert run(s).local_retransmissions_total == 0
 
 
 scripted_drops = st.dictionaries(st.tuples(st.integers(1, 10), st.integers(-1, 4)),
                                  st.integers(1, 3), max_size=6)
 
 
-@settings(max_examples=50, deadline=None)
-@given(small_runs, st.booleans(), st.one_of(st.none(), scripted_drops))
-def test_every_draw_is_a_send_or_an_arrival(knobs, dtc, rules):
+@settings(max_examples=50, deadline=DEADLINE_MS)
+@given(any_scenario, st.one_of(st.none(), scripted_drops))
+def test_every_draw_is_a_send_or_an_arrival(s, rules):
     # read from the trace, which sees frames the run loop carries past the
     # heap: a data or ack record is a send, an llack record a frame arrival.
     # rng_draws = one loss draw per send the override leaves to chance + one
     # ll-ack draw per arrival; each delivered send either arrived on its
     # link one hop latency later or is still in flight in the heap
+    note(s)
     verdicts = []
     override = None
     if rules is not None:
@@ -490,10 +507,11 @@ def test_every_draw_is_a_send_or_an_arrival(knobs, dtc, rules):
             return verdicts[-1]
 
     records = []
-    sim = Simulation(Scenario(dtc_enabled=dtc, **knobs), trace=records.append,
-                     drop_override=override)
-    metrics = sim.run()
-    assert metrics.delivered_segments == knobs["total_segments"]
+    sim = Simulation(s, trace=records.append, drop_override=override)
+    metrics = finish(sim)
+    if metrics is None:
+        return
+    assert metrics.delivered_segments == s.total_segments
     hops = [record for record in records if record[1] == HOP]
     sends = [record for record in hops if record[4] != "llack"]
     # (arrival time, receiving node, transmitter, frame) of each frame

@@ -3,18 +3,19 @@
 The determinism pins and the results goldens run default knobs only
 (window 3, 10 ms hops, ll-wait multiplier 3, automatic spacing and RTOs,
 fast retransmit off), so a change that alters results only away from the
-defaults passes them.  This pin draws every Scenario field from a fixed
-generator and stores each run's RunMetrics values under
-``tests/data/knob_space.jsonl``, one scenario per line.  A failure names
-the first scenario that differs and the fields that changed.
+defaults passes them.  This pin draws every Scenario field with
+``scenario_space.draw_scenario`` and stores each run's RunMetrics values
+under ``tests/data/knob_space.jsonl``, one scenario per line.  A failure
+names the first scenario that differs and the fields that changed.
 
-The generator makes two passes.  The first 400 scenarios keep an
-explicit ``rto_min`` at or above one round trip of the path
-(``2 * hops * hop_latency``).  The next 200, seeded ``GENERATOR_SEED + 1``,
-draw ``rto_min`` and ``rto_initial`` log-uniformly from 1 us, so the
-sender's backoff starts far below the round trip.  Both passes keep
-``rto_max`` at or above one round trip, the lowest ceiling Scenario
-accepts.  No drawn scenario is ever dropped, whatever its outcome.
+The same function is the whole-run properties' Hypothesis strategy, so
+an edit to it must leave the scenarios this pin draws unchanged;
+``test_results_match_the_pin_over_the_knob_space`` checks them before
+it runs them.  The generator makes two seeded passes: 400 scenarios
+whose explicit ``rto_min`` is at or above one round trip of the path,
+then 200, seeded ``GENERATOR_SEED + 1``, with ``wide_rto``, whose
+``rto_min`` and ``rto_initial`` start at 1 us.  No drawn scenario is
+ever dropped, whatever its outcome.
 
 ``RunMetrics`` holds only ints, so the values agree on Python 3.10 and
 3.11.  Rewrite the data (only for a change meant to alter results) with
@@ -30,69 +31,19 @@ from pathlib import Path
 
 from dtcsim.harness import Scenario, run
 
+from scenario_space import draw_scenario
+
 PINNED = Path(__file__).parent / "data" / "knob_space.jsonl"
 
 GENERATOR_SEED = 20_100_412
 COUNT = 400                 # explicit rto_min at or above one round trip
 WIDE_COUNT = 200            # rto_min and rto_initial from 1 us
 
-P_DATA = [0.0, 0.01, 0.05, 0.1, 0.15, 0.2, 0.3]
-HOP_LATENCY_US = [1, 2, 37, 1_000, 10_000, 25_000]
-
-
-def _maybe(rng: random.Random, value):
-    """value or None (the automatic default), evenly."""
-    return value if rng.random() < 0.5 else None
-
-
-def _log_uniform(rng: random.Random, high: int) -> int:
-    """An int in [1, high] whose logarithm is uniform."""
-    return round(high ** rng.random())
-
 
 def _draw(seed: int, count: int, wide_rto: bool) -> list:
     """count scenarios from one seeded pass of the generator."""
     rng = random.Random(seed)
-    drawn = []
-    for _ in range(count):
-        hops = rng.randint(2, 12)
-        hop_latency = rng.choice(HOP_LATENCY_US)
-        round_trip = 2 * hops * hop_latency
-        spacing = rng.choice(["auto", "zero", "small", "large"])
-        send_spacing = {
-            "auto": None,
-            "zero": 0,
-            "small": rng.randint(1, 2 * hop_latency),
-            "large": rng.randint(10 * hop_latency, 50 * hop_latency),
-        }[spacing]
-        if wide_rto:
-            rto_min = _maybe(rng, _log_uniform(rng, 6 * round_trip))
-        else:
-            rto_min = _maybe(rng, rng.randint(round_trip, 6 * round_trip))
-        floor = rto_min if rto_min is not None else 4 * hops * hop_latency
-        ceiling = max(floor, round_trip)        # the first pass's floor is never below it
-        rto_max = _maybe(rng, rng.randint(ceiling, 64 * ceiling))
-        initial = _log_uniform(rng, 4 * floor) if wide_rto else rng.randint(1, 4 * floor)
-        rto_initial = _maybe(rng, initial)
-        fields = dict(
-            hops=hops,
-            p_data=rng.choice(P_DATA),
-            dtc_enabled=rng.random() < 0.5,
-            total_segments=rng.randint(1, 60),
-            window=rng.randint(1, 6),
-            hop_latency=hop_latency,
-            seed=rng.randint(1, 1_000_000),
-            max_local_retries=rng.randint(0, 4),
-            ll_wait_multiplier=rng.randint(1, 4),
-            send_spacing=send_spacing,
-            rto_min=rto_min,
-            rto_initial=rto_initial,
-            fast_retransmit=rng.random() < 0.5,
-        )
-        if rto_max is not None:
-            fields["rto_max"] = rto_max
-        drawn.append(Scenario(**fields))
-    return drawn
+    return [draw_scenario(rng, wide_rto) for _ in range(count)]
 
 
 def scenarios() -> list:

@@ -1,7 +1,9 @@
+import dataclasses
+import functools
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from conftest import Recorder, emitted, watch_pushes
@@ -9,6 +11,7 @@ from dtcsim.engine import DTC, HOP, Simulation
 from dtcsim.harness import Scenario
 from dtcsim.node import AWAITING, LOCKED, REPLACEABLE, CachingNode, initial_rtt
 from dtcsim.packets import ORIGIN_LOCAL, AckSegment, DataSegment, sack_covers
+from scenario_space import DEADLINE_MS, any_scenario, finish
 
 MS = 1000
 
@@ -368,68 +371,70 @@ def test_one_cache_slot_at_all_times():
 
 HANDLERS = ("on_data", "on_ack", "on_ll_ack", "on_ll_timeout", "on_local_rto")
 TIMER_BY_STATE = {None: [], AWAITING: ["on_ll_timeout"], REPLACEABLE: [], LOCKED: ["on_local_rto"]}
+TIMERS = ("on_ll_timeout", "on_local_rto")
 
 
 def state_of(node):
     return None if node.cache is None else node.cache.state
 
 
-def live_timers(sim, node):
-    """Handler names of the node's queued timers that still match its generation."""
-    names = {node.on_ll_timeout: "on_ll_timeout", node.on_local_rto: "on_local_rto"}
-    return [names[call] for _, _, call, arg in sim._heap
-            if call in names and arg == node.timer_generation]
-
-
-def checked(sim, node, handler):
+def checked(sim, node, handler, queued):
+    """handler, then a check that the node's live queued timers are its
+    entry state's.  queued counts the run's queued node timers by (call,
+    generation): a push adds one and a firing takes one off, so the check
+    costs no scan of the heap."""
+    @functools.wraps(handler)
     def call(*args):
+        if call.__name__ in TIMERS:
+            queued[call, args[0]] -= 1          # this timer left the heap to fire
         handler(*args)
-        assert live_timers(sim, node) == TIMER_BY_STATE[state_of(node)], (
+        live = [name for name in TIMERS
+                for _ in range(queued[getattr(node, name), node.timer_generation])]
+        assert live == TIMER_BY_STATE[state_of(node)], (
             f"node {node.node_id} after {handler.__name__}{args} at t={sim.now}")
     return call
 
 
-caching_runs = st.fixed_dictionaries({
-    "hops": st.integers(2, 8),
-    "total_segments": st.integers(1, 60),
-    "window": st.integers(1, 5),
-    "p_data": st.one_of(st.just(0.0), st.floats(0.0, 0.35)),
-    "max_local_retries": st.integers(0, 4),
-    "ll_wait_multiplier": st.integers(1, 4),
-    "fast_retransmit": st.booleans(),
-    "seed": st.integers(0, 2**63 - 1),
-})
-
-
-@settings(max_examples=50, deadline=None)
-@given(caching_runs)
-def test_every_entry_state_has_exactly_its_timer_over_whole_runs(knobs):
+@settings(max_examples=50, deadline=DEADLINE_MS)
+@given(any_scenario)
+def test_every_entry_state_has_exactly_its_timer_over_whole_runs(s):
     # AWAITING holds one live ll timeout, LOCKED one live local rto, and a
     # REPLACEABLE entry or an empty slot none, after every handler call
-    sim = Simulation(Scenario(dtc_enabled=True, **knobs))
+    s = dataclasses.replace(s, dtc_enabled=True)
+    note(s)
+    sim = Simulation(s)
+    queued = Counter()
     for node in sim.nodes:
         for name in HANDLERS:
-            setattr(node, name, checked(sim, node, getattr(node, name)))
-    assert sim.run().delivered_segments == knobs["total_segments"]
+            setattr(node, name, checked(sim, node, getattr(node, name), queued))
+
+    def on_push(fire_at, call, arg):
+        if call is not None and call.__name__ in TIMERS:
+            queued[call, arg] += 1
+
+    with watch_pushes(on_push):
+        metrics = finish(sim)
+    assert metrics is None or metrics.delivered_segments == s.total_segments
 
 
 # the handlers a station schedules, or the engine pushes for an ll ack
 PUSHED_HANDLERS = {"on_ll_ack", "on_ll_timeout", "on_local_rto", "on_rto", "on_send_slot"}
 
 
-@settings(max_examples=50, deadline=None)
-@given(caching_runs, st.booleans())
-def test_ll_acks_are_pushed_only_to_a_node_awaiting_them(knobs, dtc):
+@settings(max_examples=50, deadline=DEADLINE_MS)
+@given(any_scenario)
+def test_ll_acks_are_pushed_only_to_a_node_awaiting_them(s):
     # an ll ack has one reader, a node whose entry awaits that frame: the
     # engine pushes it to no one else, so a caching-off run pushes none.
     # Every other push is a frame toward a station or a station's own timer
-    sim = Simulation(Scenario(dtc_enabled=dtc, **knobs))
+    note(s)
+    sim = Simulation(s)
     pushed = []
 
     def on_push(fire_at, call, arg):
         if call is None:
             target = arg[0]
-            assert -1 <= target <= knobs["hops"] - 1, f"frame pushed to {target} at t={sim.now}"
+            assert -1 <= target <= s.hops - 1, f"frame pushed to {target} at t={sim.now}"
             return
         assert call.__name__ in PUSHED_HANDLERS, f"{call!r} pushed at t={sim.now}"
         assert any(call.__self__ is station for station in sim.stations), (
@@ -442,9 +447,10 @@ def test_ll_acks_are_pushed_only_to_a_node_awaiting_them(knobs, dtc):
             pushed.append(arg)
 
     with watch_pushes(on_push):
-        assert sim.run().delivered_segments == knobs["total_segments"]
+        metrics = finish(sim)
+    assert metrics is None or metrics.delivered_segments == s.total_segments
     assert len(set(pushed)) == len(pushed)          # at most one ll ack per frame
-    if not dtc:
+    if not s.dtc_enabled:
         assert pushed == []
 
 
