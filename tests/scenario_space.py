@@ -92,17 +92,21 @@ any_scenario = st.builds(draw_scenario, st.randoms(), st.booleans())
 
 
 def finish(sim: Simulation) -> RunMetrics | None:
-    """Run sim: its RunMetrics, or None where its event budget cut it short.
+    """Run sim: its RunMetrics, or None where its event budget cut a
+    caching run with p_data 0 short.
 
-    A drawn run must complete or use up its budget, within DEADLINE_MS.
-    A few lossless caching draws use it up in ROADMAP direction 1's lock
-    storm, so a property checks a cut run only as far as it got.  A
-    queue that drains before the transfer completes is a defect, and its
-    LivenessError propagates.
+    A few such draws use up their budget in ROADMAP direction 1's lock
+    storm, at most 160 x 60 x 12 events, well within DEADLINE_MS.  The
+    conservation property skips a cut run, the draw property checks only
+    its draw count, and the timer and ll-ack properties their asserts on
+    each event before the cut.  A budget cut of a lossy or a caching-off
+    run, and a queue that drains before the transfer completes, are
+    defects: their LivenessError propagates.
     """
     try:
         return sim.run()
     except LivenessError as cut:
-        if "event budget" not in str(cut):
-            raise
-        return None
+        s = sim.scenario
+        if "event budget" in str(cut) and s.p_data == 0.0 and s.dtc_enabled:
+            return None
+        raise
