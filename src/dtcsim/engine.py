@@ -139,6 +139,10 @@ class LivenessError(RuntimeError):
     queue drained.  The message starts with ``<cell_id> seed=<seed>: ``."""
 
 
+class EventBudgetExceeded(LivenessError):
+    """The run used up its event budget (``Scenario.event_budget``)."""
+
+
 class RunMetrics(NamedTuple):
     """Counters collected from one completed run."""
 
@@ -254,7 +258,7 @@ class Simulation:
             self.now = now
             processed += 1
             if processed > budget:
-                raise LivenessError(
+                raise EventBudgetExceeded(
                     f"{self.scenario.cell_id} seed={self.scenario.seed}: "
                     f"run exceeded the {budget} event budget at t={now}us "
                     f"({receiver.delivered_in_order}/{receiver.total} delivered)"

@@ -15,7 +15,6 @@ import os
 import statistics
 import sys
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import NamedTuple, Optional, Sequence
 
 from .engine import RunMetrics, Simulation      # RunMetrics re-exported
@@ -154,7 +153,7 @@ class Scenario:
         return 3 * self.effective_rto_min()
 
     def event_budget(self) -> int:
-        """Processed events after which a run stops with a LivenessError.
+        """Processed events after which a run stops with EventBudgetExceeded.
 
         ``ceil(160 * total_segments * hops / (1 - p_data) ** hops)``: 160
         events per segment-hop per expected end-to-end attempt.  An ll ack
@@ -207,7 +206,8 @@ def sweep(
     cells (with/without caching) see identical loss processes per seed
     index.  Rows come back grouped by cell, in run-index order,
     regardless of job count.  At most min(jobs, runs x cells, usable CPUs)
-    worker processes run them.
+    worker processes run them.  multiprocessing is imported only when that
+    is more than one, so a run or a one-worker sweep never loads it.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
@@ -218,6 +218,7 @@ def sweep(
     ]
     workers = min(jobs, len(tasks), _usable_cpus())
     if workers > 1:
+        from multiprocessing import Pool
         with Pool(processes=workers) as pool:
             return pool.map(_run_record, tasks, chunksize=4)
     return [_run_record(task) for task in tasks]

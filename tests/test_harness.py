@@ -1,14 +1,19 @@
 import dataclasses
 import gc
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, note, settings, strategies as st
 
 from dtcsim import harness
-from dtcsim.engine import DTC, HOP, LivenessError, Simulation
+from dtcsim.engine import DTC, HOP, EventBudgetExceeded, LivenessError, Simulation
 from dtcsim.harness import (
     RunMetrics,
     RunRecord,
@@ -226,8 +231,9 @@ def never_delivered(*frame):
 
 def test_event_budget_aborts_with_liveness_diagnostic():
     s = scenario(p_data=0.2, total_segments=10)
-    with pytest.raises(LivenessError) as budget:
+    with pytest.raises(EventBudgetExceeded) as budget:
         run(s, drop_override=never_delivered)
+    assert isinstance(budget.value, LivenessError)
     assert f"exceeded the {s.event_budget()} event budget at t=" in str(budget.value)
 
 
@@ -242,6 +248,7 @@ def test_liveness_errors_start_with_the_run_name():
     with pytest.raises(LivenessError) as drained:
         sim.run()
     assert str(drained.value).startswith("h2-p0.0-off seed=4: event queue drained")
+    assert not isinstance(drained.value, EventBudgetExceeded)
 
 
 def test_rng_draw_count_is_replayable():
@@ -311,7 +318,7 @@ def test_sweep_pool_is_capped_by_tasks_and_cpus(monkeypatch, cpus, workers):
         def map(self, fn, tasks, chunksize=1):
             return [fn(task) for task in tasks]
 
-    monkeypatch.setattr(harness, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     if isinstance(cpus, tuple):
         cpus, affinity = cpus
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: affinity, raising=False)
@@ -325,11 +332,25 @@ def test_sweep_pool_is_capped_by_tasks_and_cpus(monkeypatch, cpus, workers):
     assert rows == sweep(cells, 2, 3, jobs=1)
 
 
+def test_a_run_never_loads_multiprocessing():
+    # only a sweep that starts workers needs the pool; a fresh interpreter
+    # shows what importing the package and one run load
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys\n"
+            "from dtcsim.cli import main\n"
+            "main(['run', '--hops', '3', '--loss', '0.1', '--dtc', 'on', '--segments', '5'])\n"
+            "assert 'multiprocessing' not in sys.modules, 'multiprocessing loaded'\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "delivered_segments: 5" in done.stdout
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_failing_sweep_run_names_its_scenario_and_seed(jobs, monkeypatch):
     monkeypatch.setattr(Scenario, "event_budget", lambda self: 100)     # forked workers too
     cell = Scenario(hops=6, p_data=0.2, dtc_enabled=True, total_segments=50)
-    with pytest.raises(LivenessError) as failure:
+    with pytest.raises(EventBudgetExceeded) as failure:   # its type survives a pool worker
         sweep([cell], runs=2, base_seed=7, jobs=jobs)
     message = str(failure.value)
     for part in ("h6-p0.2-on seed=7", "event budget"):
