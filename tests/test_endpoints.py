@@ -170,6 +170,63 @@ def test_rto_retransmits_oldest_and_backs_off():
     assert arm[1] - 900_000 == 4 * sender.rto
 
 
+def rto_arm(sender, now):
+    """The schedule of the timer that sender armed at now, read after it
+    backed off."""
+    timeout = min(sender.rto << sender.backoff, sender.rto_max)
+    return ("schedule", now + timeout, sender.on_rto, sender.rto_generation)
+
+
+def counters(sender, seq):
+    return (sender.e2e_retransmissions, sender.in_flight[seq][1], sender.total_data_tx,
+            sender.backoff, sender.rto_generation)
+
+
+@pytest.mark.parametrize("spacing", [0, 21_000])
+def test_rto_through_an_open_empty_gate_resends_the_oldest_then_arms(spacing):
+    sender = make_sender(window=3, spacing=spacing)
+    sender.start(0)
+    for k in (1, 2):
+        sender.on_send_slot(None, k * spacing)          # empties a paced gate
+    assert not sender._tx_queue
+    before = counters(sender, 1)
+    calls = emitted(sender.on_rto, sender.rto_generation, 300_000)
+    assert calls == [("send", SENDER, DataSegment(1), 3), rto_arm(sender, 300_000)]
+    assert counters(sender, 1) == tuple(n + 1 for n in before)
+    assert sender._next_free_at == 300_000 + spacing
+    assert not sender._tx_queue
+
+
+def test_rto_at_a_closed_gate_queues_the_oldest_for_the_next_slot():
+    sender = make_sender(window=1, spacing=500_000)     # the gate opens after the timeout
+    sender.start(0)
+    before = counters(sender, 1)
+    calls = emitted(sender.on_rto, sender.rto_generation, 300_000)
+    assert calls == [("schedule", 500_000, sender.on_send_slot, None), rto_arm(sender, 300_000)]
+    assert counters(sender, 1) == (*before[:3], before[3] + 1, before[4] + 1)
+    assert list(sender._tx_queue) == [1]
+    calls = emitted(sender.on_send_slot, None, 500_000)
+    assert calls == [("send", SENDER, DataSegment(1), 1)]
+    assert sender.e2e_retransmissions == 1
+
+
+@pytest.mark.parametrize("now, sends", [(15_000, []), (21_000, [2])])
+def test_rto_leaves_an_oldest_still_in_the_gate_queued_once(now, sends):
+    # seq 1 is acked before seqs 2 and 3 leave the paced gate: the oldest,
+    # seq 2, is never sent, so a timeout neither queues it again nor
+    # counts a retransmission; a gate open by then sends it as new data
+    sender = make_sender(window=3, spacing=21_000)
+    sender.start(0)
+    sender.on_ack(AckSegment(2), 10_000)
+    assert list(sender._tx_queue) == [2, 3, 4]
+    calls = emitted(sender.on_rto, sender.rto_generation, now)
+    assert sent_seqs(calls) == sends
+    assert calls[-1] == rto_arm(sender, now)
+    assert list(sender._tx_queue) == [2, 3, 4][len(sends):]
+    assert sender.e2e_retransmissions == 0
+    assert sender.total_data_tx == 1 + len(sends)
+
+
 def test_backoff_resets_on_progress():
     sender = make_sender()
     sender.start(0)

@@ -376,6 +376,29 @@ def test_budget_cut_on_a_caching_off_chain(monkeypatch, budget, cut_at):
     assert str(cut.value) == f"h6-p0.2-off seed=3: run exceeded the {budget} event budget at {cut_at}"
 
 
+@pytest.mark.parametrize("budget, cut_at", [
+    (1, "t=20000us (0/30 delivered)"),          # data reaching node 1
+    (2, "t=21000us (0/30 delivered)"),          # the sender's send slot
+    (3, "t=30000us (0/30 delivered)"),          # node 0's ll ack
+    (5, "t=40000us (0/30 delivered)"),          # node 0's stale ll timeout
+    (8, "t=50000us (0/30 delivered)"),          # node 1's live ll timeout
+    (14, "t=60000us (0/30 delivered)"),         # data reaching the receiver
+    (35, "t=120000us (1/30 delivered)"),        # an ack reaching the sender
+    (47, "t=170000us (1/30 delivered)"),        # a stale local rto
+    (61, "t=480000us (1/30 delivered)"),        # the sender's rto
+    (64, "t=670000us (1/30 delivered)"),        # a live local rto
+    (67, "t=720000us (1/30 delivered)"),        # the sender's stale rto
+    (706, "t=505350378us (29/30 delivered)"),   # the sender's stale rto
+])
+def test_budget_cut_on_a_caching_chain(monkeypatch, budget, cut_at):
+    # a stale node timer counts toward the budget like any event, so a
+    # change to when stale timers are pushed moves these cuts
+    monkeypatch.setattr(Scenario, "event_budget", lambda self: budget)
+    with pytest.raises(LivenessError) as cut:
+        run(Scenario(hops=6, p_data=0.2, dtc_enabled=True, total_segments=30, seed=3))
+    assert str(cut.value) == f"h6-p0.2-on seed=3: run exceeded the {budget} event budget at {cut_at}"
+
+
 def test_sweep_rejects_zero_runs():
     with pytest.raises(ValueError):
         sweep([scenario()], 0, 1)
