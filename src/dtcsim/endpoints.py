@@ -15,6 +15,14 @@ The sender emits segments toward the chain and schedules its own
 handlers: ``on_rto`` for the retransmission timer, with its generation,
 and ``on_send_slot`` for the next opening of the pacing gate.  The
 receiver just answers each segment with its ack.
+
+The sender builds each ``DataSegment`` once, when the window admits its
+seq, and keeps it in the seq's ``in_flight`` entry; every transmission,
+first or repeat, sends that stored value.  The keys of ``in_flight`` are
+always ``range(cumulative, next_new)``, so the oldest unacknowledged
+segment is ``cumulative``.  A timeout that finds the pacing gate open and
+empty resends that segment itself; only a closed or busy gate takes it
+through the gate's queue.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ class TcpSender:
         self.out = out
         self.next_new = 1               # lowest never-sent segment
         self.cumulative = 1             # receiver's next expected segment
-        self.in_flight = {}             # seq -> [first_sent_at | None, transmissions]
+        self.in_flight = {}             # seq -> [first_sent_at | None, transmissions, segment]
         self.srtt: Optional[int] = None
         self.rttvar = 0
         self.rto = scenario.effective_rto_initial()
@@ -94,7 +102,7 @@ class TcpSender:
                 entry[0] = now
             entry[1] += 1
             self.total_data_tx += 1
-            self.out.send(SENDER, DataSegment(seq, ORIGIN_E2E))
+            self.out.send(SENDER, entry[2])
             self._next_free_at = now + self.spacing
         if self._tx_queue and not self._slot_armed:
             self._slot_armed = True
@@ -106,19 +114,17 @@ class TcpSender:
 
     # -- timer --------------------------------------------------------------
 
-    def effective_rto(self) -> int:
-        return min(self.rto << self.backoff, self.rto_max)
-
     def _arm_rto(self, now: int) -> None:
         self.rto_generation += 1
-        self.out.schedule(now + self.effective_rto(), self.on_rto, self.rto_generation)
+        self.out.schedule(now + min(self.rto << self.backoff, self.rto_max),
+                          self.on_rto, self.rto_generation)
 
     # -- transfer -----------------------------------------------------------
 
     def _fill_window(self, now: int) -> None:
         """Queue never-sent segments up to the window, then drain the gate."""
         while self.next_new <= self.total and len(self.in_flight) < self.window:
-            self.in_flight[self.next_new] = [None, 0]
+            self.in_flight[self.next_new] = [None, 0, DataSegment(self.next_new, ORIGIN_E2E)]
             self._tx_queue.append(self.next_new)
             self.next_new += 1
         self._drain(now)
@@ -135,11 +141,11 @@ class TcpSender:
             return                      # stale duplicate
         if ack.ack_no > self.cumulative:
             for seq in range(self.cumulative, ack.ack_no):
-                entry = self.in_flight.pop(seq, None)
+                entry = self.in_flight.pop(seq)
                 # round-trip sample from each newly covered segment that was
                 # never retransmitted (Karn's rule); acks delayed behind a
                 # recovery legitimately stretch the estimate
-                if entry is not None and entry[1] == 1:
+                if entry[1] == 1:
                     self.srtt, self.rttvar, self.rto = update_rto(
                         self.srtt, self.rttvar, now - entry[0], self.rto_min
                     )
@@ -156,21 +162,31 @@ class TcpSender:
         # duplicate at the current cumulative point: recover by timeout
         # unless fast retransmit is switched on
         self.dup_acks += 1
-        if self.fast_retransmit and self.dup_acks == 3 and self.in_flight:
-            self._queue_tx(min(self.in_flight))
+        if self.fast_retransmit and self.dup_acks == 3:
+            self._queue_tx(self.cumulative)
             self._drain(now)
 
     def on_rto(self, generation: int, now: int) -> None:
         if generation != self.rto_generation or self.completed_at is not None:
             return
-        if self.in_flight:
-            # a never-sent oldest segment is still in the gate: a no-op
-            self._queue_tx(min(self.in_flight))
         # back off only up to the ceiling: every later timeout is rto_max,
         # and the shifted value stays a small int
         if self.rto << self.backoff < self.rto_max:
             self.backoff += 1
-        self._drain(now)
+        if self._tx_queue or now < self._next_free_at:
+            # the gate is busy: queue the oldest behind it (a no-op when the
+            # never-sent oldest is still waiting there)
+            self._queue_tx(self.cumulative)
+            self._drain(now)
+        else:
+            # an empty gate has sent everything in flight, so this is a
+            # retransmission; resend it here, as _drain would
+            entry = self.in_flight[self.cumulative]
+            self.e2e_retransmissions += 1
+            entry[1] += 1
+            self.total_data_tx += 1
+            self.out.send(SENDER, entry[2])
+            self._next_free_at = now + self.spacing
         self._arm_rto(now)
 
 

@@ -1,11 +1,15 @@
+import functools
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings, strategies as st
 
 from conftest import Recorder, emitted
 from dtcsim.endpoints import TcpReceiver, TcpSender, update_rto
+from dtcsim.engine import Simulation
 from dtcsim.events import SENDER, US_PER_MS
 from dtcsim.harness import Scenario
-from dtcsim.packets import AckSegment, DataSegment
+from dtcsim.packets import ORIGIN_E2E, AckSegment, DataSegment
+from scenario_space import DEADLINE_MS, any_scenario, finish
 
 
 def make_sender(total=500, window=3, spacing=0, **overrides):
@@ -321,6 +325,34 @@ def test_each_send_is_counted_once_and_retransmissions_after_the_first(
         # a never-sent segment in flight waits in the pacing gate, so a
         # timeout that picks it queues nothing new
         assert set(sender.in_flight) - set(sent) <= set(sender._tx_queue)
+
+
+SENDER_HANDLERS = ("start", "on_ack", "on_rto", "on_send_slot")
+
+
+def checked(sender, handler):
+    """handler, then a check that the keys of in_flight run from the
+    cumulative point up to next_new, each holding its own segment."""
+    @functools.wraps(handler)
+    def call(*args):
+        handler(*args)
+        assert sorted(sender.in_flight) == list(range(sender.cumulative, sender.next_new)), (
+            f"in_flight after {handler.__name__}{args}")
+        for seq, entry in sender.in_flight.items():
+            assert entry[2] == DataSegment(seq, ORIGIN_E2E), f"entry {seq} holds {entry[2]!r}"
+    return call
+
+
+@settings(max_examples=50, deadline=DEADLINE_MS)
+@given(any_scenario)
+def test_in_flight_runs_from_the_cumulative_point_over_whole_runs(s):
+    # the timeout resends in_flight[cumulative] as the oldest segment
+    note(s)
+    sim = Simulation(s)
+    for name in SENDER_HANDLERS:
+        setattr(sim.sender, name, checked(sim.sender, getattr(sim.sender, name)))
+    metrics = finish(sim)
+    assert metrics is None or metrics.delivered_segments == s.total_segments
 
 
 # -- receiver ---------------------------------------------------------------------------
