@@ -26,6 +26,7 @@ from dtcsim.harness import (
 from dtcsim.packets import DataSegment
 
 from conftest import ScriptedDrops
+from reference_loop import Reference
 from scenario_space import DEADLINE_MS, any_scenario, finish
 
 
@@ -570,3 +571,28 @@ def test_every_draw_is_a_send_or_an_arrival(s, rules):
     delivered = Counter((t + sim.latency, dst, src, payload)
                         for t, _, src, dst, _, ok, payload in sends if ok)
     assert delivered == arrivals + in_flight
+
+
+@settings(max_examples=100, deadline=DEADLINE_MS)
+@given(any_scenario, st.one_of(st.none(), scripted_drops))
+def test_the_engine_matches_the_naive_reference_loop(s, rules):
+    # the engine carries relayed frames past the heap and pushes no event
+    # that cannot change the run; the reference pushes and pops them all
+    note(s)
+    for dtc in (False, True):
+        s = dataclasses.replace(s, dtc_enabled=dtc)
+        runs = []
+        for loop in (Simulation, Reference):
+            records = []
+            override = None if rules is None else ScriptedDrops(rules)
+            sim = loop(s, trace=records.append, drop_override=override)
+            try:
+                runs.append((sim.run(), records))
+            except EventBudgetExceeded:
+                runs.append((None, records))
+        (engine_metrics, engine_records), (reference_metrics, reference_records) = runs
+        if engine_metrics is not None:
+            assert engine_metrics == reference_metrics, s
+            assert engine_records == reference_records, s
+        else:
+            assert engine_records == reference_records[:len(engine_records)], s
