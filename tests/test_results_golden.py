@@ -1,5 +1,5 @@
 """Byte-for-byte pin of every results file and of `run`, `run --trace` (caching on
-and off) and `report` stdout.
+and off, and with an ll wait of two hop latencies) and `report` stdout.
 
 One small sweep and one small fig4 write into the same directory, so the
 report renders all three of its tables. The goldens were recorded on
@@ -29,9 +29,12 @@ RUN_TRACE = ["run", "--hops", "4", "--loss", "0.15", "--dtc", "on", "--segments"
 # the same run with caching off: every node a relay, 16 losses in 190 lines
 RUN_TRACE_OFF = ["run", "--hops", "4", "--loss", "0.15", "--dtc", "off", "--segments", "10",
                  "--seed", "5", "--trace"]
+# the caching run with an ll wait of two hop latencies: each ll timeout
+# ties its ll ack and pops first, so it locks the entry, in 274 lines
+RUN_TRACE_LLWAIT2 = RUN_TRACE + ["--ll-wait-multiplier", "2"]
 
 FILES = ["runs.csv", "summary.csv", "nodes.csv", "run.txt", "run_trace.txt", "run_trace_off.txt",
-         "report.txt"]
+         "run_trace_llwait2.txt", "report.txt"]
 
 
 def _stdout(argv) -> str:
@@ -48,6 +51,7 @@ def produce(out: Path) -> None:
     (out / "run.txt").write_text(_stdout(RUN))
     (out / "run_trace.txt").write_text(_stdout(RUN_TRACE))
     (out / "run_trace_off.txt").write_text(_stdout(RUN_TRACE_OFF))
+    (out / "run_trace_llwait2.txt").write_text(_stdout(RUN_TRACE_LLWAIT2))
     (out / "report.txt").write_text(_stdout(["report", str(out)]))
 
 
