@@ -25,7 +25,12 @@ nothing and emits straight back into the ``Simulation``, its sink ``out``
                                           an AckSegment toward the sender
     schedule(at, call, arg=None)          a timer: call(arg, now) at time at,
                                           never behind the clock
-    note(node_id, action, seq)            a cache transition: a DTC trace record
+    await_ll_ack(src, frame_id, at,       node src's wait for the ll ack of
+                 call, arg)               the frame it just sent: a timer as
+                                          above, at or after the arrival
+    note(node_id, action, seq)            a cache transition: a DTC trace
+                                          record; a node notes only into a
+                                          run that traces
 
 Loss is memoryless: each send takes the next frame id and makes one
 uniform draw against its kind's threshold.  Data segments are the
@@ -39,9 +44,24 @@ Every arriving frame gets its link-layer ack draw, always at arrival.  The
 ack's arrival, a call of the transmitter's ``on_ll_ack``, is pushed only
 when the transmitter is a node whose cache entry is AWAITING that frame
 id, the one reader of an ll ack; frame ids are unique, so no later entry
-can await it either.  Leaving the other pushes out keeps every draw and
-the relative order of every other event, so the results are the same as
-if every survivor were pushed.
+can await it either.
+
+A node arms that wait with ``await_ll_ack`` right after it sends the
+frame.  The timer takes its insertion number there, as ``schedule``
+would, but is pushed at once only if the frame was lost.  Otherwise the
+run holds it until the frame arrives and, after the ll-ack draw, pushes
+it with that number, unless it can no longer fire: the node no longer
+awaits the frame, so the timer is stale already, or the ll ack survived
+and lands before the timer's time, and landing it stales the timer.  On
+a tie the timer, armed before the ll ack was pushed, pops first, so it
+is pushed.  The timer's time is never before the arrival, so a timer
+pushed there pops just where it would have popped had it been pushed
+when armed.
+
+Leaving these pushes out keeps every draw and the relative order of every
+other event, so the results are the same as if every surviving ll ack
+and every timer were pushed; ``tests/reference_loop.py`` runs that
+naive schedule and checks it.
 
 So the order in which a handler emits is the order of frame ids, draws and
 pushes, and it is part of every result; keep it when editing a handler.
@@ -182,6 +202,10 @@ class Simulation:
         self.sender = TcpSender(scenario, self)
         self.receiver = TcpReceiver(scenario, self)
         self.nodes = [CachingNode(i, scenario, self) for i in range(self.receiver_id)]
+        # by node id, the ll timeout of the last frame the node awaits, held
+        # while that frame is in flight; and the id of the last frame send lost
+        self._held: list[Optional[tuple]] = [None] * self.receiver_id
+        self._lost_frame = -1
         # indexed by node id: the sender's -1 wraps to the last entry
         self.stations = [*self.nodes, self.receiver, self.sender]
 
@@ -215,6 +239,8 @@ class Simulation:
         if delivered:
             heappush(self._heap, (self.now + self.latency, next(self._seq), None,
                                   (dst, frame_id, payload)))
+        else:
+            self._lost_frame = frame_id
         if self.trace is not None:
             self._trace_hop(src, dst, payload, kind, delivered)
         return frame_id
@@ -227,10 +253,22 @@ class Simulation:
                                   f"behind the clock t={self.now}us")
         heappush(self._heap, (fire_at, next(self._seq), call, arg))
 
+    def await_ll_ack(self, src: int, frame_id: int, fire_at: int, call: Callable, arg: object) -> None:
+        """Arm node src's wait for the ll ack of frame_id, which it has just
+        sent: a timer ``call(arg, now)`` at fire_at, no earlier than the
+        frame's arrival.  It takes its insertion number here, as
+        ``schedule`` would, and is pushed at once if the frame was lost, or
+        else held until the frame arrives."""
+        timer = (fire_at, next(self._seq), call, arg)
+        if frame_id == self._lost_frame:
+            heappush(self._heap, timer)
+        else:
+            self._held[src] = timer
+
     def note(self, node_id: int, action: str, seq: int) -> None:
-        """Trace a cache transition; nothing else sees it."""
-        if self.trace is not None:
-            self.trace((self.now, DTC, node_id, action, seq))
+        """Trace a cache transition; nothing else sees it, and a node notes
+        only into a run that traces."""
+        self.trace((self.now, DTC, node_id, action, seq))
 
     # -- event loop -----------------------------------------------------------------
 
@@ -242,6 +280,7 @@ class Simulation:
         sender = self.sender
         receiver = self.receiver
         nodes = self.nodes
+        held = self._held
         stations = self.stations
         receiver_id = self.receiver_id
         # with caching off every intermediate node is a relay
@@ -309,14 +348,19 @@ class Simulation:
                     target = dst
                 continue
             transmitter = target - 1 if is_data else target + 1
-            # drawn always, pushed only to its one reader (module docstring)
+            # drawn always, pushed only to its one reader, which then gets its
+            # held ll timeout only if that may fire first (module docstring)
             self.draws += 1
             acked = rand() >= p_ll_ack
-            if acked and 0 <= transmitter < receiver_id:
+            if 0 <= transmitter < receiver_id:
                 node = nodes[transmitter]
                 entry = node.cache
                 if entry is not None and entry.state is AWAITING and entry.frame_id == frame_id:
-                    heappush(heap, (now + latency, next(self._seq), node.on_ll_ack, frame_id))
+                    if acked:
+                        heappush(heap, (now + latency, next(self._seq), node.on_ll_ack, frame_id))
+                    timer = held[transmitter]
+                    if not acked or timer[0] <= now + latency:
+                        heappush(heap, timer)
             if trace is not None:
                 self._trace_hop(target, transmitter, segment, "llack", acked)
             if is_data:

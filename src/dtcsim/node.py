@@ -23,8 +23,11 @@ below the node's own forwarded cumulative point means the ack died
 upstream, so the node swallows the data and regenerates the ack.
 
 A node's timers are its own handlers, ``on_ll_timeout`` and
-``on_local_rto``, scheduled with a generation stamp; any cache mutation
-bumps the node's counter so stale expiries fall through harmlessly.
+``on_local_rto``, armed with a generation stamp: the ll timeout with
+``out.await_ll_ack`` right after the send of the frame it waits on, the
+local rto with ``out.schedule``.  Any cache mutation bumps the node's
+counter so stale expiries fall through harmlessly; the engine does not
+even push an ll timeout whose ll ack lands first (see ``engine``).
 
 With caching off a node's handlers never run: the engine's run loop
 relays every frame itself and counts the node's data transmissions.
@@ -33,7 +36,9 @@ A node is built from its id and the run's ``Scenario``, whose ll-ack
 wait, local retry limit and chain geometry it reads itself.
 Handlers return nothing; they emit into the sink ``out`` given at
 construction (its calls are described in ``engine``), and the order of
-those calls is part of every result.
+those calls is part of every result.  A node notes its cache transitions
+only when ``out.trace`` was set at its construction, so an untraced run
+makes no note calls.
 """
 
 from __future__ import annotations
@@ -87,6 +92,8 @@ class CachingNode:
         self.max_local_retries = scenario.max_local_retries
         self.timer_generation = 0
         self.out = out
+        # cache transitions are noted only into a sink that traces them
+        self.traced = out.trace is not None
 
     # -- helpers --------------------------------------------------------------
 
@@ -99,7 +106,8 @@ class CachingNode:
         self.local_retx_count += 1
         # Karn hygiene: a seq we retransmit ourselves yields no rtt sample
         self.pending_rtt.pop(seq, None)
-        self.out.note(self.node_id, "local_retx", seq)
+        if self.traced:
+            self.out.note(self.node_id, "local_retx", seq)
         self.out.send(self.node_id, DataSegment(seq, ORIGIN_LOCAL))
 
     def _retransmit_cached(self, now: int) -> None:
@@ -115,7 +123,8 @@ class CachingNode:
         entry.state = LOCKED
         entry.local_retries = 0
         self.timer_generation += 1
-        self.out.note(self.node_id, "lock", entry.segment.seq)
+        if self.traced:
+            self.out.note(self.node_id, "lock", entry.segment.seq)
         self.out.schedule(now + self._local_timer_interval(), self.on_local_rto, self.timer_generation)
 
     # -- data path ------------------------------------------------------------
@@ -126,7 +135,8 @@ class CachingNode:
         if seq < self.last_ack_forwarded:
             # we already forwarded an ack covering this segment; that ack
             # evidently died upstream, so regenerate it instead of relaying
-            out.note(self.node_id, "regen_ack", self.last_ack_forwarded)
+            if self.traced:
+                out.note(self.node_id, "regen_ack", self.last_ack_forwarded)
             out.send(self.node_id, AckSegment(self.last_ack_forwarded))
             return
         self.data_tx_count += 1
@@ -136,9 +146,12 @@ class CachingNode:
             # presumably received downstream; an entry still awaiting its
             # ll ack keeps the slot (it may be the one that needs us)
             self.timer_generation += 1
-            out.note(self.node_id, "cache", seq)
-            self.cache = CacheEntry(segment, out.send(self.node_id, segment))
-            out.schedule(now + self.ll_wait, self.on_ll_timeout, self.timer_generation)
+            if self.traced:
+                out.note(self.node_id, "cache", seq)
+            frame_id = out.send(self.node_id, segment)
+            self.cache = CacheEntry(segment, frame_id)
+            out.await_ll_ack(self.node_id, frame_id, now + self.ll_wait, self.on_ll_timeout,
+                             self.timer_generation)
         else:
             out.send(self.node_id, segment)
         if seq not in self._seen:
@@ -176,7 +189,8 @@ class CachingNode:
             self._resend_cached(seq)
             self.cache = None
             self.timer_generation += 1
-            self.out.note(self.node_id, "clear", seq)
+            if self.traced:
+                self.out.note(self.node_id, "clear", seq)
 
     # -- ack path ---------------------------------------------------------------
 
@@ -196,14 +210,16 @@ class CachingNode:
                 # the receiver has it, or a node closer to the receiver does
                 self.cache = None
                 self.timer_generation += 1
-                out.note(self.node_id, "clear", cached)
+                if self.traced:
+                    out.note(self.node_id, "clear", cached)
             elif entry.state == LOCKED:
                 self._retransmit_cached(now)
                 if gaps_filled_with(ack, cached):
                     # with our segment back in flight nothing above the
                     # cumulative point is missing; the sender needs no ack
                     # (and must not get a synthesized cumulative one)
-                    out.note(self.node_id, "drop_ack", cached)
+                    if self.traced:
+                        out.note(self.node_id, "drop_ack", cached)
                     return
                 forward = sack_add(ack, cached)
             elif entry.state == REPLACEABLE:

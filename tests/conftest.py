@@ -30,12 +30,16 @@ class Recorder:
     Stands in for the engine (see ``dtcsim.engine`` for the calls): ``send``
     hands out frame ids 0, 1, 2, ... to every frame, data or ack.  Each
     call is recorded as a tuple; a timer's ``call`` is the station's bound
-    handler, which compares equal to ``station.on_rto`` and the like:
+    handler, which compares equal to ``station.on_rto`` and the like.  An
+    ll-ack wait is recorded as the timer it arms:
 
         ("send", src, payload, frame_id)
-        ("schedule", fire_at, call, arg)
+        ("schedule", fire_at, call, arg)    from schedule and await_ll_ack
         ("note", node_id, action, seq)
     """
+
+    # not None: a node notes its cache transitions only into a sink that traces
+    trace = True
 
     def __init__(self) -> None:
         self.calls = []
@@ -49,6 +53,9 @@ class Recorder:
 
     def schedule(self, fire_at, call, arg=None):
         self.calls.append(("schedule", fire_at, call, arg))
+
+    def await_ll_ack(self, src, frame_id, fire_at, call, arg):
+        self.schedule(fire_at, call, arg)
 
     def note(self, node_id, action, seq):
         self.calls.append(("note", node_id, action, seq))

@@ -27,6 +27,9 @@ BUDGET_FACTOR = 3
 
 
 class Reference(Simulation):
+    def await_ll_ack(self, src, frame_id, fire_at, call, arg):
+        self.schedule(fire_at, call, arg)
+
     def run(self):
         heap = self._heap
         receiver_id = self.receiver_id

@@ -11,7 +11,7 @@ from dtcsim.harness import Scenario
 from dtcsim.node import REPLACEABLE
 from dtcsim.packets import AckSegment, DataSegment
 
-from conftest import watch_pushes
+from conftest import ScriptedDrops, watch_pushes
 
 
 class Fixed:
@@ -205,6 +205,50 @@ def test_lost_ll_ack_never_arrives():
     assert ll_ack_pushes(pushes) == []
     assert read == []
     assert sim.draws == 8                           # the lost ack was still drawn
+
+
+def ll_timeout_pushes(p_data, draw=None, drop_override=None, ll_wait_multiplier=3):
+    """(time of the push, fire_at, generation) of each ll timeout pushed in a
+    lone-node run (see lone_node_run): node 0 forwards frame 1 at 10 ms
+    and, at the default ll wait of three hop latencies, awaits its ll ack
+    until 40 ms."""
+    sim = Simulation(Scenario(hops=2, p_data=p_data, dtc_enabled=True, total_segments=1,
+                              ll_wait_multiplier=ll_wait_multiplier),
+                     drop_override=drop_override)
+    if draw is not None:
+        sim._random = draw
+    pushes = []
+
+    def on_push(fire_at, call, arg):
+        if getattr(call, "__name__", None) == "on_ll_timeout":
+            pushes.append((sim.now, fire_at, arg))
+
+    with watch_pushes(on_push):
+        assert sim.run().delivered_segments == 1
+    return pushes
+
+
+def test_ll_timeout_of_a_lost_frame_is_pushed_at_its_send():
+    pushes = ll_timeout_pushes(0.0, drop_override=ScriptedDrops({(1, 0): 1}))
+    assert pushes[0] == (10_000, 40_000, 1)
+
+
+def test_ll_timeout_of_a_lost_ll_ack_is_pushed_at_the_frame_arrival():
+    # the draws of test_lost_ll_ack_never_arrives: frame 1 arrives at 20 ms
+    # and its ll ack is lost
+    pushes = ll_timeout_pushes(0.4, Fixed(0.5, first=[0.5, 0.5, 0.5, 0.05]))
+    assert pushes[0] == (20_000, 40_000, 1)
+
+
+def test_ll_timeout_answered_by_its_ll_ack_is_never_pushed():
+    # the ll ack lands at 30 ms, before the timer's 40 ms
+    assert ll_timeout_pushes(0.0) == []
+
+
+def test_ll_timeout_tied_with_its_ll_ack_is_pushed_at_the_frame_arrival():
+    # at two hop latencies the timer fires at 30 ms, as the ll ack lands; it
+    # was armed at the send, before the ll ack was pushed, so it pops first
+    assert ll_timeout_pushes(0.0, ll_wait_multiplier=2) == [(20_000, 30_000, 1)]
 
 
 def test_ll_ack_fraction_monte_carlo():

@@ -367,6 +367,25 @@ def test_one_cache_slot_at_all_times():
     assert node.cache.segment.seq == 7
 
 
+def test_only_a_traced_run_notes_cache_transitions(monkeypatch):
+    # one note per DTC record when traced, and no call at all otherwise
+    s = Scenario(hops=6, p_data=0.15, dtc_enabled=True, total_segments=40, seed=5)
+    notes = []
+    note = Simulation.note
+
+    def counted(self, *args):
+        notes.append(args)
+        note(self, *args)
+
+    monkeypatch.setattr(Simulation, "note", counted)
+    Simulation(s).run()
+    assert notes == []
+    records = []
+    Simulation(s, trace=records.append).run()
+    assert notes == [record[2:] for record in records if record[1] == DTC]
+    assert len(notes) > 0
+
+
 # -- whole-run invariant: an entry's state matches its live timer -----------------
 
 HANDLERS = ("on_data", "on_ack", "on_ll_ack", "on_ll_timeout", "on_local_rto")
@@ -378,18 +397,20 @@ def state_of(node):
     return None if node.cache is None else node.cache.state
 
 
-def checked(sim, node, handler, queued):
-    """handler, then a check that the node's live queued timers are its
-    entry state's.  queued counts the run's queued node timers by (call,
-    generation): a push adds one and a firing takes one off, so the check
-    costs no scan of the heap."""
+def checked(sim, node, handler, armed):
+    """handler, then a check that the node's live armed timers are its entry
+    state's.  armed counts the run's armed node timers by (call,
+    generation): arming adds one and a firing takes one off, so the check
+    costs no scan of the heap.  A local rto is armed when it is pushed, an
+    ll timeout when the node awaits its ll ack, whether the engine pushes
+    it then or holds it."""
     @functools.wraps(handler)
     def call(*args):
         if call.__name__ in TIMERS:
-            queued[call, args[0]] -= 1          # this timer left the heap to fire
+            armed[call, args[0]] -= 1           # this timer left the heap to fire
         handler(*args)
         live = [name for name in TIMERS
-                for _ in range(queued[getattr(node, name), node.timer_generation])]
+                for _ in range(armed[getattr(node, name), node.timer_generation])]
         assert live == TIMER_BY_STATE[state_of(node)], (
             f"node {node.node_id} after {handler.__name__}{args} at t={sim.now}")
     return call
@@ -403,14 +424,29 @@ def test_every_entry_state_has_exactly_its_timer_over_whole_runs(s):
     s = dataclasses.replace(s, dtc_enabled=True)
     note(s)
     sim = Simulation(s)
-    queued = Counter()
+    armed = Counter()
     for node in sim.nodes:
         for name in HANDLERS:
-            setattr(node, name, checked(sim, node, getattr(node, name), queued))
+            setattr(node, name, checked(sim, node, getattr(node, name), armed))
+    held = Counter()                    # ll timeouts armed and not yet pushed
+    await_ll_ack = sim.await_ll_ack
+
+    def awaited(src, frame_id, fire_at, call, arg):
+        armed[call, arg] += 1
+        held[call, arg] += 1
+        await_ll_ack(src, frame_id, fire_at, call, arg)
+
+    sim.await_ll_ack = awaited
 
     def on_push(fire_at, call, arg):
-        if call is not None and call.__name__ in TIMERS:
-            queued[call, arg] += 1
+        if call is None:
+            return
+        if call.__name__ == "on_local_rto":
+            armed[call, arg] += 1
+        elif call.__name__ == "on_ll_timeout":
+            # pushed at most once, and only after its node awaited the ll ack
+            assert held[call, arg] == 1, f"{call!r} pushed with generation {arg} at t={sim.now}"
+            held[call, arg] -= 1
 
     with watch_pushes(on_push):
         metrics = finish(sim)
