@@ -42,9 +42,11 @@ a send instead of the draw.
 
 Every arriving frame gets its link-layer ack draw, always at arrival.  The
 ack's arrival, a call of the transmitter's ``on_ll_ack``, is pushed only
-when the transmitter is a node whose cache entry is AWAITING that frame
-id, the one reader of an ll ack; frame ids are unique, so no later entry
-can await it either.
+when the transmitter is a node whose cache entry holds that frame id, the
+one reader of an ll ack; frame ids are unique, so no later entry can hold
+it either.  Such an entry still awaits the ll ack, since neither its ll
+ack nor its ll timeout (below) can fire before the frame arrives, so the
+run reads the entry's frame id and not its state.
 
 A node arms that wait with ``await_ll_ack`` right after it sends the
 frame.  The timer takes its insertion number there, as ``schedule``
@@ -71,15 +73,16 @@ forwards a frame arriving there itself, as ``send`` would: one data
 transmission counted on the node for data, the next frame id, the drop
 override or one loss draw, and the trace record.  A surviving frame is
 then carried on inline as the next arrival, with its ll-ack draw, without
-a heap push and pop.  The carry stops, and the arrival is pushed as
-``send`` pushes it, when the next station is the sender or the receiver,
-when a queued event fires at or before the arrival (on a tie the queued
-event, pushed earlier, pops first), or when one more event would exceed
-the budget.  Otherwise the arrival is the very next event the heap would
-pop, so carrying it processes the same events in the same order.  A
-skipped push takes no insertion number; the counter still grows with
-every push, so no two events change their relative order.  A carried hop
-counts as a processed event, so the budget cuts a run at the same event.
+a heap push and pop: to the next relay, or into the sender's or the
+receiver's handler.  The carry stops, and the arrival is pushed as
+``send`` pushes it, when a queued event fires at or before the arrival
+(on a tie the queued event, pushed earlier, pops first), or when one more
+event would exceed the budget.  Otherwise the arrival is the very next
+event the heap would pop, so carrying it processes the same events in the
+same order.  A skipped push takes no insertion number; the counter still
+grows with every push, so no two events change their relative order.  A
+carried hop counts as a processed event, so the budget cuts a run at the
+same event.
 
 A run given a ``trace`` callable passes it one tuple per event, built only
 when the callable is there:
@@ -104,7 +107,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .events import SchedulingError
 from .endpoints import TcpReceiver, TcpSender
-from .node import AWAITING, CachingNode
+from .node import CachingNode
 from .packets import DataSegment
 
 # A drop override lets tests script exact losses.  It is called as
@@ -307,82 +310,79 @@ class Simulation:
                 continue
             target, frame_id, segment = arg
             is_data = type(segment) is DataSegment
-            if relays and 0 <= target < receiver_id:
-                while True:
-                    # the ll-ack draw; a caching-off run has no cache to read it
-                    self.draws += 1
-                    acked = rand() >= p_ll_ack
-                    if trace is not None:
-                        self._trace_hop(target, target - 1 if is_data else target + 1,
-                                        segment, "llack", acked)
-                    # the relay forwards the frame as send() would ...
+            while True:
+                # drawn always, pushed only to its one reader, which then gets
+                # its held ll timeout only if that may fire first (module
+                # docstring)
+                self.draws += 1
+                acked = rand() >= p_ll_ack
+                if trace is not None:
+                    self._trace_hop(target, target - 1 if is_data else target + 1, segment, "llack", acked)
+                if not (relays and 0 <= target < receiver_id):
+                    transmitter = target - 1 if is_data else target + 1
+                    if 0 <= transmitter < receiver_id:
+                        node = nodes[transmitter]
+                        entry = node.cache
+                        # an entry holding this frame still awaits its ll ack:
+                        # the ll ack and the held ll timeout are pushed no
+                        # earlier than this arrival, and every other move
+                        # empties or replaces the entry
+                        if entry is not None and entry.frame_id == frame_id:
+                            if acked:
+                                heappush(heap, (now + latency, next(self._seq), node.on_ll_ack, frame_id))
+                            timer = held[transmitter]
+                            if not acked or timer[0] <= now + latency:
+                                heappush(heap, timer)
                     if is_data:
-                        nodes[target].data_tx_count += 1
-                        dst = target + 1
-                        threshold = p_data
+                        stations[target].on_data(segment, now)
                     else:
-                        dst = target - 1
-                        threshold = p_tcp_ack
-                    frame_id = next(self._frame_ids)
-                    forced = None
-                    if drop_override is not None:
-                        forced = drop_override(frame_id, segment, target, dst)
-                    if forced is None:
-                        self.draws += 1
-                        delivered = rand() >= threshold
-                    else:
-                        delivered = not forced
-                    if trace is not None:
-                        self._trace_hop(target, dst, segment, "data" if is_data else "ack", delivered)
-                    if not delivered:
-                        break
-                    # ... and carries it on as the next event while nothing
-                    # queued fires first (a tie pops the queued event first),
-                    # the next station is a relay too, and the budget allows
-                    at = now + latency
-                    if (heap and heap[0][0] <= at) or not 0 <= dst < receiver_id or processed == budget:
-                        heappush(heap, (at, next(self._seq), None, (dst, frame_id, segment)))
-                        break
-                    now = self.now = at
-                    processed += 1
-                    target = dst
-                continue
-            transmitter = target - 1 if is_data else target + 1
-            # drawn always, pushed only to its one reader, which then gets its
-            # held ll timeout only if that may fire first (module docstring)
-            self.draws += 1
-            acked = rand() >= p_ll_ack
-            if 0 <= transmitter < receiver_id:
-                node = nodes[transmitter]
-                entry = node.cache
-                if entry is not None and entry.state is AWAITING and entry.frame_id == frame_id:
-                    if acked:
-                        heappush(heap, (now + latency, next(self._seq), node.on_ll_ack, frame_id))
-                    timer = held[transmitter]
-                    if not acked or timer[0] <= now + latency:
-                        heappush(heap, timer)
-            if trace is not None:
-                self._trace_hop(target, transmitter, segment, "llack", acked)
-            if is_data:
-                stations[target].on_data(segment, now)
-            else:
-                stations[target].on_ack(segment, now)
-                if sender.completed_at is not None:
+                        stations[target].on_ack(segment, now)
+                        if sender.completed_at is not None:
+                            return self._collect()
                     break
-        else:
-            raise LivenessError(
-                f"{self.scenario.cell_id} seed={self.scenario.seed}: "
-                f"event queue drained at t={self.now}us with "
-                f"{receiver.delivered_in_order}/{receiver.total} segments delivered"
-            )
+                # a relay forwards the frame as send() would ...
+                if is_data:
+                    nodes[target].data_tx_count += 1
+                    dst = target + 1
+                    threshold = p_data
+                else:
+                    dst = target - 1
+                    threshold = p_tcp_ack
+                frame_id = next(self._frame_ids)
+                forced = None
+                if drop_override is not None:
+                    forced = drop_override(frame_id, segment, target, dst)
+                if forced is None:
+                    self.draws += 1
+                    delivered = rand() >= threshold
+                else:
+                    delivered = not forced
+                if trace is not None:
+                    self._trace_hop(target, dst, segment, "data" if is_data else "ack", delivered)
+                if not delivered:
+                    break
+                # ... and carries it on as the next event, into a relay or a
+                # station, while nothing queued fires first (a tie pops the
+                # queued event first) and the budget allows
+                at = now + latency
+                if (heap and heap[0][0] <= at) or processed == budget:
+                    heappush(heap, (at, next(self._seq), None, (dst, frame_id, segment)))
+                    break
+                now = self.now = at
+                processed += 1
+                target = dst
+        raise LivenessError(
+            f"{self.scenario.cell_id} seed={self.scenario.seed}: "
+            f"event queue drained at t={self.now}us with "
+            f"{receiver.delivered_in_order}/{receiver.total} segments delivered"
+        )
+
+    def _collect(self) -> RunMetrics:
         # the state machines hold this simulation as their sink; cut that
         # cycle so a finished run is freed at once, not at the next full
         # garbage collection (a sweep's peak memory would show the wait)
-        for station in stations:
+        for station in self.stations:
             station.out = None
-        return self._collect()
-
-    def _collect(self) -> RunMetrics:
         return RunMetrics(
             e2e_retransmissions=self.sender.e2e_retransmissions,
             per_node_data_tx=tuple(n.data_tx_count for n in self.nodes),

@@ -97,9 +97,6 @@ class CachingNode:
 
     # -- helpers --------------------------------------------------------------
 
-    def _local_timer_interval(self) -> int:
-        return (3 * self.rtt_est) // 2
-
     def _resend_cached(self, seq: int) -> None:
         """Transmit the cached segment again: one local retransmission."""
         self.data_tx_count += 1
@@ -110,22 +107,25 @@ class CachingNode:
             self.out.note(self.node_id, "local_retx", seq)
         self.out.send(self.node_id, DataSegment(seq, ORIGIN_LOCAL))
 
-    def _retransmit_cached(self, now: int) -> None:
-        """Resend the cached segment and restart its timer tier."""
-        entry = self.cache
-        self._resend_cached(entry.segment.seq)
+    def _arm_local_rto(self, entry: CacheEntry, now: int) -> None:
+        """Arm the entry's local retransmission timer at its current tier:
+        1.5x the round-trip estimate, doubled per retry."""
         self.timer_generation += 1
-        deadline = now + self._local_timer_interval() * (1 << entry.local_retries)
-        self.out.schedule(deadline, self.on_local_rto, self.timer_generation)
+        self.out.schedule(now + (3 * self.rtt_est) // 2 * (1 << entry.local_retries),
+                          self.on_local_rto, self.timer_generation)
+
+    def _retransmit_cached(self, entry: CacheEntry, now: int) -> None:
+        """Resend the cached segment and restart its timer tier."""
+        self._resend_cached(entry.segment.seq)
+        self._arm_local_rto(entry, now)
 
     def _lock(self, entry: CacheEntry, now: int) -> None:
         """Pin the entry until an ack covers it; arm the first timer tier."""
         entry.state = LOCKED
         entry.local_retries = 0
-        self.timer_generation += 1
         if self.traced:
             self.out.note(self.node_id, "lock", entry.segment.seq)
-        self.out.schedule(now + self._local_timer_interval(), self.on_local_rto, self.timer_generation)
+        self._arm_local_rto(entry, now)
 
     # -- data path ------------------------------------------------------------
 
@@ -182,7 +182,7 @@ class CachingNode:
         assert entry is not None and entry.state == LOCKED
         entry.local_retries += 1
         if entry.local_retries <= self.max_local_retries:
-            self._retransmit_cached(now)
+            self._retransmit_cached(entry, now)
         else:
             # final try: retransmit once more, then yield to end-to-end recovery
             seq = entry.segment.seq
@@ -213,7 +213,7 @@ class CachingNode:
                 if self.traced:
                     out.note(self.node_id, "clear", cached)
             elif entry.state == LOCKED:
-                self._retransmit_cached(now)
+                self._retransmit_cached(entry, now)
                 if gaps_filled_with(ack, cached):
                     # with our segment back in flight nothing above the
                     # cumulative point is missing; the sender needs no ack

@@ -407,12 +407,12 @@ def test_closed_stdout_exits_3_without_a_traceback():
                "--dtc", "on", "--segments", "50", "--seed", "1"]
     # the reader goes away after one line, as `dtcsim run --trace | head -n 1`
     # does; the trace left to write is far more than a pipe holds
-    proc = subprocess.Popen(command + ["--trace"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline().startswith(b"HOP ")
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 3
+    with subprocess.Popen(command + ["--trace"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"HOP ")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 3
     assert "Traceback" not in err
     # stdout on a full device, and stdout closed at start (`>&-`)
     for argv in (command, command + ["--trace"]):

@@ -251,6 +251,40 @@ def test_ll_timeout_tied_with_its_ll_ack_is_pushed_at_the_frame_arrival():
     assert ll_timeout_pushes(0.0, ll_wait_multiplier=2) == [(20_000, 30_000, 1)]
 
 
+# -- the caching-off carry, which runs on into the endpoints ---------------------------
+
+def endpoint_pushes(**knobs):
+    """A lossless caching-off run over 3 hops: (time of the push, fire_at,
+    target) of each frame pushed toward the sender or the receiver, and the
+    run's metrics."""
+    sim = Simulation(Scenario(hops=3, p_data=0.0, dtc_enabled=False, **knobs))
+    pushes = []
+
+    def on_push(fire_at, call, arg):
+        if call is None and arg[0] in (-1, sim.receiver_id):
+            pushes.append((sim.now, fire_at, arg[0]))
+
+    with watch_pushes(on_push):
+        metrics = sim.run()
+    return pushes, metrics
+
+
+def test_a_carried_frame_enters_the_endpoint_when_nothing_queued_fires_first():
+    # the data reaches R at 30 ms and its ack reaches S at 60 ms, each as the
+    # next event the heap would pop, so neither is pushed
+    pushes, metrics = endpoint_pushes(total_segments=1)
+    assert pushes == []
+    assert (metrics.rng_draws, metrics.completion_time) == (12, 60_000)
+
+
+def test_a_frame_toward_an_endpoint_is_pushed_when_a_queued_frame_fires_first():
+    # segment 2 leaves S at 15 ms, so each of the first three arrivals at an
+    # endpoint finds a frame queued before it; only the last ack is carried
+    pushes, metrics = endpoint_pushes(total_segments=2, window=2, send_spacing=15_000)
+    assert pushes == [(20_000, 30_000, 2), (35_000, 45_000, 2), (50_000, 60_000, -1)]
+    assert (metrics.rng_draws, metrics.completion_time) == (24, 75_000)
+
+
 def test_ll_ack_fraction_monte_carlo():
     # every arrival draws its ll ack against p_ll_ack = 0.025 (p_data 0.10):
     # about 1e5 draws over five runs, survivors in [0.971, 0.979]
