@@ -73,13 +73,22 @@ def emitted(handler, *args):
 def watch_pushes(on_push):
     """Call ``on_push(fire_at, call, arg)`` just before each event push a
     Simulation makes inside the block, while the run's state is as the
-    pusher left it."""
-    push = engine.heappush
+    pusher left it.  A frame the run loop takes from its held slot counts
+    as pushed only when a queued event comes first, so that it goes into
+    the heap."""
+    push, pushpop = engine.heappush, engine.heappushpop
 
     def watched(heap, event):
         fire_at, _, call, arg = event
         on_push(fire_at, call, arg)
         push(heap, event)
 
-    with mock.patch.object(engine, "heappush", watched):
+    def watched_pushpop(heap, event):
+        if heap and heap[0] < event:
+            fire_at, _, call, arg = event
+            on_push(fire_at, call, arg)
+        return pushpop(heap, event)
+
+    with mock.patch.object(engine, "heappush", watched), \
+            mock.patch.object(engine, "heappushpop", watched_pushpop):
         yield

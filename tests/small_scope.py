@@ -1,0 +1,88 @@
+"""Small-scope enumeration: the engine against the naive reference loop
+over every knob combination of a grid of tiny caching chains.
+
+Each traced caching run of the grid must give the reference loop's
+``RunMetrics`` and trace records, or, where the engine cuts the run at its
+event budget, a prefix of the reference's records.  Small instances are
+cheap to enumerate, and most defects show on some small instance (the
+small-scope hypothesis).  The grid:
+
+  * hops 2-6 (``--max-hops`` widens it) and 12 segments (``--segments``);
+  * windows 1, 2, 3, 5 and 8, hop latency 1 us or 10 ms, and
+    ``ll_wait_multiplier`` 1-4, with automatic spacing and RTOs;
+  * lossless at seed 1, and 20 % loss at seeds 1 and 2.
+
+Tier-1 runs the default grid of 600 scenarios.  At wider bounds, as
+
+    python tests/small_scope.py --segments 14,15,16 --max-hops 8
+
+it prints one line per mismatching scenario, then the counts, and exits
+1 on any mismatch.  ``dtcsim`` must be importable, from an install or
+``PYTHONPATH=src``.
+"""
+
+import argparse
+import itertools
+import sys
+
+from dtcsim.engine import EventBudgetExceeded, Simulation
+from dtcsim.harness import Scenario
+from reference_loop import Reference
+
+WINDOWS = (1, 2, 3, 5, 8)
+HOP_LATENCIES_US = (1, 10_000)
+LL_WAIT_MULTIPLIERS = (1, 2, 3, 4)
+# (p_data, seed): lossless at one seed, 20 % loss at two
+LOSSES = ((0.0, 1), (0.2, 1), (0.2, 2))
+
+
+def grid(segments=(12,), max_hops=6):
+    """Every caching scenario of the grid, at these segment counts and hops
+    2 to max_hops."""
+    for total, hops, window, latency, multiplier, (p_data, seed) in itertools.product(
+            segments, range(2, max_hops + 1), WINDOWS, HOP_LATENCIES_US, LL_WAIT_MULTIPLIERS, LOSSES):
+        yield Scenario(hops=hops, p_data=p_data, dtc_enabled=True, total_segments=total,
+                       window=window, hop_latency=latency, ll_wait_multiplier=multiplier, seed=seed)
+
+
+def traced(loop, s):
+    """(RunMetrics, or None on a budget cut; trace records) of one run."""
+    records = []
+    try:
+        metrics = loop(s, trace=records.append).run()
+    except EventBudgetExceeded:
+        metrics = None
+    return metrics, records
+
+
+def matches(s) -> bool:
+    """Whether the engine's run of s is the reference loop's, or a prefix of
+    it where the engine cuts the run at its budget."""
+    engine_metrics, engine_records = traced(Simulation, s)
+    reference_metrics, reference_records = traced(Reference, s)
+    if engine_metrics is None:
+        return engine_records == reference_records[:len(engine_records)]
+    return engine_metrics == reference_metrics and engine_records == reference_records
+
+
+def mismatches(scenarios) -> list:
+    return [s for s in scenarios if not matches(s)]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--segments", default="12",
+                        type=lambda text: [int(n) for n in text.split(",")],
+                        help="comma-separated segment counts (default 12)")
+    parser.add_argument("--max-hops", type=int, default=6)
+    args = parser.parse_args(argv)
+    scenarios = list(grid(args.segments, args.max_hops))
+    bad = mismatches(scenarios)
+    for s in bad:
+        print(f"mismatch: {s}")
+    print(f"{len(scenarios)} scenarios, {len(bad)} mismatches")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,6 +26,7 @@ from dtcsim.harness import (
 from dtcsim.packets import DataSegment
 
 from conftest import ScriptedDrops
+import small_scope
 from reference_loop import Reference
 from scenario_space import DEADLINE_MS, any_scenario, finish
 
@@ -380,25 +381,28 @@ def test_budget_cut_on_a_caching_off_chain(monkeypatch, budget, cut_at):
 @pytest.mark.parametrize("budget, cut_at", [
     (1, "t=20000us (0/30 delivered)"),          # data reaching node 1
     (2, "t=21000us (0/30 delivered)"),          # the sender's send slot
-    (3, "t=30000us (0/30 delivered)"),          # node 0's ll ack
-    (5, "t=40000us (0/30 delivered)"),          # data reaching node 3
-    (8, "t=50000us (0/30 delivered)"),          # node 2's ll ack
-    (14, "t=70000us (1/30 delivered)"),         # node 4's ll ack
-    (35, "t=150000us (1/30 delivered)"),        # data reaching node 2
-    (47, "t=192000us (1/30 delivered)"),        # a stale local rto
-    (50, "t=480000us (1/30 delivered)"),        # the sender's rto
-    (53, "t=670000us (1/30 delivered)"),        # a live local rto
-    (56, "t=720000us (1/30 delivered)"),        # the sender's stale rto
-    (61, "t=870000us (1/30 delivered)"),        # node 2's live ll timeout
-    (64, "t=880000us (4/30 delivered)"),        # node 4's ll ack
-    (67, "t=900000us (4/30 delivered)"),        # an ack reaching node 2
-    (595, "t=505350378us (29/30 delivered)"),   # the sender's stale rto
+    (3, "t=30000us (0/30 delivered)"),          # data reaching node 2
+    (5, "t=42000us (0/30 delivered)"),          # the sender's send slot
+    (8, "t=52000us (0/30 delivered)"),          # data reaching node 0
+    (14, "t=82000us (1/30 delivered)"),         # data reaching node 3
+    (35, "t=190000us (1/30 delivered)"),        # an ack reaching node 4
+    (39, "t=480000us (1/30 delivered)"),        # the sender's rto
+    (42, "t=670000us (1/30 delivered)"),        # a live local rto
+    (45, "t=720000us (1/30 delivered)"),        # the sender's stale rto
+    (47, "t=840000us (1/30 delivered)"),        # data reaching node 2
+    (50, "t=870000us (1/30 delivered)"),        # node 2's live ll timeout
+    (53, "t=880000us (4/30 delivered)"),        # an ack reaching node 4
+    (56, "t=910000us (4/30 delivered)"),        # an ack reaching node 1
+    (61, "t=960000us (4/30 delivered)"),        # a stale local rto
+    (64, "t=971000us (4/30 delivered)"),        # data reaching node 1
+    (67, "t=982000us (4/30 delivered)"),        # data reaching node 0
+    (484, "t=505350378us (29/30 delivered)"),   # the sender's stale rto
 ])
 def test_budget_cut_on_a_caching_chain(monkeypatch, budget, cut_at):
     # a stale node timer that is pushed counts toward the budget like any
-    # event, so a change to which stale timers are pushed moves these cuts.
-    # An ll timeout whose ll ack lands first is never pushed, so this run
-    # has no stale one left, and it completes in 622 events
+    # event, so a change to which events are pushed moves these cuts.  No
+    # ll ack is an event, nor is an ll timeout whose ll ack lands first, so
+    # this run completes in 506 events
     monkeypatch.setattr(Scenario, "event_budget", lambda self: budget)
     with pytest.raises(LivenessError) as cut:
         run(Scenario(hops=6, p_data=0.2, dtc_enabled=True, total_segments=30, seed=3))
@@ -601,3 +605,12 @@ def test_the_engine_matches_the_naive_reference_loop(s, rules):
             assert engine_records == reference_records, s
         else:
             assert engine_records == reference_records[:len(engine_records)], s
+
+
+def test_the_engine_matches_the_reference_loop_on_every_small_caching_chain():
+    # the grid of tests/small_scope.py: every knob combination of tiny
+    # caching chains, where the engine's deferred ll acks and held frames
+    # meet every tie of an ll ack, an ll timeout and an arrival
+    scenarios = list(small_scope.grid())
+    assert len(scenarios) == 600
+    assert small_scope.mismatches(scenarios) == []

@@ -8,7 +8,7 @@ import pytest
 
 from dtcsim.engine import HOP, Simulation
 from dtcsim.harness import Scenario
-from dtcsim.node import REPLACEABLE
+from dtcsim.node import AWAITING, LOCKED, REPLACEABLE
 from dtcsim.packets import AckSegment, DataSegment
 
 from conftest import ScriptedDrops, watch_pushes
@@ -153,33 +153,47 @@ def test_delivered_fraction_monte_carlo():
 
 # -- link-layer acks, drawn by the engine at each arrival -------------------------------
 
-def lone_node_run(p_data, draw=None):
+def state_of(node):
+    return None if node.cache is None else node.cache.state
+
+
+def log_node_calls(sim, log):
+    """Append (node id, handler, t, entry state before, entry state after) to
+    log at each call of a node handler of sim; None stands for an empty
+    slot."""
+    for node in sim.nodes:
+        for name in ("on_data", "on_ack", "on_ll_ack", "on_ll_timeout", "on_local_rto"):
+            handler = getattr(node, name)
+
+            @functools.wraps(handler)
+            def spy(arg, now, handler=handler, node=node):
+                before = state_of(node)
+                handler(arg, now)
+                log.append((node.node_id, handler.__name__, sim.now, before, state_of(node)))
+
+            setattr(node, name, spy)
+
+
+def lone_node_run(p_data, draw=None, **knobs):
     """One caching node between the endpoints relaying one segment.
 
     The node caches segment 1 and forwards it as frame 1 at 10 ms; it
-    reaches the receiver at 20 ms.  Returns the simulation, its pushes as
-    (draws so far, fire_at, call, arg), the ll-acks node 0 read as
-    (t, frame id, entry state after), and the trace records.
+    reaches the receiver at 20 ms, and the receiver's ack reaches the node
+    at 30 ms.  Returns the simulation, its pushes as (draws so far,
+    fire_at, call, arg), node 0's handler calls (see log_node_calls) and
+    the trace records.
     """
     records = []
-    sim = Simulation(Scenario(hops=2, p_data=p_data, dtc_enabled=True, total_segments=1),
+    sim = Simulation(Scenario(hops=2, p_data=p_data, dtc_enabled=True, total_segments=1, **knobs),
                      trace=records.append)
     if draw is not None:
         sim._random = draw
     pushes = []
-    node = sim.nodes[0]
-    read = []
-    on_ll_ack = node.on_ll_ack
-
-    @functools.wraps(on_ll_ack)
-    def spy(frame_id, now):
-        on_ll_ack(frame_id, now)
-        read.append((sim.now, frame_id, node.cache.state))
-
-    node.on_ll_ack = spy
+    calls = []
+    log_node_calls(sim, calls)
     with watch_pushes(lambda *push: pushes.append((sim.draws,) + push)):
         assert sim.run().delivered_segments == 1
-    return sim, pushes, read, records
+    return sim, pushes, calls, records
 
 
 def ll_ack_pushes(pushes):
@@ -187,12 +201,18 @@ def ll_ack_pushes(pushes):
 
 
 def test_lossless_delivery_is_always_ll_acknowledged():
-    sim, pushes, read, _ = lone_node_run(0.0)
-    # the frame's own send draw, then exactly one ll-ack draw on arrival
-    assert (3, 20_000, None, (1, 1, DataSegment(1))) in pushes
-    assert ll_ack_pushes(pushes) == [(4, 30_000, sim.nodes[0].on_ll_ack, 1)]
-    # back to the transmitter, carrying the frame id it awaits
-    assert read == [(30_000, 1, REPLACEABLE)]
+    sim, pushes, calls, records = lone_node_run(0.0)
+    # frame 1's ll ack, drawn as the frame reaches the receiver at 20 ms,
+    # is kept as node 0's state and never pushed
+    assert (20_000, HOP, 1, 0, "llack", True, DataSegment(1)) in records
+    assert ll_ack_pushes(pushes) == []
+    # it lands at 30 ms, as the receiver's ack arrives.  That ack was pushed
+    # later, when the receiver sent it after the ll-ack draw, so the tie
+    # goes to the ll ack: node 0 applies it just before on_ack reads the
+    # entry, which is REPLACEABLE by then
+    assert calls == [(0, "on_data", 10_000, None, AWAITING),
+                     (0, "on_ll_ack", 30_000, AWAITING, REPLACEABLE),
+                     (0, "on_ack", 30_000, REPLACEABLE, None)]
     # four frames: one draw to send each and one ll-ack draw per arrival
     assert sim.draws == 8
 
@@ -200,11 +220,61 @@ def test_lossless_delivery_is_always_ll_acknowledged():
 def test_lost_ll_ack_never_arrives():
     # p_data 0.4: frames survive a 0.5 draw, and the ll ack (p_ll_ack 0.1)
     # of frame 1 at the receiver, the fourth draw, is lost
-    sim, pushes, read, records = lone_node_run(0.4, Fixed(0.5, first=[0.5, 0.5, 0.5, 0.05]))
+    sim, pushes, calls, records = lone_node_run(0.4, Fixed(0.5, first=[0.5, 0.5, 0.5, 0.05]))
     assert (20_000, HOP, 1, 0, "llack", False, DataSegment(1)) in records
     assert ll_ack_pushes(pushes) == []
-    assert read == []
+    assert [call for call in calls if call[1] == "on_ll_ack"] == []
     assert sim.draws == 8                           # the lost ack was still drawn
+
+
+def test_an_ll_ack_tied_with_an_earlier_pushed_arrival_at_its_node_is_applied_after_it():
+    # 3 hops, segments 20 ms apart: the sender's slot at 20 ms sends segment
+    # 2 before node 0's frame 1 reaches node 1 and draws its ll ack, so both
+    # reach node 0 at 30 ms, segment 2 first.  Node 0 still awaits the ll
+    # ack then and relays segment 2 uncached; the ll ack is applied at the
+    # node's next arrival
+    sim = Simulation(Scenario(hops=3, p_data=0.0, dtc_enabled=True, total_segments=2, window=2,
+                              send_spacing=20_000))
+    calls = []
+    log_node_calls(sim, calls)
+    assert sim.run().delivered_segments == 2
+    assert [call for call in calls if call[0] == 0] == [
+        (0, "on_data", 10_000, None, AWAITING),
+        (0, "on_data", 30_000, AWAITING, AWAITING),
+        (0, "on_ll_ack", 50_000, AWAITING, REPLACEABLE),
+        (0, "on_ack", 50_000, REPLACEABLE, None),
+        (0, "on_ack", 70_000, None, None),
+    ]
+
+
+@pytest.mark.parametrize("ll_wait_multiplier, fires_at", [(1, 20_000), (2, 30_000)])
+def test_an_ll_timeout_at_or_before_the_landing_locks_and_the_ll_ack_does_nothing(
+        ll_wait_multiplier, fires_at):
+    # the lone node's ll timeout fires at or before its ll ack lands at
+    # 30 ms: it finds the entry AWAITING and locks it, and the ll ack,
+    # applied as the receiver's ack arrives, leaves the entry and its
+    # timer generation alone
+    generations = []
+    sim = Simulation(Scenario(hops=2, p_data=0.0, dtc_enabled=True, total_segments=1,
+                              ll_wait_multiplier=ll_wait_multiplier))
+    node = sim.nodes[0]
+    on_ll_ack = node.on_ll_ack
+
+    @functools.wraps(on_ll_ack)
+    def spy(frame_id, now):
+        before = node.timer_generation
+        on_ll_ack(frame_id, now)
+        generations.append((before, node.timer_generation))
+
+    node.on_ll_ack = spy
+    calls = []
+    log_node_calls(sim, calls)
+    assert sim.run().delivered_segments == 1
+    assert calls == [(0, "on_data", 10_000, None, AWAITING),
+                     (0, "on_ll_timeout", fires_at, AWAITING, LOCKED),
+                     (0, "on_ll_ack", 30_000, LOCKED, LOCKED),
+                     (0, "on_ack", 30_000, LOCKED, None)]
+    assert generations == [(2, 2)]
 
 
 def ll_timeout_pushes(p_data, draw=None, drop_override=None, ll_wait_multiplier=3):
@@ -283,6 +353,71 @@ def test_a_frame_toward_an_endpoint_is_pushed_when_a_queued_frame_fires_first():
     pushes, metrics = endpoint_pushes(total_segments=2, window=2, send_spacing=15_000)
     assert pushes == [(20_000, 30_000, 2), (35_000, 45_000, 2), (50_000, 60_000, -1)]
     assert (metrics.rng_draws, metrics.completion_time) == (24, 75_000)
+
+
+# -- the held slot: the first frame a handler sends, taken as the next event -------
+
+def frame_pushes(drop_override=None, **knobs):
+    """A lossless caching run: (time of the push, fire_at, arg) of each frame
+    arrival that went into the heap, and the trace records."""
+    records = []
+    sim = Simulation(Scenario(p_data=0.0, dtc_enabled=True, **knobs), trace=records.append,
+                     drop_override=drop_override)
+    pushes = []
+
+    def on_push(fire_at, call, arg):
+        if call is None:
+            pushes.append((sim.now, fire_at, arg))
+
+    with watch_pushes(on_push):
+        assert sim.run().delivered_segments == knobs["total_segments"]
+    return pushes, records
+
+
+def test_send_holds_only_the_first_frame_of_a_run_step():
+    sim = make_sim(0.0, latency=10)
+    sim.send(0, DataSegment(1))                 # outside a run, every frame is pushed
+    sim._next = None                            # as run() starts, and after it takes an event
+    sim.send(0, DataSegment(2))
+    sim.send(0, DataSegment(3))
+    assert sim._next == (10, 1, None, (1, 1, DataSegment(2)))
+    assert sim._heap == [(10, 0, None, (1, 0, DataSegment(1))), (10, 2, None, (1, 2, DataSegment(3)))]
+
+
+def test_a_frame_a_node_sends_is_carried_when_nothing_queued_comes_first():
+    # the lone node forwards frame 1 at 10 ms; only the sender's rto is
+    # queued, so the frame is taken from the slot and reaches the receiver
+    # at 20 ms without a push.  No frame of this run is ever pushed
+    pushes, records = frame_pushes(hops=2, total_segments=1)
+    assert pushes == []
+    assert (20_000, HOP, 1, 0, "llack", True, DataSegment(1)) in records
+
+
+@pytest.mark.parametrize("spacing, push", [
+    # node 0 forwards segment 1 at 10 ms to arrive at 20 ms, when the
+    # sender's slot, queued at 0 ms with a lower number, also fires
+    (20_000, (10_000, 20_000, (1, 1, DataSegment(1)))),
+    # segment 2 reaches node 0 at 15 ms, before that frame arrives
+    (5_000, (10_000, 20_000, (1, 2, DataSegment(1)))),
+])
+def test_a_frame_a_node_sends_is_pushed_when_a_queued_event_comes_first(spacing, push):
+    pushes, _ = frame_pushes(hops=3, total_segments=2, window=2, send_spacing=spacing)
+    assert push in pushes
+
+
+def test_a_handlers_second_send_is_pushed():
+    # window 2, no spacing, and the ack for segment 1 lost on its last hop:
+    # the ack for segment 2 reaches the sender at 40 ms and opens the whole
+    # window, so that one on_ack sends segments 3 and 4 as frames 8 and 9.
+    # Frame 8 is held and carried; frame 9 is pushed
+    def lose_ack_2(frame_id, segment, src, dst):
+        return True if type(segment) is AckSegment and segment.ack_no == 2 and src == 0 else None
+
+    pushes, records = frame_pushes(lose_ack_2, hops=2, total_segments=4, window=2, send_spacing=0)
+    sent_at_40ms = [record[6] for record in records
+                    if record[0] == 40_000 and record[2] == -1 and record[4] == "data"]
+    assert sent_at_40ms == [DataSegment(3), DataSegment(4)]
+    assert [push for push in pushes if push[0] == 40_000] == [(40_000, 50_000, (0, 9, DataSegment(4)))]
 
 
 def test_ll_ack_fraction_monte_carlo():

@@ -453,19 +453,35 @@ def test_every_entry_state_has_exactly_its_timer_over_whole_runs(s):
     assert metrics is None or metrics.delivered_segments == s.total_segments
 
 
-# the handlers a station schedules, or the engine pushes for an ll ack
-PUSHED_HANDLERS = {"on_ll_ack", "on_ll_timeout", "on_local_rto", "on_rto", "on_send_slot"}
+# the handlers a station schedules; an ll ack is node state, never an event
+PUSHED_HANDLERS = {"on_ll_timeout", "on_local_rto", "on_rto", "on_send_slot"}
 
 
 @settings(max_examples=50, deadline=DEADLINE_MS)
 @given(any_scenario)
 def test_ll_acks_are_pushed_only_to_a_node_awaiting_them(s):
-    # an ll ack has one reader, a node whose entry awaits that frame: the
-    # engine pushes it to no one else, so a caching-off run pushes none.
-    # Every other push is a frame toward a station or a station's own timer
+    # the engine pushes no ll ack: it keeps one for its one reader, a node
+    # whose entry holds that frame, and applies it at most once, so a
+    # caching-off run applies none.  Every push is a frame toward a station
+    # or a station's own timer
     note(s)
     sim = Simulation(s)
-    pushed = []
+    applied = []
+    for node in sim.nodes:
+        cached = set()                  # the frame ids of the node's entries
+        on_data, on_ll_ack = node.on_data, node.on_ll_ack
+
+        def entered(segment, now, node=node, on_data=on_data, cached=cached):
+            on_data(segment, now)
+            if node.cache is not None:
+                cached.add(node.cache.frame_id)
+
+        def landed(frame_id, now, node=node, on_ll_ack=on_ll_ack, cached=cached):
+            assert frame_id in cached, f"ll ack of frame {frame_id} applied to node {node.node_id}"
+            applied.append(frame_id)
+            on_ll_ack(frame_id, now)
+
+        node.on_data, node.on_ll_ack = entered, landed
 
     def on_push(fire_at, call, arg):
         if call is None:
@@ -475,19 +491,13 @@ def test_ll_acks_are_pushed_only_to_a_node_awaiting_them(s):
         assert call.__name__ in PUSHED_HANDLERS, f"{call!r} pushed at t={sim.now}"
         assert any(call.__self__ is station for station in sim.stations), (
             f"{call!r} of no station pushed at t={sim.now}")
-        if call.__name__ == "on_ll_ack":
-            awaiting = [node for node in sim.nodes if node.cache is not None
-                        and node.cache.state == AWAITING and node.cache.frame_id == arg]
-            assert awaiting == [call.__self__], (
-                f"ll ack of frame {arg} pushed to {call!r} at t={sim.now}")
-            pushed.append(arg)
 
     with watch_pushes(on_push):
         metrics = finish(sim)
     assert metrics is None or metrics.delivered_segments == s.total_segments
-    assert len(set(pushed)) == len(pushed)          # at most one ll ack per frame
+    assert len(set(applied)) == len(applied)        # at most one ll ack per frame
     if not s.dtc_enabled:
-        assert pushed == []
+        assert applied == []
 
 
 # -- one node as a state machine: its handlers in any order -----------------------
