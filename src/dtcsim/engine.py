@@ -40,13 +40,23 @@ its arrival pushed one hop latency later; a lost one is simply gone, and
 recovery is someone else's job.  A drop override (tests only) may decide
 a send instead of the draw.
 
-Every arriving frame gets its link-layer ack draw, always at arrival.  The
-ack's arrival, a call of the transmitter's ``on_ll_ack``, is pushed only
-when the transmitter is a node whose cache entry holds that frame id, the
-one reader of an ll ack; frame ids are unique, so no later entry can hold
-it either.  Such an entry still awaits the ll ack, since neither its ll
-ack nor its ll timeout (below) can fire before the frame arrives, so the
-run reads the entry's frame id and not its state.
+Every arriving frame gets its link-layer ack draw, always at arrival.  An
+ll ack has one reader: its transmitter, when that is a node whose cache
+entry holds that frame id; frame ids are unique, so no later entry can
+hold it either.  Such an entry still awaits the ll ack, since neither its
+ll ack nor its ll timeout (below) can come before the frame arrives, so
+the run reads the entry's frame id and not its state.  A surviving ll ack
+to that reader is node state, not an event: the run stores
+``(lands_at, seq, frame_id)`` in the node's slot, the ll ack taking its
+insertion number there as a push would.  Just before a frame arrival
+hands a frame to that node, the run applies the ll ack, as
+``nodes[n].on_ll_ack(frame_id, now)``, if it comes before the arrival in
+``(time, seq)``: a tie in time goes by insertion number.  The node's
+timers need no apply.  A held ll timeout (below) is pushed only when it
+pops before its ll ack would land; a live local rto belongs to a
+``LOCKED`` entry, which an ll ack leaves alone; and every other timer of
+the node is stale either way.  An ll ack that no later arrival at its
+node applies changes nothing that is read.
 
 A node arms that wait with ``await_ll_ack`` right after it sends the
 frame.  The timer takes its insertion number there, as ``schedule``
@@ -55,14 +65,14 @@ run holds it until the frame arrives and, after the ll-ack draw, pushes
 it with that number, unless it can no longer fire: the node no longer
 awaits the frame, so the timer is stale already, or the ll ack survived
 and lands before the timer's time, and landing it stales the timer.  On
-a tie the timer, armed before the ll ack was pushed, pops first, so it
-is pushed.  The timer's time is never before the arrival, so a timer
+a tie the timer, which took its number before the ll ack, pops first, so
+it is pushed.  The timer's time is never before the arrival, so a timer
 pushed there pops just where it would have popped had it been pushed
 when armed.
 
-Leaving these pushes out keeps every draw and the relative order of every
-other event, so the results are the same as if every surviving ll ack
-and every timer were pushed; ``tests/reference_loop.py`` runs that
+Leaving these events out keeps every draw and the relative order of
+every other event, so the results are the same as if every surviving ll
+ack and every timer were pushed; ``tests/reference_loop.py`` runs that
 naive schedule and checks it.
 
 So the order in which a handler emits is the order of frame ids, draws and
@@ -74,8 +84,7 @@ transmission counted on the node for data, the next frame id, the drop
 override or one loss draw, and the trace record.  A surviving frame is
 then carried on inline as the next arrival, with its ll-ack draw, without
 a heap push and pop: to the next relay, or into the sender's or the
-receiver's handler.  The carry stops, and the arrival is pushed as
-``send`` pushes it, when a queued event fires at or before the arrival
+receiver's handler.  The carry stops, and the arrival is pushed, when a queued event fires at or before the arrival
 (on a tie the queued event, pushed earlier, pops first), or when one more
 event would exceed the budget.  Otherwise the arrival is the very next
 event the heap would pop, so carrying it processes the same events in the
@@ -83,6 +92,21 @@ same order.  A skipped push takes no insertion number; the counter still
 grows with every push, so no two events change their relative order.  A
 carried hop counts as a processed event, so the budget cuts a run at the
 same event.
+
+``send`` holds the first surviving frame it sends since the run loop
+last took an event, instead of pushing it, and pushes any further one.
+At the top of the loop a held frame goes through ``heappushpop``: it is
+the next event itself, without touching the heap, unless a queued event
+comes first in ``(time, seq)``; then that event pops and the frame goes
+into the heap.  The frame took its insertion number in ``send``, so the
+events come in the same order either way, and the endpoints' and the
+caching nodes' frames need no heap round trip while nothing queued comes
+first.  The relays keep their own carry above; sending their frames
+through the slot instead made caching-off runs slower (ROADMAP, "Tried
+and dropped").
+The slot is open only inside ``run``, so a ``send`` outside a run, or in
+a loop that never takes from the slot, such as the reference loop that
+inherits ``send``, pushes every frame.
 
 A run given a ``trace`` callable passes it one tuple per event, built only
 when the callable is there:
@@ -101,7 +125,7 @@ line to ``write`` at once.  ``dtcsim run --trace`` passes
 from __future__ import annotations
 
 import random
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from itertools import count
 from typing import Callable, NamedTuple, Optional
 
@@ -211,6 +235,13 @@ class Simulation:
         self._lost_frame = -1
         # indexed by node id: the sender's -1 wraps to the last entry
         self.stations = [*self.nodes, self.receiver, self.sender]
+        # by node id as stations, the ll ack a node has yet to apply, as
+        # (lands_at, seq, frame_id); the endpoints' entries stay None
+        self._ll_acks: list[Optional[tuple]] = [None] * len(self.stations)
+        # the frame arrival send holds for the run loop to take next, None
+        # while the slot is empty; () closes it until run() starts, so a
+        # send outside a run pushes every frame
+        self._next: Optional[tuple] = ()
 
     # -- trace records ----------------------------------------------------------
 
@@ -221,7 +252,8 @@ class Simulation:
 
     def send(self, src: int, payload) -> int:
         """Transmit one frame from src: a data segment toward the receiver,
-        an ack toward the sender; its frame id."""
+        an ack toward the sender; its frame id.  A surviving frame is held
+        for the run loop when the slot is empty, and pushed otherwise."""
         frame_id = next(self._frame_ids)
         if type(payload) is DataSegment:
             dst = src + 1
@@ -240,8 +272,11 @@ class Simulation:
         else:
             delivered = not forced
         if delivered:
-            heappush(self._heap, (self.now + self.latency, next(self._seq), None,
-                                  (dst, frame_id, payload)))
+            arrival = (self.now + self.latency, next(self._seq), None, (dst, frame_id, payload))
+            if self._next is None:
+                self._next = arrival
+            else:
+                heappush(self._heap, arrival)
         else:
             self._lost_frame = frame_id
         if self.trace is not None:
@@ -284,6 +319,7 @@ class Simulation:
         receiver = self.receiver
         nodes = self.nodes
         held = self._held
+        ll_acks = self._ll_acks
         stations = self.stations
         receiver_id = self.receiver_id
         # with caching off every intermediate node is a relay
@@ -294,9 +330,19 @@ class Simulation:
         p_ll_ack = self.p_ll_ack
         budget = self.scenario.event_budget()
         processed = 0
+        self._next = None
         sender.start(self.now)
-        while heap:
-            now, _, call, arg = heappop(heap)
+        while True:
+            arrival = self._next
+            if arrival is not None:
+                # the first frame the last event sent: the next event itself
+                # unless a queued one comes first
+                self._next = None
+                now, seq, call, arg = heappushpop(heap, arrival)
+            elif heap:
+                now, seq, call, arg = heappop(heap)
+            else:
+                break
             self.now = now
             processed += 1
             if processed > budget:
@@ -311,7 +357,7 @@ class Simulation:
             target, frame_id, segment = arg
             is_data = type(segment) is DataSegment
             while True:
-                # drawn always, pushed only to its one reader, which then gets
+                # drawn always, kept only for its one reader, which then gets
                 # its held ll timeout only if that may fire first (module
                 # docstring)
                 self.draws += 1
@@ -321,18 +367,24 @@ class Simulation:
                 if not (relays and 0 <= target < receiver_id):
                     transmitter = target - 1 if is_data else target + 1
                     if 0 <= transmitter < receiver_id:
-                        node = nodes[transmitter]
-                        entry = node.cache
+                        entry = nodes[transmitter].cache
                         # an entry holding this frame still awaits its ll ack:
-                        # the ll ack and the held ll timeout are pushed no
-                        # earlier than this arrival, and every other move
-                        # empties or replaces the entry
+                        # the ll ack and the held ll timeout come no earlier
+                        # than this arrival, and every other move empties or
+                        # replaces the entry
                         if entry is not None and entry.frame_id == frame_id:
+                            lands_at = now + latency
                             if acked:
-                                heappush(heap, (now + latency, next(self._seq), node.on_ll_ack, frame_id))
+                                ll_acks[transmitter] = (lands_at, next(self._seq), frame_id)
                             timer = held[transmitter]
-                            if not acked or timer[0] <= now + latency:
+                            if not acked or timer[0] <= lands_at:
                                 heappush(heap, timer)
+                    # the target node's ll ack, if it comes before this
+                    # arrival in (time, seq)
+                    pending = ll_acks[target]
+                    if pending is not None and pending < (now, seq):
+                        ll_acks[target] = None
+                        nodes[target].on_ll_ack(pending[2], now)
                     if is_data:
                         stations[target].on_data(segment, now)
                     else:

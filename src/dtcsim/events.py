@@ -14,8 +14,7 @@ An event is a plain heap tuple ``(fire_at, seq, call, arg)``:
     call      the handler the event fires, a bound method of the station
               that is its owner, called as ``call(arg, now)``; None for a
               frame arrival, which the run loop handles itself
-    arg       a frame arrival: (target node id, frame_id, segment); the
-              link-layer ack a node awaits (``on_ll_ack``): the frame id;
+    arg       a frame arrival: (target node id, frame_id, segment);
               a timer (``on_ll_timeout``, ``on_local_rto``, ``on_rto``):
               its generation, stale unless it matches the owner's counter;
               the sender's pacing gate (``on_send_slot``): None
@@ -24,9 +23,9 @@ The order in which a run schedules events and consumes random draws is
 part of its result: two runs agree byte for byte only if they handle the
 same events in the same order and draw from the source in the same
 order.  A faster engine must preserve both; it may handle an event
-without pushing it, leave out an event that cannot change the run, or
-push a timer later than it was armed under the insertion number it took
-then (``engine`` says when).
+without pushing it, leave out an event that cannot change the run,
+hold a node's ll ack as state, or push a timer later than it was armed
+under the insertion number it took then (``engine`` says when).
 """
 
 from __future__ import annotations

@@ -157,11 +157,11 @@ class Scenario:
 
         ``ceil(160 * total_segments * hops / (1 - p_data) ** hops)``: 160
         events per segment-hop per expected end-to-end attempt.  An ll ack
-        that no node awaits is never pushed, nor is an ll timeout whose ll
-        ack lands first, so neither is an event.  Measured as
+        is never an event: the one a node awaits is kept as that node's
+        state.  Nor is an ll timeout whose ll ack lands first.  Measured as
         events / (segments * hops * (1 - p_data) ** -hops) while those ll
-        timeouts were still pushed (leaving them out only lowers these
-        figures), the highest ratios were 2.9 over the acceptance grid
+        acks and ll timeouts were still pushed (leaving them out only
+        lowers these figures), the highest ratios were 2.9 over the acceptance grid
         (540 runs), 12.7 over the 600 knob-space pin scenarios, and 39.7
         over all but one of 14,000 scenarios with rto_min and rto_initial
         drawn log-uniformly from 1 us; 160 is 4x the highest.  The one

@@ -27,7 +27,9 @@ A node's timers are its own handlers, ``on_ll_timeout`` and
 ``out.await_ll_ack`` right after the send of the frame it waits on, the
 local rto with ``out.schedule``.  Any cache mutation bumps the node's
 counter so stale expiries fall through harmlessly; the engine does not
-even push an ll timeout whose ll ack lands first (see ``engine``).
+even push an ll timeout whose ll ack lands first.  ``on_ll_ack`` is no
+event either: the engine keeps the ll ack and calls it just before the
+node's next frame arrival that the ll ack comes before (see ``engine``).
 
 With caching off a node's handlers never run: the engine's run loop
 relays every frame itself and counts the node's data transmissions.

@@ -252,29 +252,15 @@ def test_an_ll_timeout_at_or_before_the_landing_locks_and_the_ll_ack_does_nothin
         ll_wait_multiplier, fires_at):
     # the lone node's ll timeout fires at or before its ll ack lands at
     # 30 ms: it finds the entry AWAITING and locks it, and the ll ack,
-    # applied as the receiver's ack arrives, leaves the entry and its
-    # timer generation alone
-    generations = []
-    sim = Simulation(Scenario(hops=2, p_data=0.0, dtc_enabled=True, total_segments=1,
-                              ll_wait_multiplier=ll_wait_multiplier))
-    node = sim.nodes[0]
-    on_ll_ack = node.on_ll_ack
-
-    @functools.wraps(on_ll_ack)
-    def spy(frame_id, now):
-        before = node.timer_generation
-        on_ll_ack(frame_id, now)
-        generations.append((before, node.timer_generation))
-
-    node.on_ll_ack = spy
-    calls = []
-    log_node_calls(sim, calls)
-    assert sim.run().delivered_segments == 1
+    # applied as the receiver's ack arrives, leaves the entry alone
+    sim, _, calls, _ = lone_node_run(0.0, ll_wait_multiplier=ll_wait_multiplier)
     assert calls == [(0, "on_data", 10_000, None, AWAITING),
                      (0, "on_ll_timeout", fires_at, AWAITING, LOCKED),
                      (0, "on_ll_ack", 30_000, LOCKED, LOCKED),
                      (0, "on_ack", 30_000, LOCKED, None)]
-    assert generations == [(2, 2)]
+    # one generation each for the cache, the lock and the clear: the ll ack
+    # staled no timer
+    assert sim.nodes[0].timer_generation == 3
 
 
 def ll_timeout_pushes(p_data, draw=None, drop_override=None, ll_wait_multiplier=3):
