@@ -26,6 +26,7 @@ from dtcsim.harness import (
 from dtcsim.packets import DataSegment
 
 from conftest import ScriptedDrops
+import reference_loop
 import small_scope
 from reference_loop import Reference
 from scenario_space import DEADLINE_MS, any_scenario, finish
@@ -378,7 +379,13 @@ def test_budget_cut_on_a_caching_off_chain(monkeypatch, budget, cut_at):
     assert str(cut.value) == f"h6-p0.2-off seed=3: run exceeded the {budget} event budget at {cut_at}"
 
 
-@pytest.mark.parametrize("budget, cut_at", [
+def budget_cuts(loop, table):
+    """One case per (budget, cut_at) row, run in loop, with the id that the
+    row alone would get."""
+    return [pytest.param(loop, budget, cut_at, id=f"{budget}-{cut_at}") for budget, cut_at in table]
+
+
+@pytest.mark.parametrize("loop, budget, cut_at", budget_cuts(Simulation, [
     (1, "t=20000us (0/30 delivered)"),          # data reaching node 1
     (2, "t=21000us (0/30 delivered)"),          # the sender's send slot
     (3, "t=30000us (0/30 delivered)"),          # data reaching node 2
@@ -397,16 +404,25 @@ def test_budget_cut_on_a_caching_off_chain(monkeypatch, budget, cut_at):
     (64, "t=971000us (4/30 delivered)"),        # data reaching node 1
     (67, "t=982000us (4/30 delivered)"),        # data reaching node 0
     (484, "t=505350378us (29/30 delivered)"),   # the sender's stale rto
-])
-def test_budget_cut_on_a_caching_chain(monkeypatch, budget, cut_at):
+]) + budget_cuts(Reference, [
+    (5, "t=40000us (0/30 delivered)"),          # node 0's answered ll timeout
+    (8, "t=50000us (0/30 delivered)"),          # node 1's answered ll timeout
+]))
+def test_budget_cut_on_a_caching_chain(monkeypatch, loop, budget, cut_at):
     # a stale node timer that is pushed counts toward the budget like any
-    # event, so a change to which events are pushed moves these cuts.  No
-    # ll ack is an event, nor is an ll timeout whose ll ack lands first, so
-    # this run completes in 506 events
+    # event, so a change to which events are pushed moves these cuts.  In
+    # the engine no ll ack is an event, nor is an ll timeout whose ll ack
+    # lands first, so this run completes in 506 events.  The reference loop
+    # pushes both (node 0's ll ack is its fourth event), so at the same
+    # budget it is cut earlier
     monkeypatch.setattr(Scenario, "event_budget", lambda self: budget)
-    with pytest.raises(LivenessError) as cut:
-        run(Scenario(hops=6, p_data=0.2, dtc_enabled=True, total_segments=30, seed=3))
-    assert str(cut.value) == f"h6-p0.2-on seed=3: run exceeded the {budget} event budget at {cut_at}"
+    monkeypatch.setattr(reference_loop, "BUDGET_FACTOR", 1)
+    sim = loop(Scenario(hops=6, p_data=0.2, dtc_enabled=True, total_segments=30, seed=3))
+    with pytest.raises(EventBudgetExceeded) as cut:
+        sim.run()
+    assert f"t={sim.now}us ({sim.receiver.delivered_in_order}/{sim.receiver.total} delivered)" == cut_at
+    if loop is Simulation:
+        assert str(cut.value) == f"h6-p0.2-on seed=3: run exceeded the {budget} event budget at {cut_at}"
 
 
 def test_sweep_rejects_zero_runs():
