@@ -248,18 +248,16 @@ def test_an_ll_ack_tied_with_an_earlier_pushed_arrival_at_its_node_is_applied_af
 
 
 @pytest.mark.parametrize("ll_wait_multiplier, fires_at", [(1, 20_000), (2, 30_000)])
-def test_an_ll_timeout_at_or_before_the_landing_locks_and_the_ll_ack_does_nothing(
+def test_an_ll_timeout_at_or_before_the_landing_locks_and_no_ll_ack_is_kept(
         ll_wait_multiplier, fires_at):
-    # the lone node's ll timeout fires at or before its ll ack lands at
-    # 30 ms: it finds the entry AWAITING and locks it, and the ll ack,
-    # applied as the receiver's ack arrives, leaves the entry alone
+    # the lone node's ll timeout fires at or before its ll ack would land at
+    # 30 ms: the engine pushes the timer and keeps no ll ack, so the wait
+    # ends in the timer alone, which finds the entry AWAITING and locks it
     sim, _, calls, _ = lone_node_run(0.0, ll_wait_multiplier=ll_wait_multiplier)
     assert calls == [(0, "on_data", 10_000, None, AWAITING),
                      (0, "on_ll_timeout", fires_at, AWAITING, LOCKED),
-                     (0, "on_ll_ack", 30_000, LOCKED, LOCKED),
                      (0, "on_ack", 30_000, LOCKED, None)]
-    # one generation each for the cache, the lock and the clear: the ll ack
-    # staled no timer
+    # one generation each for the cache, the lock and the clear
     assert sim.nodes[0].timer_generation == 3
 
 

@@ -459,14 +459,24 @@ PUSHED_HANDLERS = {"on_ll_timeout", "on_local_rto", "on_rto", "on_send_slot"}
 
 @settings(max_examples=50, deadline=DEADLINE_MS)
 @given(any_scenario)
-def test_ll_acks_are_pushed_only_to_a_node_awaiting_them(s):
+def test_ll_acks_are_applied_only_to_a_node_awaiting_them(s):
     # the engine pushes no ll ack: it keeps one for its one reader, a node
     # whose entry holds that frame, and applies it at most once, so a
-    # caching-off run applies none.  Every push is a frame toward a station
-    # or a station's own timer
+    # caching-off run applies none.  A frame's wait ends in one outcome: no
+    # frame has both a pushed ll timeout and an applied ll ack.  Every push
+    # is a frame toward a station or a station's own timer
     note(s)
     sim = Simulation(s)
     applied = []
+    awaited = {}                        # (node id, generation) -> the frame awaited
+    timed_out = []                      # the frames whose ll timeout was pushed
+    await_ll_ack = sim.await_ll_ack
+
+    def awaiting(src, frame_id, fire_at, call, arg):
+        awaited[src, arg] = frame_id
+        await_ll_ack(src, frame_id, fire_at, call, arg)
+
+    sim.await_ll_ack = awaiting
     for node in sim.nodes:
         cached = set()                  # the frame ids of the node's entries
         on_data, on_ll_ack = node.on_data, node.on_ll_ack
@@ -491,11 +501,14 @@ def test_ll_acks_are_pushed_only_to_a_node_awaiting_them(s):
         assert call.__name__ in PUSHED_HANDLERS, f"{call!r} pushed at t={sim.now}"
         assert any(call.__self__ is station for station in sim.stations), (
             f"{call!r} of no station pushed at t={sim.now}")
+        if call.__name__ == "on_ll_timeout":
+            timed_out.append(awaited[call.__self__.node_id, arg])
 
     with watch_pushes(on_push):
         metrics = finish(sim)
     assert metrics is None or metrics.delivered_segments == s.total_segments
     assert len(set(applied)) == len(applied)        # at most one ll ack per frame
+    assert set(applied).isdisjoint(timed_out), "a frame's wait ended in both outcomes"
     if not s.dtc_enabled:
         assert applied == []
 
