@@ -42,33 +42,41 @@ a send instead of the draw.
 
 Every arriving frame gets its link-layer ack draw, always at arrival.  An
 ll ack has one reader: its transmitter, when that is a node whose cache
-entry holds that frame id; frame ids are unique, so no later entry can
-hold it either.  Such an entry still awaits the ll ack, since neither its
-ll ack nor its ll timeout (below) can come before the frame arrives, so
-the run reads the entry's frame id and not its state.  A surviving ll ack
-to that reader is node state, not an event: the run stores
+slot holds that frame, that is, the slot is not empty and its
+``cached_frame_id`` is the frame's id; frame ids are unique, so no later
+slot can hold it either.  Such a slot still awaits the ll ack, since
+neither its ll ack nor its ll timeout (below) can come before the frame
+arrives, so the run reads no more of its state than that it is full.
+
+The node's wait for that ll ack ends in one outcome, the ll ack or the
+ll timeout, never both.  A node arms the wait with ``await_ll_ack``
+right after it sends the frame.  The timer takes its insertion number
+there, as ``schedule`` would, but is pushed at once only if the frame
+was lost.  Otherwise the run holds it until the frame arrives and, after
+the ll-ack draw, decides:
+
+  * the node no longer holds the frame: the timer is stale already, and
+    the run keeps neither;
+  * the ll ack survived and lands before the timer's time: the run keeps
+    the ll ack, whose landing stales the timer;
+  * otherwise the run pushes the timer with its number.  It pops at or
+    before the landing (on a tie the timer, which took its number before
+    the ll ack, pops first) and locks the slot, or finds it stale, so the
+    ll ack could change nothing.
+
+The timer's time is never before the arrival, so a timer pushed there
+pops just where it would have popped had it been pushed when armed.
+
+A kept ll ack is node state, not an event: the run stores
 ``(lands_at, seq, frame_id)`` in the node's slot, the ll ack taking its
 insertion number there as a push would.  Just before a frame arrival
 hands a frame to that node, the run applies the ll ack, as
 ``nodes[n].on_ll_ack(frame_id, now)``, if it comes before the arrival in
 ``(time, seq)``: a tie in time goes by insertion number.  The node's
-timers need no apply.  A held ll timeout (below) is pushed only when it
-pops before its ll ack would land; a live local rto belongs to a
-``LOCKED`` entry, which an ll ack leaves alone; and every other timer of
-the node is stale either way.  An ll ack that no later arrival at its
-node applies changes nothing that is read.
-
-A node arms that wait with ``await_ll_ack`` right after it sends the
-frame.  The timer takes its insertion number there, as ``schedule``
-would, but is pushed at once only if the frame was lost.  Otherwise the
-run holds it until the frame arrives and, after the ll-ack draw, pushes
-it with that number, unless it can no longer fire: the node no longer
-awaits the frame, so the timer is stale already, or the ll ack survived
-and lands before the timer's time, and landing it stales the timer.  On
-a tie the timer, which took its number before the ll ack, pops first, so
-it is pushed.  The timer's time is never before the arrival, so a timer
-pushed there pops just where it would have popped had it been pushed
-when armed.
+timers need no apply: the ll timeout of a kept ll ack is never pushed; a
+live local rto belongs to a ``LOCKED`` slot, which an ll ack leaves
+alone; and every other timer of the node is stale either way.  An ll ack
+that no later arrival at its node applies changes nothing that is read.
 
 Leaving these events out keeps every draw and the relative order of
 every other event, so the results are the same as if every surviving ll
@@ -84,9 +92,10 @@ transmission counted on the node for data, the next frame id, the drop
 override or one loss draw, and the trace record.  A surviving frame is
 then carried on inline as the next arrival, with its ll-ack draw, without
 a heap push and pop: to the next relay, or into the sender's or the
-receiver's handler.  The carry stops, and the arrival is pushed, when a queued event fires at or before the arrival
-(on a tie the queued event, pushed earlier, pops first), or when one more
-event would exceed the budget.  Otherwise the arrival is the very next
+receiver's handler.  The carry stops, and the arrival is pushed, when a
+queued event fires at or before the arrival (on a tie the queued event,
+pushed earlier, pops first), or when one more event would exceed the
+budget.  Otherwise the arrival is the very next
 event the heap would pop, so carrying it processes the same events in the
 same order.  A skipped push takes no insertion number; the counter still
 grows with every push, so no two events change their relative order.  A
@@ -357,9 +366,9 @@ class Simulation:
             target, frame_id, segment = arg
             is_data = type(segment) is DataSegment
             while True:
-                # drawn always, kept only for its one reader, which then gets
-                # its held ll timeout only if that may fire first (module
-                # docstring)
+                # drawn always, kept only for its one reader when it lands
+                # before the reader's held ll timeout, which is pushed
+                # otherwise (module docstring)
                 self.draws += 1
                 acked = rand() >= p_ll_ack
                 if trace is not None:
@@ -367,17 +376,17 @@ class Simulation:
                 if not (relays and 0 <= target < receiver_id):
                     transmitter = target - 1 if is_data else target + 1
                     if 0 <= transmitter < receiver_id:
-                        entry = nodes[transmitter].cache
-                        # an entry holding this frame still awaits its ll ack:
+                        node = nodes[transmitter]
+                        # a slot holding this frame still awaits its ll ack:
                         # the ll ack and the held ll timeout come no earlier
                         # than this arrival, and every other move empties or
-                        # replaces the entry
-                        if entry is not None and entry.frame_id == frame_id:
+                        # refills the slot
+                        if node.state is not None and node.cached_frame_id == frame_id:
                             lands_at = now + latency
-                            if acked:
-                                ll_acks[transmitter] = (lands_at, next(self._seq), frame_id)
                             timer = held[transmitter]
-                            if not acked or timer[0] <= lands_at:
+                            if acked and timer[0] > lands_at:
+                                ll_acks[transmitter] = (lands_at, next(self._seq), frame_id)
+                            else:
                                 heappush(heap, timer)
                     # the target node's ll ack, if it comes before this
                     # arrival in (time, seq)

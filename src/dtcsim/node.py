@@ -1,19 +1,21 @@
 """Per-node one-segment cache with link-layer-ack-driven locking.
 
 Each intermediate node of a caching run relays data toward the receiver
-and acks toward the sender, and keeps at most one data segment cached, as
-an entry in one of three states:
+and acks toward the sender, and keeps at most one data segment cached.
+The slot is node state: ``state`` is None while it is empty, and
+otherwise one of three states of the segment ``cached``, which the
+forward with frame id ``cached_frame_id`` cached:
 
   * AWAITING: the node has just forwarded the segment and waits for the
-    next hop's link-layer ack.  The entry pins the slot.  The ll ack
+    next hop's link-layer ack.  The segment pins the slot.  The ll ack
     makes it REPLACEABLE; the expiry of the wait makes it LOCKED.
   * REPLACEABLE: the next hop link-acked the segment, so it presumably
     arrived.  Newer data takes the slot; an ack that shows the segment
     still missing downstream makes it LOCKED.
-  * LOCKED: the segment was presumably lost past this node.  The entry
-    holds a local retransmission timer at 1.5x the node's round-trip
-    estimate to the receiver, backing off per retry; after the last
-    retry the node resends once more and empties the slot.
+  * LOCKED: the segment was presumably lost past this node.  The node
+    holds a local retransmission timer at 1.5x its round-trip estimate
+    to the receiver, backing off per retry (``local_retries``); after
+    the last retry the node resends once more and empties the slot.
 
 In any state, a passing ack that vouches for the cached segment empties
 the slot.  A passing ack that fails to vouch for a locked segment
@@ -26,9 +28,10 @@ A node's timers are its own handlers, ``on_ll_timeout`` and
 ``on_local_rto``, armed with a generation stamp: the ll timeout with
 ``out.await_ll_ack`` right after the send of the frame it waits on, the
 local rto with ``out.schedule``.  Any cache mutation bumps the node's
-counter so stale expiries fall through harmlessly; the engine does not
-even push an ll timeout whose ll ack lands first.  ``on_ll_ack`` is no
-event either: the engine keeps the ll ack and calls it just before the
+counter so stale expiries fall through harmlessly.  The wait for an ll
+ack ends in one outcome: the engine keeps the ll ack when it lands before
+the ll timeout and pushes the timeout otherwise, never both.  A kept ll
+ack is no event either: the engine calls ``on_ll_ack`` just before the
 node's next frame arrival that the ll ack comes before (see ``engine``).
 
 With caching off a node's handlers never run: the engine's run loop
@@ -56,7 +59,7 @@ from .packets import (
     sack_covers,
 )
 
-# cache entry states (see the module docstring)
+# the states of a full cache slot (see the module docstring)
 AWAITING = "awaiting"
 REPLACEABLE = "replaceable"
 LOCKED = "locked"
@@ -69,21 +72,16 @@ def initial_rtt(hops_to_receiver: int, hop_latency: int) -> int:
     return 2 * hops_to_receiver * hop_latency
 
 
-class CacheEntry:
-    __slots__ = ("segment", "state", "frame_id", "local_retries")
-
-    def __init__(self, segment: DataSegment, frame_id: int) -> None:
-        self.segment = segment
-        self.state = AWAITING
-        self.frame_id = frame_id
-        self.local_retries = 0
-
-
 class CachingNode:
     def __init__(self, node_id: int, scenario, out) -> None:
         self.node_id = node_id
         self.hops_to_receiver = scenario.hops - 1 - node_id
-        self.cache: Optional[CacheEntry] = None
+        # the one cache slot: its state, None while empty, and its segment,
+        # the frame id of the forward that cached it and its local retries
+        self.state: Optional[str] = None
+        self.cached: Optional[DataSegment] = None
+        self.cached_frame_id = -1
+        self.local_retries = 0
         self.rtt_est = initial_rtt(self.hops_to_receiver, scenario.hop_latency)
         self.pending_rtt = {}           # seq -> forwarded_at, awaiting ack coverage
         self._seen = set()              # seqs ever relayed (first-sighting filter)
@@ -109,25 +107,26 @@ class CachingNode:
             self.out.note(self.node_id, "local_retx", seq)
         self.out.send(self.node_id, DataSegment(seq, ORIGIN_LOCAL))
 
-    def _arm_local_rto(self, entry: CacheEntry, now: int) -> None:
-        """Arm the entry's local retransmission timer at its current tier:
+    def _arm_local_rto(self, now: int) -> None:
+        """Arm the slot's local retransmission timer at its current tier:
         1.5x the round-trip estimate, doubled per retry."""
         self.timer_generation += 1
-        self.out.schedule(now + (3 * self.rtt_est) // 2 * (1 << entry.local_retries),
+        self.out.schedule(now + (3 * self.rtt_est) // 2 * (1 << self.local_retries),
                           self.on_local_rto, self.timer_generation)
 
-    def _retransmit_cached(self, entry: CacheEntry, now: int) -> None:
+    def _retransmit_cached(self, now: int) -> None:
         """Resend the cached segment and restart its timer tier."""
-        self._resend_cached(entry.segment.seq)
-        self._arm_local_rto(entry, now)
+        self._resend_cached(self.cached.seq)
+        self._arm_local_rto(now)
 
-    def _lock(self, entry: CacheEntry, now: int) -> None:
-        """Pin the entry until an ack covers it; arm the first timer tier."""
-        entry.state = LOCKED
-        entry.local_retries = 0
+    def _lock(self, now: int) -> None:
+        """Pin the cached segment until an ack covers it; arm the first timer
+        tier."""
+        self.state = LOCKED
+        self.local_retries = 0
         if self.traced:
-            self.out.note(self.node_id, "lock", entry.segment.seq)
-        self._arm_local_rto(entry, now)
+            self.out.note(self.node_id, "lock", self.cached.seq)
+        self._arm_local_rto(now)
 
     # -- data path ------------------------------------------------------------
 
@@ -142,16 +141,18 @@ class CachingNode:
             out.send(self.node_id, AckSegment(self.last_ack_forwarded))
             return
         self.data_tx_count += 1
-        entry = self.cache
-        if entry is None or entry.state == REPLACEABLE:
+        state = self.state
+        if state is None or state == REPLACEABLE:
             # free slot, or the previous tenant was link-acknowledged and is
-            # presumably received downstream; an entry still awaiting its
+            # presumably received downstream; a segment still awaiting its
             # ll ack keeps the slot (it may be the one that needs us)
             self.timer_generation += 1
             if self.traced:
                 out.note(self.node_id, "cache", seq)
             frame_id = out.send(self.node_id, segment)
-            self.cache = CacheEntry(segment, frame_id)
+            self.state = AWAITING
+            self.cached = segment
+            self.cached_frame_id = frame_id
             out.await_ll_ack(self.node_id, frame_id, now + self.ll_wait, self.on_ll_timeout,
                              self.timer_generation)
         else:
@@ -165,31 +166,28 @@ class CachingNode:
             self.pending_rtt.pop(seq, None)
 
     def on_ll_ack(self, frame_id: int, now: int) -> None:
-        entry = self.cache
-        if entry is not None and entry.state == AWAITING and entry.frame_id == frame_id:
-            entry.state = REPLACEABLE
+        if self.state == AWAITING and self.cached_frame_id == frame_id:
+            self.state = REPLACEABLE
             self.timer_generation += 1      # pending ll timeout is now stale
 
     def on_ll_timeout(self, generation: int, now: int) -> None:
         if generation != self.timer_generation:
             return
-        entry = self.cache
-        assert entry is not None and entry.state == AWAITING
-        self._lock(entry, now)
+        assert self.state == AWAITING
+        self._lock(now)
 
     def on_local_rto(self, generation: int, now: int) -> None:
         if generation != self.timer_generation:
             return
-        entry = self.cache
-        assert entry is not None and entry.state == LOCKED
-        entry.local_retries += 1
-        if entry.local_retries <= self.max_local_retries:
-            self._retransmit_cached(entry, now)
+        assert self.state == LOCKED
+        self.local_retries += 1
+        if self.local_retries <= self.max_local_retries:
+            self._retransmit_cached(now)
         else:
             # final try: retransmit once more, then yield to end-to-end recovery
-            seq = entry.segment.seq
+            seq = self.cached.seq
             self._resend_cached(seq)
-            self.cache = None
+            self.state = None
             self.timer_generation += 1
             if self.traced:
                 self.out.note(self.node_id, "clear", seq)
@@ -205,17 +203,17 @@ class CachingNode:
                     sample = now - self.pending_rtt.pop(seq)
                     self.rtt_est = (7 * self.rtt_est + sample) // 8
         forward = ack
-        entry = self.cache
-        if entry is not None:
-            cached = entry.segment.seq
+        state = self.state
+        if state is not None:
+            cached = self.cached.seq
             if sack_covers(ack, cached):
                 # the receiver has it, or a node closer to the receiver does
-                self.cache = None
+                self.state = None
                 self.timer_generation += 1
                 if self.traced:
                     out.note(self.node_id, "clear", cached)
-            elif entry.state == LOCKED:
-                self._retransmit_cached(entry, now)
+            elif state == LOCKED:
+                self._retransmit_cached(now)
                 if gaps_filled_with(ack, cached):
                     # with our segment back in flight nothing above the
                     # cumulative point is missing; the sender needs no ack
@@ -224,11 +222,11 @@ class CachingNode:
                         out.note(self.node_id, "drop_ack", cached)
                     return
                 forward = sack_add(ack, cached)
-            elif entry.state == REPLACEABLE:
+            elif state == REPLACEABLE:
                 # the next hop link-acked this segment, yet the ack stream
                 # says it is still missing downstream: lock it and vouch for
                 # it; the timer (or the next uncovering ack) retransmits
-                self._lock(entry, now)
+                self._lock(now)
                 forward = sack_add(ack, cached)
         if forward.ack_no > self.last_ack_forwarded:
             self.last_ack_forwarded = forward.ack_no

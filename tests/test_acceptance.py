@@ -182,7 +182,7 @@ def test_criterion_8_golden_trace():
     assert not any("from=5 to=4" in ln and "ACK no=1 sack={2,3}" in ln for ln in lines)
     assert metrics.e2e_retransmissions == 0
     assert metrics.delivered_segments == 3
-    assert all(node.cache is None for node in sim.nodes)
+    assert all(node.state is None for node in sim.nodes)
 
     golden = (DATA_DIR / "fig2_trace.txt").read_text().splitlines()
     assert lines == golden, "trace diverged from the stored golden log"

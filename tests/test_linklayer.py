@@ -153,12 +153,8 @@ def test_delivered_fraction_monte_carlo():
 
 # -- link-layer acks, drawn by the engine at each arrival -------------------------------
 
-def state_of(node):
-    return None if node.cache is None else node.cache.state
-
-
 def log_node_calls(sim, log):
-    """Append (node id, handler, t, entry state before, entry state after) to
+    """Append (node id, handler, t, slot state before, slot state after) to
     log at each call of a node handler of sim; None stands for an empty
     slot."""
     for node in sim.nodes:
@@ -167,9 +163,9 @@ def log_node_calls(sim, log):
 
             @functools.wraps(handler)
             def spy(arg, now, handler=handler, node=node):
-                before = state_of(node)
+                before = node.state
                 handler(arg, now)
-                log.append((node.node_id, handler.__name__, sim.now, before, state_of(node)))
+                log.append((node.node_id, handler.__name__, sim.now, before, node.state))
 
             setattr(node, name, spy)
 

@@ -52,7 +52,7 @@ def lock_cached(node, seq, now=0):
     node.on_data(DataSegment(seq), now)
     gen = node.timer_generation
     node.on_ll_timeout(gen, now + node.ll_wait)
-    assert node.cache is not None and node.cache.state == LOCKED
+    assert node.state == LOCKED
 
 
 # -- rtt seed -------------------------------------------------------------------
@@ -84,8 +84,8 @@ def test_first_segment_cached_tentative_and_forwarded():
         ("send", 5, DataSegment(1), 0),
         ("schedule", 30 * MS, node.on_ll_timeout, node.timer_generation),
     ]
-    assert node.cache.frame_id == 0                 # the id send returned
-    assert node.cache.state == AWAITING
+    assert node.cached_frame_id == 0                 # the id send returned
+    assert node.state == AWAITING
     assert node.data_tx_count == 1
 
 
@@ -94,26 +94,26 @@ def test_awaiting_entry_not_displaced():
     node.on_data(DataSegment(1), 0)
     calls = emitted(node.on_data, DataSegment(2), 0)
     assert calls == [("send", 5, DataSegment(2), 1)]        # forwarded but not cached
-    assert node.cache.segment.seq == 1 and node.cache.frame_id == 0
+    assert node.cached.seq == 1 and node.cached_frame_id == 0
 
 
 def test_ll_acked_entry_replaceable_by_newer_segment():
     node = make_node()
     node.on_data(DataSegment(2), 0)
-    node.on_ll_ack(node.cache.frame_id, 20 * MS)
-    assert node.cache.state == REPLACEABLE
+    node.on_ll_ack(node.cached_frame_id, 20 * MS)
+    assert node.state == REPLACEABLE
     calls = emitted(node.on_data, DataSegment(3), 21 * MS)
-    assert node.cache.segment.seq == 3
+    assert node.cached.seq == 3
     assert ("cache", 3) in notes(calls)
-    assert data_sent(calls) == [(DataSegment(3), node.cache.frame_id)]
+    assert data_sent(calls) == [(DataSegment(3), node.cached_frame_id)]
 
 
 def test_locked_entry_never_displaced():
     node = make_node()
     lock_cached(node, 1)
     calls = emitted(node.on_data, DataSegment(3), 50 * MS)
-    assert node.cache.segment.seq == 1 and node.cache.frame_id == 0
-    assert node.cache.state == LOCKED
+    assert node.cached.seq == 1 and node.cached_frame_id == 0
+    assert node.state == LOCKED
     assert calls == [("send", 5, DataSegment(3), 1)]
 
 
@@ -142,7 +142,7 @@ def test_disabled_node_is_a_pure_relay():
     assert len(relayed) == 3 * (5 + 5)          # 5 data and 5 acks through each node
     assert Counter(relayed) == Counter(expected)
     for node in sim.nodes:
-        assert node.cache is None and node.timer_generation == 0
+        assert node.state is None and node.timer_generation == 0
         assert (node.data_tx_count, node.local_retx_count, node.last_ack_forwarded) == (5, 0, 1)
 
 
@@ -152,8 +152,8 @@ def test_matching_ll_ack_makes_entry_replaceable_and_stales_timer():
     node = make_node()
     node.on_data(DataSegment(2), 0)
     gen = node.timer_generation
-    node.on_ll_ack(node.cache.frame_id, 20 * MS)
-    assert node.cache.state == REPLACEABLE
+    node.on_ll_ack(node.cached_frame_id, 20 * MS)
+    assert node.state == REPLACEABLE
     assert emitted(node.on_ll_timeout, gen, 30 * MS) == []  # timer went stale
 
 
@@ -161,14 +161,14 @@ def test_ll_ack_for_unknown_frame_is_noop():
     node = make_node()
     node.on_data(DataSegment(2), 0)
     node.on_ll_ack(12345, 20 * MS)
-    assert node.cache.state == AWAITING
+    assert node.state == AWAITING
 
 
 def test_ll_ack_on_locked_cache_is_noop():
     node = make_node()
     lock_cached(node, 1)
-    node.on_ll_ack(node.cache.frame_id, 40 * MS)
-    assert node.cache.state == LOCKED
+    node.on_ll_ack(node.cached_frame_id, 40 * MS)
+    assert node.state == LOCKED
 
 
 # -- locking --------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_missing_ll_ack_locks_and_arms_local_timer():
     node.on_data(DataSegment(1), 0)
     gen = node.timer_generation
     calls = emitted(node.on_ll_timeout, gen, 30 * MS)
-    assert node.cache.state == LOCKED
+    assert node.state == LOCKED
     # 1.5x the topology-seeded 100 ms round trip
     assert calls == [
         ("note", 5, "lock", 1),
@@ -207,21 +207,21 @@ def test_local_timer_retransmits_with_backoff():
         # 1.5 * rtt doubled once
         ("schedule", 180 * MS + 300 * MS, node.on_local_rto, node.timer_generation),
     ]
-    assert node.cache.local_retries == 1
+    assert node.local_retries == 1
     assert node.local_retx_count == 1
 
 
 def test_exhausted_retries_clear_the_cache():
     node = make_node()
     lock_cached(node, 2)
-    node.cache.local_retries = 3
+    node.local_retries = 3
     calls = emitted(node.on_local_rto, node.timer_generation, 10_000 * MS)
     assert calls == [                            # no timer armed
         ("note", 5, "local_retx", 2),
         ("send", 5, DataSegment(2, ORIGIN_LOCAL), 1),
         ("note", 5, "clear", 2),
     ]
-    assert node.cache is None
+    assert node.state is None
 
 
 def test_stale_local_timer_ignored():
@@ -229,7 +229,7 @@ def test_stale_local_timer_ignored():
     lock_cached(node, 2)
     stale = node.timer_generation
     node.on_ack(AckSegment(4), 200 * MS)         # covers 2, clears the cache
-    assert node.cache is None
+    assert node.state is None
     assert emitted(node.on_local_rto, stale, 400 * MS) == []
 
 
@@ -247,7 +247,7 @@ def test_uncovered_locked_segment_retransmitted_and_vouched():
         ("schedule", 200 * MS + 90 * MS, node.on_local_rto, node.timer_generation),
         ("send", 7, AckSegment(1, {2, 3}), 2),
     ]
-    assert node.cache.state == LOCKED            # kept until covered
+    assert node.state == LOCKED            # kept until covered
 
 
 def test_gap_filling_retransmission_drops_the_ack():
@@ -263,7 +263,7 @@ def test_covering_ack_clears_cache_and_forwards_unchanged():
     node = make_node()
     lock_cached(node, 3)
     calls = emitted(node.on_ack, AckSegment(4), 200 * MS)
-    assert node.cache is None
+    assert node.state is None
     assert calls == [("note", 5, "clear", 3), ("send", 5, AckSegment(4), 1)]
     assert node.last_ack_forwarded == 4
 
@@ -272,7 +272,7 @@ def test_selectively_covered_cache_clears_too():
     node = make_node()
     lock_cached(node, 3)
     calls = emitted(node.on_ack, AckSegment(1, {3}), 200 * MS)
-    assert node.cache is None
+    assert node.state is None
     assert acks_up(calls) == [AckSegment(1, {3})]
 
 
@@ -282,9 +282,9 @@ def test_replaceable_entry_locks_on_uncovering_ack_without_retransmitting():
     # later ack) does the retransmitting
     node = make_node()
     node.on_data(DataSegment(2), 0)
-    node.on_ll_ack(node.cache.frame_id, 20 * MS)
+    node.on_ll_ack(node.cached_frame_id, 20 * MS)
     calls = emitted(node.on_ack, AckSegment(1, {3}), 100 * MS)
-    assert node.cache.state == LOCKED
+    assert node.state == LOCKED
     assert calls == [                            # nothing retransmitted
         ("note", 5, "lock", 2),
         ("schedule", 100 * MS + 150 * MS, node.on_local_rto, node.timer_generation),
@@ -296,7 +296,7 @@ def test_awaiting_entry_left_alone_by_uncovering_ack():
     node = make_node()
     node.on_data(DataSegment(2), 0)
     calls = emitted(node.on_ack, AckSegment(1, {3}), 5 * MS)
-    assert node.cache.state == AWAITING
+    assert node.state == AWAITING
     assert calls == [("send", 5, AckSegment(1, {3}), 1)]
 
 
@@ -338,9 +338,9 @@ def test_repeat_sighting_discards_pending_rtt_sample():
 def test_rtt_samples_from_covered_pending_segments():
     node = make_node(hops_to_receiver=5)
     node.on_data(DataSegment(1), 0)
-    node.on_ll_ack(node.cache.frame_id, 20 * MS)
+    node.on_ll_ack(node.cached_frame_id, 20 * MS)
     node.on_data(DataSegment(2), 21 * MS)
-    node.on_ll_ack(node.cache.frame_id, 41 * MS)
+    node.on_ll_ack(node.cached_frame_id, 41 * MS)
     node.on_ack(AckSegment(3), 100 * MS)         # covers 1 and 2
     assert node.pending_rtt == {}
     # two EWMA steps from the 100 ms seed toward the two samples
@@ -362,9 +362,9 @@ def test_one_cache_slot_at_all_times():
     node = make_node()
     for seq in range(1, 8):
         node.on_data(DataSegment(seq), seq * 30 * MS)
-        assert node.cache is None or isinstance(node.cache.segment.seq, int)
-        node.on_ll_ack(node.cache.frame_id, seq * 30 * MS + 20 * MS)
-    assert node.cache.segment.seq == 7
+        assert node.state is None or isinstance(node.cached.seq, int)
+        node.on_ll_ack(node.cached_frame_id, seq * 30 * MS + 20 * MS)
+    assert node.cached.seq == 7
 
 
 def test_only_a_traced_run_notes_cache_transitions(monkeypatch):
@@ -393,10 +393,6 @@ TIMER_BY_STATE = {None: [], AWAITING: ["on_ll_timeout"], REPLACEABLE: [], LOCKED
 TIMERS = ("on_ll_timeout", "on_local_rto")
 
 
-def state_of(node):
-    return None if node.cache is None else node.cache.state
-
-
 def checked(sim, node, handler, armed):
     """handler, then a check that the node's live armed timers are its entry
     state's.  armed counts the run's armed node timers by (call,
@@ -411,7 +407,7 @@ def checked(sim, node, handler, armed):
         handler(*args)
         live = [name for name in TIMERS
                 for _ in range(armed[getattr(node, name), node.timer_generation])]
-        assert live == TIMER_BY_STATE[state_of(node)], (
+        assert live == TIMER_BY_STATE[node.state], (
             f"node {node.node_id} after {handler.__name__}{args} at t={sim.now}")
     return call
 
@@ -461,7 +457,7 @@ PUSHED_HANDLERS = {"on_ll_timeout", "on_local_rto", "on_rto", "on_send_slot"}
 @given(any_scenario)
 def test_ll_acks_are_applied_only_to_a_node_awaiting_them(s):
     # the engine pushes no ll ack: it keeps one for its one reader, a node
-    # whose entry holds that frame, and applies it at most once, so a
+    # whose slot holds that frame, and applies it at most once, so a
     # caching-off run applies none.  A frame's wait ends in one outcome: no
     # frame has both a pushed ll timeout and an applied ll ack.  Every push
     # is a frame toward a station or a station's own timer
@@ -478,13 +474,13 @@ def test_ll_acks_are_applied_only_to_a_node_awaiting_them(s):
 
     sim.await_ll_ack = awaiting
     for node in sim.nodes:
-        cached = set()                  # the frame ids of the node's entries
+        cached = set()                  # the frame ids the node cached
         on_data, on_ll_ack = node.on_data, node.on_ll_ack
 
         def entered(segment, now, node=node, on_data=on_data, cached=cached):
             on_data(segment, now)
-            if node.cache is not None:
-                cached.add(node.cache.frame_id)
+            if node.state is not None:
+                cached.add(node.cached_frame_id)
 
         def landed(frame_id, now, node=node, on_ll_ack=on_ll_ack, cached=cached):
             assert frame_id in cached, f"ll ack of frame {frame_id} applied to node {node.node_id}"
@@ -547,21 +543,23 @@ class CacheNodeMachine(RuleBasedStateMachine):
         self.armed = []                 # (handler name, generation) of every timer armed
 
     def call(self, name, *args):
+        """Call one handler and check its move; the slot's state, segment
+        and frame id before the call."""
         node = self.node
-        before, before_state = node.cache, state_of(node)
+        before = node.state, node.cached, node.cached_frame_id
         calls = emitted(getattr(node, name), *args)
         self.sent += [c[2] for c in calls if c[0] == "send"]
         self.armed += [(c[2].__name__, c[3]) for c in calls if c[0] == "schedule"]
-        after = node.cache
-        assert state_of(node) in MOVES[name][before_state], (
-            f"{name}{args}: {before_state} -> {state_of(node)}")
-        if after is not None and after is not before:
+        before_state, _, before_frame_id = before
+        assert node.state in MOVES[name][before_state], (
+            f"{name}{args}: {before_state} -> {node.state}")
+        if node.state is not None and node.cached_frame_id != before_frame_id:
             # only data takes the slot, an empty or replaceable one: the
             # segment just sent, as its frame
             assert name == "on_data" and before_state in (None, REPLACEABLE)
-            assert after.state == AWAITING
-            assert data_sent(calls) == [(after.segment, after.frame_id)]
-        return before, before_state
+            assert node.state == AWAITING
+            assert data_sent(calls) == [(node.cached, node.cached_frame_id)]
+        return before
 
     # seqs and ack points are drawn near the node's forwarded ack point, so
     # data is not all swallowed as long since acknowledged
@@ -578,25 +576,26 @@ class CacheNodeMachine(RuleBasedStateMachine):
         self.now += dt
         ack_no = max(1, self.node.last_ack_forwarded + offset)
         ack = AckSegment(ack_no, {ack_no + k for k in above})
-        before, before_state = self.call("on_ack", ack, self.now)
-        if before is None:
+        before_state, cached, frame_id = self.call("on_ack", ack, self.now)
+        if before_state is None:
             return
-        if sack_covers(ack, before.segment.seq):
-            assert self.node.cache is None      # an ack that vouches for it empties the slot
+        if sack_covers(ack, cached.seq):
+            assert self.node.state is None      # an ack that vouches for it empties the slot
         elif before_state != AWAITING:
             # one that shows it missing downstream locks it (or keeps it locked)
-            assert self.node.cache is before and before.state == LOCKED
+            assert self.node.state == LOCKED and self.node.cached_frame_id == frame_id
 
     @rule(frame_id=st.integers(0, 20))
     def ll_ack(self, frame_id):
         self.call("on_ll_ack", frame_id, self.now)
 
-    @precondition(lambda self: self.node.cache is not None)
+    @precondition(lambda self: self.node.state is not None)
     @rule()
     def ll_ack_of_the_cached_frame(self):
-        before, before_state = self.call("on_ll_ack", self.node.cache.frame_id, self.now)
+        frame_id = self.node.cached_frame_id
+        before_state, _, _ = self.call("on_ll_ack", frame_id, self.now)
         if before_state == AWAITING:
-            assert self.node.cache is before and before.state == REPLACEABLE
+            assert self.node.state == REPLACEABLE and self.node.cached_frame_id == frame_id
 
     @precondition(lambda self: self.armed)
     @rule(data=st.data(), live=st.booleans(), dt=STEP)
@@ -612,7 +611,7 @@ class CacheNodeMachine(RuleBasedStateMachine):
         # live firing bumps the generation, so a fired timer is never live
         live = [name for name, generation in self.armed
                 if generation == self.node.timer_generation]
-        assert live == TIMER_BY_STATE[state_of(self.node)]
+        assert live == TIMER_BY_STATE[self.node.state]
 
     @invariant()
     def counters_match_the_sends(self):
