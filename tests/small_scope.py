@@ -1,24 +1,26 @@
 """Small-scope enumeration: the engine against the naive reference loop
-over every knob combination of a grid of tiny caching chains.
+over every knob combination of a grid of tiny chains.
 
-Each traced caching run of the grid must give the reference loop's
-``RunMetrics`` and trace records, or, where the engine cuts the run at its
-event budget, a prefix of the reference's records.  Small instances are
-cheap to enumerate, and most defects show on some small instance (the
+Each traced run of the grid must give the reference loop's ``RunMetrics``
+and trace records, or, where the engine cuts the run at its event
+budget, a prefix of the reference's records.  Small instances are cheap
+to enumerate, and most defects show on some small instance (the
 small-scope hypothesis).  The grid:
 
   * hops 2-6 (``--max-hops`` widens it) and 12 segments (``--segments``);
-  * windows 1, 2, 3, 5 and 8, hop latency 1 us or 10 ms, and
-    ``ll_wait_multiplier`` 1-4, with automatic spacing and RTOs;
-  * lossless at seed 1, and 20 % loss at seeds 1 and 2.
+  * windows 1, 2, 3, 5 and 8, and hop latency 1 us or 10 ms, with
+    automatic spacing and RTOs;
+  * lossless at seed 1, and 20 % loss at seeds 1 and 2;
+  * caching on at ``ll_wait_multiplier`` 1-4, and caching off, where no
+    ll wait is read.
 
-Tier-1 runs the default grid of 600 scenarios.  At wider bounds, as
+Tier-1 runs the default grid of 750 scenarios.  At wider bounds, as
 
     python tests/small_scope.py --segments 14,15,16 --max-hops 8
 
 it prints one line per mismatching scenario, then the counts, and exits
-1 on any mismatch.  ``dtcsim`` must be importable, from an install or
-``PYTHONPATH=src``.
+1 on any mismatch, and 2 on bounds that leave the grid empty.
+``dtcsim`` must be importable, from an install or ``PYTHONPATH=src``.
 """
 
 import argparse
@@ -37,29 +39,34 @@ LOSSES = ((0.0, 1), (0.2, 1), (0.2, 2))
 
 
 def grid(segments=(12,), max_hops=6):
-    """Every caching scenario of the grid, at these segment counts and hops
-    2 to max_hops."""
-    for total, hops, window, latency, multiplier, (p_data, seed) in itertools.product(
-            segments, range(2, max_hops + 1), WINDOWS, HOP_LATENCIES_US, LL_WAIT_MULTIPLIERS, LOSSES):
-        yield Scenario(hops=hops, p_data=p_data, dtc_enabled=True, total_segments=total,
-                       window=window, hop_latency=latency, ll_wait_multiplier=multiplier, seed=seed)
+    """Every scenario of the grid, at these segment counts and hops 2 to
+    max_hops: each chain with caching off, then on at each ll-wait
+    multiplier."""
+    for total, hops, window, latency, (p_data, seed) in itertools.product(
+            segments, range(2, max_hops + 1), WINDOWS, HOP_LATENCIES_US, LOSSES):
+        knobs = dict(hops=hops, p_data=p_data, total_segments=total, window=window,
+                     hop_latency=latency, seed=seed)
+        yield Scenario(dtc_enabled=False, **knobs)
+        for multiplier in LL_WAIT_MULTIPLIERS:
+            yield Scenario(dtc_enabled=True, ll_wait_multiplier=multiplier, **knobs)
 
 
-def traced(loop, s):
+def traced(loop, s, drop_override=None):
     """(RunMetrics, or None on a budget cut; trace records) of one run."""
     records = []
     try:
-        metrics = loop(s, trace=records.append).run()
+        metrics = loop(s, trace=records.append, drop_override=drop_override).run()
     except EventBudgetExceeded:
         metrics = None
     return metrics, records
 
 
-def matches(s) -> bool:
+def matches(s, make_override=lambda: None) -> bool:
     """Whether the engine's run of s is the reference loop's, or a prefix of
-    it where the engine cuts the run at its budget."""
-    engine_metrics, engine_records = traced(Simulation, s)
-    reference_metrics, reference_records = traced(Reference, s)
+    it where the engine cuts the run at its budget.  make_override() gives
+    each run its own drop override."""
+    engine_metrics, engine_records = traced(Simulation, s, make_override())
+    reference_metrics, reference_records = traced(Reference, s, make_override())
     if engine_metrics is None:
         return engine_records == reference_records[:len(engine_records)]
     return engine_metrics == reference_metrics and engine_records == reference_records
@@ -77,6 +84,8 @@ def main(argv=None) -> int:
     parser.add_argument("--max-hops", type=int, default=6)
     args = parser.parse_args(argv)
     scenarios = list(grid(args.segments, args.max_hops))
+    if not scenarios:
+        parser.error(f"--max-hops {args.max_hops} leaves the grid empty: it starts at 2 hops")
     bad = mismatches(scenarios)
     for s in bad:
         print(f"mismatch: {s}")

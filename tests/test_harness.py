@@ -606,27 +606,23 @@ def test_the_engine_matches_the_naive_reference_loop(s, rules):
     note(s)
     for dtc in (False, True):
         s = dataclasses.replace(s, dtc_enabled=dtc)
-        runs = []
-        for loop in (Simulation, Reference):
-            records = []
-            override = None if rules is None else ScriptedDrops(rules)
-            sim = loop(s, trace=records.append, drop_override=override)
-            try:
-                runs.append((sim.run(), records))
-            except EventBudgetExceeded:
-                runs.append((None, records))
-        (engine_metrics, engine_records), (reference_metrics, reference_records) = runs
-        if engine_metrics is not None:
-            assert engine_metrics == reference_metrics, s
-            assert engine_records == reference_records, s
-        else:
-            assert engine_records == reference_records[:len(engine_records)], s
+        assert small_scope.matches(s, lambda: None if rules is None else ScriptedDrops(rules)), s
 
 
 def test_the_engine_matches_the_reference_loop_on_every_small_caching_chain():
     # the grid of tests/small_scope.py: every knob combination of tiny
-    # caching chains, where the engine's deferred ll acks and held frames
-    # meet every tie of an ll ack, an ll timeout and an arrival
+    # chains, caching off and on, where the engine's carried and held
+    # frames and deferred ll acks meet every tie of an ll ack, an ll
+    # timeout and an arrival
     scenarios = list(small_scope.grid())
-    assert len(scenarios) == 600
+    assert len(scenarios) == 750
+    assert sum(not s.dtc_enabled for s in scenarios) == 150
     assert small_scope.mismatches(scenarios) == []
+
+
+def test_small_scope_rejects_an_empty_grid(capsys):
+    # a grid with no scenario checks nothing, so it must not pass as a gate
+    with pytest.raises(SystemExit) as exit_info:
+        small_scope.main(["--max-hops", "1"])
+    assert exit_info.value.code == 2
+    assert "--max-hops 1 leaves the grid empty" in capsys.readouterr().err
