@@ -48,28 +48,23 @@ slot can hold it either.  Such a slot still awaits the ll ack, since
 neither its ll ack nor its ll timeout (below) can come before the frame
 arrives, so the run reads no more of its state than that it is full.
 
-The node's wait for that ll ack ends in one outcome, the ll ack or the
-ll timeout, never both.  A node arms the wait with ``await_ll_ack``
-right after it sends the frame.  The timer takes its insertion number
-there, as ``schedule`` would, but is pushed at once only if the frame
-was lost.  Otherwise the run holds it until the frame arrives and, after
-the ll-ack draw, decides:
-
-  * the node no longer holds the frame: the timer is stale already, and
-    the run keeps neither;
-  * the ll ack survived and lands before the timer's time: the run keeps
-    the ll ack, whose landing stales the timer;
-  * otherwise the run pushes the timer with its number.  It pops at or
-    before the landing (on a tie the timer, which took its number before
-    the ll ack, pops first) and locks the slot, or finds it stale, so the
-    ll ack could change nothing.
-
-The timer's time is never before the arrival, so a timer pushed there
-pops just where it would have popped had it been pushed when armed.
+A node arms its wait for that ll ack with ``await_ll_ack`` right after
+it sends the frame.  The timer takes its insertion number there, as
+``schedule`` would, but is pushed at once only if the frame was lost.
+Otherwise the run holds it until the frame arrives, where the wait ends
+in one outcome, never both: after the ll-ack draw the run keeps the ll
+ack if it survived and lands before the timer's time, which landing it
+stales, and pushes the timer with its number otherwise.  A pushed timer
+pops at or before the landing (on a tie the timer, which took its number
+before the ll ack, pops first), and locks the slot or finds it stale, so
+the ll ack could change nothing.  A node that no longer holds the frame
+gets neither: its timer is stale already.  The timer's time is never
+before the arrival, so a timer pushed there pops just where it would
+have popped had it been pushed when armed.
 
 A kept ll ack is node state, not an event: the run stores
-``(lands_at, seq, frame_id)`` in the node's slot, the ll ack taking its
-insertion number there as a push would.  Just before a frame arrival
+``(lands_at, seq, frame_id)`` as the node's entry of ``_ll_acks``, the ll
+ack taking its insertion number there as a push would.  Just before a frame arrival
 hands a frame to that node, the run applies the ll ack, as
 ``nodes[n].on_ll_ack(frame_id, now)``, if it comes before the arrival in
 ``(time, seq)``: a tie in time goes by insertion number.  The node's

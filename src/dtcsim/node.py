@@ -120,8 +120,7 @@ class CachingNode:
         self._arm_local_rto(now)
 
     def _lock(self, now: int) -> None:
-        """Pin the cached segment until an ack covers it; arm the first timer
-        tier."""
+        """Pin the cached segment until an ack covers it; arm the first timer tier."""
         self.state = LOCKED
         self.local_retries = 0
         if self.traced:
