@@ -84,7 +84,7 @@ def test_first_segment_cached_tentative_and_forwarded():
         ("send", 5, DataSegment(1), 0),
         ("schedule", 30 * MS, node.on_ll_timeout, node.timer_generation),
     ]
-    assert node.cached_frame_id == 0                 # the id send returned
+    assert node.cached_frame_id == 0                # the id send returned
     assert node.state == AWAITING
     assert node.data_tx_count == 1
 
@@ -247,7 +247,7 @@ def test_uncovered_locked_segment_retransmitted_and_vouched():
         ("schedule", 200 * MS + 90 * MS, node.on_local_rto, node.timer_generation),
         ("send", 7, AckSegment(1, {2, 3}), 2),
     ]
-    assert node.state == LOCKED            # kept until covered
+    assert node.state == LOCKED                  # kept until covered
 
 
 def test_gap_filling_retransmission_drops_the_ack():
