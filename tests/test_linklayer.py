@@ -243,7 +243,8 @@ def test_an_ll_ack_tied_with_an_earlier_pushed_arrival_at_its_node_is_applied_af
     ]
 
 
-@pytest.mark.parametrize("ll_wait_multiplier, fires_at", [(1, 20_000), (2, 30_000)])
+@pytest.mark.parametrize("ll_wait_multiplier, fires_at", [(1, 20_000), (2, 30_000)],
+                         ids=["wait1", "wait2"])
 def test_an_ll_timeout_at_or_before_the_landing_locks_and_no_ll_ack_is_kept(
         ll_wait_multiplier, fires_at):
     # the lone node's ll timeout fires at or before its ll ack would land at
