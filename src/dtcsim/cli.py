@@ -306,8 +306,11 @@ def cmd_run(config: Config, trace: bool) -> None:
         raise ConfigError("run takes exactly one hops value, one loss value, "
                           "and --dtc on or off")
     scenario = dataclasses.replace(cells[0], seed=config.seed)
-    sink = renderer(scenario.hops, sys.stdout.write) if trace else None
-    metrics = run_scenario(scenario, trace=sink)
+    if trace:
+        with renderer(scenario.hops, sys.stdout.write) as sink:
+            metrics = run_scenario(scenario, trace=sink)
+    else:
+        metrics = run_scenario(scenario)
     print(f"scenario: {scenario.cell_id} seed={scenario.seed}")
     for m in METRICS:
         value = getattr(metrics, m.field)

@@ -120,18 +120,23 @@ when the callable is there:
 
 ``kind`` is "data", "ack" or "llack"; an llack record carries the payload
 of the frame it acknowledges.  ``renderer(hops, write)`` is the one code
-that turns records into trace text: it returns such a callable, which
-formats each record as its whole line, newline included, and passes the
-line to ``write`` at once.  ``dtcsim run --trace`` passes
-``sys.stdout.write``; a caller that wants the lines passes ``list.append``.
+that turns records into trace text.  It is a context manager, ``with
+renderer(hops, write) as sink:``, whose ``sink`` is such a callable: it
+formats each record as its whole line, newline included, and passes
+``write`` one string of ``TRACE_CHUNK_LINES`` whole lines at a time.  The
+``with`` writes the lines still held as it exits, whether its body
+returned or raised, so every line is written before an error leaves it.
+``dtcsim run --trace`` passes ``sys.stdout.write``; a caller that wants
+the lines passes ``list.append`` and splits the joined text.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from heapq import heappop, heappush, heappushpop
 from itertools import count
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .events import SchedulingError
 from .endpoints import TcpReceiver, TcpSender
@@ -148,6 +153,11 @@ DropOverride = Callable[[int, object, int, int], Optional[bool]]
 HOP = "HOP"
 DTC = "DTC"
 
+# the lines a renderer joins into one write, about 40 KB of trace; the
+# trace-run workload ran equally fast from 32 to 1,024 lines a chunk
+# (2 vCPU, Python 3.11.7), 13 % slower at one and 4 % at 8,192
+TRACE_CHUNK_LINES = 512
+
 
 def render_payload(payload) -> str:
     """Stable textual form of a segment: the tail of each data and ack line
@@ -158,31 +168,57 @@ def render_payload(payload) -> str:
     return f"ACK no={payload.ack_no} sack={{{inner}}}"
 
 
-def renderer(hops: int, write: Callable[[str], object]) -> Callable[[tuple], None]:
-    """The trace sink of one run over ``hops`` links.
+@contextmanager
+def renderer(hops: int, write: Callable[[str], object]) -> Iterator[Callable[[tuple], None]]:
+    """The trace sink of one run over ``hops`` links, for the length of a
+    ``with`` block.
 
-    It formats each record as its whole line, newline included, and hands
-    the line to ``write`` before it returns, so a run that raises has
-    written every record before the failure.  Nodes are named S (the
-    sender), 0 .. hops-2 and R (the receiver).
+    The sink formats each record as its whole line, newline included, and
+    holds it; every ``TRACE_CHUNK_LINES`` records it hands ``write`` the
+    lines held, joined into one string.  On exit, whether the body returned
+    or raised, it writes the lines still held, so a run that raises has
+    written every record before its error leaves the ``with``.  The lines
+    are dropped before each write, so a write that raised is not retried.
+    Nodes are named S (the sender), 0 .. hops-2 and R (the receiver).
     """
     # indexed by node id: the sender's -1 wraps to the last entry
     names = [*map(str, range(hops - 1)), "R", "S"]
+    lines: list[str] = []
+    append = lines.append
+    # the chunk's payload texts by payload: a text is a function of the
+    # value, and a DataSegment never equals an AckSegment; most frames
+    # cross several hops within one chunk
+    texts: dict = {}
+
+    def flush() -> None:
+        chunk = "".join(lines)
+        lines.clear()
+        texts.clear()
+        write(chunk)
 
     def sink(record: tuple) -> None:
         if record[1] == HOP:
             t, _, src, dst, kind, delivered, payload = record
             result = "delivered" if delivered else "lost"
             if kind == "llack":
-                write(f"HOP from={names[src]} to={names[dst]} kind=llack result={result} t={t}\n")
+                append(f"HOP from={names[src]} to={names[dst]} kind=llack result={result} t={t}\n")
             else:
-                write(f"HOP from={names[src]} to={names[dst]} kind={kind} result={result} "
-                      f"t={t} {render_payload(payload)}\n")
+                text = texts.get(payload)
+                if text is None:
+                    text = texts[payload] = render_payload(payload)
+                append(f"HOP from={names[src]} to={names[dst]} kind={kind} result={result} "
+                       f"t={t} {text}\n")
         else:
             t, _, node_id, action, seq = record
-            write(f"DTC node={node_id} action={action} seq={seq} t={t}\n")
+            append(f"DTC node={node_id} action={action} seq={seq} t={t}\n")
+        if len(lines) == TRACE_CHUNK_LINES:
+            flush()
 
-    return sink
+    try:
+        yield sink
+    finally:
+        if lines:
+            flush()
 
 
 class LivenessError(RuntimeError):

@@ -25,6 +25,11 @@ from .events import US_PER_MS, US_PER_S
 # Scenario.event_budget
 EVENTS_PER_SEGMENT_HOP = 160
 
+# the largest event budget a Scenario may have: it bounds what an accepted
+# run may cost, its chain's nodes among it (the largest pinned budget is
+# 5,687,333)
+MAX_EVENT_BUDGET = 10**9
+
 # the sender's timeout ceiling unless a run sets its own
 DEFAULT_RTO_MAX = 60 * US_PER_S
 
@@ -57,7 +62,8 @@ class Scenario:
         """Reject knob values no run can use; each message starts with the field.
 
         A bound that hops and another knob break together names hops when
-        no value of the other knob could meet it, else the other knob.
+        no value of the other knob could meet it, else the other knob.  The
+        last bound is ``MAX_EVENT_BUDGET`` on ``event_budget()``.
         """
         if self.hops < 2:
             raise ValueError(f"hops must be >= 2 (a chain of two links), got {self.hops}")
@@ -73,7 +79,7 @@ class Scenario:
             raise ValueError(f"{knob} must keep {EVENTS_PER_SEGMENT_HOP} x total_segments x hops "
                              f"below 1.8e308")
         try:
-            self.event_budget()
+            budget = self.event_budget()
         except (ZeroDivisionError, OverflowError):
             # (1 - p_data) ** hops underflowed to 0, or the budget to inf
             raise ValueError(f"p_data must leave a finite event budget over {self.hops} "
@@ -117,6 +123,19 @@ class Scenario:
                                  f"us over {self.hops} hops: {rule}")
             raise ValueError(f"rto_max must be >= the effective rto_min and one path "
                              f"round trip ({floor} us), got {self.rto_max}")
+        if budget > MAX_EVENT_BUDGET:
+            # hops when even one lossless segment is over the cap, p_data when
+            # one segment at this loss is, else total_segments
+            rule = f"keep the event budget within {MAX_EVENT_BUDGET}"
+            one_segment = EVENTS_PER_SEGMENT_HOP * self.hops
+            if one_segment > MAX_EVENT_BUDGET:
+                raise ValueError(f"hops must be <= {MAX_EVENT_BUDGET // EVENTS_PER_SEGMENT_HOP} "
+                                 f"to {rule}, got {self.hops}")
+            if one_segment / (1 - self.p_data) ** self.hops > MAX_EVENT_BUDGET:
+                raise ValueError(f"p_data must {rule} for one segment over {self.hops} hops, "
+                                 f"got {self.p_data!r}")
+            raise ValueError(f"total_segments must {rule}, got {self.total_segments} "
+                             f"(a budget of {budget})")
 
     @property
     def cell_id(self) -> str:

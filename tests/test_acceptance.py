@@ -153,12 +153,13 @@ def test_criterion_7_zero_loss_identity():
 
 def test_criterion_8_golden_trace():
     written = []
-    sim = Simulation(
-        Scenario(hops=11, p_data=0.0, dtc_enabled=True, total_segments=3, seed=0),
-        trace=renderer(11, written.append),
-        drop_override=ScriptedDrops({(1, 5): 1, (2, 7): 1}),
-    )
-    metrics = sim.run()
+    with renderer(11, written.append) as sink:
+        sim = Simulation(
+            Scenario(hops=11, p_data=0.0, dtc_enabled=True, total_segments=3, seed=0),
+            trace=sink,
+            drop_override=ScriptedDrops({(1, 5): 1, (2, 7): 1}),
+        )
+        metrics = sim.run()
     lines = "".join(written).splitlines()
 
     def index_of(*fragments, after=-1):

@@ -1,6 +1,7 @@
 import csv
 import errno
 import io
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from dtcsim.cli import (
     load_config,
     main,
 )
-from dtcsim.engine import LivenessError, renderer
+from dtcsim.engine import TRACE_CHUNK_LINES, LivenessError, renderer
 from dtcsim.harness import RunMetrics, Scenario, run
 
 
@@ -168,6 +169,19 @@ RUN_ARGS = ["run", "--loss", "0.1", "--dtc", "on", "--segments", "5"]
      "--fast-retransmit: expected on|off, got 'maybe'"),
     (RUN_ARGS + ["--hops", "3", "--config", "fast_retransmit = maybe"],
      "c.conf:1: fast_retransmit: expected on|off, got 'maybe'"),
+    # an event budget over MAX_EVENT_BUDGET names hops when one lossless
+    # segment is over it, else loss when one segment at that loss is
+    (["run", "--hops", "15000000", "--loss", "0", "--dtc", "on", "--segments", "1",
+      "--hop-latency-ms", "0.001"],
+     "bad value for hops: hops must be <= 6250000 to keep the event budget within 1000000000"),
+    (["run", "--hops", "200", "--loss", "0.09", "--dtc", "on", "--segments", "1"],
+     "bad value for loss: p_data must keep the event budget within 1000000000"),
+    # else segments
+    (["run", "--hops", "11", "--loss", "0.15", "--dtc", "on", "--segments", "2000000"],
+     "bad value for segments: total_segments must keep the event budget within 1000000000"),
+    (["sweep", "--hops", "6,11", "--loss", "0.15", "--dtc", "off", "--runs", "1",
+      "--segments", "2000000"],
+     "bad value for segments: total_segments must keep the event budget within 1000000000"),
 ])
 def test_bad_flag_exits_2_naming_the_knob(argv, knob, tmp_path, capsys, no_simulation):
     # an argument that reads `key = value` is a config-file line: pass its file
@@ -378,21 +392,74 @@ def test_run_that_cannot_finish_exits_5_naming_it(argv, tmp_path, capsys, monkey
     assert err.count("\n") == 1
 
 
-def test_trace_streams_every_record_before_a_failure(capsys, monkeypatch):
-    # a sink that held lines back would lose the ones that explain the failure
-    monkeypatch.setattr(Scenario, "event_budget", lambda self: 50)
+def render_each(hops: int, records: list) -> list:
+    """Each record's trace line, from a renderer of its own."""
+    lines = []
+    for record in records:
+        with renderer(hops, lines.append) as sink:
+            sink(record)
+    return lines
+
+
+def cut_run_trace(budget: int, capsys, monkeypatch) -> tuple:
+    """(the stdout of ONE_CELL's traced run cut at budget, its records' lines)."""
+    monkeypatch.setattr(Scenario, "event_budget", lambda self: budget)
     assert main(["run"] + ONE_CELL + ["--trace"]) == 5
     out = capsys.readouterr().out
     records = []
     with pytest.raises(LivenessError):
         run(Scenario(hops=6, p_data=0.2, dtc_enabled=True, total_segments=50, seed=7),
             trace=records.append)
-    written = []
-    sink = renderer(6, written.append)
-    for record in records:
-        sink(record)
-    assert records
-    assert out.splitlines() == "".join(written).splitlines()
+    return out, render_each(6, records)
+
+
+def test_trace_streams_every_record_before_a_failure(capsys, monkeypatch):
+    # a sink that held lines back would lose the ones that explain the failure
+    out, lines = cut_run_trace(50, capsys, monkeypatch)
+    assert 0 < len(lines) < TRACE_CHUNK_LINES
+    assert out.splitlines(keepends=True) == lines
+
+
+def test_a_run_cut_after_full_chunks_writes_the_partial_one(capsys, monkeypatch):
+    out, lines = cut_run_trace(600, capsys, monkeypatch)
+    # full chunks went out during the run, the rest as the failure left the with
+    assert len(lines) > 2 * TRACE_CHUNK_LINES and len(lines) % TRACE_CHUNK_LINES
+    assert out.splitlines(keepends=True) == lines
+
+
+class Recorder(io.TextIOBase):
+    """A stdout that keeps each write as it was made."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def test_trace_goes_out_in_chunks_of_whole_lines(monkeypatch):
+    stdout = Recorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["run", "--hops", "11", "--loss", "0.15", "--dtc", "on", "--segments", "50",
+                 "--seed", "1", "--trace"]) == 0
+    records = []
+    run(Scenario(hops=11, p_data=0.15, dtc_enabled=True, total_segments=50, seed=1),
+        trace=records.append)
+    lines = render_each(11, records)
+    assert len(lines) > 3 * TRACE_CHUNK_LINES
+    # the trace's writes, then the metrics print() writes
+    chunks = stdout.writes[:math.ceil(len(lines) / TRACE_CHUNK_LINES)]
+    summary = "".join(stdout.writes[len(chunks):])
+    assert summary.startswith("scenario: h11-p0.15-on seed=1\n")
+    assert "HOP " not in summary and "DTC " not in summary
+    at = 0
+    for chunk in chunks:
+        chunk_lines = chunk.splitlines(keepends=True)
+        assert chunk.endswith("\n") and 0 < len(chunk_lines) <= TRACE_CHUNK_LINES
+        assert chunk_lines == lines[at:at + len(chunk_lines)]
+        at += len(chunk_lines)
+    assert at == len(lines)
 
 
 # the one error line of a write to a full device, and of one to a closed stdout

@@ -15,6 +15,7 @@ from hypothesis import given, note, settings, strategies as st
 from dtcsim import harness
 from dtcsim.engine import DTC, HOP, EventBudgetExceeded, LivenessError, Simulation
 from dtcsim.harness import (
+    MAX_EVENT_BUDGET,
     RunMetrics,
     RunRecord,
     Scenario,
@@ -58,6 +59,14 @@ def scenario(**overrides):
     dict(p_data=0.99, hops=160),            # the budget overflows to inf
     dict(total_segments=10**307, hops=3),   # each fits a float, 160 x their product does not
     dict(seed=-1),                          # random.Random(-1) seeds like random.Random(1)
+    # an event budget over MAX_EVENT_BUDGET, named by the knob that alone
+    # breaks it: a lossless segment over these hops would need 2.4e9 events
+    dict(hops=15_000_000, hop_latency=1, total_segments=1),
+    dict(hops=6_250_001, hop_latency=1, total_segments=1),
+    # one segment at this loss over 200 hops would need 5e12
+    dict(p_data=0.09, hops=200, total_segments=1),
+    # 2e10 over the trace-run chain, whose one segment needs 1e4
+    dict(total_segments=2_000_000, hops=11, p_data=0.15),
 ])
 def test_invalid_scenarios_rejected(bad):
     knob = next(iter(bad))
@@ -78,8 +87,9 @@ def test_boundary_knob_values_accepted():
                  rto_min=1, rto_initial=1, rto_max=120_000)
     assert s.effective_rto_min() == 1 and s.rto_max == 2 * s.path_delay()
     assert scenario(hops=11, rto_max=440_000).rto_max == 440_000    # the derived rto_min
-    # the most hops the default rto_max takes at 1 us a hop: 4 x path delay = 60 s
-    assert scenario(hops=15_000_000, hop_latency=1, total_segments=1).rto_max == 60_000_000
+    # the most hops the event budget cap takes: one lossless segment, 160 x hops
+    assert scenario(hops=6_250_000, hop_latency=1, total_segments=1).event_budget() \
+        == MAX_EVENT_BUDGET
 
 
 @pytest.mark.parametrize("knobs, message", [

@@ -1,3 +1,7 @@
+import errno
+import os
+
+import pytest
 from hypothesis import given, strategies as st
 
 from dtcsim.packets import (
@@ -9,7 +13,7 @@ from dtcsim.packets import (
     sack_add,
     sack_covers,
 )
-from dtcsim.engine import DTC, HOP, render_payload, renderer
+from dtcsim.engine import DTC, HOP, TRACE_CHUNK_LINES, render_payload, renderer
 
 seqs = st.integers(min_value=1, max_value=30)
 acks = st.builds(
@@ -136,10 +140,12 @@ def test_renderer_writes_every_line_shape():
         (110, DTC, 2, "regen_ack", 6),
     ]
     written = []
-    sink = renderer(4, written.append)
-    for record in records:
-        sink(record)
-    assert written == [
+    with renderer(4, written.append) as sink:
+        for record in records:
+            sink(record)
+        assert written == []
+    # fewer lines than a chunk: one write, as the with exits
+    assert written == ["".join([
         "HOP from=S to=0 kind=data result=delivered t=0 DATA seq=1 origin=e2e\n",
         "HOP from=1 to=2 kind=data result=lost t=10 DATA seq=2 origin=local\n",
         "HOP from=R to=2 kind=ack result=delivered t=20 ACK no=2 sack={}\n",
@@ -152,4 +158,22 @@ def test_renderer_writes_every_line_shape():
         "DTC node=0 action=clear seq=4 t=90\n",
         "DTC node=1 action=drop_ack seq=5 t=100\n",
         "DTC node=2 action=regen_ack seq=6 t=110\n",
-    ]
+    ])]
+
+
+@pytest.mark.parametrize("records", [TRACE_CHUNK_LINES + 5, 5],
+                         ids=["chunk-write", "exit-write"])
+def test_a_failed_trace_write_propagates_and_is_not_retried(records):
+    calls = []
+
+    def write(text):
+        calls.append(text)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with pytest.raises(OSError):
+        with renderer(4, write) as sink:
+            for k in range(records):
+                sink((k, DTC, 0, "cache", k))
+    # the held lines were dropped before the write, so the exit has none left
+    assert len(calls) == 1
+    assert calls[0].count("\n") == min(records, TRACE_CHUNK_LINES)
