@@ -322,13 +322,14 @@ def cmd_run(config: Config, trace: bool) -> None:
 def _sweep(config: Config) -> tuple:
     """Run config's cells config.runs times each and aggregate per cell.
 
-    Returns (records, aggregates, out), the output directory made.
+    Returns (records, aggregates, out), the output directory made before
+    the runs, so an unwritable one fails before any run.
     """
+    out = Path(config.out)
+    out.mkdir(parents=True, exist_ok=True)
     records = sweep(config.cells(), config.runs, config.seed, jobs=config.jobs)
     aggregates = [aggregate(records[i:i + config.runs])
                   for i in range(0, len(records), config.runs)]
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     return records, aggregates, out
 
 

@@ -15,9 +15,9 @@ the protocol state machines in ``node`` and ``endpoints``, the stations.
 Each is built from the run's ``Scenario``, whose knobs it reads itself:
 ``TcpSender(scenario, out)``, ``CachingNode(node_id, scenario, out)`` and
 ``TcpReceiver(scenario, out)``.  ``stations`` lists them by node id (the
-sender's -1 wraps to the last entry), and a frame arrival goes to
-``stations[target].on_data`` or ``.on_ack``, except at a relay (below).
-Every handler returns
+sender's -1 wraps to the last entry), with None at a relay (below), and a
+frame arrival goes to ``stations[target].on_data`` or ``.on_ack``, except
+where that entry is None.  Every handler returns
 nothing and emits straight back into the ``Simulation``, its sink ``out``
 (a recorder stands in for it in unit tests):
 
@@ -81,10 +81,12 @@ naive schedule and checks it.
 So the order in which a handler emits is the order of frame ids, draws and
 pushes, and it is part of every result; keep it when editing a handler.
 
-With caching off every intermediate node is a relay, and the run loop
-forwards a frame arriving there itself, as ``send`` would: one data
-transmission counted on the node for data, the next frame id, the drop
-override or one loss draw, and the trace record.  A surviving frame is
+With caching off every intermediate node is a relay: no ``CachingNode``
+is built, ``nodes`` is empty, and the relay's entry of ``stations`` is
+None.  The run loop forwards a frame arriving there itself, as ``send``
+would: for data, one data transmission counted in ``relay_data_tx`` by
+node id; the next frame id, the drop override or one loss draw, and the
+trace record.  A surviving frame is
 then carried on inline as the next arrival, with its ll-ack draw, without
 a heap push and pop: to the next relay, or into the sender's or the
 receiver's handler.  The carry stops, and the arrival is pushed, when a
@@ -268,15 +270,21 @@ class Simulation:
         self.receiver_id = scenario.hops - 1
         self.sender = TcpSender(scenario, self)
         self.receiver = TcpReceiver(scenario, self)
-        self.nodes = [CachingNode(i, scenario, self) for i in range(self.receiver_id)]
+        # with caching off no node is built: every intermediate node is a
+        # relay, which the run loop runs itself, counting its data
+        # transmissions here by node id
+        self.nodes = [CachingNode(i, scenario, self)
+                      for i in range(self.receiver_id)] if scenario.dtc_enabled else []
+        self.relay_data_tx = [0] * (self.receiver_id - len(self.nodes))
         # by node id, the ll timeout of the last frame the node awaits, held
         # while that frame is in flight; and the id of the last frame send lost
-        self._held: list[Optional[tuple]] = [None] * self.receiver_id
+        self._held: list[Optional[tuple]] = [None] * len(self.nodes)
         self._lost_frame = -1
-        # indexed by node id: the sender's -1 wraps to the last entry
-        self.stations = [*self.nodes, self.receiver, self.sender]
+        # indexed by node id, None at a relay: the sender's -1 wraps to the
+        # last entry
+        self.stations = self.nodes + [None] * len(self.relay_data_tx) + [self.receiver, self.sender]
         # by node id as stations, the ll ack a node has yet to apply, as
-        # (lands_at, seq, frame_id); the endpoints' entries stay None
+        # (lands_at, seq, frame_id); the other entries stay None
         self._ll_acks: list[Optional[tuple]] = [None] * len(self.stations)
         # the frame arrival send holds for the run loop to take next, None
         # while the slot is empty; () closes it until run() starts, so a
@@ -358,12 +366,11 @@ class Simulation:
         sender = self.sender
         receiver = self.receiver
         nodes = self.nodes
+        n_nodes = len(nodes)
+        relay_data_tx = self.relay_data_tx
         held = self._held
         ll_acks = self._ll_acks
         stations = self.stations
-        receiver_id = self.receiver_id
-        # with caching off every intermediate node is a relay
-        relays = not self.scenario.dtc_enabled
         latency = self.latency
         p_data = self.p_data
         p_tcp_ack = self.p_tcp_ack
@@ -404,9 +411,10 @@ class Simulation:
                 acked = rand() >= p_ll_ack
                 if trace is not None:
                     self._trace_hop(target, target - 1 if is_data else target + 1, segment, "llack", acked)
-                if not (relays and 0 <= target < receiver_id):
+                station = stations[target]
+                if station is not None:
                     transmitter = target - 1 if is_data else target + 1
-                    if 0 <= transmitter < receiver_id:
+                    if 0 <= transmitter < n_nodes:
                         node = nodes[transmitter]
                         # a slot holding this frame still awaits its ll ack:
                         # the ll ack and the held ll timeout come no earlier
@@ -424,17 +432,17 @@ class Simulation:
                     pending = ll_acks[target]
                     if pending is not None and pending < (now, seq):
                         ll_acks[target] = None
-                        nodes[target].on_ll_ack(pending[2], now)
+                        station.on_ll_ack(pending[2], now)
                     if is_data:
-                        stations[target].on_data(segment, now)
+                        station.on_data(segment, now)
                     else:
-                        stations[target].on_ack(segment, now)
+                        station.on_ack(segment, now)
                         if sender.completed_at is not None:
                             return self._collect()
                     break
                 # a relay forwards the frame as send() would ...
                 if is_data:
-                    nodes[target].data_tx_count += 1
+                    relay_data_tx[target] += 1
                     dst = target + 1
                     threshold = p_data
                 else:
@@ -473,11 +481,12 @@ class Simulation:
         # the state machines hold this simulation as their sink; cut that
         # cycle so a finished run is freed at once, not at the next full
         # garbage collection (a sweep's peak memory would show the wait)
-        for station in self.stations:
+        for station in (*self.nodes, self.receiver, self.sender):
             station.out = None
         return RunMetrics(
             e2e_retransmissions=self.sender.e2e_retransmissions,
-            per_node_data_tx=tuple(n.data_tx_count for n in self.nodes),
+            # one of the two lists is empty
+            per_node_data_tx=tuple([n.data_tx_count for n in self.nodes] + self.relay_data_tx),
             sender_data_tx=self.sender.total_data_tx,
             completion_time=self.sender.completed_at,
             delivered_segments=self.receiver.delivered_in_order,

@@ -34,9 +34,6 @@ the ll timeout and pushes the timeout otherwise, never both.  A kept ll
 ack is no event either: the engine calls ``on_ll_ack`` just before the
 node's next frame arrival that the ll ack comes before (see ``engine``).
 
-With caching off a node's handlers never run: the engine's run loop
-relays every frame itself and counts the node's data transmissions.
-
 A node is built from its id and the run's ``Scenario``, whose ll-ack
 wait, local retry limit and chain geometry it reads itself.
 Handlers return nothing; they emit into the sink ``out`` given at

@@ -2,10 +2,12 @@
 
 ``Reference`` is a ``Simulation`` whose ``run`` skips nothing:
 
-  * every frame that survives its link is pushed and popped, and a
-    caching-off relay forwards it with ``send``, so no frame is carried;
+  * every frame that survives its link is pushed and popped, and a relay
+    (a node id whose station is None) forwards it with ``send``, so no
+    frame is carried;
   * every surviving frame's ll ack is pushed to its transmitter when that
-    is a node, whose ``on_ll_ack`` ignores a frame it does not await;
+    is a caching node, whose ``on_ll_ack`` ignores a frame it does not
+    await;
   * every timer a station arms is pushed when it is armed.
 
 It has the same stations, the same draws and the same drop override as the
@@ -32,8 +34,6 @@ class Reference(Simulation):
 
     def run(self):
         heap = self._heap
-        receiver_id = self.receiver_id
-        relays = not self.scenario.dtc_enabled
         budget = BUDGET_FACTOR * self.scenario.event_budget()
         processed = 0
         self.sender.start(self.now)
@@ -51,14 +51,14 @@ class Reference(Simulation):
             transmitter = target - 1 if is_data else target + 1
             self.draws += 1
             acked = self._random() >= self.p_ll_ack
-            if acked and 0 <= transmitter < receiver_id:
+            if acked and 0 <= transmitter < len(self.nodes):
                 heappush(heap, (now + self.latency, next(self._seq),
                                 self.nodes[transmitter].on_ll_ack, frame_id))
             if self.trace is not None:
                 self._trace_hop(target, transmitter, segment, "llack", acked)
-            if relays and 0 <= target < receiver_id:
+            if self.stations[target] is None:
                 if is_data:
-                    self.nodes[target].data_tx_count += 1
+                    self.relay_data_tx[target] += 1
                 self.send(target, segment)
             elif is_data:
                 self.stations[target].on_data(segment, now)

@@ -95,7 +95,7 @@ def test_config_error_exits_2(tmp_path, capsys):
 def no_simulation(monkeypatch):
     """Fail the test if a command gets as far as starting a run."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a simulation started despite a bad knob")
+        raise AssertionError("a simulation started despite a bad knob or output directory")
 
     monkeypatch.setattr("dtcsim.cli.run_scenario", refuse)
     monkeypatch.setattr("dtcsim.cli.sweep", refuse)
@@ -616,7 +616,8 @@ def test_sweep_determinism_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_unwritable_output_directory_exits_3(tmp_path, capsys):
+def test_unwritable_output_directory_exits_3(tmp_path, capsys, no_simulation):
+    # the directory is made before the runs, so no run starts
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
     code = main(["sweep", "--hops", "2", "--loss", "0.0", "--segments", "5",

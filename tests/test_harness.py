@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -144,6 +145,25 @@ def test_stations_are_indexed_by_node_id():
     assert sim.stations[sim.receiver_id] is sim.receiver
     assert sim.receiver.node_id == sim.receiver_id == 4
     assert sim.stations[-1] is sim.sender
+    # with caching off no node is built, and a relay's entry is None
+    sim = Simulation(scenario(hops=5, dtc_enabled=False))
+    assert sim.nodes == [] and sim.stations[:4] == [None] * 4
+    assert sim.stations[4:] == [sim.receiver, sim.sender]
+
+
+def test_a_relay_costs_a_few_list_entries():
+    # a caching-off chain builds no node per hop, so its build is a few
+    # list entries per hop (a CachingNode took over 600 B)
+    hops = 10_000
+    s = Scenario(hops=hops, p_data=0.0, dtc_enabled=False, total_segments=1, hop_latency=1)
+    tracemalloc.start()
+    try:
+        sim = Simulation(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sim.nodes == []
+    assert peak / hops < 64
 
 
 def test_finished_run_is_freed_without_the_cycle_collector():
@@ -177,14 +197,16 @@ def test_every_knob_reaches_its_state_machine():
     assert sender.rto == s.effective_rto_initial() and sender.rto_min == s.effective_rto_min()
     assert sender.spacing == s.effective_send_spacing() == 12_345
     assert sim.receiver.total == 17
-    assert len(sim.nodes) == 4
-    for node in sim.nodes:
+    assert sim.nodes == []                                              # caching off: relays only
+    sim.run()
+    assert [record for record in records if record[1] == DTC] == []
+    nodes = Simulation(dataclasses.replace(s, dtc_enabled=True)).nodes
+    assert len(nodes) == 4
+    for node in nodes:
         assert node.ll_wait == s.ll_wait() == 14_000
         assert node.max_local_retries == 5
         assert node.hops_to_receiver == 4 - node.node_id
         assert node.rtt_est == 2 * node.hops_to_receiver * 7_000
-    sim.run()
-    assert [record for record in records if record[1] == DTC] == []     # caching off: relays only
 
 
 def test_hops_to_receiver_arithmetic():

@@ -128,11 +128,11 @@ def test_data_below_forwarded_ack_regenerates_ack():
 
 def test_disabled_node_is_a_pure_relay():
     # with caching off each node forwards every frame it receives unchanged,
-    # at the instant it arrives, and its cache machine never runs
+    # at the instant it arrives, and no cache machine is built
     records = []
     sim = Simulation(Scenario(hops=4, p_data=0.0, dtc_enabled=False, total_segments=5),
                      trace=records.append)
-    sim.run()
+    metrics = sim.run()
     assert [record for record in records if record[1] == DTC] == []
     frames = [(t, src, dst, payload)
               for t, tag, src, dst, kind, _, payload in records if tag == HOP and kind != "llack"]
@@ -141,9 +141,9 @@ def test_disabled_node_is_a_pure_relay():
                 for t, _, dst, payload in frames if 0 <= dst < sim.receiver_id]
     assert len(relayed) == 3 * (5 + 5)          # 5 data and 5 acks through each node
     assert Counter(relayed) == Counter(expected)
-    for node in sim.nodes:
-        assert node.state is None and node.timer_generation == 0
-        assert (node.data_tx_count, node.local_retx_count, node.last_ack_forwarded) == (5, 0, 1)
+    assert sim.nodes == [] and sim.stations[:3] == [None] * 3
+    assert tuple(sim.relay_data_tx) == metrics.per_node_data_tx == (5, 5, 5)
+    assert metrics.local_retransmissions_total == 0
 
 
 # -- link-layer ack handling ---------------------------------------------------------
