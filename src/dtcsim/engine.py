@@ -83,21 +83,29 @@ pushes, and it is part of every result; keep it when editing a handler.
 
 With caching off every intermediate node is a relay: no ``CachingNode``
 is built, ``nodes`` is empty, and the relay's entry of ``stations`` is
-None.  The run loop forwards a frame arriving there itself, as ``send``
-would: for data, one data transmission counted in ``relay_data_tx`` by
-node id; the next frame id, the drop override or one loss draw, and the
-trace record.  A surviving frame is
-then carried on inline as the next arrival, with its ll-ack draw, without
-a heap push and pop: to the next relay, or into the sender's or the
-receiver's handler.  The carry stops, and the arrival is pushed, when a
-queued event fires at or before the arrival (on a tie the queued event,
-pushed earlier, pops first), or when one more event would exceed the
-budget.  Otherwise the arrival is the very next
-event the heap would pop, so carrying it processes the same events in the
-same order.  A skipped push takes no insertion number; the counter still
-grows with every push, so no two events change their relative order.  A
-carried hop counts as a processed event, so the budget cuts a run at the
-same event.
+None.  The run loop forwards a frame arriving there itself, counting a
+data frame's transmission in ``relay_data_tx`` by node id.  A run that
+traces or has a drop override forwards it with ``send``, so ``send`` is
+the one place that asks the override for a frame or traces it.
+Any other run carries the frame on as the next arrival without a heap
+push and pop, through the next relays, to where it is lost or into the
+sender's or the receiver's handler.  Each carried hop is one loss draw
+against the frame's threshold, the arrival's ll-ack draw (no node awaits
+it, so it is drawn and not kept) and the relay's count; after the carry
+the frame-id and draw counters, the processed events and the clock
+advance once by the hops carried, a frame that stops at a relay having
+made one more forward than arrivals.  The carry stops, and the arrival
+is pushed with the clock at the last carried hop, when a queued event
+fires at or before the arrival (on a tie the queued event, pushed
+earlier, pops first), or when one more event would exceed the budget.
+No relay pushes, so the head of the heap stays put during a carry, and
+that bound is computed once, before its first hop; a queued event at
+the carry's own time allows no hop.  Otherwise each arrival is the very
+next event the heap would pop, so carrying it processes the same events
+in the same order.  A skipped push takes no insertion number; the
+counter still grows with every push, so no two events change their
+relative order.  A carried hop counts as a processed event, so the
+budget cuts a run at the same event.
 
 ``send`` holds the first surviving frame it sends since the run loop
 last took an event, instead of pushing it, and pushes any further one.
@@ -105,11 +113,12 @@ At the top of the loop a held frame goes through ``heappushpop``: it is
 the next event itself, without touching the heap, unless a queued event
 comes first in ``(time, seq)``; then that event pops and the frame goes
 into the heap.  The frame took its insertion number in ``send``, so the
-events come in the same order either way, and the endpoints' and the
-caching nodes' frames need no heap round trip while nothing queued comes
-first.  The relays keep their own carry above; sending their frames
-through the slot instead made caching-off runs slower (ROADMAP, "Tried
-and dropped").
+events come in the same order either way, and the endpoints', the
+caching nodes' and a traced or driven run's relays' frames need no heap
+round trip while nothing queued comes first.  An untraced relay keeps
+the carry above: sending every relayed frame through the slot made
+caching-off runs slower (ROADMAP, "Tried and dropped"), and a traced
+caching-off run, which does, is slower for it (README, "Performance").
 The slot is open only inside ``run``, so a ``send`` outside a run, or in
 a loop that never takes from the slot, such as the reference loop that
 inherits ``send``, pushes every frame.
@@ -264,7 +273,7 @@ class Simulation:
         self.p_tcp_ack = scenario.p_data / 2.0
         self.p_ll_ack = scenario.p_data / 4.0
         self.latency = scenario.hop_latency
-        self._frame_ids = count()
+        self._frames = 0                            # the next frame id
         self.trace = trace
         self.drop_override = drop_override
         self.receiver_id = scenario.hops - 1
@@ -302,7 +311,8 @@ class Simulation:
         """Transmit one frame from src: a data segment toward the receiver,
         an ack toward the sender; its frame id.  A surviving frame is held
         for the run loop when the slot is empty, and pushed otherwise."""
-        frame_id = next(self._frame_ids)
+        frame_id = self._frames
+        self._frames = frame_id + 1
         if type(payload) is DataSegment:
             dst = src + 1
             threshold = self.p_data
@@ -362,7 +372,9 @@ class Simulation:
         heap = self._heap
         rand = self._random
         trace = self.trace
-        drop_override = self.drop_override
+        # a traced or driven run relays through send(), the one place that
+        # traces a frame or asks the override
+        by_send = trace is not None or self.drop_override is not None
         sender = self.sender
         receiver = self.receiver
         nodes = self.nodes
@@ -403,74 +415,88 @@ class Simulation:
                 continue
             target, frame_id, segment = arg
             is_data = type(segment) is DataSegment
-            while True:
-                # drawn always, kept only for its one reader when it lands
-                # before the reader's held ll timeout, which is pushed
-                # otherwise (module docstring)
-                self.draws += 1
-                acked = rand() >= p_ll_ack
-                if trace is not None:
-                    self._trace_hop(target, target - 1 if is_data else target + 1, segment, "llack", acked)
-                station = stations[target]
-                if station is not None:
-                    transmitter = target - 1 if is_data else target + 1
-                    if 0 <= transmitter < n_nodes:
-                        node = nodes[transmitter]
-                        # a slot holding this frame still awaits its ll ack:
-                        # the ll ack and the held ll timeout come no earlier
-                        # than this arrival, and every other move empties or
-                        # refills the slot
-                        if node.state is not None and node.cached_frame_id == frame_id:
-                            lands_at = now + latency
-                            timer = held[transmitter]
-                            if acked and timer[0] > lands_at:
-                                ll_acks[transmitter] = (lands_at, next(self._seq), frame_id)
-                            else:
-                                heappush(heap, timer)
-                    # the target node's ll ack, if it comes before this
-                    # arrival in (time, seq)
-                    pending = ll_acks[target]
-                    if pending is not None and pending < (now, seq):
-                        ll_acks[target] = None
-                        station.on_ll_ack(pending[2], now)
-                    if is_data:
-                        station.on_data(segment, now)
-                    else:
-                        station.on_ack(segment, now)
-                        if sender.completed_at is not None:
-                            return self._collect()
-                    break
-                # a relay forwards the frame as send() would ...
+            # drawn always, kept only for its one reader when it lands
+            # before the reader's held ll timeout, which is pushed otherwise
+            # (module docstring)
+            self.draws += 1
+            acked = rand() >= p_ll_ack
+            if trace is not None:
+                self._trace_hop(target, target - 1 if is_data else target + 1, segment, "llack", acked)
+            station = stations[target]
+            if station is None:
+                # a relay forwards the frame: through send() in a traced or
+                # driven run ...
                 if is_data:
                     relay_data_tx[target] += 1
-                    dst = target + 1
-                    threshold = p_data
-                else:
-                    dst = target - 1
-                    threshold = p_tcp_ack
-                frame_id = next(self._frame_ids)
-                forced = None
-                if drop_override is not None:
-                    forced = drop_override(frame_id, segment, target, dst)
-                if forced is None:
-                    self.draws += 1
-                    delivered = rand() >= threshold
-                else:
-                    delivered = not forced
-                if trace is not None:
-                    self._trace_hop(target, dst, segment, "data" if is_data else "ack", delivered)
-                if not delivered:
-                    break
-                # ... and carries it on as the next event, into a relay or a
-                # station, while nothing queued fires first (a tie pops the
-                # queued event first) and the budget allows
-                at = now + latency
-                if (heap and heap[0][0] <= at) or processed == budget:
-                    heappush(heap, (at, next(self._seq), None, (dst, frame_id, segment)))
-                    break
-                now = self.now = at
-                processed += 1
-                target = dst
+                if by_send:
+                    self.send(target, segment)
+                    continue
+                # ... and otherwise carries it on, hop by hop, as the next
+                # event, into a relay or a station, while nothing queued
+                # fires first (a tie pops the queued event first) and the
+                # budget allows.  No relay pushes, so the bound holds for
+                # the whole carry; a queued event at now itself allows none
+                room = budget - processed
+                if heap:
+                    gap = (heap[0][0] - now - 1) // latency
+                    if gap < room:
+                        room = gap if gap > 0 else 0
+                step = 1 if is_data else -1
+                threshold = p_data if is_data else p_tcp_ack
+                hops = 0
+                while rand() >= threshold:
+                    if hops == room:
+                        # the clock at the last carried hop, as a push reads it
+                        self.now = now + hops * latency
+                        heappush(heap, (self.now + latency, next(self._seq), None,
+                                        (target + step, self._frames + hops, segment)))
+                        break
+                    hops += 1
+                    target += step
+                    # the arrival's ll-ack draw: with caching off no node
+                    # awaits it, so nothing reads it
+                    rand()
+                    station = stations[target]
+                    if station is not None:
+                        break
+                    if is_data:
+                        relay_data_tx[target] += 1
+                # a frame that stops at a relay, lost or pushed, made one
+                # more forward than arrivals
+                forwards = hops + (station is None)
+                self._frames += forwards
+                self.draws += forwards + hops
+                processed += hops
+                now = self.now = now + hops * latency
+                if station is None:
+                    continue
+                # into an endpoint, with caching off: no node awaits an ll
+                # ack or keeps one, so frame_id, acked and seq go unread
+            transmitter = target - 1 if is_data else target + 1
+            if 0 <= transmitter < n_nodes:
+                node = nodes[transmitter]
+                # a slot holding this frame still awaits its ll ack: the ll
+                # ack and the held ll timeout come no earlier than this
+                # arrival, and every other move empties or refills the slot
+                if node.state is not None and node.cached_frame_id == frame_id:
+                    lands_at = now + latency
+                    timer = held[transmitter]
+                    if acked and timer[0] > lands_at:
+                        ll_acks[transmitter] = (lands_at, next(self._seq), frame_id)
+                    else:
+                        heappush(heap, timer)
+            # the target node's ll ack, if it comes before this arrival in
+            # (time, seq)
+            pending = ll_acks[target]
+            if pending is not None and pending < (now, seq):
+                ll_acks[target] = None
+                station.on_ll_ack(pending[2], now)
+            if is_data:
+                station.on_data(segment, now)
+            else:
+                station.on_ack(segment, now)
+                if sender.completed_at is not None:
+                    return self._collect()
         raise LivenessError(
             f"{self.scenario.cell_id} seed={self.scenario.seed}: "
             f"event queue drained at t={self.now}us with "

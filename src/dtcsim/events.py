@@ -23,9 +23,11 @@ The order in which a run schedules events and consumes random draws is
 part of its result: two runs agree byte for byte only if they handle the
 same events in the same order and draw from the source in the same
 order.  A faster engine must preserve both; it may handle an event
-without pushing it, leave out an event that cannot change the run,
-hold a node's ll ack as state, or push a timer later than it was armed
-under the insertion number it took then (``engine`` says when).
+without pushing it, carry a frame over several hops and advance the
+frame-id, draw, event and clock counters once for all of them, leave
+out an event that cannot change the run, hold a node's ll ack as state,
+or push a timer later than it was armed under the insertion number it
+took then (``engine`` says when).
 """
 
 from __future__ import annotations

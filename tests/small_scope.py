@@ -3,7 +3,11 @@ over every knob combination of a grid of tiny chains.
 
 Each traced run of the grid must give the reference loop's ``RunMetrics``
 and trace records, or, where the engine cuts the run at its event
-budget, a prefix of the reference's records.  Small instances are cheap
+budget, a prefix of the reference's records.  The engine also runs each
+scenario untraced, where a caching-off run carries frames across its
+relays instead of sending them, and must end as its traced run does: in
+the same ``RunMetrics``, or cut at the same time with the same segments
+delivered.  Small instances are cheap
 to enumerate, and most defects show on some small instance (the
 small-scope hypothesis).  The grid:
 
@@ -27,7 +31,7 @@ import argparse
 import itertools
 import sys
 
-from dtcsim.engine import EventBudgetExceeded, Simulation
+from dtcsim.engine import EventBudgetExceeded, RunMetrics, Simulation
 from dtcsim.harness import Scenario
 from reference_loop import Reference
 
@@ -51,25 +55,35 @@ def grid(segments=(12,), max_hops=6):
             yield Scenario(dtc_enabled=True, ll_wait_multiplier=multiplier, **knobs)
 
 
-def traced(loop, s, drop_override=None):
-    """(RunMetrics, or None on a budget cut; trace records) of one run."""
-    records = []
+def outcome(sim):
+    """A run's RunMetrics, or where its event budget cuts it, the time and
+    the segments delivered in order at the cut."""
     try:
-        metrics = loop(s, trace=records.append, drop_override=drop_override).run()
+        return sim.run()
     except EventBudgetExceeded:
-        metrics = None
-    return metrics, records
+        return sim.now, sim.receiver.delivered_in_order
+
+
+def traced(loop, s, drop_override=None):
+    """(outcome of one run, trace records)."""
+    records = []
+    return outcome(loop(s, trace=records.append, drop_override=drop_override)), records
 
 
 def matches(s, make_override=lambda: None) -> bool:
     """Whether the engine's run of s is the reference loop's, or a prefix of
     it where the engine cuts the run at its budget.  make_override() gives
-    each run its own drop override."""
-    engine_metrics, engine_records = traced(Simulation, s, make_override())
-    reference_metrics, reference_records = traced(Reference, s, make_override())
-    if engine_metrics is None:
+    each run its own drop override; where it gives None, the engine also
+    runs untraced, where it carries frames across relays, and must end as
+    the traced run does."""
+    drop_override = make_override()
+    engine_outcome, engine_records = traced(Simulation, s, drop_override)
+    reference_outcome, reference_records = traced(Reference, s, make_override())
+    if drop_override is None and outcome(Simulation(s)) != engine_outcome:
+        return False
+    if not isinstance(engine_outcome, RunMetrics):
         return engine_records == reference_records[:len(engine_records)]
-    return engine_metrics == reference_metrics and engine_records == reference_records
+    return engine_outcome == reference_outcome and engine_records == reference_records
 
 
 def mismatches(scenarios) -> list:

@@ -404,11 +404,13 @@ def test_failing_sweep_run_names_its_scenario_and_seed(jobs, monkeypatch):
 ])
 def test_budget_cut_on_a_caching_off_chain(monkeypatch, budget, cut_at):
     # the messages were recorded before relays forwarded frames inside the
-    # run loop; a cut among relay hops must still name the same event
+    # run loop; a cut among relay hops must still name the same event, both
+    # where the relays carry frames (untraced) and where they send them
     monkeypatch.setattr(Scenario, "event_budget", lambda self: budget)
-    with pytest.raises(LivenessError) as cut:
-        run(Scenario(hops=6, p_data=0.2, dtc_enabled=False, total_segments=30, seed=3))
-    assert str(cut.value) == f"h6-p0.2-off seed=3: run exceeded the {budget} event budget at {cut_at}"
+    for trace in (None, [].append):
+        with pytest.raises(LivenessError) as cut:
+            run(Scenario(hops=6, p_data=0.2, dtc_enabled=False, total_segments=30, seed=3), trace)
+        assert str(cut.value) == f"h6-p0.2-off seed=3: run exceeded the {budget} event budget at {cut_at}"
 
 
 def budget_cuts(loop, table):

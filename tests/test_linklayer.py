@@ -309,20 +309,26 @@ def test_ll_timeout_tied_with_its_ll_ack_is_pushed_at_the_frame_arrival():
 
 # -- the caching-off carry, which runs on into the endpoints ---------------------------
 
-def endpoint_pushes(**knobs):
-    """A lossless caching-off run over 3 hops: (time of the push, fire_at,
-    target) of each frame pushed toward the sender or the receiver, and the
-    run's metrics."""
-    sim = Simulation(Scenario(hops=3, p_data=0.0, dtc_enabled=False, **knobs))
+def arrival_pushes(hops=3, **knobs):
+    """A lossless caching-off run: (time of the push, fire_at, target) of
+    each frame arrival pushed, and the run's metrics."""
+    sim = Simulation(Scenario(hops=hops, p_data=0.0, dtc_enabled=False, **knobs))
     pushes = []
 
     def on_push(fire_at, call, arg):
-        if call is None and arg[0] in (-1, sim.receiver_id):
+        if call is None:
             pushes.append((sim.now, fire_at, arg[0]))
 
     with watch_pushes(on_push):
         metrics = sim.run()
     return pushes, metrics
+
+
+def endpoint_pushes(**knobs):
+    """As arrival_pushes over 3 hops, for the frames pushed toward the
+    sender or the receiver."""
+    pushes, metrics = arrival_pushes(**knobs)
+    return [push for push in pushes if push[2] in (-1, 2)], metrics
 
 
 def test_a_carried_frame_enters_the_endpoint_when_nothing_queued_fires_first():
@@ -339,6 +345,25 @@ def test_a_frame_toward_an_endpoint_is_pushed_when_a_queued_frame_fires_first():
     pushes, metrics = endpoint_pushes(total_segments=2, window=2, send_spacing=15_000)
     assert pushes == [(20_000, 30_000, 2), (35_000, 45_000, 2), (50_000, 60_000, -1)]
     assert (metrics.rng_draws, metrics.completion_time) == (24, 75_000)
+
+
+@pytest.mark.parametrize("spacing, push", [
+    # segment 2 is queued for node 0 at 10 ms, when segment 1 arrives there:
+    # segment 1 is pushed at once, no hop carried
+    (0, (10_000, 20_000, 1)),
+    # the sender's slot for segment 2 at 20 ms ties the first hop's arrival
+    (20_000, (10_000, 20_000, 1)),
+    # ... or the second hop's: pushed at node 1, the last carried hop
+    (30_000, (20_000, 30_000, 2)),
+    # the slot at 35 ms fires before the third hop's arrival at 40 ms:
+    # pushed at node 2, two hops carried
+    (35_000, (30_000, 40_000, 3)),
+], ids=["queued-at-now", "tie-first-hop", "tie-second-hop", "before-third-hop"])
+def test_a_carry_stops_where_a_queued_event_fires_first(spacing, push):
+    # the first frame pushed past node 0, which only a relay sends there
+    pushes, metrics = arrival_pushes(hops=5, total_segments=2, window=2, send_spacing=spacing)
+    assert next(p for p in pushes if p[2] > 0) == push
+    assert metrics.rng_draws == 40
 
 
 # -- the held slot: the first frame a handler sends, taken as the next event -------
