@@ -64,7 +64,9 @@ have popped had it been pushed when armed.
 
 A kept ll ack is node state, not an event: the run stores
 ``(lands_at, seq, frame_id)`` as the node's entry of ``_ll_acks``, the ll
-ack taking its insertion number there as a push would.  Just before a frame arrival
+ack taking its insertion number there as a push would.  ``_ll_acks``
+holds one entry per caching node and one more, always None, that an
+arrival at the sender or the receiver reads.  Just before a frame arrival
 hands a frame to that node, the run applies the ll ack, as
 ``nodes[n].on_ll_ack(frame_id, now)``, if it comes before the arrival in
 ``(time, seq)``: a tie in time goes by insertion number.  The node's
@@ -284,17 +286,18 @@ class Simulation:
         # transmissions here by node id
         self.nodes = [CachingNode(i, scenario, self)
                       for i in range(self.receiver_id)] if scenario.dtc_enabled else []
-        self.relay_data_tx = [0] * (self.receiver_id - len(self.nodes))
+        relays = self.receiver_id - len(self.nodes)
+        # indexed by node id, None at a relay: the sender's -1 wraps to the
+        # last entry
+        self.stations = self.nodes + [None] * relays + [self.receiver, self.sender]
+        self.relay_data_tx = [0] * relays
         # by node id, the ll timeout of the last frame the node awaits, held
         # while that frame is in flight; and the id of the last frame send lost
         self._held: list[Optional[tuple]] = [None] * len(self.nodes)
         self._lost_frame = -1
-        # indexed by node id, None at a relay: the sender's -1 wraps to the
-        # last entry
-        self.stations = self.nodes + [None] * len(self.relay_data_tx) + [self.receiver, self.sender]
-        # by node id as stations, the ll ack a node has yet to apply, as
-        # (lands_at, seq, frame_id); the other entries stay None
-        self._ll_acks: list[Optional[tuple]] = [None] * len(self.stations)
+        # by node id, the ll ack a node has yet to apply, as (lands_at, seq,
+        # frame_id); an endpoint reads the last entry, which stays None
+        self._ll_acks: list[Optional[tuple]] = [None] * (len(self.nodes) + 1)
         # the frame arrival send holds for the run loop to take next, None
         # while the slot is empty; () closes it until run() starts, so a
         # send outside a run pushes every frame
@@ -487,7 +490,7 @@ class Simulation:
                         heappush(heap, timer)
             # the target node's ll ack, if it comes before this arrival in
             # (time, seq)
-            pending = ll_acks[target]
+            pending = ll_acks[target if target < n_nodes else -1]
             if pending is not None and pending < (now, seq):
                 ll_acks[target] = None
                 station.on_ll_ack(pending[2], now)

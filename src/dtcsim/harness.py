@@ -13,7 +13,6 @@ import dataclasses
 import math
 import os
 import statistics
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -61,9 +60,10 @@ class Scenario:
     def __post_init__(self) -> None:
         """Reject knob values no run can use; each message starts with the field.
 
-        A bound that hops and another knob break together names hops when
-        no value of the other knob could meet it, else the other knob.  The
-        last bound is ``MAX_EVENT_BUDGET`` on ``event_budget()``.
+        The one cost rule, ``MAX_EVENT_BUDGET`` on ``event_budget()``, comes
+        right after the range checks of the three knobs it reads, and names
+        hops when no value of the other knobs could meet it, else p_data
+        when no segment count could, else total_segments.
         """
         if self.hops < 2:
             raise ValueError(f"hops must be >= 2 (a chain of two links), got {self.hops}")
@@ -71,19 +71,22 @@ class Scenario:
             raise ValueError(f"p_data (per-hop data loss) must be in [0, 1), got {self.p_data!r}")
         if self.total_segments < 1:
             raise ValueError(f"total_segments must be >= 1, got {self.total_segments}")
-        # event_budget divides this product as a float; an int compares with
-        # a float exactly, so this holds however large either knob is
-        if EVENTS_PER_SEGMENT_HOP * self.total_segments * self.hops > sys.float_info.max:
-            knob = ("hops" if EVENTS_PER_SEGMENT_HOP * self.hops > sys.float_info.max
-                    else "total_segments")     # hops: even one segment is too many
-            raise ValueError(f"{knob} must keep {EVENTS_PER_SEGMENT_HOP} x total_segments x hops "
-                             f"below 1.8e308")
-        try:
-            budget = self.event_budget()
-        except (ZeroDivisionError, OverflowError):
-            # (1 - p_data) ** hops underflowed to 0, or the budget to inf
-            raise ValueError(f"p_data must leave a finite event budget over {self.hops} "
-                             f"hops, got {self.p_data!r}") from None
+        # the event budget cap, on the three knobs it reads: hops when one
+        # lossless segment is over it, p_data when one segment at this loss
+        # is, else total_segments.  The ints are compared first, so no knob
+        # too large for a float is converted; a division that overflows is inf
+        rule = f"keep the event budget within {MAX_EVENT_BUDGET}"
+        one_segment = EVENTS_PER_SEGMENT_HOP * self.hops
+        if one_segment > MAX_EVENT_BUDGET:
+            raise ValueError(f"hops must be <= {MAX_EVENT_BUDGET // EVENTS_PER_SEGMENT_HOP} "
+                             f"to {rule}")
+        survival = (1 - self.p_data) ** self.hops
+        if survival == 0 or one_segment / survival > MAX_EVENT_BUDGET:
+            raise ValueError(f"p_data must {rule} for one segment over {self.hops} hops, "
+                             f"got {self.p_data!r}")
+        if self.total_segments > MAX_EVENT_BUDGET or self.event_budget() > MAX_EVENT_BUDGET:
+            raise ValueError(f"total_segments must {rule} over {self.hops} hops at p_data "
+                             f"{self.p_data!r}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
         # random.Random(-s) seeds exactly like random.Random(s)
@@ -111,31 +114,15 @@ class Scenario:
         floor = max(self.effective_rto_min(), 2 * self.path_delay())
         if self.rto_max < floor:
             if self.rto_max == DEFAULT_RTO_MAX:
-                # the ceiling was left alone: the hops are too slow or too many
-                # for it; the floor spans this many path delays
+                # the ceiling was left alone: the hops are too slow for it; the
+                # floor spans this many path delays, and the cap's hops fit
+                # it at 1 us a hop
                 per_hop = 4 if self.rto_min is None else 2
-                rule = (f"the default rto_max ({self.rto_max} us) must cover the effective "
-                        f"rto_min and one path round trip")
-                if self.hops > self.rto_max // per_hop:       # even at a 1 us hop
-                    raise ValueError(f"hops must be <= {self.rto_max // per_hop} with a 1 us "
-                                     f"hop_latency: {rule}")
-                raise ValueError(f"hop_latency must be <= {self.rto_max // (per_hop * self.hops)} "
-                                 f"us over {self.hops} hops: {rule}")
+                raise ValueError(f"hop_latency must be <= {self.rto_max // (per_hop * self.hops)} us "
+                                 f"over {self.hops} hops: the default rto_max ({self.rto_max} us) "
+                                 f"must cover the effective rto_min and one path round trip")
             raise ValueError(f"rto_max must be >= the effective rto_min and one path "
                              f"round trip ({floor} us), got {self.rto_max}")
-        if budget > MAX_EVENT_BUDGET:
-            # hops when even one lossless segment is over the cap, p_data when
-            # one segment at this loss is, else total_segments
-            rule = f"keep the event budget within {MAX_EVENT_BUDGET}"
-            one_segment = EVENTS_PER_SEGMENT_HOP * self.hops
-            if one_segment > MAX_EVENT_BUDGET:
-                raise ValueError(f"hops must be <= {MAX_EVENT_BUDGET // EVENTS_PER_SEGMENT_HOP} "
-                                 f"to {rule}, got {self.hops}")
-            if one_segment / (1 - self.p_data) ** self.hops > MAX_EVENT_BUDGET:
-                raise ValueError(f"p_data must {rule} for one segment over {self.hops} hops, "
-                                 f"got {self.p_data!r}")
-            raise ValueError(f"total_segments must {rule}, got {self.total_segments} "
-                             f"(a budget of {budget})")
 
     @property
     def cell_id(self) -> str:

@@ -146,13 +146,14 @@ RUN_ARGS = ["run", "--loss", "0.1", "--dtc", "on", "--segments", "5"]
      "bad value for rto_max_us: rto_max"),
     # a loss so high over so many hops that no event budget is a number
     (["run", "--hops", "200", "--loss", "0.99", "--dtc", "off"],
-     "bad value for loss: p_data must leave a finite event budget over 200 hops, got 0.99"),
+     "bad value for loss: p_data must keep the event budget within 1000000000 for one segment "
+     "over 200 hops, got 0.99"),
     # a segment count too large for a float is its own fault, not the loss's
     (["run", "--hops", "3", "--loss", "0", "--dtc", "on", "--segments", "1" + "0" * 400],
      "bad value for segments: "),
     # so is one whose event budget 160 x segments x hops overflows, though it fits
     (["run", "--hops", "3", "--loss", "0", "--dtc", "on", "--segments", "1" + "0" * 307],
-     "bad value for segments: total_segments must keep 160 x total_segments x hops"),
+     "bad value for segments: total_segments must keep the event budget within 1000000000"),
     # a negative seed would repeat the runs of its absolute value
     (RUN_ARGS + ["--hops", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["sweep", "--hops", "3", "--loss", "0.1", "--dtc", "on", "--runs", "3", "--seed", "-1"],
@@ -241,9 +242,12 @@ def test_hops_too_slow_for_the_default_rto_max_blame_hop_latency(extra, limit, t
 
 
 @pytest.mark.parametrize("hops, latency", [
-    # too many for the default rto_max even at 1 us a hop
+    # one lossless segment over them is over the event budget cap, whatever
+    # the hop latency
+    pytest.param("10000000", "10", id="1e7"),
     pytest.param("20000000", "0.001", id="2e7"),
-    # 160 x hops is above a float even at one segment
+    # 160 x hops is above a float even at one segment, and the line does not
+    # echo its digits
     pytest.param("1" + "0" * 307, "10", id="1e307"),
 ])
 def test_hops_no_other_value_could_fit_blame_hops(hops, latency, tmp_path, capsys,

@@ -75,12 +75,24 @@ def test_invalid_scenarios_rejected(bad):
         scenario(**bad)
 
 
-@pytest.mark.parametrize("knob", ["total_segments", "hops"])
-def test_int_knob_too_large_for_a_float_is_named_first(knob):
-    # the event budget would overflow converting it to a float: the fault is
-    # the knob's, not p_data's
-    with pytest.raises(ValueError, match=f"^{knob} "):
-        scenario(**{knob: 10**400})
+@pytest.mark.parametrize("knobs", [
+    pytest.param(dict(total_segments=10**400), id="total_segments"),
+    pytest.param(dict(hops=10**400), id="hops"),
+    # each fits a float, 160 x total_segments x hops does not
+    pytest.param(dict(total_segments=10**307), id="total_segments-1e307"),
+    # one segment's budget divides by 0.01 ** 160 = 1e-320 to inf, and by
+    # 0.01 ** 200, which underflows to 0
+    pytest.param(dict(p_data=0.99, hops=160), id="p_data-hops160"),
+    pytest.param(dict(p_data=0.99, hops=200), id="p_data-hops200"),
+])
+def test_int_knob_too_large_for_a_float_is_named_first(knobs):
+    # the event budget would overflow converting a knob to a float, or
+    # dividing by the chance a frame crosses the chain: the knob at fault
+    # is named, on a short line that does not echo the knob's digits
+    knob = next(iter(knobs))
+    with pytest.raises(ValueError, match=f"^{knob} ") as excinfo:
+        scenario(**knobs)
+    assert len(str(excinfo.value)) < 200
 
 
 def test_boundary_knob_values_accepted():
@@ -94,12 +106,16 @@ def test_boundary_knob_values_accepted():
 
 
 @pytest.mark.parametrize("knobs, message", [
-    # no hop_latency of at least 1 us fits: the hop count is at fault
-    (dict(hops=20_000_000, hop_latency=1), "hops must be <= 15000000 "),
-    (dict(hops=15_000_001, hop_latency=1), "hops must be <= 15000000 "),
-    (dict(hops=30_000_001, hop_latency=1, rto_min=5), "hops must be <= 30000000 "),
-    # a 1 us hop would fit: the latency is at fault
-    (dict(hops=15_000_000, hop_latency=2), "hop_latency must be <= 1 us over 15000000 hops"),
+    # one lossless segment over these hops is over the event budget cap,
+    # whatever the latency: the hop count is at fault
+    (dict(hops=20_000_000, hop_latency=1), "hops must be <= 6250000 "),
+    (dict(hops=6_250_001, hop_latency=1), "hops must be <= 6250000 "),
+    (dict(hops=30_000_001, hop_latency=1, rto_min=5), "hops must be <= 6250000 "),
+    # the cap's largest chain: a 1 us hop would fit, so the latency is at fault
+    (dict(hops=6_250_000, hop_latency=3), "hop_latency must be <= 2 us over 6250000 hops"),
+    # the cap is checked first, where a smaller latency would fit the rto_max
+    (dict(hops=10_000_000, hop_latency=10_000), "hops must be <= 6250000 "),
+    (dict(hops=15_000_000, hop_latency=2), "hops must be <= 6250000 "),
 ])
 def test_default_rto_max_blames_hops_only_when_no_latency_fits(knobs, message):
     with pytest.raises(ValueError) as excinfo:
@@ -163,7 +179,7 @@ def test_a_relay_costs_a_few_list_entries():
     finally:
         tracemalloc.stop()
     assert sim.nodes == []
-    assert peak / hops < 64
+    assert peak / hops < 20
 
 
 def test_finished_run_is_freed_without_the_cycle_collector():
