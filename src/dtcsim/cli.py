@@ -38,6 +38,7 @@ from .harness import (
     dtc_label,
     reduction_factor,
     run as run_scenario,
+    shown,
     sweep,
 )
 
@@ -178,14 +179,14 @@ class Config:
         here rejects a bad value before any run starts.
         """
         if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs}")
+            raise ConfigError(f"runs must be >= 1, got {shown(self.runs)}")
         # each cell carries seed 0, so its Scenario cannot check the seed
         if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {shown(self.seed)}")
         if self.dtc not in _DTC_BY_MODE:
             raise ConfigError(f"dtc must be on, off or both, got {self.dtc!r}")
         if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+            raise ConfigError(f"jobs must be >= 1, got {shown(self.jobs)}")
         for knob in ("hops", "loss"):
             values = getattr(self, knob)
             if not values:
@@ -300,6 +301,11 @@ def _write_nodes_csv(path: Path, aggregates) -> None:
 # -- commands -----------------------------------------------------------------
 
 
+# the counts of a per-node line that one write takes: under 48 KB of text,
+# as a count is at most the event budget cap, of 10 digits
+COUNTS_PER_WRITE = 4096
+
+
 def cmd_run(config: Config, trace: bool) -> None:
     cells = config.cells()
     if len(cells) != 1:
@@ -312,11 +318,18 @@ def cmd_run(config: Config, trace: bool) -> None:
     else:
         metrics = run_scenario(scenario)
     print(f"scenario: {scenario.cell_id} seed={scenario.seed}")
+    write = sys.stdout.write
     for m in METRICS:
         value = getattr(metrics, m.field)
-        if isinstance(value, tuple):
-            value = ",".join(str(n) for n in value)
-        print(f"{m.label}: {value}")
+        if not isinstance(value, tuple):
+            print(f"{m.label}: {value}")
+            continue
+        # a per-node line, written COUNTS_PER_WRITE counts at a time, so a
+        # long chain's line is never held as one string
+        write(f"{m.label}: ")
+        for i in range(0, len(value), COUNTS_PER_WRITE):
+            write(("," if i else "") + ",".join(map(str, value[i:i + COUNTS_PER_WRITE])))
+        write("\n")
 
 
 def _sweep(config: Config) -> tuple:

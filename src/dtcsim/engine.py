@@ -25,9 +25,10 @@ nothing and emits straight back into the ``Simulation``, its sink ``out``
                                           an AckSegment toward the sender
     schedule(at, call, arg=None)          a timer: call(arg, now) at time at,
                                           never behind the clock
-    await_ll_ack(src, frame_id, at,       node src's wait for the ll ack of
-                 call, arg)               the frame it just sent: a timer as
-                                          above, at or after the arrival
+    await_ll_ack(src, frame_id)           node src's wait for the ll ack of
+                                          the frame it just sent: its
+                                          on_ll_timeout at its ll_wait from
+                                          now, with its timer_generation
     note(node_id, action, seq)            a cache transition: a DTC trace
                                           record; a node notes only into a
                                           run that traces
@@ -41,26 +42,39 @@ recovery is someone else's job.  A drop override (tests only) may decide
 a send instead of the draw.
 
 Every arriving frame gets its link-layer ack draw, always at arrival.  An
-ll ack has one reader: its transmitter, when that is a node whose cache
-slot holds that frame, that is, the slot is not empty and its
-``cached_frame_id`` is the frame's id; frame ids are unique, so no later
-slot can hold it either.  Such a slot still awaits the ll ack, since
-neither its ll ack nor its ll timeout (below) can come before the frame
-arrives, so the run reads no more of its state than that it is full.
+ll ack has one reader: the transmitter of a data frame (a slot never
+holds an ack frame), when that is a node whose cache slot holds that
+frame, that is, the slot is not empty and its ``cached_frame_id`` is the
+frame's id; frame ids are unique, so no later slot can hold it either.
+Such a slot still awaits the ll ack, since neither its ll ack nor its ll
+timeout (below) can come before the frame arrives, so the run reads no
+more of its state than that it is full.
 
-A node arms its wait for that ll ack with ``await_ll_ack`` right after
-it sends the frame.  The timer takes its insertion number there, as
+A node arms its wait for that ll ack with ``await_ll_ack(src, frame_id)``
+right after it sends the frame.  The wait's timer is the node's
+``on_ll_timeout`` at its ``ll_wait`` after the send, with its
+``timer_generation``.  It takes its insertion number there, as
 ``schedule`` would, but is pushed at once only if the frame was lost.
-Otherwise the run holds it until the frame arrives, where the wait ends
-in one outcome, never both: after the ll-ack draw the run keeps the ll
-ack if it survived and lands before the timer's time, which landing it
-stales, and pushes the timer with its number otherwise.  A pushed timer
-pops at or before the landing (on a tie the timer, which took its number
-before the ll ack, pops first), and locks the slot or finds it stale, so
-the ll ack could change nothing.  A node that no longer holds the frame
-gets neither: its timer is stale already.  The timer's time is never
-before the arrival, so a timer pushed there pops just where it would
-have popped had it been pushed when armed.
+Otherwise the run builds the timer only where it pushes it, at the
+frame's arrival, from what it reads there: the send time is the arrival
+time less one hop latency; the number is the arrival's ``seq + 1``, since
+``await_ll_ack`` takes its number right after ``send`` took the
+arrival's; and the generation is the node's, which no move changes while
+the slot still holds the frame (an ack that passes an AWAITING slot
+either empties it, bumping the generation, or leaves it alone, and the
+wait's own two outcomes come no earlier than the arrival).  There the
+wait ends in one outcome, never both: after the ll-ack draw the run keeps
+the ll ack if it survived and lands before the timer's time, which
+landing it stales, and pushes the timer otherwise.  The ll ack lands a
+hop latency after the arrival, two after the send, so it can land first
+only in a run whose ``ll_wait`` is over two hop latencies: one test per
+run, not per frame.  A pushed timer pops at or before the landing (on a
+tie the timer, which took its number before the ll ack, pops first), and
+locks the slot or finds it stale, so the ll ack could change nothing.  A
+node that no longer holds the frame gets neither: its timer is stale
+already.  The timer's time is never before the arrival, so a timer
+pushed there pops just where it would have popped had it been pushed
+when armed.
 
 A kept ll ack is node state, not an event: the run stores
 ``(lands_at, seq, frame_id)`` as the node's entry of ``_ll_acks``, the ll
@@ -291,9 +305,7 @@ class Simulation:
         # last entry
         self.stations = self.nodes + [None] * relays + [self.receiver, self.sender]
         self.relay_data_tx = [0] * relays
-        # by node id, the ll timeout of the last frame the node awaits, held
-        # while that frame is in flight; and the id of the last frame send lost
-        self._held: list[Optional[tuple]] = [None] * len(self.nodes)
+        # the id of the last frame send lost
         self._lost_frame = -1
         # by node id, the ll ack a node has yet to apply, as (lands_at, seq,
         # frame_id); an endpoint reads the last entry, which stays None
@@ -319,19 +331,15 @@ class Simulation:
         if type(payload) is DataSegment:
             dst = src + 1
             threshold = self.p_data
-            kind = "data"
         else:
             dst = src - 1
             threshold = self.p_tcp_ack
-            kind = "ack"
-        forced = None
-        if self.drop_override is not None:
-            forced = self.drop_override(frame_id, payload, src, dst)
-        if forced is None:
+        drop = self.drop_override
+        if drop is not None and (forced := drop(frame_id, payload, src, dst)) is not None:
+            delivered = not forced
+        else:
             self.draws += 1
             delivered = self._random() >= threshold
-        else:
-            delivered = not forced
         if delivered:
             arrival = (self.now + self.latency, next(self._seq), None, (dst, frame_id, payload))
             if self._next is None:
@@ -341,7 +349,7 @@ class Simulation:
         else:
             self._lost_frame = frame_id
         if self.trace is not None:
-            self._trace_hop(src, dst, payload, kind, delivered)
+            self._trace_hop(src, dst, payload, "data" if dst > src else "ack", delivered)
         return frame_id
 
     def schedule(self, fire_at: int, call: Callable, arg: object = None) -> None:
@@ -352,17 +360,17 @@ class Simulation:
                                   f"behind the clock t={self.now}us")
         heappush(self._heap, (fire_at, next(self._seq), call, arg))
 
-    def await_ll_ack(self, src: int, frame_id: int, fire_at: int, call: Callable, arg: object) -> None:
+    def await_ll_ack(self, src: int, frame_id: int) -> None:
         """Arm node src's wait for the ll ack of frame_id, which it has just
-        sent: a timer ``call(arg, now)`` at fire_at, no earlier than the
-        frame's arrival.  It takes its insertion number here, as
-        ``schedule`` would, and is pushed at once if the frame was lost, or
-        else held until the frame arrives."""
-        timer = (fire_at, next(self._seq), call, arg)
+        sent: its ``on_ll_timeout`` at its ll wait from now, with its
+        generation.  The timer takes its insertion number here, as
+        ``schedule`` would, and is pushed at once if the frame was lost; the
+        run builds it at the frame's arrival otherwise (module docstring)."""
+        seq = next(self._seq)
         if frame_id == self._lost_frame:
-            heappush(self._heap, timer)
-        else:
-            self._held[src] = timer
+            node = self.nodes[src]
+            heappush(self._heap, (self.now + node.ll_wait, seq, node.on_ll_timeout,
+                                  node.timer_generation))
 
     def note(self, node_id: int, action: str, seq: int) -> None:
         """Trace a cache transition; nothing else sees it, and a node notes
@@ -383,13 +391,16 @@ class Simulation:
         nodes = self.nodes
         n_nodes = len(nodes)
         relay_data_tx = self.relay_data_tx
-        held = self._held
         ll_acks = self._ll_acks
         stations = self.stations
         latency = self.latency
         p_data = self.p_data
         p_tcp_ack = self.p_tcp_ack
         p_ll_ack = self.p_ll_ack
+        # an ll ack lands a hop latency after its frame's arrival, and the
+        # node's ll timeout fires its ll wait after the send: the ll ack can
+        # come first only if the wait spans more than the round trip
+        ll_ack_first = self.scenario.ll_wait() > 2 * latency
         budget = self.scenario.event_budget()
         processed = 0
         self._next = None
@@ -419,7 +430,7 @@ class Simulation:
             target, frame_id, segment = arg
             is_data = type(segment) is DataSegment
             # drawn always, kept only for its one reader when it lands
-            # before the reader's held ll timeout, which is pushed otherwise
+            # before the reader's ll timeout, which is pushed otherwise
             # (module docstring)
             self.draws += 1
             acked = rand() >= p_ll_ack
@@ -475,19 +486,20 @@ class Simulation:
                     continue
                 # into an endpoint, with caching off: no node awaits an ll
                 # ack or keeps one, so frame_id, acked and seq go unread
-            transmitter = target - 1 if is_data else target + 1
-            if 0 <= transmitter < n_nodes:
-                node = nodes[transmitter]
-                # a slot holding this frame still awaits its ll ack: the ll
-                # ack and the held ll timeout come no earlier than this
-                # arrival, and every other move empties or refills the slot
+            if is_data and 0 < target <= n_nodes:
+                # the transmitter, when its slot holds this frame, still
+                # awaits the ll ack: the ll ack and the ll timeout come no
+                # earlier than this arrival, and every other move empties or
+                # refills the slot.  No node awaits an ack frame's ll ack
+                node = nodes[target - 1]
                 if node.state is not None and node.cached_frame_id == frame_id:
-                    lands_at = now + latency
-                    timer = held[transmitter]
-                    if acked and timer[0] > lands_at:
-                        ll_acks[transmitter] = (lands_at, next(self._seq), frame_id)
+                    if acked and ll_ack_first:
+                        ll_acks[target - 1] = (now + latency, next(self._seq), frame_id)
                     else:
-                        heappush(heap, timer)
+                        # the timer await_ll_ack armed right after this
+                        # frame's send, with the number it took there
+                        heappush(heap, (now - latency + node.ll_wait, seq + 1,
+                                        node.on_ll_timeout, node.timer_generation))
             # the target node's ll ack, if it comes before this arrival in
             # (time, seq)
             pending = ll_acks[target if target < n_nodes else -1]

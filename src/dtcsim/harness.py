@@ -33,6 +33,29 @@ MAX_EVENT_BUDGET = 10**9
 DEFAULT_RTO_MAX = 60 * US_PER_S
 
 
+# the most digits of an int a refusal line shows; a longer one is shown by
+# this many leading digits and its digit count
+SHOWN_DIGITS = 20
+
+
+def shown(value) -> str:
+    """A knob's value as a refusal line shows it: as ``str`` gives it, but
+    an int of more than ``SHOWN_DIGITS`` digits shortened to
+    ``<leading digits>... (<n> digits)``, so no line grows with the value.
+    The digits are counted without converting the whole int to text."""
+    magnitude = abs(value) if type(value) is int else 0
+    if magnitude < 10**SHOWN_DIGITS:
+        return str(value)
+    # log10 is within one of the count; the powers of ten settle it
+    digits = int(math.log10(magnitude)) + 1
+    if 10 ** (digits - 1) > magnitude:
+        digits -= 1
+    elif 10**digits <= magnitude:
+        digits += 1
+    lead = magnitude // 10 ** (digits - SHOWN_DIGITS)
+    return f"{'-' if value < 0 else ''}{lead}... ({digits} digits)"
+
+
 def dtc_label(enabled: bool) -> str:
     """A caching mode as written in results files, run names and the dtc key."""
     return "on" if enabled else "off"
@@ -66,11 +89,11 @@ class Scenario:
         when no segment count could, else total_segments.
         """
         if self.hops < 2:
-            raise ValueError(f"hops must be >= 2 (a chain of two links), got {self.hops}")
+            raise ValueError(f"hops must be >= 2 (a chain of two links), got {shown(self.hops)}")
         if not 0.0 <= self.p_data < 1.0:
             raise ValueError(f"p_data (per-hop data loss) must be in [0, 1), got {self.p_data!r}")
         if self.total_segments < 1:
-            raise ValueError(f"total_segments must be >= 1, got {self.total_segments}")
+            raise ValueError(f"total_segments must be >= 1, got {shown(self.total_segments)}")
         # the event budget cap, on the three knobs it reads: hops when one
         # lossless segment is over it, p_data when one segment at this loss
         # is, else total_segments.  The ints are compared first, so no knob
@@ -88,27 +111,29 @@ class Scenario:
             raise ValueError(f"total_segments must {rule} over {self.hops} hops at p_data "
                              f"{self.p_data!r}")
         if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+            raise ValueError(f"window must be >= 1, got {shown(self.window)}")
         # random.Random(-s) seeds exactly like random.Random(s)
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed must be >= 0, got {shown(self.seed)}")
         # the engine pushes frames and ll acks at now + hop_latency unchecked;
         # a latency of at least 1 us keeps those pushes ahead of the clock
         if self.hop_latency < 1:
-            raise ValueError(f"hop_latency must be >= 1 us, got {self.hop_latency}")
+            raise ValueError(f"hop_latency must be >= 1 us, got {shown(self.hop_latency)}")
         if self.max_local_retries < 0:
-            raise ValueError(f"max_local_retries must be >= 0, got {self.max_local_retries}")
+            raise ValueError(f"max_local_retries must be >= 0, "
+                             f"got {shown(self.max_local_retries)}")
         if self.ll_wait_multiplier < 1:
-            raise ValueError(f"ll_wait_multiplier must be >= 1, got {self.ll_wait_multiplier}")
+            raise ValueError(f"ll_wait_multiplier must be >= 1, "
+                             f"got {shown(self.ll_wait_multiplier)}")
         if self.send_spacing is not None and self.send_spacing < 0:
-            raise ValueError(f"send_spacing must be >= 0 us, got {self.send_spacing}")
+            raise ValueError(f"send_spacing must be >= 0 us, got {shown(self.send_spacing)}")
         for knob in ("rto_min", "rto_initial"):
             value = getattr(self, knob)
             if value is not None and value < 1:
-                raise ValueError(f"{knob} must be >= 1 us, got {value}")
+                raise ValueError(f"{knob} must be >= 1 us, got {shown(value)}")
         if self.rto_min is not None and self.rto_min > self.rto_max:
-            raise ValueError(f"rto_min must be <= rto_max ({self.rto_max} us), "
-                             f"got {self.rto_min}")
+            raise ValueError(f"rto_min must be <= rto_max ({shown(self.rto_max)} us), "
+                             f"got {shown(self.rto_min)}")
         # a ceiling below one round trip fires the sender's timer many times
         # per round trip, so a run's events grow with it, not with the transfer
         floor = max(self.effective_rto_min(), 2 * self.path_delay())
@@ -122,7 +147,7 @@ class Scenario:
                                  f"over {self.hops} hops: the default rto_max ({self.rto_max} us) "
                                  f"must cover the effective rto_min and one path round trip")
             raise ValueError(f"rto_max must be >= the effective rto_min and one path "
-                             f"round trip ({floor} us), got {self.rto_max}")
+                             f"round trip ({shown(floor)} us), got {shown(self.rto_max)}")
 
     @property
     def cell_id(self) -> str:

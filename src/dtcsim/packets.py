@@ -25,14 +25,18 @@ class AckSegment(namedtuple("AckSegment", ["ack_no", "sack"])):
 
     Canonical form: no sack member below the cumulative point.  The
     constructor enforces it, so every AckSegment in the system satisfies
-    sack & [1, ack_no) == {}.
+    sack & [1, ack_no) == {}.  A sack that is already a canonical
+    frozenset, as every sack the stations build is, is kept as the same
+    object; any other iterable, a generator included, is read once into a
+    new frozenset of its members at or above ``ack_no``.
     """
 
     __slots__ = ()
 
     def __new__(cls, ack_no: int, sack=frozenset()):
-        clean = frozenset(s for s in sack if s >= ack_no)
-        return super().__new__(cls, ack_no, clean)
+        if type(sack) is not frozenset or (sack and min(sack) < ack_no):
+            sack = frozenset([s for s in sack if s >= ack_no])
+        return tuple.__new__(cls, (ack_no, sack))
 
 
 def sack_covers(ack: AckSegment, seq: int) -> bool:

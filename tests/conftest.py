@@ -1,3 +1,4 @@
+import sys
 from contextlib import contextmanager
 from unittest import mock
 
@@ -31,7 +32,8 @@ class Recorder:
     hands out frame ids 0, 1, 2, ... to every frame, data or ack.  Each
     call is recorded as a tuple; a timer's ``call`` is the station's bound
     handler, which compares equal to ``station.on_rto`` and the like.  An
-    ll-ack wait is recorded as the timer it arms:
+    ll-ack wait is recorded as the timer the engine arms for it, read from
+    the node and the ``now`` of the handler that awaits:
 
         ("send", src, payload, frame_id)
         ("schedule", fire_at, call, arg)    from schedule and await_ll_ack
@@ -54,8 +56,10 @@ class Recorder:
     def schedule(self, fire_at, call, arg=None):
         self.calls.append(("schedule", fire_at, call, arg))
 
-    def await_ll_ack(self, src, frame_id, fire_at, call, arg):
-        self.schedule(fire_at, call, arg)
+    def await_ll_ack(self, src, frame_id):
+        handler = sys._getframe(1).f_locals
+        node, now = handler["self"], handler["now"]
+        self.schedule(now + node.ll_wait, node.on_ll_timeout, node.timer_generation)
 
     def note(self, node_id, action, seq):
         self.calls.append(("note", node_id, action, seq))

@@ -29,8 +29,9 @@ BUDGET_FACTOR = 3
 
 
 class Reference(Simulation):
-    def await_ll_ack(self, src, frame_id, fire_at, call, arg):
-        self.schedule(fire_at, call, arg)
+    def await_ll_ack(self, src, frame_id):
+        node = self.nodes[src]
+        self.schedule(self.now + node.ll_wait, node.on_ll_timeout, node.timer_generation)
 
     def run(self):
         heap = self._heap

@@ -260,6 +260,27 @@ def test_hops_no_other_value_could_fit_blame_hops(hops, latency, tmp_path, capsy
     assert len(line) < 200
 
 
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rto-min-us", HUGE, "bad value for rto_min_us: rto_min must be <= rto_max"),
+    ("--send-spacing-us", "-" + HUGE, "bad value for send_spacing_us: send_spacing must be >= 0"),
+    ("--window", "-" + HUGE, "bad value for window: window must be >= 1"),
+    ("--seed", "-" + HUGE, "seed must be >= 0"),
+], ids=["rto-min-us", "send-spacing-us", "window", "seed"])
+def test_a_huge_int_knob_is_refused_on_one_short_line(flag, value, message, tmp_path, capsys,
+                                                       no_simulation):
+    # the line gives the value's leading digits and its digit count, not all
+    # 401 digits
+    assert main(RUN_ARGS + ["--hops", "3", flag, value, "--out", str(tmp_path / "o")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: " + message)
+    sign = "-" if value.startswith("-") else ""
+    assert line.endswith(f"got {sign}10000000000000000000... (401 digits)")
+    assert len(line) < 200
+
+
 @pytest.mark.parametrize("text, us", [
     ("1.001", 1001),        # 1.001 * 1000 is 1000.9999999999999 as a float
     (" 1_000.0019 ", 1_000_001),    # the spellings float() takes, truncated
@@ -464,6 +485,20 @@ def test_trace_goes_out_in_chunks_of_whole_lines(monkeypatch):
         assert chunk_lines == lines[at:at + len(chunk_lines)]
         at += len(chunk_lines)
     assert at == len(lines)
+
+
+def test_a_long_chains_per_node_line_goes_out_in_bounded_writes(monkeypatch):
+    stdout = Recorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["run", "--hops", "10000", "--loss", "0", "--dtc", "off", "--segments", "1",
+                 "--hop-latency-ms", "0.001"]) == 0
+    metrics = run(Scenario(hops=10_000, p_data=0.0, dtc_enabled=False, total_segments=1,
+                           hop_latency=1, seed=1))
+    line = "per_node_data_tx: " + ",".join(str(n) for n in metrics.per_node_data_tx) + "\n"
+    assert line in "".join(stdout.writes)
+    # the line is written in slices, none of which grows with the chain
+    longest = max(map(len, stdout.writes))
+    assert longest <= 64 * 1024 and longest < len(line) / 2
 
 
 # the one error line of a write to a full device, and of one to a closed stdout

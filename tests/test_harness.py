@@ -23,6 +23,7 @@ from dtcsim.harness import (
     aggregate,
     reduction_factor,
     run,
+    shown,
     sweep,
 )
 from dtcsim.packets import DataSegment
@@ -93,6 +94,18 @@ def test_int_knob_too_large_for_a_float_is_named_first(knobs):
     with pytest.raises(ValueError, match=f"^{knob} ") as excinfo:
         scenario(**knobs)
     assert len(str(excinfo.value)) < 200
+
+
+@pytest.mark.parametrize("value, text", [
+    (-(10**20 - 1), "-99999999999999999999"),
+    (10**20, "10000000000000000000... (21 digits)"),
+    (10**400 - 1, "99999999999999999999... (400 digits)"),
+    (-(10**400), "-10000000000000000000... (401 digits)"),
+    # past the ints str() converts at all, from Python 3.11
+    (10**5000 + 7, "10000000000000000000... (5001 digits)"),
+], ids=["20-digits", "21-digits", "400-digits", "401-digits", "5001-digits"])
+def test_a_refusal_shows_a_long_int_by_its_leading_digits_and_count(value, text):
+    assert shown(value) == text
 
 
 def test_boundary_knob_values_accepted():

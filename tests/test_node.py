@@ -427,10 +427,12 @@ def test_every_entry_state_has_exactly_its_timer_over_whole_runs(s):
     held = Counter()                    # ll timeouts armed and not yet pushed
     await_ll_ack = sim.await_ll_ack
 
-    def awaited(src, frame_id, fire_at, call, arg):
-        armed[call, arg] += 1
-        held[call, arg] += 1
-        await_ll_ack(src, frame_id, fire_at, call, arg)
+    def awaited(src, frame_id):
+        node = sim.nodes[src]
+        timer = node.on_ll_timeout, node.timer_generation
+        armed[timer] += 1
+        held[timer] += 1
+        await_ll_ack(src, frame_id)
 
     sim.await_ll_ack = awaited
 
@@ -468,9 +470,9 @@ def test_ll_acks_are_applied_only_to_a_node_awaiting_them(s):
     timed_out = []                      # the frames whose ll timeout was pushed
     await_ll_ack = sim.await_ll_ack
 
-    def awaiting(src, frame_id, fire_at, call, arg):
-        awaited[src, arg] = frame_id
-        await_ll_ack(src, frame_id, fire_at, call, arg)
+    def awaiting(src, frame_id):
+        awaited[src, sim.nodes[src].timer_generation] = frame_id
+        await_ll_ack(src, frame_id)
 
     sim.await_ll_ack = awaiting
     for node in sim.nodes:

@@ -39,6 +39,26 @@ def test_canonical_form_invariant(ack):
     assert all(s >= ack.ack_no for s in ack.sack)
 
 
+SACK_FORMS = {"frozenset": frozenset, "set": set, "list": list,
+              "generator": lambda members: (s for s in members)}
+
+
+@given(st.integers(min_value=1, max_value=30), st.lists(seqs, max_size=8),
+       st.sampled_from(sorted(SACK_FORMS)))
+def test_any_sack_form_is_filtered_to_a_canonical_frozenset(ack_no, members, form):
+    # a generator is read once, so a fast path that looked at it first would
+    # leave nothing for the filter
+    ack = AckSegment(ack_no, SACK_FORMS[form](members))
+    assert type(ack.sack) is frozenset
+    assert ack.sack == {s for s in members if s >= ack_no}
+
+
+@given(st.integers(min_value=1, max_value=30), st.frozensets(seqs, max_size=8))
+def test_a_canonical_frozenset_sack_is_kept_as_the_same_object(ack_no, members):
+    sack = frozenset(s for s in members if s >= ack_no)
+    assert AckSegment(ack_no, sack).sack is sack
+
+
 # -- sack_covers ---------------------------------------------------------------
 
 def test_covers_below_cumulative_point():

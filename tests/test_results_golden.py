@@ -1,5 +1,5 @@
 """Byte-for-byte pin of every results file and of `run`, `run --trace` (caching on
-and off, and with an ll wait of two hop latencies) and `report` stdout.
+and off, and with an ll wait of one and of two hop latencies) and `report` stdout.
 
 One small sweep and one small fig4 write into the same directory, so the
 report renders all three of its tables. The goldens were recorded on
@@ -32,9 +32,13 @@ RUN_TRACE_OFF = ["run", "--hops", "4", "--loss", "0.15", "--dtc", "off", "--segm
 # the caching run with an ll wait of two hop latencies: each ll timeout
 # ties its ll ack and pops first, so it locks the entry, in 274 lines
 RUN_TRACE_LLWAIT2 = RUN_TRACE + ["--ll-wait-multiplier", "2"]
+# and with an ll wait of one hop latency: each ll timeout fires at its own
+# frame's arrival, tied with that arrival in time and ordered after it by
+# its insertion number, and locks the entry, in 287 lines with 25 locks
+RUN_TRACE_LLWAIT1 = RUN_TRACE + ["--ll-wait-multiplier", "1"]
 
 FILES = ["runs.csv", "summary.csv", "nodes.csv", "run.txt", "run_trace.txt", "run_trace_off.txt",
-         "run_trace_llwait2.txt", "report.txt"]
+         "run_trace_llwait1.txt", "run_trace_llwait2.txt", "report.txt"]
 
 
 def _stdout(argv) -> str:
@@ -51,6 +55,7 @@ def produce(out: Path) -> None:
     (out / "run.txt").write_text(_stdout(RUN))
     (out / "run_trace.txt").write_text(_stdout(RUN_TRACE))
     (out / "run_trace_off.txt").write_text(_stdout(RUN_TRACE_OFF))
+    (out / "run_trace_llwait1.txt").write_text(_stdout(RUN_TRACE_LLWAIT1))
     (out / "run_trace_llwait2.txt").write_text(_stdout(RUN_TRACE_LLWAIT2))
     (out / "report.txt").write_text(_stdout(["report", str(out)]))
 
