@@ -35,6 +35,7 @@ from .events import US_PER_MS
 from .harness import (
     Scenario,
     aggregate,
+    check_count,
     dtc_label,
     reduction_factor,
     run as run_scenario,
@@ -178,15 +179,14 @@ class Config:
         Scenario validates the simulation knobs itself; building the cells
         here rejects a bad value before any run starts.
         """
-        if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {shown(self.runs)}")
         # each cell carries seed 0, so its Scenario cannot check the seed
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {shown(self.seed)}")
+        try:
+            for knob, least in (("runs", 1), ("seed", 0), ("jobs", 1)):
+                check_count(knob, getattr(self, knob), least)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.dtc not in _DTC_BY_MODE:
-            raise ConfigError(f"dtc must be on, off or both, got {self.dtc!r}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {shown(self.jobs)}")
+            raise ConfigError(f"dtc must be on, off or both, got {shown(self.dtc)!r}")
         for knob in ("hops", "loss"):
             values = getattr(self, knob)
             if not values:
@@ -236,10 +236,10 @@ def load_config(path: Optional[str], overrides: dict) -> Config:
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected `key = value`, got: {raw}")
+                raise ConfigError(f"{path}:{lineno}: expected `key = value`, got: {shown(raw)}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in: {raw}")
+                raise ConfigError(f"{path}:{lineno}: unknown key {shown(key)!r} in: {shown(raw)}")
             given.append((f"{path}:{lineno}: {key}", key, value))
     given += [("--" + key.replace("_", "-"), key, text)
               for key, text in overrides.items() if text is not None]
@@ -248,7 +248,7 @@ def load_config(path: Optional[str], overrides: dict) -> Config:
         try:
             config.set(key, spec.parse(text))
         except ValueError as exc:
-            raise ConfigError(f"{where}: expected {spec.metavar}, got {text!r}") from exc
+            raise ConfigError(f"{where}: expected {spec.metavar}, got {shown(text)!r}") from exc
     config.validate()
     return config
 

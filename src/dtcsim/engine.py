@@ -53,16 +53,17 @@ more of its state than that it is full.
 A node arms its wait for that ll ack with ``await_ll_ack(src, frame_id)``
 right after it sends the frame.  The wait's timer is the node's
 ``on_ll_timeout`` at its ``ll_wait`` after the send, with its
-``timer_generation``.  It takes its insertion number there, as
-``schedule`` would, but is pushed at once only if the frame was lost.
-Otherwise the run builds the timer only where it pushes it, at the
-frame's arrival, from what it reads there: the send time is the arrival
-time less one hop latency; the number is the arrival's ``seq + 1``, since
-``await_ll_ack`` takes its number right after ``send`` took the
-arrival's; and the generation is the node's, which no move changes while
-the slot still holds the frame (an ack that passes an AWAITING slot
-either empties it, bumping the generation, or leaves it alone, and the
-wait's own two outcomes come no earlier than the arrival).  There the
+``timer_generation``.  If the frame was lost, it is pushed at once,
+taking its insertion number there as ``schedule`` would.  Otherwise the
+run builds the timer only where it pushes it, at the frame's arrival,
+from what it reads there: the send time is the arrival time less one hop
+latency; the number is the arrival's own ``seq``, free once the arrival
+pops, and so in the same place among all other numbers as one taken
+right after ``send`` took the arrival's; and the generation is the
+node's, which no move changes while the slot still holds the frame (an
+ack that passes an AWAITING slot either empties it, bumping the
+generation, or leaves it alone, and the wait's own two outcomes come no
+earlier than the arrival).  There the
 wait ends in one outcome, never both: after the ll-ack draw the run keeps
 the ll ack if it survived and lands before the timer's time, which
 landing it stales, and pushes the timer otherwise.  The ll ack lands a
@@ -363,13 +364,12 @@ class Simulation:
     def await_ll_ack(self, src: int, frame_id: int) -> None:
         """Arm node src's wait for the ll ack of frame_id, which it has just
         sent: its ``on_ll_timeout`` at its ll wait from now, with its
-        generation.  The timer takes its insertion number here, as
-        ``schedule`` would, and is pushed at once if the frame was lost; the
-        run builds it at the frame's arrival otherwise (module docstring)."""
-        seq = next(self._seq)
+        generation.  The timer is pushed at once, taking its insertion
+        number as ``schedule`` would, if the frame was lost; the run builds
+        it at the frame's arrival otherwise (module docstring)."""
         if frame_id == self._lost_frame:
             node = self.nodes[src]
-            heappush(self._heap, (self.now + node.ll_wait, seq, node.on_ll_timeout,
+            heappush(self._heap, (self.now + node.ll_wait, next(self._seq), node.on_ll_timeout,
                                   node.timer_generation))
 
     def note(self, node_id: int, action: str, seq: int) -> None:
@@ -497,8 +497,8 @@ class Simulation:
                         ll_acks[target - 1] = (now + latency, next(self._seq), frame_id)
                     else:
                         # the timer await_ll_ack armed right after this
-                        # frame's send, with the number it took there
-                        heappush(heap, (now - latency + node.ll_wait, seq + 1,
+                        # frame's send, numbered with the arrival's own number
+                        heappush(heap, (now - latency + node.ll_wait, seq,
                                         node.on_ll_timeout, node.timer_generation))
             # the target node's ll ack, if it comes before this arrival in
             # (time, seq)

@@ -33,16 +33,21 @@ MAX_EVENT_BUDGET = 10**9
 DEFAULT_RTO_MAX = 60 * US_PER_S
 
 
-# the most digits of an int a refusal line shows; a longer one is shown by
-# this many leading digits and its digit count
+# the most digits of an int, or characters of a text, a refusal line shows;
+# a longer one is shown by this many leading digits or characters and its
+# length
 SHOWN_DIGITS = 20
 
 
 def shown(value) -> str:
     """A knob's value as a refusal line shows it: as ``str`` gives it, but
-    an int of more than ``SHOWN_DIGITS`` digits shortened to
-    ``<leading digits>... (<n> digits)``, so no line grows with the value.
-    The digits are counted without converting the whole int to text."""
+    a text of more than ``SHOWN_DIGITS`` characters shortened to
+    ``<leading characters>... (<n> characters)``, and an int of more than
+    ``SHOWN_DIGITS`` digits to ``<leading digits>... (<n> digits)``, so no
+    line grows with the value.  The digits are counted without converting
+    the whole int to text."""
+    if type(value) is str and len(value) > SHOWN_DIGITS:
+        return f"{value[:SHOWN_DIGITS]}... ({len(value)} characters)"
     magnitude = abs(value) if type(value) is int else 0
     if magnitude < 10**SHOWN_DIGITS:
         return str(value)
@@ -56,6 +61,23 @@ def shown(value) -> str:
     return f"{'-' if value < 0 else ''}{lead}... ({digits} digits)"
 
 
+def check_count(knob: str, value, least: Optional[int], unit: str = "") -> None:
+    """Refuse a count or a time that is not an int (a bool is not one) or,
+    unless least is None, is below least; the message starts with the knob
+    and names the unit after the bound."""
+    if type(value) is not int:
+        raise ValueError(f"{knob} must be an int, got {shown(repr(value))}")
+    if least is not None and value < least:
+        bound = f"{least} {unit}" if unit else least
+        raise ValueError(f"{knob} must be >= {bound}, got {shown(value)}")
+
+
+def _count(least: Optional[int], unit: str = "", default=dataclasses.MISSING):
+    """A Scenario count or time field: its least value (None: any int) and
+    the unit its refusal names, as check_count takes them."""
+    return dataclasses.field(default=default, metadata={"least": least, "unit": unit})
+
+
 def dtc_label(enabled: bool) -> str:
     """A caching mode as written in results files, run names and the dtc key."""
     return "on" if enabled else "off"
@@ -65,35 +87,44 @@ def dtc_label(enabled: bool) -> str:
 class Scenario:
     """Parameters of one run; everything an experiment can turn."""
 
-    hops: int                           # links, including both endpoint hops
+    hops: int = _count(2, "(a chain of two links)")     # links, both endpoint hops included
     p_data: float                       # per-hop data-frame loss probability
     dtc_enabled: bool
-    total_segments: int = 500
-    window: int = 3
-    hop_latency: int = 10 * US_PER_MS           # microseconds per hop
-    seed: int = 0
-    max_local_retries: int = 3
-    ll_wait_multiplier: int = 3                 # ll-ack wait, in hop latencies
-    send_spacing: Optional[int] = None          # None: just over one ll-ack round trip
-    rto_min: Optional[int] = None               # None: 4x the one-way path delay
-    rto_max: int = DEFAULT_RTO_MAX
-    rto_initial: Optional[int] = None           # None: 3x the effective rto_min
+    total_segments: int = _count(1, default=500)
+    window: int = _count(1, default=3)
+    # the engine pushes frames and ll acks at now + hop_latency unchecked;
+    # a latency of at least 1 us keeps those pushes ahead of the clock
+    hop_latency: int = _count(1, "us", default=10 * US_PER_MS)    # microseconds per hop
+    # random.Random(-s) seeds exactly like random.Random(s)
+    seed: int = _count(0, default=0)
+    max_local_retries: int = _count(0, default=3)
+    ll_wait_multiplier: int = _count(1, default=3)             # ll-ack wait, in hop latencies
+    # None: just over one ll-ack round trip
+    send_spacing: Optional[int] = _count(0, "us", default=None)
+    rto_min: Optional[int] = _count(1, "us", default=None)     # None: 4x the one-way path delay
+    rto_max: int = _count(None, default=DEFAULT_RTO_MAX)       # at least its floor, below
+    rto_initial: Optional[int] = _count(1, "us", default=None)  # None: 3x the effective rto_min
     fast_retransmit: bool = False
 
     def __post_init__(self) -> None:
         """Reject knob values no run can use; each message starts with the field.
 
-        The one cost rule, ``MAX_EVENT_BUDGET`` on ``event_budget()``, comes
-        right after the range checks of the three knobs it reads, and names
-        hops when no value of the other knobs could meet it, else p_data
-        when no segment count could, else total_segments.
+        Each count and time is an int at or above its field's least value,
+        None only where None is its default; each flag is a bool, and
+        p_data a number in [0, 1).  The one cost rule, ``MAX_EVENT_BUDGET``
+        on ``event_budget()``, comes after every range and type check, and
+        names hops when no value of the other knobs could meet it, else
+        p_data when no segment count could, else total_segments.
         """
-        if self.hops < 2:
-            raise ValueError(f"hops must be >= 2 (a chain of two links), got {shown(self.hops)}")
-        if not 0.0 <= self.p_data < 1.0:
-            raise ValueError(f"p_data (per-hop data loss) must be in [0, 1), got {self.p_data!r}")
-        if self.total_segments < 1:
-            raise ValueError(f"total_segments must be >= 1, got {shown(self.total_segments)}")
+        for knob in dataclasses.fields(self):
+            value = getattr(self, knob.name)
+            if knob.metadata and (value is not None or knob.default is not None):
+                check_count(knob.name, value, **knob.metadata)
+            elif knob.name == "p_data":
+                if type(value) not in (int, float) or not 0.0 <= value < 1.0:
+                    raise ValueError(f"p_data (per-hop data loss) must be in [0, 1), got {value!r}")
+            elif not knob.metadata and type(value) is not bool:     # a flag
+                raise ValueError(f"{knob.name} must be a bool, got {shown(repr(value))}")
         # the event budget cap, on the three knobs it reads: hops when one
         # lossless segment is over it, p_data when one segment at this loss
         # is, else total_segments.  The ints are compared first, so no knob
@@ -110,27 +141,6 @@ class Scenario:
         if self.total_segments > MAX_EVENT_BUDGET or self.event_budget() > MAX_EVENT_BUDGET:
             raise ValueError(f"total_segments must {rule} over {self.hops} hops at p_data "
                              f"{self.p_data!r}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {shown(self.window)}")
-        # random.Random(-s) seeds exactly like random.Random(s)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {shown(self.seed)}")
-        # the engine pushes frames and ll acks at now + hop_latency unchecked;
-        # a latency of at least 1 us keeps those pushes ahead of the clock
-        if self.hop_latency < 1:
-            raise ValueError(f"hop_latency must be >= 1 us, got {shown(self.hop_latency)}")
-        if self.max_local_retries < 0:
-            raise ValueError(f"max_local_retries must be >= 0, "
-                             f"got {shown(self.max_local_retries)}")
-        if self.ll_wait_multiplier < 1:
-            raise ValueError(f"ll_wait_multiplier must be >= 1, "
-                             f"got {shown(self.ll_wait_multiplier)}")
-        if self.send_spacing is not None and self.send_spacing < 0:
-            raise ValueError(f"send_spacing must be >= 0 us, got {shown(self.send_spacing)}")
-        for knob in ("rto_min", "rto_initial"):
-            value = getattr(self, knob)
-            if value is not None and value < 1:
-                raise ValueError(f"{knob} must be >= 1 us, got {shown(value)}")
         if self.rto_min is not None and self.rto_min > self.rto_max:
             raise ValueError(f"rto_min must be <= rto_max ({shown(self.rto_max)} us), "
                              f"got {shown(self.rto_min)}")
@@ -242,8 +252,7 @@ def sweep(
     worker processes run them.  multiprocessing is imported only when that
     is more than one, so a run or a one-worker sweep never loads it.
     """
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
+    check_count("runs", runs, 1)
     tasks = [
         dataclasses.replace(cell, seed=base_seed + k)
         for cell in cells

@@ -111,7 +111,7 @@ RUN_ARGS = ["run", "--loss", "0.1", "--dtc", "on", "--segments", "5"]
     (RUN_ARGS + ["--hops", "3", "--segments", "0"], "segments"),
     (RUN_ARGS + ["--hops", "3", "--window", "0"], "window"),
     (["sweep", "--hops", "3", "--loss", "0.1,1.0", "--dtc", "both", "--runs", "1"], "loss"),
-    # values argparse itself rejects: main returns its exit code, never raises
+    # a flag's text that does not parse: load_config names the flag
     (RUN_ARGS + ["--hops", "x"], "--hops"),
     (RUN_ARGS + ["--hops", "3", "--hop-latency-ms", "inf"], "--hop-latency-ms"),
     (RUN_ARGS + ["--hops", "3", "--fast-retransmit", "maybe"], "--fast-retransmit"),
@@ -279,6 +279,42 @@ def test_a_huge_int_knob_is_refused_on_one_short_line(flag, value, message, tmp_
     sign = "-" if value.startswith("-") else ""
     assert line.endswith(f"got {sign}10000000000000000000... (401 digits)")
     assert len(line) < 200
+
+
+@pytest.mark.parametrize("extra, name", [
+    pytest.param(["--hop-latency-ms", "-" + HUGE], "--hop-latency-ms", id="hop-latency-ms"),
+    # past the 4,300 digits int() converts, so the text itself is echoed
+    pytest.param(["--window", "1" + "0" * 5000], "--window", id="window"),
+    pytest.param(["--dtc", "x" * 3000], "dtc must be on, off or both", id="dtc"),
+    pytest.param(["--config", "k" * 3000], "c.conf:1: expected `key = value`", id="config-line"),
+    pytest.param(["--config", "k" * 3000 + " = 1"], "c.conf:1: unknown key", id="config-key"),
+])
+def test_a_long_text_is_refused_on_one_short_line(extra, name, tmp_path, capsys, monkeypatch,
+                                                  no_simulation):
+    # the line gives the text's leading characters and its length, not all of it
+    monkeypatch.chdir(tmp_path)
+    if extra[0] == "--config":
+        extra = ["--config", write(Path("c.conf"), extra[1] + "\n")]
+    assert main(RUN_ARGS + ["--hops", "3"] + extra + ["--out", "o"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and name in line
+    assert " characters)" in line
+    assert len(line) < 200
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(RUN_ARGS + ["--hops", "3", "--no-such-flag"], 2, id="unknown-flag"),
+    pytest.param(RUN_ARGS + ["--hops"], 2, id="missing-value"),
+    pytest.param(["run", "--help"], 0, id="help"),
+])
+def test_an_argparse_refusal_or_help_returns_its_exit_code(argv, code, capsys, no_simulation):
+    # main returns argparse's own exit code, never raises; a refusal prints
+    # argparse's usage and error to stderr, --help the usage to stdout
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (err if code else out).startswith("usage: dtcsim ")
+    if code:
+        assert "error: " in err.splitlines()[-1]
 
 
 @pytest.mark.parametrize("text, us", [

@@ -56,7 +56,7 @@ def scenario(**overrides):
     dict(rto_min=0),
     dict(rto_initial=0),
     dict(rto_max=1),
-    dict(rto_min=1, rto_max=119_999),       # one round trip of the 6-hop path is 120,000
+    dict(rto_max=119_999, rto_min=1),       # one round trip of the 6-hop path is 120,000
     dict(p_data=0.99, hops=200),            # (1 - p) ** hops underflows to 0
     dict(p_data=0.99, hops=160),            # the budget overflows to inf
     dict(total_segments=10**307, hops=3),   # each fits a float, 160 x their product does not
@@ -69,10 +69,24 @@ def scenario(**overrides):
     dict(p_data=0.09, hops=200, total_segments=1),
     # 2e10 over the trace-run chain, whose one segment needs 1e4
     dict(total_segments=2_000_000, hops=11, p_data=0.15),
+    # a count or a time is an int, never a float, a bool or None (None is
+    # taken only where it is the default); each flag is a bool, and p_data
+    # a number that is not a bool
+    dict(hops=3.0),
+    dict(total_segments=2.5),
+    dict(hop_latency=1.5),
+    dict(window=None),
+    dict(window=True),
+    dict(seed=1.5),
+    dict(max_local_retries=0.5),
+    dict(rto_max=10**7 + 0.5),
+    dict(dtc_enabled="off"),
+    dict(fast_retransmit=1),
+    dict(p_data=False),
 ])
 def test_invalid_scenarios_rejected(bad):
     knob = next(iter(bad))
-    with pytest.raises(ValueError, match=knob):
+    with pytest.raises(ValueError, match=f"^{knob} "):
         scenario(**bad)
 
 
@@ -112,6 +126,9 @@ def test_boundary_knob_values_accepted():
     s = scenario(max_local_retries=0, ll_wait_multiplier=1, send_spacing=0,
                  rto_min=1, rto_initial=1, rto_max=120_000)
     assert s.effective_rto_min() == 1 and s.rto_max == 2 * s.path_delay()
+    # None is taken where it is the default: the value is derived
+    assert scenario(send_spacing=None, rto_min=None, rto_initial=None) == scenario()
+    assert scenario(p_data=0).p_data == 0           # an int loss is a number too
     assert scenario(hops=11, rto_max=440_000).rto_max == 440_000    # the derived rto_min
     # the most hops the event budget cap takes: one lossless segment, 160 x hops
     assert scenario(hops=6_250_000, hop_latency=1, total_segments=1).event_budget() \
@@ -489,7 +506,7 @@ def test_budget_cut_on_a_caching_chain(monkeypatch, loop, budget, cut_at):
 
 
 def test_sweep_rejects_zero_runs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="runs must be >= 1"):
         sweep([scenario()], 0, 1)
 
 
