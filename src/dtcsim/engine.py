@@ -21,14 +21,14 @@ where that entry is None.  Every handler returns
 nothing and emits straight back into the ``Simulation``, its sink ``out``
 (a recorder stands in for it in unit tests):
 
-    send(src, payload) -> frame_id        a DataSegment toward the receiver,
-                                          an AckSegment toward the sender
+    send(src, payload, awaits_ll_ack=False) -> frame_id
+                                          a DataSegment toward the receiver,
+                                          an AckSegment toward the sender;
+                                          awaits_ll_ack: node src waits for
+                                          its ll ack (below)
     schedule(at, call, arg=None)          a timer: call(arg, now) at time at,
-                                          never behind the clock
-    await_ll_ack(src, frame_id)           node src's wait for the ll ack of
-                                          the frame it just sent: its
-                                          on_ll_timeout at its ll_wait from
-                                          now, with its timer_generation
+                                          never behind the clock; one past
+                                          MAX_TIME_US stops the run
     note(node_id, action, seq)            a cache transition: a DTC trace
                                           record; a node notes only into a
                                           run that traces
@@ -50,20 +50,20 @@ Such a slot still awaits the ll ack, since neither its ll ack nor its ll
 timeout (below) can come before the frame arrives, so the run reads no
 more of its state than that it is full.
 
-A node arms its wait for that ll ack with ``await_ll_ack(src, frame_id)``
-right after it sends the frame.  The wait's timer is the node's
-``on_ll_timeout`` at its ``ll_wait`` after the send, with its
-``timer_generation``.  If the frame was lost, it is pushed at once,
-taking its insertion number there as ``schedule`` would.  Otherwise the
-run builds the timer only where it pushes it, at the frame's arrival,
-from what it reads there: the send time is the arrival time less one hop
-latency; the number is the arrival's own ``seq``, free once the arrival
-pops, and so in the same place among all other numbers as one taken
-right after ``send`` took the arrival's; and the generation is the
-node's, which no move changes while the slot still holds the frame (an
-ack that passes an AWAITING slot either empties it, bumping the
-generation, or leaves it alone, and the wait's own two outcomes come no
-earlier than the arrival).  There the
+A node awaits that ll ack for the frame it sends with
+``send(src, payload, awaits_ll_ack=True)``, the forward that fills its
+slot.  The wait's timer is the node's ``on_ll_timeout`` at its
+``ll_wait`` after the send, with its ``timer_generation``.  If the frame
+was lost, ``send`` pushes it at once, taking its insertion number there
+as ``schedule`` would.  Otherwise the run builds the timer only where it
+pushes it, at the frame's arrival, from what it reads there: the send
+time is the arrival time less one hop latency; the number is the
+arrival's own ``seq``, free once the arrival pops, and so in the same
+place among all other numbers as one taken in ``send`` right after the
+arrival's; and the generation is the node's, which no move changes while
+the slot still holds the frame (an ack that passes an AWAITING slot
+either empties it, bumping the generation, or leaves it alone, and the
+wait's own two outcomes come no earlier than the arrival).  There the
 wait ends in one outcome, never both: after the ll-ack draw the run keeps
 the ll ack if it survived and lands before the timer's time, which
 landing it stales, and pushes the timer otherwise.  The ll ack lands a
@@ -136,9 +136,9 @@ round trip while nothing queued comes first.  An untraced relay keeps
 the carry above: sending every relayed frame through the slot made
 caching-off runs slower (ROADMAP, "Tried and dropped"), and a traced
 caching-off run, which does, is slower for it (README, "Performance").
-The slot is open only inside ``run``, so a ``send`` outside a run, or in
-a loop that never takes from the slot, such as the reference loop that
-inherits ``send``, pushes every frame.
+The slot is open only inside ``run``, so a ``send`` outside a run pushes
+every frame.  The reference loop has its own ``send``, which pushes every
+frame and every awaited ll timeout.
 
 A run given a ``trace`` callable passes it one tuple per event, built only
 when the callable is there:
@@ -166,7 +166,7 @@ from heapq import heappop, heappush, heappushpop
 from itertools import count
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .events import SchedulingError
+from .events import MAX_TIME_US, SchedulingError
 from .endpoints import TcpReceiver, TcpSender
 from .node import CachingNode
 from .packets import DataSegment
@@ -250,12 +250,17 @@ def renderer(hops: int, write: Callable[[str], object]) -> Iterator[Callable[[tu
 
 
 class LivenessError(RuntimeError):
-    """The run stopped without completing: its event budget ran out, or its
-    queue drained.  The message starts with ``<cell_id> seed=<seed>: ``."""
+    """The run stopped without completing: its event budget ran out, a timer
+    would fire past ``MAX_TIME_US``, or its queue drained.  The message
+    starts with ``<cell_id> seed=<seed>: ``."""
 
 
 class EventBudgetExceeded(LivenessError):
     """The run used up its event budget (``Scenario.event_budget``)."""
+
+
+class TimeBoundExceeded(LivenessError):
+    """A station scheduled a timer past ``MAX_TIME_US``."""
 
 
 class RunMetrics(NamedTuple):
@@ -306,8 +311,6 @@ class Simulation:
         # last entry
         self.stations = self.nodes + [None] * relays + [self.receiver, self.sender]
         self.relay_data_tx = [0] * relays
-        # the id of the last frame send lost
-        self._lost_frame = -1
         # by node id, the ll ack a node has yet to apply, as (lands_at, seq,
         # frame_id); an endpoint reads the last entry, which stays None
         self._ll_acks: list[Optional[tuple]] = [None] * (len(self.nodes) + 1)
@@ -323,10 +326,13 @@ class Simulation:
 
     # -- the sink the state machines emit into ----------------------------------
 
-    def send(self, src: int, payload) -> int:
+    def send(self, src: int, payload, awaits_ll_ack: bool = False) -> int:
         """Transmit one frame from src: a data segment toward the receiver,
         an ack toward the sender; its frame id.  A surviving frame is held
-        for the run loop when the slot is empty, and pushed otherwise."""
+        for the run loop when the slot is empty, and pushed otherwise.
+        With awaits_ll_ack, node src waits for the frame's ll ack: a lost
+        frame's ll timeout is pushed here, a surviving one's is built at
+        its arrival (module docstring)."""
         frame_id = self._frames
         self._frames = frame_id + 1
         if type(payload) is DataSegment:
@@ -347,30 +353,25 @@ class Simulation:
                 self._next = arrival
             else:
                 heappush(self._heap, arrival)
-        else:
-            self._lost_frame = frame_id
+        elif awaits_ll_ack:
+            node = self.nodes[src]
+            heappush(self._heap, (self.now + node.ll_wait, next(self._seq), node.on_ll_timeout,
+                                  node.timer_generation))
         if self.trace is not None:
             self._trace_hop(src, dst, payload, "data" if dst > src else "ack", delivered)
         return frame_id
 
     def schedule(self, fire_at: int, call: Callable, arg: object = None) -> None:
-        """Push one timer: ``call(arg, now)`` at fire_at, which may not lie
-        behind the clock."""
-        if fire_at < self.now:
-            raise SchedulingError(f"{call.__qualname__} scheduled at t={fire_at}us "
-                                  f"behind the clock t={self.now}us")
+        """Push one timer: ``call(arg, now)`` at fire_at, which may lie
+        neither behind the clock nor past ``MAX_TIME_US``."""
+        if not self.now <= fire_at <= MAX_TIME_US:
+            if fire_at < self.now:
+                raise SchedulingError(f"{call.__qualname__} scheduled at t={fire_at}us "
+                                      f"behind the clock t={self.now}us")
+            raise TimeBoundExceeded(
+                f"{self.scenario.cell_id} seed={self.scenario.seed}: {call.__qualname__} "
+                f"scheduled at t={fire_at}us, past the {MAX_TIME_US} us bound on virtual time")
         heappush(self._heap, (fire_at, next(self._seq), call, arg))
-
-    def await_ll_ack(self, src: int, frame_id: int) -> None:
-        """Arm node src's wait for the ll ack of frame_id, which it has just
-        sent: its ``on_ll_timeout`` at its ll wait from now, with its
-        generation.  The timer is pushed at once, taking its insertion
-        number as ``schedule`` would, if the frame was lost; the run builds
-        it at the frame's arrival otherwise (module docstring)."""
-        if frame_id == self._lost_frame:
-            node = self.nodes[src]
-            heappush(self._heap, (self.now + node.ll_wait, next(self._seq), node.on_ll_timeout,
-                                  node.timer_generation))
 
     def note(self, node_id: int, action: str, seq: int) -> None:
         """Trace a cache transition; nothing else sees it, and a node notes
@@ -496,8 +497,8 @@ class Simulation:
                     if acked and ll_ack_first:
                         ll_acks[target - 1] = (now + latency, next(self._seq), frame_id)
                     else:
-                        # the timer await_ll_ack armed right after this
-                        # frame's send, numbered with the arrival's own number
+                        # the timer the frame's send armed, numbered with
+                        # the arrival's own number
                         heappush(heap, (now - latency + node.ll_wait, seq,
                                         node.on_ll_timeout, node.timer_generation))
             # the target node's ll ack, if it comes before this arrival in

@@ -36,6 +36,12 @@ from __future__ import annotations
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
 
+# the latest time a timer may fire, about 285 years: below it an int is exact
+# as a float, so every mean of a run's times is too.  Scenario keeps every
+# time knob, set or derived, within it, and a timer past it stops the run
+# (``engine``); the largest pinned completion time is about 2**39
+MAX_TIME_US = 2**53
+
 SENDER = -1             # node id of the TCP sender; see ``engine`` for the rest
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .engine import RunMetrics, Simulation      # RunMetrics re-exported
-from .events import US_PER_MS, US_PER_S
+from .events import MAX_TIME_US, US_PER_MS, US_PER_S
 
 
 # the event budget per segment-hop per expected end-to-end attempt: see
@@ -114,7 +114,9 @@ class Scenario:
         p_data a number in [0, 1).  The one cost rule, ``MAX_EVENT_BUDGET``
         on ``event_budget()``, comes after every range and type check, and
         names hops when no value of the other knobs could meet it, else
-        p_data when no segment count could, else total_segments.
+        p_data when no segment count could, else total_segments.  Last,
+        every time a run reads, set or derived, is at most ``MAX_TIME_US``,
+        and max_local_retries is below the doubling that alone passes it.
         """
         for knob in dataclasses.fields(self):
             value = getattr(self, knob.name)
@@ -158,6 +160,23 @@ class Scenario:
                                  f"must cover the effective rto_min and one path round trip")
             raise ValueError(f"rto_max must be >= the effective rto_min and one path "
                              f"round trip ({shown(floor)} us), got {shown(self.rto_max)}")
+        # every time a run reads within MAX_TIME_US.  rto_max is at or above
+        # the effective rto_min and the path round trip, so within it they
+        # and the hop latency are too
+        for knob, what, time in (
+                ("rto_max", "the timeout ceiling", self.rto_max),
+                ("rto_initial", "the initial timeout", self.effective_rto_initial()),
+                ("send_spacing", "the spacing of sends", self.effective_send_spacing()),
+                ("ll_wait_multiplier", "the ll wait", self.ll_wait())):
+            if time > MAX_TIME_US:
+                raise ValueError(f"{knob} must keep {what} <= {MAX_TIME_US} us, "
+                                 f"got {shown(time)} us")
+        # a local rto doubles per retry: past this many the doubling alone
+        # passes the bound
+        if self.max_local_retries >= MAX_TIME_US.bit_length():
+            raise ValueError(f"max_local_retries must be <= {MAX_TIME_US.bit_length() - 1} to "
+                             f"keep a local rto's doubling within {MAX_TIME_US} us, "
+                             f"got {shown(self.max_local_retries)}")
 
     @property
     def cell_id(self) -> str:

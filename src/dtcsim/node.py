@@ -26,16 +26,16 @@ upstream, so the node swallows the data and regenerates the ack.
 
 A node's timers are its own handlers, ``on_ll_timeout`` and
 ``on_local_rto``, armed with a generation stamp.  The local rto is armed
-with ``out.schedule``.  The ll timeout is armed with
-``out.await_ll_ack(node_id, frame_id)`` right after the send of the frame
-it waits on: the engine reads the rest from the node, ``ll_wait``,
-``on_ll_timeout`` and ``timer_generation``, and builds the timer only
-where it pushes it.  Any cache mutation bumps the node's counter so stale
-expiries fall through harmlessly.  The wait for an ll ack ends in one
-outcome: the engine keeps the ll ack when it lands before the ll timeout
-and pushes the timeout otherwise, never both.  A kept ll ack is no event
-either: the engine calls ``on_ll_ack`` just before the node's next frame
-arrival that the ll ack comes before (see ``engine``).
+with ``out.schedule``.  The ll timeout is armed by the send of the frame
+it waits on, ``out.send(node_id, segment, awaits_ll_ack=True)``, the
+forward that fills the slot: the engine reads the rest from the node,
+``ll_wait``, ``on_ll_timeout`` and ``timer_generation``, and builds the
+timer only where it pushes it.  Any cache mutation bumps the node's
+counter so stale expiries fall through harmlessly.  The wait for an ll
+ack ends in one outcome: the engine keeps the ll ack when it lands before
+the ll timeout and pushes the timeout otherwise, never both.  A kept ll
+ack is no event either: the engine calls ``on_ll_ack`` just before the
+node's next frame arrival that the ll ack comes before (see ``engine``).
 
 A node is built from its id and the run's ``Scenario``, whose ll-ack
 wait, local retry limit and chain geometry it reads itself.
@@ -148,11 +148,9 @@ class CachingNode:
             self.timer_generation += 1
             if self.traced:
                 out.note(self.node_id, "cache", seq)
-            frame_id = out.send(self.node_id, segment)
+            self.cached_frame_id = out.send(self.node_id, segment, awaits_ll_ack=True)
             self.state = AWAITING
             self.cached = segment
-            self.cached_frame_id = frame_id
-            out.await_ll_ack(self.node_id, frame_id)
         else:
             out.send(self.node_id, segment)
         if seq not in self._seen:

@@ -31,12 +31,14 @@ class Recorder:
     Stands in for the engine (see ``dtcsim.engine`` for the calls): ``send``
     hands out frame ids 0, 1, 2, ... to every frame, data or ack.  Each
     call is recorded as a tuple; a timer's ``call`` is the station's bound
-    handler, which compares equal to ``station.on_rto`` and the like.  An
-    ll-ack wait is recorded as the timer the engine arms for it, read from
-    the node and the ``now`` of the handler that awaits:
+    handler, which compares equal to ``station.on_rto`` and the like.  A
+    send that awaits its ll ack is recorded as the send and then the timer
+    the engine arms for the wait, read from the node and the ``now`` of
+    the handler that sends:
 
         ("send", src, payload, frame_id)
-        ("schedule", fire_at, call, arg)    from schedule and await_ll_ack
+        ("schedule", fire_at, call, arg)    from schedule, and from send
+                                            with awaits_ll_ack
         ("note", node_id, action, seq)
     """
 
@@ -47,19 +49,18 @@ class Recorder:
         self.calls = []
         self.next_frame_id = 0
 
-    def send(self, src, payload):
+    def send(self, src, payload, awaits_ll_ack=False):
         frame_id = self.next_frame_id
         self.next_frame_id += 1
         self.calls.append(("send", src, payload, frame_id))
+        if awaits_ll_ack:
+            handler = sys._getframe(1).f_locals
+            node, now = handler["self"], handler["now"]
+            self.schedule(now + node.ll_wait, node.on_ll_timeout, node.timer_generation)
         return frame_id
 
     def schedule(self, fire_at, call, arg=None):
         self.calls.append(("schedule", fire_at, call, arg))
-
-    def await_ll_ack(self, src, frame_id):
-        handler = sys._getframe(1).f_locals
-        node, now = handler["self"], handler["now"]
-        self.schedule(now + node.ll_wait, node.on_ll_timeout, node.timer_generation)
 
     def note(self, node_id, action, seq):
         self.calls.append(("note", node_id, action, seq))

@@ -8,18 +8,20 @@
   * every surviving frame's ll ack is pushed to its transmitter when that
     is a caching node, whose ``on_ll_ack`` ignores a frame it does not
     await;
-  * every timer a station arms is pushed when it is armed.
+  * every timer a station arms is pushed when it is armed, an awaited ll
+    timeout through ``schedule`` right after its frame's send.
 
-It has the same stations, the same draws and the same drop override as the
-engine, and the events it adds emit nothing.  So a run that completes in
-both gives equal RunMetrics and equal trace records, and where the engine
-cuts a run at its event budget, its records are a prefix of the
-reference's.
+It has its own ``send`` and ``_collect``, so no shortcut of the engine's
+transmit or counter collection is shared with it, and the same stations,
+the same draws and the same drop override as the engine; the events it
+adds emit nothing.  So a run that completes in both gives equal
+RunMetrics and equal trace records, and where the engine cuts a run at
+its event budget, its records are a prefix of the reference's.
 """
 
 from heapq import heappop, heappush
 
-from dtcsim.engine import EventBudgetExceeded, LivenessError, Simulation
+from dtcsim.engine import EventBudgetExceeded, LivenessError, RunMetrics, Simulation
 from dtcsim.packets import DataSegment
 
 # the reference pops at most one ll ack and one stale timer more than the
@@ -29,9 +31,28 @@ BUDGET_FACTOR = 3
 
 
 class Reference(Simulation):
-    def await_ll_ack(self, src, frame_id):
-        node = self.nodes[src]
-        self.schedule(self.now + node.ll_wait, node.on_ll_timeout, node.timer_generation)
+    def send(self, src, payload, awaits_ll_ack=False):
+        frame_id = self._frames
+        self._frames += 1
+        is_data = type(payload) is DataSegment
+        dst = src + 1 if is_data else src - 1
+        forced = None
+        if self.drop_override is not None:
+            forced = self.drop_override(frame_id, payload, src, dst)
+        if forced is None:
+            self.draws += 1
+            delivered = self._random() >= (self.p_data if is_data else self.p_tcp_ack)
+        else:
+            delivered = not forced
+        if delivered:
+            heappush(self._heap, (self.now + self.latency, next(self._seq), None,
+                                  (dst, frame_id, payload)))
+        if self.trace is not None:
+            self._trace_hop(src, dst, payload, "data" if is_data else "ack", delivered)
+        if awaits_ll_ack:
+            node = self.nodes[src]
+            self.schedule(self.now + node.ll_wait, node.on_ll_timeout, node.timer_generation)
+        return frame_id
 
     def run(self):
         heap = self._heap
@@ -68,3 +89,16 @@ class Reference(Simulation):
                 if self.sender.completed_at is not None:
                     return self._collect()
         raise LivenessError(f"reference run drained its queue at t={self.now}us")
+
+    def _collect(self):
+        nodes = self.nodes
+        return RunMetrics(
+            e2e_retransmissions=self.sender.e2e_retransmissions,
+            per_node_data_tx=tuple(node.data_tx_count for node in nodes) if nodes
+            else tuple(self.relay_data_tx),
+            sender_data_tx=self.sender.total_data_tx,
+            completion_time=self.sender.completed_at,
+            delivered_segments=self.receiver.delivered_in_order,
+            local_retransmissions_total=sum(node.local_retx_count for node in nodes),
+            rng_draws=self.draws,
+        )

@@ -5,9 +5,11 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, note, settings, strategies as st
 
 from dtcsim.cli import (
     CONFIG_KEYS,
@@ -18,11 +20,18 @@ from dtcsim.cli import (
     Config,
     ConfigError,
     _build_parser,
+    _render_report,
+    _write_nodes_csv,
+    _write_runs_csv,
+    _write_summary_csv,
     load_config,
     main,
 )
 from dtcsim.engine import TRACE_CHUNK_LINES, LivenessError, renderer
-from dtcsim.harness import RunMetrics, Scenario, run
+from dtcsim.events import MAX_TIME_US
+from dtcsim.harness import RunMetrics, Scenario, aggregate, run, sweep
+
+from scenario_space import DEADLINE_MS, HOP_LATENCY_US
 
 
 def write(path: Path, text: str) -> str:
@@ -279,6 +288,82 @@ def test_a_huge_int_knob_is_refused_on_one_short_line(flag, value, message, tmp_
     sign = "-" if value.startswith("-") else ""
     assert line.endswith(f"got {sign}10000000000000000000... (401 digits)")
     assert len(line) < 200
+
+
+@pytest.mark.parametrize("command", [["sweep", "--runs", "1"], ["run"]], ids=["sweep", "run"])
+def test_a_time_past_the_bound_is_refused_on_one_line(command, tmp_path, capsys, no_simulation):
+    # a sweep of these knobs died in aggregate with an OverflowError, after
+    # the run itself finished, and a run printed a 401-digit completion time
+    argv = command + ["--hops", "3", "--loss", "0.5", "--dtc", "on", "--segments", "2",
+                      "--rto-initial-us", HUGE, "--rto-max-us", HUGE, "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: bad value for rto_max_us: rto_max must keep the timeout "
+                           f"ceiling <= {MAX_TIME_US} us, got ")
+    assert len(line) < 200
+
+
+def test_a_timer_past_the_bound_exits_5_naming_the_run(capsys):
+    # accepted knobs whose sender timer, re-armed after the start, would fire
+    # past the bound
+    times = ["--rto-initial-us", str(MAX_TIME_US), "--rto-max-us", str(MAX_TIME_US)]
+    assert main(["run", "--hops", "3", "--loss", "0.5", "--dtc", "on", "--segments", "2"]
+                + times) == 5
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: h3-p0.5-on seed=1: TcpSender.on_rto scheduled at t=")
+    assert line.endswith(f"us, past the {MAX_TIME_US} us bound on virtual time")
+
+
+def _time(rng, usual):
+    """usual, or as often a time log-uniform up to 10**400, or from 10**11
+    to 10**16, around MAX_TIME_US, as often again."""
+    if rng.random() < 0.5:
+        return usual
+    digits = rng.choice([rng.randint(1, 400), rng.randint(12, 16)])
+    return rng.randint(10 ** (digits - 1), 10**digits - 1)
+
+
+def draw_wide_times(rng):
+    """A short chain's knobs, each time among them, and max_local_retries,
+    drawn by _time from a usual value for the chain's latency (or None
+    for the automatic rto_min); rto_max is at or above its floor, so it is
+    refused only past MAX_TIME_US."""
+    hops = rng.randint(2, 4)
+    hop_latency = _time(rng, rng.choice(HOP_LATENCY_US))
+    round_trip = 2 * hops * hop_latency
+    rto_min = _time(rng, rng.choice([None, rng.randint(round_trip, 6 * round_trip)]))
+    ceiling = max(2 * round_trip if rto_min is None else rto_min, round_trip)
+    return dict(hops=hops, p_data=rng.choice([0.0, 0.1, 0.3]), total_segments=rng.randint(1, 3),
+                window=rng.randint(1, 3), seed=rng.randint(1, 100),
+                fast_retransmit=rng.random() < 0.5, hop_latency=hop_latency,
+                ll_wait_multiplier=_time(rng, rng.randint(1, 4)),
+                max_local_retries=_time(rng, rng.randint(0, 4)),
+                send_spacing=_time(rng, rng.randint(0, 50 * hop_latency)),
+                rto_min=rto_min, rto_max=ceiling + _time(rng, rng.randint(0, 63 * ceiling)),
+                rto_initial=_time(rng, rng.randint(1, 4 * ceiling)))
+
+
+@settings(max_examples=200, deadline=DEADLINE_MS)
+@given(st.builds(draw_wide_times, st.randoms()))
+def test_any_time_knob_sweeps_aggregates_writes_and_reports_or_is_refused(knobs):
+    # aim 3: every scenario either runs to its report or is refused with a
+    # ValueError naming a knob, or its run stops with a LivenessError
+    note(knobs)
+    try:
+        cells = [Scenario(dtc_enabled=dtc, **knobs) for dtc in (False, True)]
+    except ValueError:
+        return
+    try:
+        records = sweep(cells, 2, knobs["seed"])
+    except LivenessError:
+        return
+    aggregates = [aggregate(records[i:i + 2]) for i in range(0, len(records), 2)]
+    with tempfile.TemporaryDirectory() as directory:
+        out = Path(directory)
+        _write_runs_csv(out / "runs.csv", records)
+        _write_summary_csv(out / "summary.csv", aggregates)
+        _write_nodes_csv(out / "nodes.csv", aggregates)
+        assert "Per-node data transmissions" in _render_report(out)
 
 
 @pytest.mark.parametrize("extra, name", [

@@ -9,8 +9,8 @@ heap drains.
 import pytest
 from hypothesis import given, strategies as st
 
-from dtcsim.engine import LivenessError, Simulation
-from dtcsim.events import SENDER, SchedulingError
+from dtcsim.engine import LivenessError, Simulation, TimeBoundExceeded
+from dtcsim.events import MAX_TIME_US, SENDER, SchedulingError
 from dtcsim.harness import Scenario
 from dtcsim.packets import DataSegment
 
@@ -145,6 +145,17 @@ def test_scheduling_in_the_past_aborts():
                        match="StubSender.on_rto scheduled at t=9us behind the clock t=10us"):
         sim.run()
     assert sim._heap == []
+
+
+def test_a_timer_past_the_time_bound_stops_the_run_naming_it():
+    sim = make_sim(seed=3)
+    sim.schedule(MAX_TIME_US, sim.sender.on_rto, arg="at the bound")
+    with pytest.raises(TimeBoundExceeded, match=(
+            f"^h2-p0.0-off seed=3: StubSender.on_rto scheduled at t={MAX_TIME_US + 1}us, "
+            f"past the {MAX_TIME_US} us bound on virtual time$")):
+        sim.schedule(MAX_TIME_US + 1, sim.sender.on_rto, arg="past it")
+    assert issubclass(TimeBoundExceeded, LivenessError)
+    assert args(drain(sim)) == ["at the bound"]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=50))

@@ -3,6 +3,7 @@ import gc
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ from hypothesis import given, note, settings, strategies as st
 
 from dtcsim import harness
 from dtcsim.engine import DTC, HOP, EventBudgetExceeded, LivenessError, Simulation
+from dtcsim.events import MAX_TIME_US
 from dtcsim.harness import (
     MAX_EVENT_BUDGET,
     RunMetrics,
@@ -133,6 +135,38 @@ def test_boundary_knob_values_accepted():
     # the most hops the event budget cap takes: one lossless segment, 160 x hops
     assert scenario(hops=6_250_000, hop_latency=1, total_segments=1).event_budget() \
         == MAX_EVENT_BUDGET
+    # every time a run reads, and a local rto's doubling, at the time bound
+    s = scenario(hop_latency=1, ll_wait_multiplier=MAX_TIME_US, send_spacing=MAX_TIME_US,
+                 rto_max=MAX_TIME_US, rto_initial=MAX_TIME_US, max_local_retries=53)
+    assert s.ll_wait() == MAX_TIME_US == 2**53 == 1 << s.max_local_retries
+
+
+BOUND = f"<= {MAX_TIME_US} us, got "
+
+
+@pytest.mark.parametrize("knobs, message", [
+    (dict(rto_max=MAX_TIME_US + 1),
+     f"rto_max must keep the timeout ceiling {BOUND}{MAX_TIME_US + 1} us"),
+    (dict(rto_max=10**400), f"rto_max must keep the timeout ceiling {BOUND}10000000000000000000... "
+                            f"(401 digits) us"),
+    (dict(rto_initial=MAX_TIME_US + 1), f"rto_initial must keep the initial timeout {BOUND}"),
+    # the automatic rto_initial, 3x the effective rto_min
+    (dict(rto_min=2**52, rto_max=MAX_TIME_US), f"rto_initial must keep the initial timeout "
+                                               f"{BOUND}{3 * 2**52} us"),
+    (dict(send_spacing=MAX_TIME_US + 1), f"send_spacing must keep the spacing of sends {BOUND}"),
+    # ll_wait_multiplier hop latencies of 10 ms
+    (dict(ll_wait_multiplier=MAX_TIME_US // 10_000 + 1), f"ll_wait_multiplier must keep the ll "
+                                                        f"wait {BOUND}"),
+    (dict(max_local_retries=54), "max_local_retries must be <= 53 "),
+    (dict(max_local_retries=10**400), "max_local_retries must be <= 53 "),
+], ids=["rto_max", "rto_max-1e400", "rto_initial", "rto_initial-derived", "send_spacing",
+        "ll_wait_multiplier", "max_local_retries", "max_local_retries-1e400"])
+def test_a_time_past_the_bound_is_refused_naming_its_knob(knobs, message):
+    # every time a run reads, set or derived, and each local rto's doubling,
+    # within MAX_TIME_US, so no clock, timer or mean outgrows an exact float
+    with pytest.raises(ValueError, match="^" + re.escape(message)) as excinfo:
+        scenario(**knobs)
+    assert len(str(excinfo.value)) < 200
 
 
 @pytest.mark.parametrize("knobs, message", [
@@ -687,6 +721,14 @@ def test_the_engine_matches_the_naive_reference_loop(s, rules):
     for dtc in (False, True):
         s = dataclasses.replace(s, dtc_enabled=dtc)
         assert small_scope.matches(s, lambda: None if rules is None else ScriptedDrops(rules)), s
+
+
+def test_the_reference_loop_has_its_own_transmit_and_counters():
+    # an engine shortcut in send or _collect would otherwise be shared by the
+    # oracle that is to check it
+    for name in ("send", "_collect"):
+        assert getattr(Reference, name) is not getattr(Simulation, name), name
+        assert name in vars(Reference), name
 
 
 def test_the_engine_matches_the_reference_loop_on_every_small_caching_chain():

@@ -284,9 +284,44 @@ def ll_timeout_pushes(p_data, draw=None, drop_override=None, ll_wait_multiplier=
     return pushes
 
 
-def test_ll_timeout_of_a_lost_frame_is_pushed_at_its_send():
+def test_ll_timeout_of_a_lost_forward_is_pushed_at_its_send():
     pushes = ll_timeout_pushes(0.0, drop_override=ScriptedDrops({(1, 0): 1}))
     assert pushes[0] == (10_000, 40_000, 1)
+
+
+def always_lost(frame_id, segment, src, dst):
+    return True
+
+
+@pytest.mark.parametrize("src, payload, dtc_enabled", [
+    (-1, DataSegment(1), True),
+    (3, AckSegment(2), True),
+    (1, DataSegment(1), False),
+], ids=["sender", "receiver", "relay"])
+def test_a_lost_send_that_awaits_no_ll_ack_pushes_nothing(src, payload, dtc_enabled):
+    # only the forward that fills a node's slot awaits its ll ack; any other
+    # lost send is simply gone, here on a traced 4-hop chain
+    records = []
+    sim = Simulation(Scenario(hops=4, p_data=0.1, dtc_enabled=dtc_enabled),
+                     trace=records.append, drop_override=always_lost)
+    pushes = []
+    with watch_pushes(lambda *event: pushes.append(event)):
+        sim.send(src, payload)
+    assert pushes == [] and sim._heap == []
+    assert [record[5] for record in records] == [False]
+
+
+def test_a_node_forwarding_past_its_busy_slot_pushes_nothing_for_a_lost_send():
+    # the first forward fills the slot and its loss pushes its ll timeout;
+    # the second passes the AWAITING slot and awaits nothing
+    sim = Simulation(Scenario(hops=4, p_data=0.1, dtc_enabled=True), drop_override=always_lost)
+    node = sim.nodes[1]
+    pushes = []
+    with watch_pushes(lambda *event: pushes.append(event)):
+        node.on_data(DataSegment(1), 0)
+        node.on_data(DataSegment(2), 0)
+    assert (node.state, node.cached) == (AWAITING, DataSegment(1))
+    assert pushes == [(node.ll_wait, node.on_ll_timeout, node.timer_generation)]
 
 
 def test_ll_timeout_of_a_lost_ll_ack_is_pushed_at_the_frame_arrival():

@@ -397,9 +397,9 @@ def checked(sim, node, handler, armed):
     """handler, then a check that the node's live armed timers are its entry
     state's.  armed counts the run's armed node timers by (call,
     generation): arming adds one and a firing takes one off, so the check
-    costs no scan of the heap.  A local rto is armed when it is pushed, an
-    ll timeout when the node awaits its ll ack, whether the engine pushes
-    it then or holds it."""
+    costs no scan of the heap.  A local rto is armed when it is
+    scheduled, an ll timeout when the node sends the frame whose ll ack it
+    awaits, whether the engine pushes it then, later or never."""
     @functools.wraps(handler)
     def call(*args):
         if call.__name__ in TIMERS:
@@ -424,27 +424,30 @@ def test_every_entry_state_has_exactly_its_timer_over_whole_runs(s):
     for node in sim.nodes:
         for name in HANDLERS:
             setattr(node, name, checked(sim, node, getattr(node, name), armed))
-    held = Counter()                    # ll timeouts armed and not yet pushed
-    await_ll_ack = sim.await_ll_ack
+    unpushed = Counter()                # node timers armed and not yet pushed
+    send, schedule = sim.send, sim.schedule
 
-    def awaited(src, frame_id):
-        node = sim.nodes[src]
-        timer = node.on_ll_timeout, node.timer_generation
-        armed[timer] += 1
-        held[timer] += 1
-        await_ll_ack(src, frame_id)
+    def sending(src, payload, awaits_ll_ack=False):
+        if awaits_ll_ack:
+            node = sim.nodes[src]
+            timer = node.on_ll_timeout, node.timer_generation
+            armed[timer] += 1
+            unpushed[timer] += 1
+        return send(src, payload, awaits_ll_ack)
 
-    sim.await_ll_ack = awaited
-
-    def on_push(fire_at, call, arg):
-        if call is None:
-            return
+    def scheduling(fire_at, call, arg=None):
         if call.__name__ == "on_local_rto":
             armed[call, arg] += 1
-        elif call.__name__ == "on_ll_timeout":
-            # pushed at most once, and only after its node awaited the ll ack
-            assert held[call, arg] == 1, f"{call!r} pushed with generation {arg} at t={sim.now}"
-            held[call, arg] -= 1
+            unpushed[call, arg] += 1
+        schedule(fire_at, call, arg)
+
+    sim.send, sim.schedule = sending, scheduling
+
+    def on_push(fire_at, call, arg):
+        # a node timer is pushed at most once, and only after it was armed
+        if call is not None and call.__name__ in TIMERS:
+            assert unpushed[call, arg] == 1, f"{call!r} pushed with generation {arg} at t={sim.now}"
+            unpushed[call, arg] -= 1
 
     with watch_pushes(on_push):
         metrics = finish(sim)
@@ -467,14 +470,16 @@ def test_ll_acks_are_applied_only_to_a_node_awaiting_them(s):
     sim = Simulation(s)
     applied = []
     awaited = {}                        # (node id, generation) -> the frame awaited
-    timed_out = []                      # the frames whose ll timeout was pushed
-    await_ll_ack = sim.await_ll_ack
+    timed_out = []                      # (node id, generation) of each ll timeout pushed
+    send = sim.send
 
-    def awaiting(src, frame_id):
-        awaited[src, sim.nodes[src].timer_generation] = frame_id
-        await_ll_ack(src, frame_id)
+    def sending(src, payload, awaits_ll_ack=False):
+        frame_id = send(src, payload, awaits_ll_ack)
+        if awaits_ll_ack:
+            awaited[src, sim.nodes[src].timer_generation] = frame_id
+        return frame_id
 
-    sim.await_ll_ack = awaiting
+    sim.send = sending
     for node in sim.nodes:
         cached = set()                  # the frame ids the node cached
         on_data, on_ll_ack = node.on_data, node.on_ll_ack
@@ -500,13 +505,15 @@ def test_ll_acks_are_applied_only_to_a_node_awaiting_them(s):
         assert any(call.__self__ is station for station in sim.stations), (
             f"{call!r} of no station pushed at t={sim.now}")
         if call.__name__ == "on_ll_timeout":
-            timed_out.append(awaited[call.__self__.node_id, arg])
+            # a lost frame's, pushed inside the send that awaits it
+            timed_out.append((call.__self__.node_id, arg))
 
     with watch_pushes(on_push):
         metrics = finish(sim)
     assert metrics is None or metrics.delivered_segments == s.total_segments
     assert len(set(applied)) == len(applied)        # at most one ll ack per frame
-    assert set(applied).isdisjoint(timed_out), "a frame's wait ended in both outcomes"
+    assert set(applied).isdisjoint(awaited[wait] for wait in timed_out), (
+        "a frame's wait ended in both outcomes")
     if not s.dtc_enabled:
         assert applied == []
 
