@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .engine import LivenessError, renderer
 from .events import US_PER_MS
@@ -364,18 +364,22 @@ def cmd_fig4(config: Config) -> None:
 # -- report -------------------------------------------------------------------
 
 
-def _read_csv(path: Path, expected_header) -> list:
-    """The rows under the expected header, each a dict keyed by column name."""
+def _read_csv(path: Path, expected_header) -> Iterator[dict]:
+    """The rows under the expected header, each a dict keyed by column name,
+    read one at a time."""
     if not path.is_file():
         raise ReportError(f"missing {path.name} in {path.parent}")
     try:
         with path.open(newline="") as handle:
-            rows = list(csv.reader(handle))
+            rows = csv.reader(handle)
+            header = next(rows, None)
+            if header != expected_header:
+                raise ReportError(f"{path.name}: unexpected header "
+                                  f"{'(empty)' if header is None else header}")
+            for row in rows:
+                yield dict(zip(expected_header, row))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ReportError(f"cannot read {path}: {exc}") from exc
-    if not rows or rows[0] != expected_header:
-        raise ReportError(f"{path.name}: unexpected header {rows[0] if rows else '(empty)'}")
-    return [dict(zip(expected_header, row)) for row in rows[1:]]
 
 
 def _mode_of(row: dict) -> str:
@@ -386,8 +390,10 @@ def _mode_of(row: dict) -> str:
 
 
 def _render_report(directory: Path) -> str:
-    summary = _read_csv(directory / "summary.csv", SUMMARY_CSV_HEADER)
-    _read_csv(directory / "runs.csv", RUNS_CSV_HEADER)
+    summary = list(_read_csv(directory / "summary.csv", SUMMARY_CSV_HEADER))
+    # runs.csv is only checked, so its rows are read and dropped one by one
+    for _ in _read_csv(directory / "runs.csv", RUNS_CSV_HEADER):
+        pass
     try:
         cells = {}                      # (hops, loss) -> dtc label -> parsed columns
         for row in summary:

@@ -135,8 +135,6 @@ class TcpSender:
         self._arm_rto(now)
 
     def on_ack(self, ack: AckSegment, now: int) -> None:
-        if self.completed_at is not None:
-            return
         if ack.ack_no < self.cumulative:
             return                      # stale duplicate
         if ack.ack_no > self.cumulative:
@@ -155,7 +153,6 @@ class TcpSender:
             self._fill_window(now)
             if self.cumulative == self.total + 1:
                 self.completed_at = now
-                self.rto_generation += 1    # pending timer goes stale
             else:
                 self._arm_rto(now)
             return
@@ -167,7 +164,7 @@ class TcpSender:
             self._drain(now)
 
     def on_rto(self, generation: int, now: int) -> None:
-        if generation != self.rto_generation or self.completed_at is not None:
+        if generation != self.rto_generation:
             return
         # back off only up to the ceiling: every later timeout is rto_max,
         # and the shifted value stays a small int

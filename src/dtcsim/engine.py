@@ -27,11 +27,26 @@ nothing and emits straight back into the ``Simulation``, its sink ``out``
                                           awaits_ll_ack: node src waits for
                                           its ll ack (below)
     schedule(at, call, arg=None)          a timer: call(arg, now) at time at,
-                                          never behind the clock; one past
-                                          MAX_TIME_US stops the run
+                                          never behind the clock, and free
+                                          to lie past MAX_TIME_US (below)
     note(node_id, action, seq)            a cache transition: a DTC trace
                                           record; a node notes only into a
                                           run that traces
+
+A run ends in its run loop, in one of three ways.  It returns its
+``RunMetrics`` at the ack that completes the transfer; it raises
+``EventBudgetExceeded`` at the event one past its budget; or its horizon
+pops.  The horizon is one event, ``(MAX_TIME_US + 1, -1, _horizon,
+None)``, pushed as the run starts.  Its -1 is taken from no counter, so
+no other event's number or order moves, and it pops after every event at
+or below the bound and first on a tie past it.  It raises
+``TimeBoundExceeded`` naming the earliest event still queued, which lies
+past the bound, or, with nothing else queued, ``LivenessError`` as a
+drained queue; the TCP sender always has an rto queued, so only a stub
+sender drains.  So no push checks the bound, the heap is never empty
+before the horizon pops, and every event a run handles, carried ones
+too, lies within the bound.  A completed run takes the horizon out of the
+heap, which keeps the events still queued.
 
 Loss is memoryless: each send takes the next frame id and makes one
 uniform draw against its kind's threshold.  Data segments are the
@@ -114,7 +129,8 @@ advance once by the hops carried, a frame that stops at a relay having
 made one more forward than arrivals.  The carry stops, and the arrival
 is pushed with the clock at the last carried hop, when a queued event
 fires at or before the arrival (on a tie the queued event, pushed
-earlier, pops first), or when one more event would exceed the budget.
+earlier, pops first), the horizon among them, or when one more event
+would exceed the budget.
 No relay pushes, so the head of the heap stays put during a carry, and
 that bound is computed once, before its first hop; a queued event at
 the carry's own time allows no hop.  Otherwise each arrival is the very
@@ -138,7 +154,7 @@ caching-off runs slower (ROADMAP, "Tried and dropped"), and a traced
 caching-off run, which does, is slower for it (README, "Performance").
 The slot is open only inside ``run``, so a ``send`` outside a run pushes
 every frame.  The reference loop has its own ``send``, which pushes every
-frame and every awaited ll timeout.
+frame and every awaited ll timeout, and its own ``schedule``.
 
 A run given a ``trace`` callable passes it one tuple per event, built only
 when the callable is there:
@@ -250,9 +266,10 @@ def renderer(hops: int, write: Callable[[str], object]) -> Iterator[Callable[[tu
 
 
 class LivenessError(RuntimeError):
-    """The run stopped without completing: its event budget ran out, a timer
-    would fire past ``MAX_TIME_US``, or its queue drained.  The message
-    starts with ``<cell_id> seed=<seed>: ``."""
+    """The run stopped without completing: its event budget ran out, or its
+    horizon popped, with an event queued past ``MAX_TIME_US`` or, raised
+    as this class itself, with its queue drained.  The message starts with
+    ``<cell_id> seed=<seed>: ``."""
 
 
 class EventBudgetExceeded(LivenessError):
@@ -260,7 +277,9 @@ class EventBudgetExceeded(LivenessError):
 
 
 class TimeBoundExceeded(LivenessError):
-    """A station scheduled a timer past ``MAX_TIME_US``."""
+    """The run's horizon popped with an event queued past ``MAX_TIME_US``;
+    the message names the earliest such event, a handler's qualified name
+    or "a frame arrival", and its time."""
 
 
 class RunMetrics(NamedTuple):
@@ -362,15 +381,12 @@ class Simulation:
         return frame_id
 
     def schedule(self, fire_at: int, call: Callable, arg: object = None) -> None:
-        """Push one timer: ``call(arg, now)`` at fire_at, which may lie
-        neither behind the clock nor past ``MAX_TIME_US``."""
-        if not self.now <= fire_at <= MAX_TIME_US:
-            if fire_at < self.now:
-                raise SchedulingError(f"{call.__qualname__} scheduled at t={fire_at}us "
-                                      f"behind the clock t={self.now}us")
-            raise TimeBoundExceeded(
-                f"{self.scenario.cell_id} seed={self.scenario.seed}: {call.__qualname__} "
-                f"scheduled at t={fire_at}us, past the {MAX_TIME_US} us bound on virtual time")
+        """Push one timer: ``call(arg, now)`` at fire_at, which may not lie
+        behind the clock.  It may lie past ``MAX_TIME_US``: the run's
+        horizon stops the run before it pops (module docstring)."""
+        if fire_at < self.now:
+            raise SchedulingError(f"{call.__qualname__} scheduled at t={fire_at}us "
+                                  f"behind the clock t={self.now}us")
         heappush(self._heap, (fire_at, next(self._seq), call, arg))
 
     def note(self, node_id: int, action: str, seq: int) -> None:
@@ -388,7 +404,6 @@ class Simulation:
         # traces a frame or asks the override
         by_send = trace is not None or self.drop_override is not None
         sender = self.sender
-        receiver = self.receiver
         nodes = self.nodes
         n_nodes = len(nodes)
         relay_data_tx = self.relay_data_tx
@@ -405,6 +420,8 @@ class Simulation:
         budget = self.scenario.event_budget()
         processed = 0
         self._next = None
+        # the horizon takes no insertion number, so it moves no other event
+        heappush(heap, (MAX_TIME_US + 1, -1, self._horizon, None))
         sender.start(self.now)
         while True:
             arrival = self._next
@@ -413,17 +430,15 @@ class Simulation:
                 # unless a queued one comes first
                 self._next = None
                 now, seq, call, arg = heappushpop(heap, arrival)
-            elif heap:
-                now, seq, call, arg = heappop(heap)
             else:
-                break
+                now, seq, call, arg = heappop(heap)
             self.now = now
             processed += 1
             if processed > budget:
                 raise EventBudgetExceeded(
                     f"{self.scenario.cell_id} seed={self.scenario.seed}: "
                     f"run exceeded the {budget} event budget at t={now}us "
-                    f"({receiver.delivered_in_order}/{receiver.total} delivered)"
+                    f"({self.receiver.delivered_in_order}/{self.receiver.total} delivered)"
                 )
             if call is not None:
                 call(arg, now)
@@ -450,12 +465,12 @@ class Simulation:
                 # event, into a relay or a station, while nothing queued
                 # fires first (a tie pops the queued event first) and the
                 # budget allows.  No relay pushes, so the bound holds for
-                # the whole carry; a queued event at now itself allows none
+                # the whole carry; a queued event at now itself allows none,
+                # and the horizon keeps every carried hop within MAX_TIME_US
                 room = budget - processed
-                if heap:
-                    gap = (heap[0][0] - now - 1) // latency
-                    if gap < room:
-                        room = gap if gap > 0 else 0
+                gap = (heap[0][0] - now - 1) // latency
+                if gap < room:
+                    room = gap if gap > 0 else 0
                 step = 1 if is_data else -1
                 threshold = p_data if is_data else p_tcp_ack
                 hops = 0
@@ -513,16 +528,26 @@ class Simulation:
                 station.on_ack(segment, now)
                 if sender.completed_at is not None:
                     return self._collect()
-        raise LivenessError(
-            f"{self.scenario.cell_id} seed={self.scenario.seed}: "
-            f"event queue drained at t={self.now}us with "
-            f"{receiver.delivered_in_order}/{receiver.total} segments delivered"
-        )
+
+    def _horizon(self, arg: None, now: int) -> None:
+        """Stop the run: past ``MAX_TIME_US``, naming the earliest event
+        still queued, or, with nothing queued, as drained."""
+        head = f"{self.scenario.cell_id} seed={self.scenario.seed}: "
+        if not self._heap:
+            raise LivenessError(f"{head}event queue drained with {self.receiver.delivered_in_order}"
+                                f"/{self.receiver.total} segments delivered")
+        fire_at, _, call, _ = self._heap[0]
+        raise TimeBoundExceeded(
+            f"{head}{'a frame arrival' if call is None else call.__qualname__} scheduled at "
+            f"t={fire_at}us, past the {MAX_TIME_US} us bound on virtual time")
 
     def _collect(self) -> RunMetrics:
-        # the state machines hold this simulation as their sink; cut that
-        # cycle so a finished run is freed at once, not at the next full
-        # garbage collection (a sweep's peak memory would show the wait)
+        # the state machines hold this simulation as their sink, and the
+        # horizon is its method; cut those references so a finished run is
+        # freed at once, not at the next full garbage collection (a sweep's
+        # peak memory would show the wait).  The heap keeps every other
+        # event still queued
+        self._heap.remove((MAX_TIME_US + 1, -1, self._horizon, None))
         for station in (*self.nodes, self.receiver, self.sender):
             station.out = None
         return RunMetrics(

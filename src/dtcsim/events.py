@@ -8,16 +8,19 @@ identical draw sequences.
 An event is a plain heap tuple ``(fire_at, seq, call, arg)``:
 
     fire_at   virtual time in integer microseconds
-    seq       insertion counter, unique per run; makes heap order total
-              and keeps equal-time events FIFO, so comparisons never
-              reach ``call`` or ``arg``
+    seq       insertion counter, unique per run (the horizon's -1 is
+              taken from no counter); makes heap order total and keeps
+              equal-time events FIFO, so comparisons never reach ``call``
+              or ``arg``
     call      the handler the event fires, a bound method of the station
-              that is its owner, called as ``call(arg, now)``; None for a
-              frame arrival, which the run loop handles itself
+              that is its owner (or the run's horizon, ``engine``), called
+              as ``call(arg, now)``; None for a frame arrival, which the run
+              loop handles itself
     arg       a frame arrival: (target node id, frame_id, segment);
               a timer (``on_ll_timeout``, ``on_local_rto``, ``on_rto``):
               its generation, stale unless it matches the owner's counter;
-              the sender's pacing gate (``on_send_slot``): None
+              the sender's pacing gate (``on_send_slot``) and the
+              horizon: None
 
 The order in which a run schedules events and consumes random draws is
 part of its result: two runs agree byte for byte only if they handle the
@@ -38,8 +41,8 @@ US_PER_S = 1_000_000
 
 # the latest time a timer may fire, about 285 years: below it an int is exact
 # as a float, so every mean of a run's times is too.  Scenario keeps every
-# time knob, set or derived, within it, and a timer past it stops the run
-# (``engine``); the largest pinned completion time is about 2**39
+# time knob, set or derived, within it, and a run stops at its first event
+# past it (``engine``); the largest pinned completion time is about 2**39
 MAX_TIME_US = 2**53
 
 SENDER = -1             # node id of the TCP sender; see ``engine`` for the rest

@@ -11,17 +11,22 @@
   * every timer a station arms is pushed when it is armed, an awaited ll
     timeout through ``schedule`` right after its frame's send.
 
-It has its own ``send`` and ``_collect``, so no shortcut of the engine's
-transmit or counter collection is shared with it, and the same stations,
-the same draws and the same drop override as the engine; the events it
-adds emit nothing.  So a run that completes in both gives equal
-RunMetrics and equal trace records, and where the engine cuts a run at
-its event budget, its records are a prefix of the reference's.
+It has its own ``send``, ``schedule`` and ``_collect``, so no shortcut of
+the engine's transmit, push or counter collection is shared with it, and
+the same stations, the same draws and the same drop override as the
+engine; the events it adds emit nothing.  So a run that completes in both
+gives equal RunMetrics and equal trace records, and where the engine cuts
+a run at its event budget, its records are a prefix of the reference's.
+
+It pushes no horizon and bounds no time: a timer past ``MAX_TIME_US``
+pops like any other, and its queue may drain.  It is compared with the
+engine only on grids whose runs end far below that bound.
 """
 
 from heapq import heappop, heappush
 
 from dtcsim.engine import EventBudgetExceeded, LivenessError, RunMetrics, Simulation
+from dtcsim.events import SchedulingError
 from dtcsim.packets import DataSegment
 
 # the reference pops at most one ll ack and one stale timer more than the
@@ -53,6 +58,11 @@ class Reference(Simulation):
             node = self.nodes[src]
             self.schedule(self.now + node.ll_wait, node.on_ll_timeout, node.timer_generation)
         return frame_id
+
+    def schedule(self, fire_at, call, arg=None):
+        if fire_at < self.now:
+            raise SchedulingError(f"{call.__qualname__} scheduled at t={fire_at}us behind the clock")
+        heappush(self._heap, (fire_at, next(self._seq), call, arg))
 
     def run(self):
         heap = self._heap

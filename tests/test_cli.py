@@ -3,9 +3,11 @@ import errno
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ from dtcsim.cli import (
     load_config,
     main,
 )
-from dtcsim.engine import TRACE_CHUNK_LINES, LivenessError, renderer
+from dtcsim.engine import TRACE_CHUNK_LINES, LivenessError, TimeBoundExceeded, renderer
 from dtcsim.events import MAX_TIME_US
 from dtcsim.harness import RunMetrics, Scenario, aggregate, run, sweep
 
@@ -303,15 +305,41 @@ def test_a_time_past_the_bound_is_refused_on_one_line(command, tmp_path, capsys,
     assert len(line) < 200
 
 
+# accepted knobs whose sender's first rto fires at the bound, where it
+# retransmits segment 1 and re-arms past the bound; at seed 1 the transfer
+# has not completed by then
+AT_THE_BOUND = ["run", "--hops", "3", "--loss", "0.5", "--segments", "2",
+                "--rto-initial-us", str(MAX_TIME_US), "--rto-max-us", str(MAX_TIME_US)]
+
+
 def test_a_timer_past_the_bound_exits_5_naming_the_run(capsys):
-    # accepted knobs whose sender timer, re-armed after the start, would fire
-    # past the bound
-    times = ["--rto-initial-us", str(MAX_TIME_US), "--rto-max-us", str(MAX_TIME_US)]
-    assert main(["run", "--hops", "3", "--loss", "0.5", "--dtc", "on", "--segments", "2"]
-                + times) == 5
+    # caching off: the retransmission is lost, so the next event is the rto
+    assert main(AT_THE_BOUND + ["--dtc", "off"]) == 5
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: h3-p0.5-on seed=1: TcpSender.on_rto scheduled at t=")
-    assert line.endswith(f"us, past the {MAX_TIME_US} us bound on virtual time")
+    assert line == (f"error: h3-p0.5-off seed=1: TcpSender.on_rto scheduled at "
+                    f"t={2 * MAX_TIME_US}us, past the {MAX_TIME_US} us bound on virtual time")
+
+
+def test_a_frame_past_the_bound_exits_5_naming_a_frame_arrival(capsys):
+    # caching on: the retransmission survives, and arrives one hop latency
+    # past the bound, before the rto
+    assert main(AT_THE_BOUND + ["--dtc", "on"]) == 5
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (f"error: h3-p0.5-on seed=1: a frame arrival scheduled at "
+                    f"t={MAX_TIME_US + 10_000}us, past the {MAX_TIME_US} us bound on virtual time")
+
+
+def test_a_timer_armed_past_the_bound_lets_the_run_complete_inside_it(capsys):
+    # a lossless transfer that ends at 0.437 of MAX_TIME_US, though an rto is
+    # re-armed past it
+    assert main(["run", "--hops", "5", "--loss", "0", "--dtc", "off", "--segments", "3",
+                 "--hop-latency-ms", "277481793941.551", "--rto-min-us", "20047985177611",
+                 "--rto-max-us", str(MAX_TIME_US), "--rto-initial-us", "5593452668989534"]) == 0
+    assert "completion_time_us: 3940241473970024\n" in capsys.readouterr().out
+    s = Scenario(hops=5, p_data=0.0, dtc_enabled=False, total_segments=3, seed=1,
+                 hop_latency=277_481_793_941_551, rto_min=20_047_985_177_611,
+                 rto_max=MAX_TIME_US, rto_initial=5_593_452_668_989_534)
+    assert run(s).completion_time == 3_940_241_473_970_024
 
 
 def _time(rng, usual):
@@ -355,8 +383,13 @@ def test_any_time_knob_sweeps_aggregates_writes_and_reports_or_is_refused(knobs)
         return
     try:
         records = sweep(cells, 2, knobs["seed"])
+    except TimeBoundExceeded as exc:
+        # the horizon names an event past the bound
+        assert int(re.search(r"scheduled at t=(\d+)us, past", str(exc))[1]) > MAX_TIME_US
+        return
     except LivenessError:
         return
+    assert all(record.metrics.completion_time <= MAX_TIME_US for record in records)
     aggregates = [aggregate(records[i:i + 2]) for i in range(0, len(records), 2)]
     with tempfile.TemporaryDirectory() as directory:
         out = Path(directory)
@@ -893,3 +926,32 @@ def test_report_unreadable_csv_exits_4(content, tmp_path, capsys):
                                            + content)
     assert main(["report", str(tmp_path)]) == 4
     assert f"cannot read {tmp_path / 'summary.csv'}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b"\xff\n", id="undecodable-byte"),
+    pytest.param(b"x" * 131_073 + b"\n", id="field-over-csv-limit"),
+])
+def test_report_unreadable_runs_csv_body_exits_4(content, small_sweep, capsys):
+    # runs.csv is read to its end, past its header, though only checked
+    runs = small_sweep / "runs.csv"
+    runs.write_bytes(runs.read_bytes() + content)
+    assert main(["report", str(small_sweep)]) == 4
+    assert f"cannot read {runs}" in capsys.readouterr().err
+
+
+def test_report_holds_no_runs_csv_in_memory(small_sweep):
+    # a runs.csv of 20,000 rows, some 16 MB as rows of dicts, is read row by
+    # row: the report's peak stays well under a megabyte, and its text is
+    # that of the sweep's own runs.csv
+    text = _render_report(small_sweep)
+    runs = small_sweep / "runs.csv"
+    header, row = runs.read_text().splitlines()[:2]
+    runs.write_text(header + "\n" + (row + "\n") * 20_000)
+    tracemalloc.start()
+    try:
+        assert _render_report(small_sweep) == text
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000

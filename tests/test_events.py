@@ -2,8 +2,8 @@
 
 Events are pushed with ``Simulation.schedule`` and popped by ``run()``.
 A stub sender stands in for the TCP sender: it records every timer call
-the loop makes on it, and it never completes, so each run ends when the
-heap drains.
+the loop makes on it, and it never completes, so each run ends at its
+horizon, past ``MAX_TIME_US``: drained if nothing else is queued there.
 """
 
 import pytest
@@ -49,7 +49,8 @@ def make_sim(seed=0, **knobs):
 
 
 def drain(sim):
-    """Run the loop until the heap is empty; what the stub sender saw."""
+    """Run the loop until its horizon finds nothing else queued; what the
+    stub sender saw."""
     with pytest.raises(LivenessError, match="drained"):
         sim.run()
     return sim.sender.seen
@@ -110,14 +111,14 @@ def test_pop_advances_clock():
     sim.sender.on_pop = lambda: clock.append(sim.now)
     drain(sim)
     assert clock == [1, 9]
-    assert sim.now == 9
+    assert sim.now == MAX_TIME_US + 1               # the horizon's time
 
 
 def test_empty_queue_returns_none():
     # a heap that drains before the transfer completes is a liveness failure
     sim = make_sim()
     assert drain(sim) == []
-    assert sim.now == 0
+    assert sim.now == MAX_TIME_US + 1
 
 
 def test_scheduling_at_current_time_is_legal():
@@ -144,18 +145,42 @@ def test_scheduling_in_the_past_aborts():
     with pytest.raises(SchedulingError,
                        match="StubSender.on_rto scheduled at t=9us behind the clock t=10us"):
         sim.run()
-    assert sim._heap == []
+    assert sim._heap == [(MAX_TIME_US + 1, -1, sim._horizon, None)]
 
 
 def test_a_timer_past_the_time_bound_stops_the_run_naming_it():
+    # a timer may be armed past the bound; the run stops at its horizon,
+    # after every event at or below the bound and first on a tie past it,
+    # naming the earliest event queued there
     sim = make_sim(seed=3)
+    sim.schedule(MAX_TIME_US + 2, sim.sender.on_send_slot)
+    sim.schedule(MAX_TIME_US + 1, sim.sender.on_rto, arg="past it")
     sim.schedule(MAX_TIME_US, sim.sender.on_rto, arg="at the bound")
     with pytest.raises(TimeBoundExceeded, match=(
             f"^h2-p0.0-off seed=3: StubSender.on_rto scheduled at t={MAX_TIME_US + 1}us, "
             f"past the {MAX_TIME_US} us bound on virtual time$")):
-        sim.schedule(MAX_TIME_US + 1, sim.sender.on_rto, arg="past it")
+        sim.run()
     assert issubclass(TimeBoundExceeded, LivenessError)
-    assert args(drain(sim)) == ["at the bound"]
+    assert args(sim.sender.seen) == ["at the bound"]
+    assert sim.now == MAX_TIME_US + 1
+
+
+def test_a_frame_past_the_time_bound_stops_the_run_naming_a_frame_arrival():
+    # the frame sent at the bound arrives one hop latency past it, before
+    # the timer armed with it
+    sim = make_sim(seed=3)
+    sim.schedule(MAX_TIME_US, sim.sender.on_rto, arg="at the bound")
+
+    def send_and_arm():
+        sim.send(SENDER, DataSegment(1))
+        sim.schedule(MAX_TIME_US + 2 * sim.latency, sim.sender.on_rto, arg="past it")
+
+    sim.sender.on_pop = send_and_arm
+    with pytest.raises(TimeBoundExceeded, match=(
+            f"^h2-p0.0-off seed=3: a frame arrival scheduled at t={MAX_TIME_US + sim.latency}us, "
+            f"past the {MAX_TIME_US} us bound on virtual time$")):
+        sim.run()
+    assert args(sim.sender.seen) == ["at the bound"]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=50))

@@ -8,6 +8,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from conftest import Recorder, emitted, watch_pushes
 from dtcsim.engine import DTC, HOP, Simulation
+from dtcsim.events import MAX_TIME_US
 from dtcsim.harness import Scenario
 from dtcsim.node import AWAITING, LOCKED, REPLACEABLE, CachingNode, initial_rtt
 from dtcsim.packets import ORIGIN_LOCAL, AckSegment, DataSegment, sack_covers
@@ -465,7 +466,7 @@ def test_ll_acks_are_applied_only_to_a_node_awaiting_them(s):
     # whose slot holds that frame, and applies it at most once, so a
     # caching-off run applies none.  A frame's wait ends in one outcome: no
     # frame has both a pushed ll timeout and an applied ll ack.  Every push
-    # is a frame toward a station or a station's own timer
+    # is the run's horizon, a frame toward a station or a station's own timer
     note(s)
     sim = Simulation(s)
     applied = []
@@ -500,6 +501,9 @@ def test_ll_acks_are_applied_only_to_a_node_awaiting_them(s):
         if call is None:
             target = arg[0]
             assert -1 <= target <= s.hops - 1, f"frame pushed to {target} at t={sim.now}"
+            return
+        if call == sim._horizon:
+            assert fire_at == MAX_TIME_US + 1, f"horizon pushed at t={fire_at}"
             return
         assert call.__name__ in PUSHED_HANDLERS, f"{call!r} pushed at t={sim.now}"
         assert any(call.__self__ is station for station in sim.stations), (
