@@ -77,7 +77,6 @@ class TcpSender:
         self.fast_retransmit = scenario.fast_retransmit
         self.dup_acks = 0
         self.e2e_retransmissions = 0
-        self.total_data_tx = 0
         self.completed_at: Optional[int] = None
         self.spacing = scenario.effective_send_spacing()
         self._tx_queue = deque()        # seqs waiting in the pacing gate
@@ -101,7 +100,6 @@ class TcpSender:
             else:
                 entry[0] = now
             entry[1] += 1
-            self.total_data_tx += 1
             self.out.send(SENDER, entry[2])
             self._next_free_at = now + self.spacing
         if self._tx_queue and not self._slot_armed:
@@ -181,7 +179,6 @@ class TcpSender:
             entry = self.in_flight[self.cumulative]
             self.e2e_retransmissions += 1
             entry[1] += 1
-            self.total_data_tx += 1
             self.out.send(SENDER, entry[2])
             self._next_free_at = now + self.spacing
         self._arm_rto(now)

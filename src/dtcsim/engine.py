@@ -21,11 +21,12 @@ where that entry is None.  Every handler returns
 nothing and emits straight back into the ``Simulation``, its sink ``out``
 (a recorder stands in for it in unit tests):
 
-    send(src, payload, awaits_ll_ack=False) -> frame_id
+    send(src, payload, awaits_ll_ack=False) -> number
                                           a DataSegment toward the receiver,
-                                          an AckSegment toward the sender;
-                                          awaits_ll_ack: node src waits for
-                                          its ll ack (below)
+                                          an AckSegment toward the sender:
+                                          its arrival's insertion number, -1
+                                          if it is lost; awaits_ll_ack: node
+                                          src waits for its ll ack (below)
     schedule(at, call, arg=None)          a timer: call(arg, now) at time at,
                                           never behind the clock, and free
                                           to lie past MAX_TIME_US (below)
@@ -48,19 +49,20 @@ before the horizon pops, and every event a run handles, carried ones
 too, lies within the bound.  A completed run takes the horizon out of the
 heap, which keeps the events still queued.
 
-Loss is memoryless: each send takes the next frame id and makes one
-uniform draw against its kind's threshold.  Data segments are the
-largest frames and lose most often (``p_data``); TCP acks lose at half
-that rate and link-layer acks at a quarter.  A frame that survives has
-its arrival pushed one hop latency later; a lost one is simply gone, and
-recovery is someone else's job.  A drop override (tests only) may decide
-a send instead of the draw.
+Loss is memoryless: each send makes one uniform draw against its kind's
+threshold.  Data segments are the largest frames and lose most often
+(``p_data``); TCP acks lose at half that rate and link-layer acks at a
+quarter.  A frame that survives has its arrival pushed one hop latency
+later, and the arrival's insertion number is the frame's id; a lost one
+is simply gone, and recovery is someone else's job.  A drop override
+(tests only) may decide a send instead of the draw.
 
 Every arriving frame gets its link-layer ack draw, always at arrival.  An
 ll ack has one reader: the transmitter of a data frame (a slot never
 holds an ack frame), when that is a node whose cache slot holds that
 frame, that is, the slot is not empty and its ``cached_frame_id`` is the
-frame's id; frame ids are unique, so no later slot can hold it either.
+arrival's insertion number; insertion numbers are unique, and no arrival
+has the -1 of a lost frame, so no later slot can hold it either.
 Such a slot still awaits the ll ack, since neither its ll ack nor its ll
 timeout (below) can come before the frame arrives, so the run reads no
 more of its state than that it is full.
@@ -93,12 +95,13 @@ pushed there pops just where it would have popped had it been pushed
 when armed.
 
 A kept ll ack is node state, not an event: the run stores
-``(lands_at, seq, frame_id)`` as the node's entry of ``_ll_acks``, the ll
-ack taking its insertion number there as a push would.  ``_ll_acks``
+``(lands_at, seq, frame)`` as the node's entry of ``_ll_acks``, the ll
+ack taking its insertion number ``seq`` there as a push would, and
+``frame`` the number of its frame's arrival.  ``_ll_acks``
 holds one entry per caching node and one more, always None, that an
 arrival at the sender or the receiver reads.  Just before a frame arrival
 hands a frame to that node, the run applies the ll ack, as
-``nodes[n].on_ll_ack(frame_id, now)``, if it comes before the arrival in
+``nodes[n].on_ll_ack(frame, now)``, if it comes before the arrival in
 ``(time, seq)``: a tie in time goes by insertion number.  The node's
 timers need no apply: the ll timeout of a kept ll ack is never pushed; a
 live local rto belongs to a ``LOCKED`` slot, which an ll ack leaves
@@ -110,8 +113,8 @@ every other event, so the results are the same as if every surviving ll
 ack and every timer were pushed; ``tests/reference_loop.py`` runs that
 naive schedule and checks it.
 
-So the order in which a handler emits is the order of frame ids, draws and
-pushes, and it is part of every result; keep it when editing a handler.
+So the order in which a handler emits is the order of draws and pushes,
+and it is part of every result; keep it when editing a handler.
 
 With caching off every intermediate node is a relay: no ``CachingNode``
 is built, ``nodes`` is empty, and the relay's entry of ``stations`` is
@@ -124,13 +127,13 @@ push and pop, through the next relays, to where it is lost or into the
 sender's or the receiver's handler.  Each carried hop is one loss draw
 against the frame's threshold, the arrival's ll-ack draw (no node awaits
 it, so it is drawn and not kept) and the relay's count; after the carry
-the frame-id and draw counters, the processed events and the clock
-advance once by the hops carried, a frame that stops at a relay having
-made one more forward than arrivals.  The carry stops, and the arrival
-is pushed with the clock at the last carried hop, when a queued event
-fires at or before the arrival (on a tie the queued event, pushed
-earlier, pops first), the horizon among them, or when one more event
-would exceed the budget.
+the draw counter, the processed events and the clock advance once by
+the hops carried, a frame that stops at a relay having made one more
+loss draw than arrivals.  No node awaits a carried frame's ll ack, so
+none reads its id.  The carry stops, and the arrival is pushed with the
+clock at the last carried hop, when a queued event fires at or before
+the arrival (on a tie the queued event, pushed earlier, pops first), the
+horizon among them, or when one more event would exceed the budget.
 No relay pushes, so the head of the heap stays put during a carry, and
 that bound is computed once, before its first hop; a queued event at
 the carry's own time allows no hop.  Otherwise each arrival is the very
@@ -154,7 +157,8 @@ caching-off runs slower (ROADMAP, "Tried and dropped"), and a traced
 caching-off run, which does, is slower for it (README, "Performance").
 The slot is open only inside ``run``, so a ``send`` outside a run pushes
 every frame.  The reference loop has its own ``send``, which pushes every
-frame and every awaited ll timeout, and its own ``schedule``.
+frame and every awaited ll timeout and counts the data frames on the
+wire, and its own ``schedule``.
 
 A run given a ``trace`` callable passes it one tuple per event, built only
 when the callable is there:
@@ -188,9 +192,9 @@ from .node import CachingNode
 from .packets import DataSegment
 
 # A drop override lets tests script exact losses.  It is called as
-# drop_override(frame_id, segment, src, dst) and returns True to force a
-# loss, False to force delivery, None to fall through to the random draw.
-DropOverride = Callable[[int, object, int, int], Optional[bool]]
+# drop_override(segment, src, dst) and returns True to force a loss, False
+# to force delivery, None to fall through to the random draw.
+DropOverride = Callable[[object, int, int], Optional[bool]]
 
 
 # the tag at index 1 of a trace record
@@ -314,7 +318,6 @@ class Simulation:
         self.p_tcp_ack = scenario.p_data / 2.0
         self.p_ll_ack = scenario.p_data / 4.0
         self.latency = scenario.hop_latency
-        self._frames = 0                            # the next frame id
         self.trace = trace
         self.drop_override = drop_override
         self.receiver_id = scenario.hops - 1
@@ -331,7 +334,8 @@ class Simulation:
         self.stations = self.nodes + [None] * relays + [self.receiver, self.sender]
         self.relay_data_tx = [0] * relays
         # by node id, the ll ack a node has yet to apply, as (lands_at, seq,
-        # frame_id); an endpoint reads the last entry, which stays None
+        # the number of its frame's arrival); an endpoint reads the last
+        # entry, which stays None
         self._ll_acks: list[Optional[tuple]] = [None] * (len(self.nodes) + 1)
         # the frame arrival send holds for the run loop to take next, None
         # while the slot is empty; () closes it until run() starts, so a
@@ -347,13 +351,12 @@ class Simulation:
 
     def send(self, src: int, payload, awaits_ll_ack: bool = False) -> int:
         """Transmit one frame from src: a data segment toward the receiver,
-        an ack toward the sender; its frame id.  A surviving frame is held
-        for the run loop when the slot is empty, and pushed otherwise.
-        With awaits_ll_ack, node src waits for the frame's ll ack: a lost
+        an ack toward the sender.  A surviving frame is held for the run
+        loop when the slot is empty, and pushed otherwise; its arrival's
+        insertion number is returned, and -1 for a lost frame.  With
+        awaits_ll_ack, node src waits for the frame's ll ack: a lost
         frame's ll timeout is pushed here, a surviving one's is built at
         its arrival (module docstring)."""
-        frame_id = self._frames
-        self._frames = frame_id + 1
         if type(payload) is DataSegment:
             dst = src + 1
             threshold = self.p_data
@@ -361,13 +364,15 @@ class Simulation:
             dst = src - 1
             threshold = self.p_tcp_ack
         drop = self.drop_override
-        if drop is not None and (forced := drop(frame_id, payload, src, dst)) is not None:
+        if drop is not None and (forced := drop(payload, src, dst)) is not None:
             delivered = not forced
         else:
             self.draws += 1
             delivered = self._random() >= threshold
+        number = -1
         if delivered:
-            arrival = (self.now + self.latency, next(self._seq), None, (dst, frame_id, payload))
+            number = next(self._seq)
+            arrival = (self.now + self.latency, number, None, (dst, payload))
             if self._next is None:
                 self._next = arrival
             else:
@@ -378,7 +383,7 @@ class Simulation:
                                   node.timer_generation))
         if self.trace is not None:
             self._trace_hop(src, dst, payload, "data" if dst > src else "ack", delivered)
-        return frame_id
+        return number
 
     def schedule(self, fire_at: int, call: Callable, arg: object = None) -> None:
         """Push one timer: ``call(arg, now)`` at fire_at, which may not lie
@@ -443,7 +448,7 @@ class Simulation:
             if call is not None:
                 call(arg, now)
                 continue
-            target, frame_id, segment = arg
+            target, segment = arg
             is_data = type(segment) is DataSegment
             # drawn always, kept only for its one reader when it lands
             # before the reader's ll timeout, which is pushed otherwise
@@ -479,7 +484,7 @@ class Simulation:
                         # the clock at the last carried hop, as a push reads it
                         self.now = now + hops * latency
                         heappush(heap, (self.now + latency, next(self._seq), None,
-                                        (target + step, self._frames + hops, segment)))
+                                        (target + step, segment)))
                         break
                     hops += 1
                     target += step
@@ -491,26 +496,24 @@ class Simulation:
                         break
                     if is_data:
                         relay_data_tx[target] += 1
-                # a frame that stops at a relay, lost or pushed, made one
-                # more forward than arrivals
-                forwards = hops + (station is None)
-                self._frames += forwards
-                self.draws += forwards + hops
+                # a loss draw and an ll-ack draw per hop carried, and a frame
+                # that stops at a relay, lost or pushed, made one loss draw more
+                self.draws += 2 * hops + (station is None)
                 processed += hops
                 now = self.now = now + hops * latency
                 if station is None:
                     continue
                 # into an endpoint, with caching off: no node awaits an ll
-                # ack or keeps one, so frame_id, acked and seq go unread
+                # ack or keeps one, so acked and seq go unread
             if is_data and 0 < target <= n_nodes:
                 # the transmitter, when its slot holds this frame, still
                 # awaits the ll ack: the ll ack and the ll timeout come no
                 # earlier than this arrival, and every other move empties or
                 # refills the slot.  No node awaits an ack frame's ll ack
                 node = nodes[target - 1]
-                if node.state is not None and node.cached_frame_id == frame_id:
+                if node.state is not None and node.cached_frame_id == seq:
                     if acked and ll_ack_first:
-                        ll_acks[target - 1] = (now + latency, next(self._seq), frame_id)
+                        ll_acks[target - 1] = (now + latency, next(self._seq), seq)
                     else:
                         # the timer the frame's send armed, numbered with
                         # the arrival's own number
@@ -554,7 +557,8 @@ class Simulation:
             e2e_retransmissions=self.sender.e2e_retransmissions,
             # one of the two lists is empty
             per_node_data_tx=tuple([n.data_tx_count for n in self.nodes] + self.relay_data_tx),
-            sender_data_tx=self.sender.total_data_tx,
+            # each segment is sent once, and once more per retransmission
+            sender_data_tx=self.scenario.total_segments + self.sender.e2e_retransmissions,
             completion_time=self.sender.completed_at,
             delivered_segments=self.receiver.delivered_in_order,
             local_retransmissions_total=sum(n.local_retx_count for n in self.nodes),

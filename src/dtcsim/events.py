@@ -16,7 +16,8 @@ An event is a plain heap tuple ``(fire_at, seq, call, arg)``:
               that is its owner (or the run's horizon, ``engine``), called
               as ``call(arg, now)``; None for a frame arrival, which the run
               loop handles itself
-    arg       a frame arrival: (target node id, frame_id, segment);
+    arg       a frame arrival: (target node id, segment), whose seq is
+              the frame's id;
               a timer (``on_ll_timeout``, ``on_local_rto``, ``on_rto``):
               its generation, stale unless it matches the owner's counter;
               the sender's pacing gate (``on_send_slot``) and the
@@ -27,7 +28,7 @@ part of its result: two runs agree byte for byte only if they handle the
 same events in the same order and draw from the source in the same
 order.  A faster engine must preserve both; it may handle an event
 without pushing it, carry a frame over several hops and advance the
-frame-id, draw, event and clock counters once for all of them, leave
+draw, event and clock counters once for all of them, leave
 out an event that cannot change the run, hold a node's ll ack as state,
 or push a timer later than it was armed under the insertion number it
 took then (``engine`` says when).

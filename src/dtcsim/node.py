@@ -4,7 +4,8 @@ Each intermediate node of a caching run relays data toward the receiver
 and acks toward the sender, and keeps at most one data segment cached.
 The slot is node state: ``state`` is None while it is empty, and
 otherwise one of three states of the segment ``cached``, which the
-forward with frame id ``cached_frame_id`` cached:
+forward ``cached_frame_id`` cached (the insertion number of that frame's
+arrival, as ``out.send`` returns it, or -1 where the frame was lost):
 
   * AWAITING: the node has just forwarded the segment and waits for the
     next hop's link-layer ack.  The segment pins the slot.  The ll ack
@@ -77,7 +78,8 @@ class CachingNode:
         self.node_id = node_id
         self.hops_to_receiver = scenario.hops - 1 - node_id
         # the one cache slot: its state, None while empty, and its segment,
-        # the frame id of the forward that cached it and its local retries
+        # the id of the forward that cached it (its arrival's number, -1 if
+        # it was lost) and its local retries
         self.state: Optional[str] = None
         self.cached: Optional[DataSegment] = None
         self.cached_frame_id = -1

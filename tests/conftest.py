@@ -15,7 +15,7 @@ class ScriptedDrops:
     def __init__(self, rules):
         self.remaining = dict(rules)
 
-    def __call__(self, frame_id, segment, src, dst):
+    def __call__(self, segment, src, dst):
         if type(segment) is DataSegment:
             key = (segment.seq, src)
             if self.remaining.get(key, 0) > 0:
@@ -29,7 +29,8 @@ class Recorder:
     emits, in order.
 
     Stands in for the engine (see ``dtcsim.engine`` for the calls): ``send``
-    hands out frame ids 0, 1, 2, ... to every frame, data or ack.  Each
+    hands out frame ids 0, 1, 2, ... to every frame, data or ack, where
+    the engine returns its arrival's insertion number.  Each
     call is recorded as a tuple; a timer's ``call`` is the station's bound
     handler, which compares equal to ``station.on_rto`` and the like.  A
     send that awaits its ll ack is recorded as the send and then the timer

@@ -11,10 +11,14 @@
   * every timer a station arms is pushed when it is armed, an awaited ll
     timeout through ``schedule`` right after its frame's send.
 
-It has its own ``send``, ``schedule`` and ``_collect``, so no shortcut of
-the engine's transmit, push or counter collection is shared with it, and
-the same stations, the same draws and the same drop override as the
-engine; the events it adds emit nothing.  So a run that completes in both
+It has its own ``send``, ``schedule``, trace records and ``_collect``, so
+no shortcut of the engine's transmit, push, trace or counter collection
+is shared with it, and the same stations, the same draws and the same
+drop override as the engine; the events it adds emit nothing.  It counts
+the data frames its ``send`` transmits, by sending node, and the
+sender's repeats of a seq, and reports those as the run's transmissions
+and end-to-end retransmissions, so the stations' own counters are checked
+against the wire, not shared with it.  So a run that completes in both
 gives equal RunMetrics and equal trace records, and where the engine cuts
 a run at its event budget, its records are a prefix of the reference's.
 
@@ -25,8 +29,8 @@ engine only on grids whose runs end far below that bound.
 
 from heapq import heappop, heappush
 
-from dtcsim.engine import EventBudgetExceeded, LivenessError, RunMetrics, Simulation
-from dtcsim.events import SchedulingError
+from dtcsim.engine import HOP, EventBudgetExceeded, LivenessError, RunMetrics, Simulation
+from dtcsim.events import SENDER, SchedulingError
 from dtcsim.packets import DataSegment
 
 # the reference pops at most one ll ack and one stale timer more than the
@@ -36,28 +40,43 @@ BUDGET_FACTOR = 3
 
 
 class Reference(Simulation):
+    def __init__(self, scenario, trace=None, drop_override=None):
+        super().__init__(scenario, trace, drop_override)
+        # data frames on the wire by sending node id (the sender's -1 is
+        # the last entry), the seqs the sender has sent and its repeats
+        self.data_sends = [0] * (scenario.hops + 1)
+        self.sender_seqs = set()
+        self.sender_repeats = 0
+
+    def _trace_hop(self, src, dst, payload, kind, delivered):
+        self.trace((self.now, HOP, src, dst, kind, delivered, payload))
+
     def send(self, src, payload, awaits_ll_ack=False):
-        frame_id = self._frames
-        self._frames += 1
         is_data = type(payload) is DataSegment
         dst = src + 1 if is_data else src - 1
+        if is_data:
+            self.data_sends[src] += 1
+            if src == SENDER:
+                self.sender_repeats += payload.seq in self.sender_seqs
+                self.sender_seqs.add(payload.seq)
         forced = None
         if self.drop_override is not None:
-            forced = self.drop_override(frame_id, payload, src, dst)
+            forced = self.drop_override(payload, src, dst)
         if forced is None:
             self.draws += 1
             delivered = self._random() >= (self.p_data if is_data else self.p_tcp_ack)
         else:
             delivered = not forced
+        number = -1
         if delivered:
-            heappush(self._heap, (self.now + self.latency, next(self._seq), None,
-                                  (dst, frame_id, payload)))
+            number = next(self._seq)
+            heappush(self._heap, (self.now + self.latency, number, None, (dst, payload)))
         if self.trace is not None:
             self._trace_hop(src, dst, payload, "data" if is_data else "ack", delivered)
         if awaits_ll_ack:
             node = self.nodes[src]
             self.schedule(self.now + node.ll_wait, node.on_ll_timeout, node.timer_generation)
-        return frame_id
+        return number
 
     def schedule(self, fire_at, call, arg=None):
         if fire_at < self.now:
@@ -70,7 +89,7 @@ class Reference(Simulation):
         processed = 0
         self.sender.start(self.now)
         while heap:
-            now, _, call, arg = heappop(heap)
+            now, seq, call, arg = heappop(heap)
             self.now = now
             processed += 1
             if processed > budget:
@@ -78,19 +97,17 @@ class Reference(Simulation):
             if call is not None:
                 call(arg, now)
                 continue
-            target, frame_id, segment = arg
+            target, segment = arg
             is_data = type(segment) is DataSegment
             transmitter = target - 1 if is_data else target + 1
             self.draws += 1
             acked = self._random() >= self.p_ll_ack
             if acked and 0 <= transmitter < len(self.nodes):
                 heappush(heap, (now + self.latency, next(self._seq),
-                                self.nodes[transmitter].on_ll_ack, frame_id))
+                                self.nodes[transmitter].on_ll_ack, seq))
             if self.trace is not None:
                 self._trace_hop(target, transmitter, segment, "llack", acked)
             if self.stations[target] is None:
-                if is_data:
-                    self.relay_data_tx[target] += 1
                 self.send(target, segment)
             elif is_data:
                 self.stations[target].on_data(segment, now)
@@ -101,14 +118,15 @@ class Reference(Simulation):
         raise LivenessError(f"reference run drained its queue at t={self.now}us")
 
     def _collect(self):
-        nodes = self.nodes
+        # the transmissions as counted on the wire; a node's own resend
+        # cannot be told there from a forwarded local segment, so its local
+        # retransmissions are the node's count
         return RunMetrics(
-            e2e_retransmissions=self.sender.e2e_retransmissions,
-            per_node_data_tx=tuple(node.data_tx_count for node in nodes) if nodes
-            else tuple(self.relay_data_tx),
-            sender_data_tx=self.sender.total_data_tx,
+            e2e_retransmissions=self.sender_repeats,
+            per_node_data_tx=tuple(self.data_sends[:self.receiver_id]),
+            sender_data_tx=self.data_sends[SENDER],
             completion_time=self.sender.completed_at,
             delivered_segments=self.receiver.delivered_in_order,
-            local_retransmissions_total=sum(node.local_retx_count for node in nodes),
+            local_retransmissions_total=sum(node.local_retx_count for node in self.nodes),
             rng_draws=self.draws,
         )

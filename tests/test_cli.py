@@ -3,11 +3,13 @@ import errno
 import io
 import math
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,7 +35,7 @@ from dtcsim.engine import TRACE_CHUNK_LINES, LivenessError, TimeBoundExceeded, r
 from dtcsim.events import MAX_TIME_US
 from dtcsim.harness import RunMetrics, Scenario, aggregate, run, sweep
 
-from scenario_space import DEADLINE_MS, HOP_LATENCY_US
+from scenario_space import DEADLINE_MS
 
 
 def write(path: Path, text: str) -> str:
@@ -343,32 +345,65 @@ def test_a_timer_armed_past_the_bound_lets_the_run_complete_inside_it(capsys):
 
 
 def _time(rng, usual):
-    """usual, or as often a time log-uniform up to 10**400, or from 10**11
-    to 10**16, around MAX_TIME_US, as often again."""
-    if rng.random() < 0.5:
-        return usual
-    digits = rng.choice([rng.randint(1, 400), rng.randint(12, 16)])
-    return rng.randint(10 ** (digits - 1), 10**digits - 1)
+    """usual, or one time in 25 a time of 1 to 400 digits, most of them
+    past MAX_TIME_US, so the refusal of a time stays covered."""
+    if rng.random() < 0.04:
+        digits = rng.randint(1, 400)
+        return rng.randint(10 ** (digits - 1), 10**digits - 1)
+    return usual
 
 
 def draw_wide_times(rng):
     """A short chain's knobs, each time among them, and max_local_retries,
-    drawn by _time from a usual value for the chain's latency (or None
-    for the automatic rto_min); rto_max is at or above its floor, so it is
-    refused only past MAX_TIME_US."""
+    drawn by _time from a usual value.  The usual path round trip is
+    MAX_TIME_US / 8 times a fraction from 2**-53 to 1 whose logarithm lies
+    mostly near the top; the usual rto_max lies from its floor to 64 times
+    it, within MAX_TIME_US, and rto_initial from 1 us to 4 times that
+    floor.  So most draws run, and some stop at the horizon."""
     hops = rng.randint(2, 4)
-    hop_latency = _time(rng, rng.choice(HOP_LATENCY_US))
+    round_trip = MAX_TIME_US // 8 * 2.0 ** (-53 * rng.random() ** 2)
+    hop_latency = _time(rng, max(1, int(round_trip) // (2 * hops)))
     round_trip = 2 * hops * hop_latency
     rto_min = _time(rng, rng.choice([None, rng.randint(round_trip, 6 * round_trip)]))
-    ceiling = max(2 * round_trip if rto_min is None else rto_min, round_trip)
+    # the floor of rto_max, and of the usual rto_initial's range
+    floor = max(2 * round_trip if rto_min is None else rto_min, round_trip)
     return dict(hops=hops, p_data=rng.choice([0.0, 0.1, 0.3]), total_segments=rng.randint(1, 3),
                 window=rng.randint(1, 3), seed=rng.randint(1, 100),
                 fast_retransmit=rng.random() < 0.5, hop_latency=hop_latency,
                 ll_wait_multiplier=_time(rng, rng.randint(1, 4)),
                 max_local_retries=_time(rng, rng.randint(0, 4)),
                 send_spacing=_time(rng, rng.randint(0, 50 * hop_latency)),
-                rto_min=rto_min, rto_max=ceiling + _time(rng, rng.randint(0, 63 * ceiling)),
-                rto_initial=_time(rng, rng.randint(1, 4 * ceiling)))
+                rto_min=rto_min,
+                rto_max=_time(rng, rng.randint(floor, max(floor, min(64 * floor, MAX_TIME_US)))),
+                rto_initial=_time(rng, rng.randint(1, 4 * floor)))
+
+
+def sweep_or_stop(knobs):
+    """Sweep knobs in both caching modes, 2 runs each: "refused" where
+    Scenario refuses them, "horizon" or "stopped" where a run stops with a
+    TimeBoundExceeded or another LivenessError, and otherwise the records."""
+    try:
+        cells = [Scenario(dtc_enabled=dtc, **knobs) for dtc in (False, True)]
+    except ValueError:
+        return "refused"
+    try:
+        return sweep(cells, 2, knobs["seed"])
+    except TimeBoundExceeded as exc:
+        # the horizon names an event past the bound
+        assert int(re.search(r"scheduled at t=(\d+)us, past", str(exc))[1]) > MAX_TIME_US
+        return "horizon"
+    except LivenessError:
+        return "stopped"
+
+
+def test_most_wide_time_draws_run_and_some_stop_at_the_horizon():
+    # the property below checks only what runs: at least half of the draws
+    # run in both modes, and at least 5 % stop at the horizon
+    rng = random.Random(12345)
+    outcomes = Counter(o if type(o) is str else "ran"
+                       for o in (sweep_or_stop(draw_wide_times(rng)) for _ in range(3000)))
+    assert outcomes["refused"] <= 1500
+    assert outcomes["horizon"] >= 150
 
 
 @settings(max_examples=200, deadline=DEADLINE_MS)
@@ -377,17 +412,8 @@ def test_any_time_knob_sweeps_aggregates_writes_and_reports_or_is_refused(knobs)
     # aim 3: every scenario either runs to its report or is refused with a
     # ValueError naming a knob, or its run stops with a LivenessError
     note(knobs)
-    try:
-        cells = [Scenario(dtc_enabled=dtc, **knobs) for dtc in (False, True)]
-    except ValueError:
-        return
-    try:
-        records = sweep(cells, 2, knobs["seed"])
-    except TimeBoundExceeded as exc:
-        # the horizon names an event past the bound
-        assert int(re.search(r"scheduled at t=(\d+)us, past", str(exc))[1]) > MAX_TIME_US
-        return
-    except LivenessError:
+    records = sweep_or_stop(knobs)
+    if type(records) is str:
         return
     assert all(record.metrics.completion_time <= MAX_TIME_US for record in records)
     aggregates = [aggregate(records[i:i + 2]) for i in range(0, len(records), 2)]

@@ -69,7 +69,6 @@ def test_start_emits_initial_window():
         ("send", SENDER, DataSegment(3), 2),
         ("schedule", 300_000, sender.on_rto, sender.rto_generation),
     ]
-    assert sender.total_data_tx == 3
 
 
 def test_start_stop_and_wait():
@@ -182,8 +181,8 @@ def rto_arm(sender, now):
 
 
 def counters(sender, seq):
-    return (sender.e2e_retransmissions, sender.in_flight[seq][1], sender.total_data_tx,
-            sender.backoff, sender.rto_generation)
+    return (sender.e2e_retransmissions, sender.in_flight[seq][1], sender.backoff,
+            sender.rto_generation)
 
 
 @pytest.mark.parametrize("spacing", [0, 21_000])
@@ -207,7 +206,7 @@ def test_rto_at_a_closed_gate_queues_the_oldest_for_the_next_slot():
     before = counters(sender, 1)
     calls = emitted(sender.on_rto, sender.rto_generation, 300_000)
     assert calls == [("schedule", 500_000, sender.on_send_slot, None), rto_arm(sender, 300_000)]
-    assert counters(sender, 1) == (*before[:3], before[3] + 1, before[4] + 1)
+    assert counters(sender, 1) == (*before[:2], before[2] + 1, before[3] + 1)
     assert list(sender._tx_queue) == [1]
     calls = emitted(sender.on_send_slot, None, 500_000)
     assert calls == [("send", SENDER, DataSegment(1), 1)]
@@ -220,7 +219,7 @@ def test_rto_leaves_an_oldest_still_in_the_gate_queued_once(now, sends):
     # seq 2, is never sent, so a timeout neither queues it again nor
     # counts a retransmission; a gate open by then sends it as new data
     sender = make_sender(window=3, spacing=21_000)
-    sender.start(0)
+    assert sent_seqs(emitted(sender.start, 0)) == [1]
     sender.on_ack(AckSegment(2), 10_000)
     assert list(sender._tx_queue) == [2, 3, 4]
     calls = emitted(sender.on_rto, sender.rto_generation, now)
@@ -228,7 +227,6 @@ def test_rto_leaves_an_oldest_still_in_the_gate_queued_once(now, sends):
     assert calls[-1] == rto_arm(sender, now)
     assert list(sender._tx_queue) == [2, 3, 4][len(sends):]
     assert sender.e2e_retransmissions == 0
-    assert sender.total_data_tx == 1 + len(sends)
 
 
 def test_backoff_resets_on_progress():
@@ -280,9 +278,12 @@ def test_counter_identity_tx_equals_total_plus_retx():
         now += 100_000
         sender.on_ack(AckSegment(ack_no), now)
     sender.on_rto(sender.rto_generation, now + 400_000)
-    assert sender.total_data_tx == 6 + 1
+    # the data sends on the sink: segments 1-6 once each, and the timeout's
+    # resend of the oldest, the one retransmission
+    sends = sent_seqs(sender.out.calls)
+    assert sorted(sends) == [1, 2, 3, 4, 4, 5, 6]
     assert sender.e2e_retransmissions == 1
-    assert sender.total_data_tx - sender.e2e_retransmissions == 6
+    assert len(sends) == 6 + sender.e2e_retransmissions
 
 
 # -- sender bookkeeping under any interleaving ---------------------------------------
@@ -322,7 +323,6 @@ def test_each_send_is_counted_once_and_retransmissions_after_the_first(
         seqs = sent_seqs(calls)
         assert all(sender.cumulative <= seq < sender.next_new for seq in seqs)
         sent += seqs
-        assert sender.total_data_tx == len(sent)
         # a seq's first send is new data; each later one is a retransmission
         assert sender.e2e_retransmissions == len(sent) - len(set(sent))
         # a never-sent segment in flight waits in the pacing gate, so a

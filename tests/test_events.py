@@ -72,7 +72,7 @@ def test_event_tuple_layout():
     sim.schedule(4, sim.sender.on_send_slot)
     sim.send(SENDER, DataSegment(1))
     assert sim._heap == [(4, 0, sim.sender.on_rto, 7), (4, 1, sim.sender.on_send_slot, None),
-                         (10_000, 2, None, (0, 0, DataSegment(1)))]
+                         (10_000, 2, None, (0, DataSegment(1)))]
 
 
 def test_pop_orders_by_fire_time():

@@ -16,7 +16,7 @@ from hypothesis import given, note, settings, strategies as st
 
 from dtcsim import harness
 from dtcsim.engine import DTC, HOP, EventBudgetExceeded, LivenessError, Simulation
-from dtcsim.events import MAX_TIME_US
+from dtcsim.events import MAX_TIME_US, SENDER
 from dtcsim.harness import (
     MAX_EVENT_BUDGET,
     RunMetrics,
@@ -634,12 +634,22 @@ def test_reduction_factor_rejects_swapped_modes():
 @settings(max_examples=50, deadline=DEADLINE_MS)
 @given(any_scenario)
 def test_whole_runs_conserve_segments_and_transmissions(s):
+    # the transmissions counted on the wire, from a traced run's data
+    # records; a traced caching-off run relays through send, so its relays'
+    # frames are traced too
     note(s)
-    metrics = finish(Simulation(s))
+    records = []
+    metrics = finish(Simulation(s, trace=records.append))
     if metrics is None:
         return
     assert metrics.delivered_segments == s.total_segments
-    assert metrics.sender_data_tx == s.total_segments + metrics.e2e_retransmissions
+    data = [(record[2], record[6].seq) for record in records
+            if record[1] == HOP and record[4] == "data"]
+    by_node = Counter(src for src, _ in data)
+    assert metrics.per_node_data_tx == tuple(by_node[node] for node in range(s.hops - 1))
+    sender_seqs = [seq for src, seq in data if src == SENDER]
+    assert metrics.sender_data_tx == len(sender_seqs)
+    assert metrics.e2e_retransmissions == len(sender_seqs) - len(set(sender_seqs))
     assert all(tx >= s.total_segments for tx in metrics.per_node_data_tx)  # every node relays all
 
 
@@ -706,7 +716,7 @@ def test_every_draw_is_a_send_or_an_arrival(s, rules):
     assert metrics.delivered_segments == s.total_segments
     frames = [(t, *arg) for t, _, call, arg in sim._heap if call is None]
     in_flight = Counter((t, node, node - 1 if type(segment) is DataSegment else node + 1, segment)
-                        for t, node, _, segment in frames)
+                        for t, node, segment in frames)
     delivered = Counter((t + sim.latency, dst, src, payload)
                         for t, _, src, dst, _, ok, payload in sends if ok)
     assert delivered == arrivals + in_flight
@@ -724,11 +734,24 @@ def test_the_engine_matches_the_naive_reference_loop(s, rules):
 
 
 def test_the_reference_loop_has_its_own_transmit_and_counters():
-    # an engine shortcut in send, schedule or _collect would otherwise be
-    # shared by the oracle that is to check it
-    for name in ("send", "schedule", "_collect"):
+    # an engine shortcut in send, schedule, its trace records or _collect
+    # would otherwise be shared by the oracle that is to check it
+    for name in ("send", "schedule", "_trace_hop", "_collect"):
         assert getattr(Reference, name) is not getattr(Simulation, name), name
         assert name in vars(Reference), name
+    # and it counts transmissions on the wire: no station counter it could
+    # share with the engine changes them
+    for dtc in (False, True):
+        sim = Reference(scenario(p_data=0.2, dtc_enabled=dtc))
+        metrics = sim.run()
+        assert metrics.e2e_retransmissions > 0
+        for node in sim.nodes:
+            node.data_tx_count = -1
+        sim.relay_data_tx[:] = [-1] * len(sim.relay_data_tx)
+        sim.sender.e2e_retransmissions = -1
+        again = sim._collect()
+        for name in ("per_node_data_tx", "sender_data_tx", "e2e_retransmissions"):
+            assert getattr(again, name) == getattr(metrics, name), (dtc, name)
 
 
 def test_the_engine_matches_the_reference_loop_on_every_small_caching_chain():

@@ -76,8 +76,8 @@ def test_link_latency_must_be_positive():
 
 def test_lossless_transmit_arrives_after_latency():
     sim = make_sim(0.0, latency=10_000)
-    assert sim.send(0, DataSegment(1)) == 0
-    assert sim._heap == [(10_000, 0, None, (1, 0, DataSegment(1)))]
+    assert sim.send(0, DataSegment(1)) == 0     # the arrival's insertion number
+    assert sim._heap == [(10_000, 0, None, (1, DataSegment(1)))]
 
 
 def test_threshold_semantics_survive_iff_draw_at_least_threshold():
@@ -103,12 +103,12 @@ def test_exactly_one_draw_per_transmission():
 def test_ack_frames_use_the_halved_threshold():
     # the engine sends data against p_data and TCP acks against p_tcp_ack
     sim = make_sim(0.8, hops=3, latency=10_000, draw=Fixed(0.5))  # p_data 0.8 > 0.5 >= 0.4
-    sim.send(1, AckSegment(1))
-    assert sim.send(0, DataSegment(1)) == 1    # frame ids count every send
+    assert sim.send(1, AckSegment(1)) == 0      # the arrival's insertion number
+    assert sim.send(0, DataSegment(1)) == -1    # lost: no arrival
     assert sim.draws == 2
-    assert sim._heap == [(10_000, 0, None, (0, 0, AckSegment(1)))]  # ack survived, data lost
+    assert sim._heap == [(10_000, 0, None, (0, AckSegment(1)))]  # ack survived, data lost
     sim._random = Fixed(0.3)
-    sim.send(1, AckSegment(1))
+    assert sim.send(1, AckSegment(1)) == -1
     assert len(sim._heap) == 1
 
 
@@ -117,14 +117,14 @@ def test_frame_must_match_link_endpoints():
     # delivered frame arrives at that link's far end
     seen = []
 
-    def spy(frame_id, segment, src, dst):
-        seen.append((frame_id, segment, src, dst))
+    def spy(segment, src, dst):
+        seen.append((segment, src, dst))
         return False
 
     sim = make_sim(0.5, drop_override=spy)
     sim.send(3, AckSegment(2))
     assert send_data(sim, seq=3, src=4)
-    assert seen == [(0, AckSegment(2), 3, 2), (1, DataSegment(3), 4, 5)]
+    assert seen == [(AckSegment(2), 3, 2), (DataSegment(3), 4, 5)]
     assert sorted(arg[0] for _, _, _, arg in sim._heap) == [2, 5]
 
 
@@ -289,7 +289,7 @@ def test_ll_timeout_of_a_lost_forward_is_pushed_at_its_send():
     assert pushes[0] == (10_000, 40_000, 1)
 
 
-def always_lost(frame_id, segment, src, dst):
+def always_lost(segment, src, dst):
     return True
 
 
@@ -426,8 +426,8 @@ def test_send_holds_only_the_first_frame_of_a_run_step():
     sim._next = None                            # as run() starts, and after it takes an event
     sim.send(0, DataSegment(2))
     sim.send(0, DataSegment(3))
-    assert sim._next == (10, 1, None, (1, 1, DataSegment(2)))
-    assert sim._heap == [(10, 0, None, (1, 0, DataSegment(1))), (10, 2, None, (1, 2, DataSegment(3)))]
+    assert sim._next == (10, 1, None, (1, DataSegment(2)))
+    assert sim._heap == [(10, 0, None, (1, DataSegment(1))), (10, 2, None, (1, DataSegment(3)))]
 
 
 def test_a_frame_a_node_sends_is_carried_when_nothing_queued_comes_first():
@@ -442,9 +442,9 @@ def test_a_frame_a_node_sends_is_carried_when_nothing_queued_comes_first():
 @pytest.mark.parametrize("spacing, push", [
     # node 0 forwards segment 1 at 10 ms to arrive at 20 ms, when the
     # sender's slot, queued at 0 ms with a lower number, also fires
-    (20_000, (10_000, 20_000, (1, 1, DataSegment(1)))),
+    (20_000, (10_000, 20_000, (1, DataSegment(1)))),
     # segment 2 reaches node 0 at 15 ms, before that frame arrives
-    (5_000, (10_000, 20_000, (1, 2, DataSegment(1)))),
+    (5_000, (10_000, 20_000, (1, DataSegment(1)))),
 ])
 def test_a_frame_a_node_sends_is_pushed_when_a_queued_event_comes_first(spacing, push):
     pushes, _ = frame_pushes(hops=3, total_segments=2, window=2, send_spacing=spacing)
@@ -454,16 +454,16 @@ def test_a_frame_a_node_sends_is_pushed_when_a_queued_event_comes_first(spacing,
 def test_a_handlers_second_send_is_pushed():
     # window 2, no spacing, and the ack for segment 1 lost on its last hop:
     # the ack for segment 2 reaches the sender at 40 ms and opens the whole
-    # window, so that one on_ack sends segments 3 and 4 as frames 8 and 9.
-    # Frame 8 is held and carried; frame 9 is pushed
-    def lose_ack_2(frame_id, segment, src, dst):
+    # window, so that one on_ack sends segments 3 and 4.  Segment 3 is held
+    # and carried; segment 4 is pushed
+    def lose_ack_2(segment, src, dst):
         return True if type(segment) is AckSegment and segment.ack_no == 2 and src == 0 else None
 
     pushes, records = frame_pushes(lose_ack_2, hops=2, total_segments=4, window=2, send_spacing=0)
     sent_at_40ms = [record[6] for record in records
                     if record[0] == 40_000 and record[2] == -1 and record[4] == "data"]
     assert sent_at_40ms == [DataSegment(3), DataSegment(4)]
-    assert [push for push in pushes if push[0] == 40_000] == [(40_000, 50_000, (0, 9, DataSegment(4)))]
+    assert [push for push in pushes if push[0] == 40_000] == [(40_000, 50_000, (0, DataSegment(4)))]
 
 
 def test_ll_ack_fraction_monte_carlo():
