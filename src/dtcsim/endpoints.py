@@ -22,7 +22,11 @@ first or repeat, sends that stored value.  The keys of ``in_flight`` are
 always ``range(cumulative, next_new)``, so the oldest unacknowledged
 segment is ``cumulative``.  A timeout that finds the pacing gate open and
 empty resends that segment itself; only a closed or busy gate takes it
-through the gate's queue.
+through the gate's queue.  The run loop (``engine``) runs that open-gate
+branch of the unwrapped ``on_rto`` itself, reading and writing the
+sender's fields as the handler does, so an edit to the branch must be
+made there too; the reference loop, which always calls ``on_rto``, and
+the pins check that the two agree.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ The ``Simulation`` is its own event queue, virtual clock and random
 source: it holds the heap of event tuples (see ``events``), the insertion
 counter behind ``seq``, ``now``, one seeded generator and the count of its
 draws.  The run loop pops the heap inline.  It handles a frame arrival
-itself and makes any other event's call.  The calls are the handlers of
+itself, and the sender's live timeout at an open pacing gate (below), and
+makes any other event's call.  The calls are the handlers of
 the protocol state machines in ``node`` and ``endpoints``, the stations.
 Each is built from the run's ``Scenario``, whose knobs it reads itself:
 ``TcpSender(scenario, out)``, ``CachingNode(node_id, scenario, out)`` and
@@ -160,6 +161,28 @@ every frame.  The reference loop has its own ``send``, which pushes every
 frame and every awaited ll timeout and counts the data frames on the
 wire, and its own ``schedule``.
 
+The sender's timeout is most of a caching-off run's pops, and the run loop
+handles it itself where it can.  As the run starts it takes the sender's
+``on_rto`` as the loop will pop it, a bound method equal to every one the
+sender pushes, or None where that is not the unwrapped
+``TcpSender.on_rto``: a class-level or an instance-level wrapper, or a
+stub that is a plain function.  With None the loop calls every timeout's
+handler.  Otherwise a popped timer whose call equals it is the sender's
+timeout.  One of a stale generation changes nothing.  One that finds the
+pacing gate busy, a seq queued in it or the clock before its next free
+time, calls the handler.  At an open gate the loop runs the handler's
+open-gate branch itself: the backoff rule; the resend of
+``in_flight[cumulative]``, with its counters and the gate's next free
+time; and the re-arm at ``now + min(rto << backoff, rto_max)`` with the
+next generation, pushing the popped call again under an insertion number
+taken after the resend's, as ``_arm_rto`` does.  The resend is the
+event's first send, so the slot is empty: an untraced, undriven run makes
+its draw and holds the frame itself, as the relay carry does, and a
+traced or driven one sends it with ``send``.  So every push, draw and
+processed event is the handler's, and ``on_rto`` stays the one full
+definition of the timeout, which the reference loop and the unit tests
+call; an edit to its open-gate branch must be made here too.
+
 A run given a ``trace`` callable passes it one tuple per event, built only
 when the callable is there:
 
@@ -186,7 +209,7 @@ from heapq import heappop, heappush, heappushpop
 from itertools import count
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .events import MAX_TIME_US, SchedulingError
+from .events import MAX_TIME_US, SENDER, SchedulingError
 from .endpoints import TcpReceiver, TcpSender
 from .node import CachingNode
 from .packets import DataSegment
@@ -196,6 +219,10 @@ from .packets import DataSegment
 # to force delivery, None to fall through to the random draw.
 DropOverride = Callable[[object, int, int], Optional[bool]]
 
+
+# the unwrapped sender timeout, whose open-gate branch the run loop runs
+# itself; captured as the package imports, before anything can wrap it
+_SENDER_ON_RTO = TcpSender.on_rto
 
 # the tag at index 1 of a trace record
 HOP = "HOP"
@@ -409,6 +436,16 @@ class Simulation:
         # traces a frame or asks the override
         by_send = trace is not None or self.drop_override is not None
         sender = self.sender
+        # the sender's timeout as the loop pops it, None where it is wrapped
+        # or stubbed: then the loop calls every timeout's handler
+        sender_rto = sender.on_rto
+        if getattr(sender_rto, "__func__", None) is not _SENDER_ON_RTO:
+            sender_rto = None
+        else:
+            rto_max = sender.rto_max
+            in_flight = sender.in_flight
+            spacing = sender.spacing
+            tx_queue = sender._tx_queue
         nodes = self.nodes
         n_nodes = len(nodes)
         relay_data_tx = self.relay_data_tx
@@ -446,6 +483,41 @@ class Simulation:
                     f"({self.receiver.delivered_in_order}/{self.receiver.total} delivered)"
                 )
             if call is not None:
+                if call == sender_rto:
+                    # the sender's own timeout (module docstring): a stale
+                    # one changes nothing, a busy gate takes the handler,
+                    # and the handler's open-gate branch runs here
+                    if arg != sender.rto_generation:
+                        continue
+                    if not tx_queue and now >= sender._next_free_at:
+                        # the backoff rule, and the re-arm's timeout
+                        # min(rto << backoff, rto_max) after it
+                        timeout = sender.rto << sender.backoff
+                        if timeout < rto_max:
+                            sender.backoff += 1
+                            timeout <<= 1
+                            if timeout > rto_max:
+                                timeout = rto_max
+                        else:
+                            timeout = rto_max
+                        # resend the oldest segment, a retransmission
+                        entry = in_flight[sender.cumulative]
+                        sender.e2e_retransmissions += 1
+                        entry[1] += 1
+                        if by_send:
+                            self.send(SENDER, entry[2])
+                        else:
+                            # the slot is empty: this is the event's first send
+                            self.draws += 1
+                            if rand() >= p_data:
+                                self._next = (now + latency, next(self._seq), None,
+                                              (SENDER + 1, entry[2]))
+                        sender._next_free_at = now + spacing
+                        # re-armed as _arm_rto would: the next generation,
+                        # numbered after the resend, with the same call
+                        sender.rto_generation = arg = arg + 1
+                        heappush(heap, (now + timeout, next(self._seq), call, arg))
+                        continue
                 call(arg, now)
                 continue
             target, segment = arg

@@ -30,8 +30,10 @@ order.  A faster engine must preserve both; it may handle an event
 without pushing it, carry a frame over several hops and advance the
 draw, event and clock counters once for all of them, leave
 out an event that cannot change the run, hold a node's ll ack as state,
-or push a timer later than it was armed under the insertion number it
-took then (``engine`` says when).
+push a timer later than it was armed under the insertion number it
+took then, or run a handler's branch in its loop instead of calling it,
+with the handler's draws and pushes in the handler's order (``engine``
+says when).
 """
 
 from __future__ import annotations

@@ -13,12 +13,15 @@ small-scope hypothesis).  The grid:
 
   * hops 2-6 (``--max-hops`` widens it) and 12 segments (``--segments``);
   * windows 1, 2, 3, 5 and 8, and hop latency 1 us or 10 ms, with
-    automatic spacing and RTOs;
+    automatic RTOs;
+  * automatic send spacing, and 20 us: over 1 us hops that spacing still
+    holds the sender's pacing gate busy at some of its timeouts, and over
+    10 ms hops it all but opens the gate;
   * lossless at seed 1, and 20 % loss at seeds 1 and 2;
   * caching on at ``ll_wait_multiplier`` 1-4, and caching off, where no
     ll wait is read.
 
-Tier-1 runs the default grid of 750 scenarios.  At wider bounds, as
+Tier-1 runs the default grid of 1,500 scenarios.  At wider bounds, as
 
     python tests/small_scope.py --segments 14,15,16 --max-hops 8
 
@@ -40,16 +43,19 @@ HOP_LATENCIES_US = (1, 10_000)
 LL_WAIT_MULTIPLIERS = (1, 2, 3, 4)
 # (p_data, seed): lossless at one seed, 20 % loss at two
 LOSSES = ((0.0, 1), (0.2, 1), (0.2, 2))
+# None: the automatic spacing, which never finds the gate busy at a timeout
+SEND_SPACINGS_US = (None, 20)
 
 
 def grid(segments=(12,), max_hops=6):
     """Every scenario of the grid, at these segment counts and hops 2 to
     max_hops: each chain with caching off, then on at each ll-wait
     multiplier."""
-    for total, hops, window, latency, (p_data, seed) in itertools.product(
-            segments, range(2, max_hops + 1), WINDOWS, HOP_LATENCIES_US, LOSSES):
+    for total, hops, window, latency, (p_data, seed), spacing in itertools.product(
+            segments, range(2, max_hops + 1), WINDOWS, HOP_LATENCIES_US, LOSSES,
+            SEND_SPACINGS_US):
         knobs = dict(hops=hops, p_data=p_data, total_segments=total, window=window,
-                     hop_latency=latency, seed=seed)
+                     hop_latency=latency, seed=seed, send_spacing=spacing)
         yield Scenario(dtc_enabled=False, **knobs)
         for multiplier in LL_WAIT_MULTIPLIERS:
             yield Scenario(dtc_enabled=True, ll_wait_multiplier=multiplier, **knobs)

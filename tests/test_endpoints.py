@@ -3,7 +3,7 @@ import functools
 import pytest
 from hypothesis import given, note, settings, strategies as st
 
-from conftest import Recorder, emitted
+from conftest import Recorder, emitted, watch_pushes
 from dtcsim.endpoints import TcpReceiver, TcpSender, update_rto
 from dtcsim.engine import Simulation
 from dtcsim.events import SENDER, US_PER_MS
@@ -356,6 +356,86 @@ def test_in_flight_runs_from_the_cumulative_point_over_whole_runs(s):
         setattr(sim.sender, name, checked(sim.sender, getattr(sim.sender, name)))
     metrics = finish(sim)
     assert metrics is None or metrics.delivered_segments == s.total_segments
+
+
+# -- the sender's timeout in the run loop ---------------------------------------------
+#
+# The run loop handles a live timeout at an open gate itself, and calls the
+# handler for any other: these runs check that a handler put in front of it
+# still sees every timeout, and that the loop's own path is the handler's
+
+TIMEOUT_SCENARIOS = {
+    "off": Scenario(hops=6, p_data=0.2, dtc_enabled=False, total_segments=40, seed=3),
+    "on": Scenario(hops=6, p_data=0.2, dtc_enabled=True, total_segments=40, seed=3),
+    # over 1 us hops a 50 us spacing holds the gate busy at some timeouts
+    "busy-gate": Scenario(hops=3, p_data=0.2, dtc_enabled=False, total_segments=40, seed=1,
+                          hop_latency=1, send_spacing=50, window=8),
+    # the initial timeout is over rto_max: every timeout is at the ceiling
+    "at-ceiling": Scenario(hops=4, p_data=0.3, dtc_enabled=False, total_segments=40, seed=2,
+                           rto_max=200_000),
+}
+
+
+def counting(handler, calls):
+    """A plain function that records each call's arguments, then calls handler."""
+    def call(*args):
+        calls.append(args)
+        handler(*args)
+    return call
+
+
+@pytest.mark.parametrize("where", ["class", "instance"])
+@pytest.mark.parametrize("name", list(TIMEOUT_SCENARIOS))
+def test_a_handler_in_front_of_the_senders_timeout_sees_every_timeout_popped(
+        monkeypatch, name, where):
+    # a class-level wrapper, as perfbench's tracer installs, or a plain
+    # function in the sender's own attribute, as a test may: either is
+    # called once per timeout the run pops, and the run is the one the
+    # loop's own path gives
+    s = TIMEOUT_SCENARIOS[name]
+    expected_records = []
+    expected = Simulation(s, trace=expected_records.append).run()
+    assert expected.e2e_retransmissions > 0
+    calls, records, pushed = [], [], []
+    sim = Simulation(s, trace=records.append)
+    if where == "class":
+        monkeypatch.setattr(TcpSender, "on_rto", counting(TcpSender.on_rto, calls))
+    else:
+        sim.sender.on_rto = counting(sim.sender.on_rto, calls)
+    with watch_pushes(lambda fire_at, call, arg: pushed.append(call)):
+        assert sim.run() == expected
+    assert records == expected_records
+    # a timeout popped is one pushed and no longer queued
+    queued = [call for _, _, call, _ in sim._heap]
+    timeouts = sum(call == sim.sender.on_rto for call in pushed)
+    assert len(calls) == timeouts - sum(call == sim.sender.on_rto for call in queued)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_a_stale_sender_timeout_popped_by_the_run_changes_nothing(traced):
+    # a timeout of a generation the sender has since re-armed past pops
+    # between two markers at its own time: between them the sender keeps
+    # every field, and the run draws and pushes nothing (a frame it held
+    # would go into the heap as the second marker pops first)
+    sim = Simulation(TIMEOUT_SCENARIOS["off"], trace=[].append if traced else None)
+    seen = []
+
+    def fields():
+        return {name: repr(value) for name, value in vars(sim.sender).items()}
+
+    def marker(arg, now):
+        seen.append((fields(), sim.draws, len(pushed)))
+
+    pushed = []
+    at = 400 * US_PER_MS
+    sim.schedule(at, marker)
+    sim.schedule(at, sim.sender.on_rto, 0)         # start() arms generation 1
+    sim.schedule(at, marker)
+    with watch_pushes(lambda *push: pushed.append(push)):
+        sim.run()
+    before, after = seen
+    assert before == after
+    assert sim.sender.rto_generation > 1
 
 
 # -- receiver ---------------------------------------------------------------------------

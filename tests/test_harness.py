@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, note, settings, strategies as st
 
 from dtcsim import harness
+from dtcsim.endpoints import TcpSender
 from dtcsim.engine import DTC, HOP, EventBudgetExceeded, LivenessError, Simulation
 from dtcsim.events import MAX_TIME_US, SENDER
 from dtcsim.harness import (
@@ -248,15 +249,18 @@ def test_a_relay_costs_a_few_list_entries():
 
 def test_finished_run_is_freed_without_the_cycle_collector():
     # the stations hold the simulation as their sink; a run cuts that cycle
-    # when it ends, so a sweep frees each run at once
+    # when it ends, so a sweep frees each run at once.  Caching off, the run
+    # loop resends at the sender's timeouts itself
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        sim = Simulation(scenario(hops=4, p_data=0.1, total_segments=10))
-        sim.run()
-        finished = weakref.ref(sim)
-        del sim
-        assert finished() is None
+        for dtc in (True, False):
+            sim = Simulation(scenario(hops=4, p_data=0.1, dtc_enabled=dtc, total_segments=10))
+            metrics = sim.run()
+            assert dtc or metrics.e2e_retransmissions > 0
+            finished = weakref.ref(sim)
+            del sim
+            assert finished() is None, dtc
     finally:
         if was_enabled:
             gc.enable()
@@ -760,9 +764,27 @@ def test_the_engine_matches_the_reference_loop_on_every_small_caching_chain():
     # frames and deferred ll acks meet every tie of an ll ack, an ll
     # timeout and an arrival
     scenarios = list(small_scope.grid())
-    assert len(scenarios) == 750
-    assert sum(not s.dtc_enabled for s in scenarios) == 150
+    assert len(scenarios) == 1500
+    assert sum(not s.dtc_enabled for s in scenarios) == 300
     assert small_scope.mismatches(scenarios) == []
+
+
+def test_the_small_scope_grid_meets_the_senders_timeout_at_a_busy_and_an_open_gate(monkeypatch):
+    # the run loop handles a live sender timeout at an open gate itself and
+    # calls the handler at a busy one, so the grid checks both against the
+    # reference loop only if its runs reach both
+    gates = Counter()
+    on_rto = TcpSender.on_rto
+
+    def counted(sender, generation, now):
+        if generation == sender.rto_generation:
+            gates[bool(sender._tx_queue) or now < sender._next_free_at] += 1
+        on_rto(sender, generation, now)
+
+    monkeypatch.setattr(TcpSender, "on_rto", counted)
+    for s in small_scope.grid():
+        small_scope.outcome(Simulation(s))
+    assert gates[True] > 0 and gates[False] > 0, gates
 
 
 def test_small_scope_rejects_an_empty_grid(capsys):
